@@ -6,11 +6,18 @@ Two phases, mirroring the prototype toolchain:
    (each node goes to the legal FU minimizing wirelength to its already-
    placed producers and its ports), followed by a deterministic
    improvement loop of relocations/swaps.
-2. **Routing** — per-signal BFS trees over the directed switch graph
-   under the circuit-switched exclusivity constraint (a switch output
-   link carries exactly one signal, with free fan-out of the same
-   signal).  Failed routes trigger rip-up-and-retry with a different
-   signal order.
+2. **Routing** — PathFinder negotiated congestion over the directed
+   switch graph: each signal grows a fan-out tree by Dijkstra search,
+   sharing a link is priced rather than forbidden, and every round
+   reroutes all signals with higher prices on the links still shared,
+   until the circuit-switched exclusivity constraint holds (a switch
+   output link carries exactly one signal, with free fan-out of the
+   same signal).  The search runs on integers: a cached per-geometry
+   adjacency table (:func:`switch_adjacency`) with usage and history in
+   flat per-link lists; paths become ``Coord`` lists only when returned.
+
+When congestion does not resolve, the DFG is placed again with a new
+seed (:data:`_PLACE_ATTEMPTS` times).
 
 Raises :class:`SchedulingError` when the DFG cannot be mapped, which the
 region selector turns into a scalar fallback (exactly what the paper's
@@ -20,10 +27,12 @@ compiler does for oversized regions).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from heapq import heappop, heappush
 
 from repro.dyser.config import DyserConfig, SinkKey, SourceKey, source_key
 from repro.dyser.dfg import Dfg, NodeRef, PortRef
-from repro.dyser.fabric import Coord, Fabric
+from repro.dyser.fabric import Coord, Fabric, FabricGeometry
 from repro.dyser.ops import capability_of
 from repro.errors import SchedulingError
 
@@ -31,10 +40,10 @@ from repro.errors import SchedulingError
 _REFINE_ITERS = 300
 #: Negotiated-congestion routing iterations.
 _ROUTE_ROUNDS = 48
-
-
 #: Placement attempts (fresh seed each) before giving up on routing.
 _PLACE_ATTEMPTS = 8
+
+_INF = float("inf")
 
 
 def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
@@ -99,6 +108,14 @@ def _place(dfg: Dfg, fabric: Fabric, rng: random.Random,
         if isinstance(src, NodeRef):
             out_port_of.setdefault(src.node, []).append(port)
 
+    # Consumers of each node, each listed once however many of its
+    # inputs read the node.
+    consumers: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
+    for other in dfg.nodes.values():
+        for nid in {s.node for s in other.inputs if isinstance(s, NodeRef)}:
+            if nid != other.id:
+                consumers[nid].append(other.id)
+
     placement: dict[int, Coord] = {}
     occupied: set[Coord] = set()
 
@@ -118,14 +135,11 @@ def _place(dfg: Dfg, fabric: Fabric, rng: random.Random,
         for port in out_port_of.get(nid, ()):
             cost += _dist(source, out_switches[port])
         # Consumers placed already (refinement path).
-        for other in dfg.nodes.values():
-            if other.id == nid or other.id not in placement:
-                continue
-            if any(isinstance(s, NodeRef) and s.node == nid
-                   for s in other.inputs):
+        for other in consumers[nid]:
+            if other in placement:
                 cost += min(
                     _dist(source, t)
-                    for t in geometry.fu_input_switches(placement[other.id])
+                    for t in geometry.fu_input_switches(placement[other])
                 )
         return cost
 
@@ -201,23 +215,60 @@ def _dist(a: Coord, b: Coord) -> int:
 # -- routing ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def switch_adjacency(geometry: FabricGeometry
+                     ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Integer-indexed directed switch graph of ``geometry``.
+
+    Switch ``(x, y)`` has index ``x * switch_rows + y``, which is
+    monotone in ``Coord`` order, so heap ties between equal distances
+    break exactly as they do on coordinates.  Entry ``i`` lists
+    ``(neighbour index, link id)`` pairs in
+    :meth:`~repro.dyser.fabric.FabricGeometry.switch_neighbors` order
+    (E, S, W, N); link ids number the directed links densely from 0.
+    """
+    rows = geometry.switch_rows
+    table = []
+    link = 0
+    for x in range(geometry.switch_cols):
+        for y in range(rows):
+            entry = []
+            for nx, ny in geometry.switch_neighbors((x, y)):
+                entry.append((nx * rows + ny, link))
+                link += 1
+            table.append(tuple(entry))
+    return tuple(table)
+
+
 def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
            rng: random.Random, history_increment: float = 1.5
            ) -> dict[tuple[SourceKey, SinkKey], list[Coord]]:
     geometry = fabric.geometry
-    in_switches = geometry.input_port_switches()
-    out_switches = geometry.output_port_switches()
+    rows = geometry.switch_rows
+    adjacency = switch_adjacency(geometry)
+    num_links = sum(len(entry) for entry in adjacency)
 
-    # Collect (source key, sink key, target switches) triples.
-    jobs: list[tuple[SourceKey, SinkKey, list[Coord], Coord]] = []
+    def index(sw: Coord) -> int:
+        """A switch's row in the adjacency table."""
+        return sw[0] * rows + sw[1]
+
+    in_switches = [index(sw) for sw in geometry.input_port_switches()]
+    out_switches = [index(sw) for sw in geometry.output_port_switches()]
+
+    def output_switch(nid: int) -> int:
+        return index(geometry.fu_output_switch(placement[nid]))
+
+    # Collect (source key, sink key, target switches, start) jobs.
+    jobs: list[tuple[SourceKey, SinkKey, set[int], int]] = []
     for node in dfg.nodes.values():
-        targets = geometry.fu_input_switches(placement[node.id])
+        targets = {index(sw) for sw in
+                   geometry.fu_input_switches(placement[node.id])}
         for slot, src in enumerate(node.inputs):
             skey = source_key(src)
             if skey is None:
                 continue
             start = (in_switches[skey[1]] if skey[0] == "port"
-                     else geometry.fu_output_switch(placement[skey[1]]))
+                     else output_switch(skey[1]))
             jobs.append((skey, ("node", node.id, slot), targets, start))
     for port, src in dfg.outputs.items():
         skey = source_key(src)
@@ -226,41 +277,53 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
                 f"{dfg.name}: output port {port} driven by a constant",
                 code="RPR214", dfg=dfg.name, port=port)
         start = (in_switches[skey[1]] if skey[0] == "port"
-                 else geometry.fu_output_switch(placement[skey[1]]))
-        jobs.append((skey, ("out", port, 0), [out_switches[port]], start))
+                 else output_switch(skey[1]))
+        jobs.append((skey, ("out", port, 0), {out_switches[port]}, start))
 
     # Route each signal's whole fan-out tree contiguously (compact trees)
     # and route edge-port signals before internal node signals: ports
     # enter at corner/edge switches with few outgoing links.
     jobs.sort(key=lambda j: (j[0][0] != "port", j[0], j[1]))
+    # Link users are kept as small integers: cheap to hash and compare.
+    signal_ids: dict[SourceKey, int] = {}
+    for skey, _sink, _targets, _start in jobs:
+        signal_ids.setdefault(skey, len(signal_ids))
 
     # PathFinder-style negotiated congestion routing: sharing a link is
     # allowed during search but priced; shared links accumulate history
     # cost between iterations until every link has one owner.
-    history: dict[tuple[Coord, Coord], float] = {}
+    history = [0.0] * num_links
     present_penalty = 2.0
     for _iteration in range(_ROUTE_ROUNDS):
-        usage: dict[tuple[Coord, Coord], set[SourceKey]] = {}
-        signal_parent: dict[SourceKey, dict[Coord, Coord | None]] = {}
-        routes: dict[tuple[SourceKey, SinkKey], list[Coord]] = {}
+        usage: list[set[int]] = [set() for _ in range(num_links)]
+        trees: dict[int, dict[int, tuple[int, int] | None]] = {}
+        routes: dict[tuple[SourceKey, SinkKey], list[int]] = {}
         for skey, sink, targets, start in jobs:
-            tree = signal_parent.setdefault(skey, {start: None})
+            signal = signal_ids[skey]
+            tree = trees.setdefault(signal, {start: None})
             target = _grow_tree_negotiated(
-                geometry, tree, set(targets), usage, history,
-                present_penalty, skey)
+                adjacency, tree, targets, usage, history,
+                present_penalty, signal)
             if target is None:
                 raise SchedulingError(
                     f"{dfg.name}: signal {skey} -> {sink} has no path",
                     code="RPR210", dfg=dfg.name, signal=skey, sink=sink)
-            path = _backtrack(tree, target)
+            # Walk the tree back from the sink, claiming every link on
+            # the way; the path comes out reversed.
+            path = [target]
+            step = tree[target]
+            while step is not None:
+                switch, link = step
+                path.append(switch)
+                usage[link].add(signal)
+                step = tree[switch]
             routes[(skey, sink)] = path
-            for a, b in zip(path, path[1:], strict=False):
-                usage.setdefault((a, b), set()).add(skey)
-        shared = [link for link, users in usage.items() if len(users) > 1]
+        shared = [link for link, users in enumerate(usage) if len(users) > 1]
         if not shared:
-            return routes
+            return {key: [divmod(sw, rows) for sw in reversed(path)]
+                    for key, path in routes.items()}
         for link in shared:
-            history[link] = history.get(link, 0.0) + history_increment
+            history[link] += history_increment
         # Uncapped: late iterations effectively forbid sharing, which is
         # what finally shakes the last contested link loose.
         present_penalty *= 1.6
@@ -271,61 +334,50 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
         shared=len(shared))
 
 
-def _grow_tree_negotiated(geometry, tree: dict[Coord, Coord | None],
-                          targets: set[Coord],
-                          usage: dict[tuple[Coord, Coord], set[SourceKey]],
-                          history: dict[tuple[Coord, Coord], float],
-                          present_penalty: float,
-                          skey: SourceKey) -> Coord | None:
+def _grow_tree_negotiated(adjacency, tree: dict[int, tuple[int, int] | None],
+                          targets: set[int], usage: list[set[int]],
+                          history: list[float], present_penalty: float,
+                          signal: int) -> int | None:
     """Dijkstra from the signal's current tree to any target.
 
     Link cost = 1 + history + present-sharing penalty; links already in
-    this signal's tree fan out for free.  Commits the found branch into
-    the tree and returns the target switch.
+    this signal's tree fan out for free.  ``tree`` maps each switch to
+    its ``(parent switch, link id)``, ``None`` at the root.  Commits the
+    found branch into the tree and returns the target switch.
     """
-    import heapq
-
-    already = sorted(set(tree) & targets)
+    already = [t for t in targets if t in tree]
     if already:
-        return already[0]
-    dist: dict[Coord, float] = {sw: 0.0 for sw in tree}
-    parent: dict[Coord, Coord] = {}
+        return min(already)
+    n = len(adjacency)
+    dist = [_INF] * n
+    parent = [0] * n
+    via = [0] * n
+    for sw in tree:
+        dist[sw] = 0.0
+    # A sorted list is already a valid heap.
     heap = [(0.0, sw) for sw in sorted(tree)]
-    heapq.heapify(heap)
-    visited: set[Coord] = set()
+    visited = bytearray(n)
     while heap:
-        d, current = heapq.heappop(heap)
-        if current in visited:
+        d, current = heappop(heap)
+        if visited[current]:
             continue
-        visited.add(current)
+        visited[current] = 1
         if current in targets:
             node = current
             while node not in tree:
-                tree[node] = parent[node]
+                tree[node] = (parent[node], via[node])
                 node = parent[node]
             return current
-        for nxt in geometry.switch_neighbors(current):
-            if nxt in visited:
+        for nxt, link in adjacency[current]:
+            if visited[nxt]:
                 continue
-            link = (current, nxt)
-            users = usage.get(link, ())
-            sharing = sum(1 for u in users if u != skey)
-            cost = 1.0 + history.get(link, 0.0) \
-                + sharing * present_penalty
+            users = usage[link]
+            sharing = len(users) - (signal in users)
+            cost = 1.0 + history[link] + sharing * present_penalty
             nd = d + cost
-            if nd < dist.get(nxt, float("inf")):
+            if nd < dist[nxt]:
                 dist[nxt] = nd
                 parent[nxt] = current
-                heapq.heappush(heap, (nd, nxt))
+                via[nxt] = link
+                heappush(heap, (nd, nxt))
     return None
-
-
-def _backtrack(tree: dict[Coord, Coord | None], target: Coord
-               ) -> list[Coord]:
-    path = [target]
-    node = tree[target]
-    while node is not None:
-        path.append(node)
-        node = tree[node]
-    path.reverse()
-    return path
