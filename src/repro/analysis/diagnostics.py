@@ -91,6 +91,7 @@ CODES: dict[str, CodeInfo] = {
             "RPR214": "output port driven by a constant",
             "RPR216": "no free FU supports the op",
             "RPR217": "routing congestion did not resolve",
+            "RPR218": "signals exceed the links across a fabric cut",
         }),
         *_bank(Severity.WARNING, {
             "RPR205": "dead node: output reaches no output port",

@@ -1,12 +1,17 @@
 """Spatial scheduler: place a DFG onto the fabric and route its signals.
 
-Two phases, mirroring the prototype toolchain:
+Three steps, mirroring the prototype toolchain:
 
 1. **Placement** — greedy constructive placement in topological order
    (each node goes to the legal FU minimizing wirelength to its already-
    placed producers and its ports), followed by a deterministic
    improvement loop of relocations/swaps.
-2. **Routing** — PathFinder negotiated congestion over the directed
+2. **Cut check** — a sound capacity bound (:func:`_check_cuts`): for
+   every horizontal and vertical line through the switch grid, the
+   signals that must cross it in one direction may not outnumber the
+   links crossing it that way.  A placement that fails it can never
+   route, so it is rejected before any search.
+3. **Routing** — PathFinder negotiated congestion over the directed
    switch graph: each signal grows a fan-out tree by Dijkstra search,
    sharing a link is priced rather than forbidden, and every round
    reroutes all signals with higher prices on the links still shared,
@@ -16,8 +21,8 @@ Two phases, mirroring the prototype toolchain:
    adjacency table (:func:`switch_adjacency`) with usage and history in
    flat per-link lists; paths become ``Coord`` lists only when returned.
 
-When congestion does not resolve, the DFG is placed again with a new
-seed (:data:`_PLACE_ATTEMPTS` times).
+When the cut check or congestion fails, the DFG is placed again with a
+new seed (:data:`_PLACE_ATTEMPTS` times).
 
 Raises :class:`SchedulingError` when the DFG cannot be mapped, which the
 region selector turns into a scalar fallback (exactly what the paper's
@@ -75,24 +80,26 @@ def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
             code="RPR206", dfg=dfg.name, direction="out",
             port=max(dfg.output_ports),
             limit=fabric.geometry.num_output_ports)
-    last_error: SchedulingError | None = None
     for attempt in range(_PLACE_ATTEMPTS):
         rng = random.Random(seed + attempt * 7919)
         placement = _place(dfg, fabric, rng, refine, jitter=2 * attempt)
         try:
             # Alternate the congestion-history pressure across attempts:
             # different DFG shapes converge under different schedules.
-            routes = _route(dfg, fabric, placement, rng,
+            routes = _route(dfg, fabric, placement,
                             history_increment=1.5 + 0.75 * (attempt % 3))
-        except SchedulingError as exc:
-            last_error = exc
-            continue
-        config = DyserConfig(config_id, dfg, fabric, placement=placement,
-                             routes=routes)
-        config.validate()
-        return config
-    raise last_error if last_error is not None else SchedulingError(
-        f"{dfg.name}: unroutable")
+            break
+        except SchedulingError:
+            # Re-raised in place, never kept in a local: its traceback
+            # holds this frame, so a local holding the error would form
+            # a cycle pinning every caller's locals (through frame
+            # back-links) until the next full collection.
+            if attempt == _PLACE_ATTEMPTS - 1:
+                raise
+    config = DyserConfig(config_id, dfg, fabric, placement=placement,
+                         routes=routes)
+    config.validate()
+    return config
 
 
 # -- placement -------------------------------------------------------------
@@ -241,7 +248,7 @@ def switch_adjacency(geometry: FabricGeometry
 
 
 def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
-           rng: random.Random, history_increment: float = 1.5
+           history_increment: float = 1.5
            ) -> dict[tuple[SourceKey, SinkKey], list[Coord]]:
     geometry = fabric.geometry
     rows = geometry.switch_rows
@@ -284,6 +291,7 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
     # and route edge-port signals before internal node signals: ports
     # enter at corner/edge switches with few outgoing links.
     jobs.sort(key=lambda j: (j[0][0] != "port", j[0], j[1]))
+    _check_cuts(dfg, geometry, jobs)
     # Link users are kept as small integers: cheap to hash and compare.
     signal_ids: dict[SourceKey, int] = {}
     for skey, _sink, _targets, _start in jobs:
@@ -332,6 +340,49 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
         f"routing iterations ({len(shared)} links still shared)",
         code="RPR217", dfg=dfg.name, rounds=_ROUTE_ROUNDS,
         shared=len(shared))
+
+
+def _check_cuts(dfg: Dfg, geometry: FabricGeometry,
+                jobs: list[tuple[SourceKey, SinkKey, set[int], int]]
+                ) -> None:
+    """Raise ``RPR218`` when more signals must cross a grid line than
+    links cross it.
+
+    A signal must cross the line between switch columns (or rows) ``k``
+    and ``k + 1`` eastward (southward) when its start lies at or before
+    ``k`` and every target of one of its sinks lies beyond ``k``; the
+    other direction mirrors this.  Each directed link carries one
+    signal, and ``switch_rows`` (``switch_cols``) links cross a column
+    (row) line each way, so no router can map a placement this rejects.
+    """
+    rows = geometry.switch_rows
+    # signal -> per axis [start, ahead, behind]: some sink has every
+    # target at or beyond ``ahead``, some sink every target at or
+    # before ``behind``.
+    spans: dict[SourceKey, list[list[int]]] = {}
+    for skey, _sink, targets, start in jobs:
+        coords = [divmod(t, rows) for t in targets]
+        origin = divmod(start, rows)
+        axes = spans.setdefault(
+            skey, [[origin[a], origin[a], origin[a]] for a in (0, 1)])
+        for a, span in enumerate(axes):
+            span[1] = max(span[1], min(c[a] for c in coords))
+            span[2] = min(span[2], max(c[a] for c in coords))
+    for a, (lines, links) in enumerate(
+            ((geometry.switch_cols, rows), (rows, geometry.switch_cols))):
+        intervals = [axes[a] for axes in spans.values()]
+        for k in range(lines - 1):
+            # Signals crossing from k to k + 1, and from k + 1 to k.
+            signals = max(
+                sum(start <= k < ahead for start, ahead, _ in intervals),
+                sum(behind <= k < start for start, _, behind in intervals))
+            if signals > links:
+                raise SchedulingError(
+                    f"{dfg.name}: {signals} signals must cross one way "
+                    f"between switch {('columns', 'rows')[a]} {k} and "
+                    f"{k + 1}, over only {links} links",
+                    code="RPR218", dfg=dfg.name, axis="xy"[a], line=k,
+                    signals=signals, links=links)
 
 
 def _grow_tree_negotiated(adjacency, tree: dict[int, tuple[int, int] | None],

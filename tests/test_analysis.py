@@ -10,7 +10,9 @@ the acceptance bar for this layer.
 
 import copy
 import json
+import re
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro import (
     lint_workload,
     verify_function,
 )
+from repro.analysis.diagnostics import CODES
 from repro.analysis.lint import lint_dfg
 from repro.analysis.verifier import check_function
 from repro.compiler.driver import CompilerOptions, compile_dyser, frontend
@@ -379,6 +382,19 @@ class TestErrorPayloads:
         info = describe_code("RPR999")
         assert info.severity is Severity.ERROR
         assert info.title == "unregistered diagnostic"
+
+    def test_every_raised_code_is_registered(self):
+        # A code raised but never registered would render as
+        # "unregistered diagnostic".
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        raised = {
+            code
+            for path in src.rglob("*.py")
+            for code in re.findall(r"""code=["'](RPR\d{3})["']""",
+                                   path.read_text(encoding="utf-8"))
+        }
+        assert "RPR218" in raised
+        assert sorted(raised - set(CODES)) == []
 
 
 def _config_with_unplaced():

@@ -12,18 +12,27 @@ again on a non-square 6x4 fabric.  A scheduler change that moves a
 single route, or rewords a ``SchedulingError``, changes a digest here.
 Such a change needs its own E1-E12 re-check; regenerate the table with
 ``PYTHONPATH=src python tests/test_schedule.py`` only after that.
+
+The fabric-cut check must be sound: a placement it rejects with
+``RPR218`` must also fail the full negotiated router.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from repro.compiler import CompilerOptions
+from repro.compiler import schedule as sched
 from repro.compiler.schedule import switch_adjacency
 from repro.dyser import Fabric, FabricGeometry
+from repro.dyser.dfg import Dfg, PortRef
+from repro.dyser.ops import FuOp
+from repro.errors import SchedulingError
+from repro.harness.fuzz.generator import _gen_dfg
 from repro.harness.runner import _compile, _options_key, source_hash
 from repro.workloads import SUITE
 
@@ -46,6 +55,69 @@ def test_switch_adjacency_mirrors_switch_neighbors(width, height):
     # Link ids are dense and unique.
     assert sorted(links) == list(range(len(links)))
     assert switch_adjacency(FabricGeometry(width, height)) is table
+
+
+def _route_code(dfg: Dfg, fabric: Fabric, placement) -> str | None:
+    """The code ``_route`` fails with, ``None`` when it routes."""
+    try:
+        sched._route(dfg, fabric, placement)
+    except SchedulingError as exc:
+        return exc.code
+    return None
+
+
+def test_cut_check_rejects_only_unroutable_placements(monkeypatch):
+    rng = random.Random(218)
+    fired = routed = 0
+    for case in range(2000):
+        width, height = rng.randint(1, 4), rng.randint(1, 4)
+        fabric = Fabric(FabricGeometry(width, height))
+        n_nodes = rng.randint(1, width * height)
+        n_in = rng.randint(1, min(n_nodes, 2 * (width + height)))
+        dfg = _gen_dfg(rng, f"cut{case}", rng.choice(["int", "fp"]),
+                       n_in, n_nodes)
+        try:
+            placement = sched._place(dfg, fabric, random.Random(case),
+                                     refine=True)
+        except SchedulingError:
+            continue  # no free FU for some op: nothing to route
+        code = _route_code(dfg, fabric, placement)
+        routed += code is None
+        if code != "RPR218":
+            continue
+        fired += 1
+        # The full negotiated router on the same placement fails too.
+        with monkeypatch.context() as patch:
+            patch.setattr(sched, "_check_cuts", lambda *args: None)
+            assert _route_code(dfg, fabric, placement) == "RPR217", case
+    assert fired >= 5 and routed >= 1500
+
+
+def test_overcut_dfg_fails_before_any_search(monkeypatch):
+    # On a 3x1 fabric two links cross each column line each way.  Input
+    # ports 0, 4 and 5 enter at switch column 0 and output ports 3, 4
+    # and 8 leave at switch column 3: three signals must cross.
+    fabric = Fabric(FabricGeometry(3, 1))
+    dfg = Dfg("overcut")
+    dfg.set_output(0, dfg.add_node(FuOp.ADD, [PortRef(1), PortRef(2)]))
+    for out, port in ((3, 0), (4, 4), (8, 5)):
+        dfg.set_output(out, PortRef(port))
+
+    def no_search(*args):
+        raise AssertionError("negotiated routing entered")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sched, "_grow_tree_negotiated", no_search)
+        with pytest.raises(SchedulingError) as info:
+            sched.schedule(0, dfg, fabric)
+    assert info.value.code == "RPR218"
+    assert info.value.context == {"dfg": "overcut", "axis": "x", "line": 0,
+                                  "signals": 3, "links": 2}
+    # Without the check the full router fails on it as well.
+    monkeypatch.setattr(sched, "_check_cuts", lambda *args: None)
+    with pytest.raises(SchedulingError) as info:
+        sched.schedule(0, dfg, fabric)
+    assert info.value.code == "RPR217"
 
 
 #: (workload, fabric width, fabric height) -> schedule digest.

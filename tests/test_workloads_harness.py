@@ -5,6 +5,9 @@ workload runs scalar AND DySER at tiny scale and must pass its numpy
 reference check in both modes.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cpu import Memory
@@ -16,6 +19,7 @@ from repro.harness import (
     format_table,
     geomean,
     run_workload,
+    runner,
 )
 from repro.workloads import (
     CATEGORIES,
@@ -118,6 +122,32 @@ class TestHarness:
         # The mode is validated at RunConfig construction now.
         with pytest.raises(WorkloadError, match="unknown mode"):
             RunConfig(workload="vecadd", mode="quantum")
+
+    def test_finished_run_frees_its_memory(self, monkeypatch):
+        # Reference counting alone must free a run's memory image: a
+        # reference cycle through a frame that ``execute`` called would
+        # keep its locals alive until the next full collection.
+        images = []
+
+        class TrackedMemory(Memory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                images.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "Memory", TrackedMemory)
+        gc.collect()
+        gc.disable()
+        try:
+            for name in ALL_NAMES:
+                if name.startswith("dsl:"):
+                    continue  # registered at run time by other tests
+                for mode in ("scalar", "dyser"):
+                    runner.clear_caches()  # compile cold, as a first run
+                    run_workload(RunConfig(workload=name, mode=mode,
+                                           scale="tiny"))
+                    assert images[-1]() is None, (name, mode)
+        finally:
+            gc.enable()
 
     def test_geomean(self):
         assert geomean([1.0, 4.0]) == pytest.approx(2.0)
