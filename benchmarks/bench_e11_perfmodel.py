@@ -3,8 +3,8 @@
 The static performance-bound analyzer (:mod:`repro.analysis.perf`)
 predicts every suite kernel's cycle count — and a sound lower bound —
 by abstract interpretation alone, with zero simulation.  This benchmark
-holds it to both contracts across all 18 kernels x both modes at the
-standard small scale:
+holds it to both contracts across every suite kernel x both modes at
+the standard small scale:
 
 - **accuracy** — mean absolute percentage error (MAPE) of the
   prediction vs the reference simulator, gated at
@@ -17,14 +17,18 @@ Two entry points:
 - ``pytest benchmarks/bench_e11_perfmodel.py --benchmark-only``
   measures and archives the table under ``results/e11.txt``;
 - ``python benchmarks/bench_e11_perfmodel.py --check`` recomputes the
-  gate for CI (exit 1 on violation), printing the table either way.
+  gate for CI, printing the table either way: exit 1 on a violation or
+  when the table differs from the committed ``results/e11.txt`` by a
+  single byte (a walker change that moves any prediction, bound or
+  bottleneck must regenerate the table in the same change).
 """
 
 from __future__ import annotations
 
+import difflib
 import sys
 
-from common import SCALE, emit, once
+from common import RESULTS_DIR, SCALE, emit, once
 
 #: Acceptance ceiling for suite mean absolute percentage error.
 MAPE_CEILING = 0.15
@@ -106,6 +110,18 @@ def validate(mape, unsound, predicted_count, total) -> list[str]:
     return problems
 
 
+def drift(text: str) -> list[str]:
+    """The fresh table's differences from the committed one, if any."""
+    committed = (RESULTS_DIR / "e11.txt").read_text()
+    if committed == text + "\n":
+        return []
+    diff = difflib.unified_diff(
+        committed.splitlines(), text.splitlines(),
+        "results/e11.txt", "fresh", lineterm="")
+    return ["table differs from the committed results/e11.txt:\n"
+            + "\n".join(diff)]
+
+
 def test_e11_perf_model(benchmark):
     rows, mape, unsound, predicted_count = once(benchmark, measure)
     emit("E11: static perf model",
@@ -120,12 +136,15 @@ def main(argv) -> int:
     text = render(rows, mape, unsound, predicted_count)
     if check:
         print(text)
+        drifted = drift(text)
         problems = validate(mape, unsound, predicted_count, len(rows))
+        problems += drifted
         for problem in problems:
             print(f"GATE FAILURE: {problem}", file=sys.stderr)
         print(f"perf-model gate: MAPE {mape:.2%} <= "
-              f"{MAPE_CEILING:.0%}, {len(unsound)} bound violations: "
-              f"{'FAIL' if problems else 'ok'}")
+              f"{MAPE_CEILING:.0%}, {len(unsound)} bound violations, "
+              f"table {'differs from' if drifted else 'matches'} "
+              f"results/e11.txt: {'FAIL' if problems else 'ok'}")
         return 1 if problems else 0
     emit("E11: static perf model", text)
     return 0

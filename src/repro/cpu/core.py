@@ -31,6 +31,16 @@ from repro.isa.program import Program
 
 _INSN_BYTES = 4
 
+#: The :class:`CoreConfig` field holding each class's result latency;
+#: every other class completes in one cycle.
+_LATENCY_FIELD = {
+    InsnClass.ALU: "alu_latency",
+    InsnClass.MUL: "mul_latency",
+    InsnClass.DIV: "div_latency",
+    InsnClass.FPU: "fpu_latency",
+    InsnClass.FDIV: "fdiv_latency",
+}
+
 
 @dataclass
 class CoreConfig:
@@ -63,15 +73,8 @@ class CoreConfig:
     trace_limit: int = 0
 
     def latency_for(self, iclass: InsnClass) -> int:
-        table = {
-            InsnClass.ALU: self.alu_latency,
-            InsnClass.MUL: self.mul_latency,
-            InsnClass.DIV: self.div_latency,
-            InsnClass.FPU: self.fpu_latency,
-            InsnClass.FDIV: self.fdiv_latency,
-            InsnClass.MOVE: 1,
-        }
-        return table.get(iclass, 1)
+        name = _LATENCY_FIELD.get(iclass)
+        return 1 if name is None else getattr(self, name)
 
 
 class Core:

@@ -151,6 +151,25 @@ def _int_eval_binder(op_value: str, akind: str, bkind: str):
     return binder
 
 
+_INT_OPS: dict[str, object] = {}
+
+
+def int_op(op_value: str):
+    """``(a, b) -> result`` function of an integer op (cached per op),
+    from the same templates as the bound evaluators."""
+    fn = _INT_OPS.get(op_value)
+    if fn is None:
+        ns = {"int_div": int_div, "int_rem": int_rem,
+              "min": min, "max": max}
+        exec(  # noqa: S102 - static templates above, no external input
+            f"def fn(a, b):\n"
+            f"    return {_INT_EXPR[op_value].format(a='a', b='b')}\n",
+            ns,
+        )
+        fn = _INT_OPS[op_value] = ns["fn"]
+    return fn
+
+
 def _fp_eval_binder(op, ir, fr, s1, s2, s3):
     """Zero-argument evaluator for an FP-class op (reads registers at
     call time, like ``Core._eval_fp``)."""
