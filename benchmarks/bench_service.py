@@ -5,7 +5,7 @@ Two entry points:
 - ``python benchmarks/bench_service.py`` runs an in-process service
   (:class:`repro.service.ServiceThread`, ephemeral port) under a
   closed-loop load generator — ``--clients`` threads each with its own
-  keep-alive :class:`~repro.service.ServiceClient`, issuing the next
+  keep-alive :class:`~repro.service.Client`, issuing the next
   request as soon as the previous one answers — and appends a
   machine-readable entry to ``BENCH_service.json`` (the committed
   history of the latency acceptance criterion);

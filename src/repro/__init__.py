@@ -86,8 +86,6 @@ from repro.engine import (
     SweepSpec,
     run_comparisons,
     run_jobs,
-    suite_jobs,
-    sweep,
 )
 from repro.errors import ReproError, WorkloadError, stable_error_string
 from repro.fpga import utilization_table
@@ -150,7 +148,6 @@ from repro.service import (
     JobHandle,
     JobStatus,
     ReproService,
-    ServiceClient,
     ServiceError,
     TenancyController,
     controller_from_config,
@@ -206,7 +203,6 @@ __all__ = [
     "JobHandle",
     "JobStatus",
     "ReproService",
-    "ServiceClient",
     "ServiceError",
     "TenancyController",
     "controller_from_config",
@@ -218,8 +214,6 @@ __all__ = [
     "SweepSpec",
     "run_comparisons",
     "run_jobs",
-    "suite_jobs",
-    "sweep",
     # compiler
     "CompileResult",
     "CompilerOptions",

@@ -570,6 +570,15 @@ def _submit_spec(args) -> dict:
     return spec
 
 
+def _print_error_diagnostics(body: dict) -> None:
+    """Print the diagnostics of a service error envelope to stderr."""
+    error = body.get("error")
+    for diag in (error.get("diagnostics", [])
+                 if isinstance(error, dict) else []):
+        print(f"  {diag.get('severity')} {diag.get('code')}: "
+              f"{diag.get('message')}", file=sys.stderr)
+
+
 def _cmd_submit(args) -> int:
     import json
 
@@ -619,19 +628,16 @@ def _cmd_submit(args) -> int:
             print(json.dumps(body, indent=2, sort_keys=True))
         else:
             print(f"submit failed: {exc}", file=sys.stderr)
-            for diag in body.get("diagnostics", []):
-                print(f"  {diag.get('severity')} {diag.get('code')}: "
-                      f"{diag.get('message')}", file=sys.stderr)
+            _print_error_diagnostics(body)
         return 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if payload.get("ok") else 1
     if not payload.get("ok"):
+        error = payload.get("error") or {}
         print(f"{args.workload}: {payload.get('status')} — "
-              f"{payload.get('error', 'no result')}", file=sys.stderr)
-        for diag in payload.get("diagnostics", []):
-            print(f"  {diag.get('severity')} {diag.get('code')}: "
-                  f"{diag.get('message')}", file=sys.stderr)
+              f"{error.get('message', 'no result')}", file=sys.stderr)
+        _print_error_diagnostics(payload)
         return 1
     result = payload.get("result", {})
     stats = result.get("stats", {})
@@ -777,10 +783,7 @@ def _cmd_kernel_submit(args) -> int:
             print(json.dumps(body, indent=2, sort_keys=True))
         else:
             print(f"kernel submit failed: {exc}", file=sys.stderr)
-            error = body.get("error") or {}
-            for diag in error.get("diagnostics", []):
-                print(f"  {diag.get('severity')} {diag.get('code')}: "
-                      f"{diag.get('message')}", file=sys.stderr)
+            _print_error_diagnostics(body)
         return 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))

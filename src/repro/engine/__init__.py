@@ -3,10 +3,11 @@
 The substrate every design-space exploration in this repo runs on:
 
 - :mod:`repro.engine.jobs` — declarative :class:`JobSpec` with a stable
-  content hash (plus deprecated cartesian builder shims);
+  content hash;
 - :mod:`repro.engine.sweeps` — first-class :class:`SweepSpec` sweep
   descriptions with a stable ``sweep_hash``, consumed by ``repro
-  sweep``, :func:`run_jobs` and the service's ``POST /v1/sweep``;
+  sweep``, :func:`run_jobs` and the service's sweep jobs
+  (``POST /v2/jobs``);
 - :mod:`repro.engine.cache` — persistent, content-addressed store for
   compiled-program bundles and finished run summaries, invalidated by a
   code-version fingerprint of ``src/repro``;
@@ -35,9 +36,6 @@ from repro.engine.cache import (
 from repro.engine.jobs import (
     SPEC_VERSION,
     JobSpec,
-    comparison_jobs,
-    suite_jobs,
-    sweep,
 )
 from repro.engine.sweeps import SWEEP_VERSION, SweepSpec
 from repro.engine.pool import execute_job, run_comparisons, run_jobs
@@ -65,13 +63,10 @@ __all__ = [
     "SWEEP_VERSION",
     "SweepSpec",
     "code_fingerprint",
-    "comparison_jobs",
     "default_cache_dir",
     "execute_job",
     "result_from_dict",
     "result_to_dict",
     "run_comparisons",
     "run_jobs",
-    "suite_jobs",
-    "sweep",
 ]

@@ -1,4 +1,4 @@
-"""Declarative job specifications and sweep builders.
+"""Declarative job specifications.
 
 A :class:`JobSpec` names one (workload, mode, scale, seed) point in the
 design space together with every knob that can change its outcome:
@@ -8,9 +8,10 @@ frozen dataclass of plain values, so it pickles cleanly into worker
 processes and carries a stable content hash that keys the persistent
 artifact cache (:mod:`repro.engine.cache`).
 
-Sweep builders expand cartesian grids over those knobs — the E9/E10
-axes (geometry 2x2..8x8, unroll, vectorize, port width, FIFO depth,
-config-cache capacity) and anything else a future experiment sweeps.
+:class:`~repro.engine.sweeps.SweepSpec` expands cartesian grids over
+those knobs — the E9/E10 axes (geometry 2x2..8x8, unroll, vectorize,
+port width, FIFO depth, config-cache capacity) and anything else a
+future experiment sweeps.
 """
 
 from __future__ import annotations
@@ -309,59 +310,3 @@ _FIELD_DEFAULTS = {
     f.name: f.default for f in fields(JobSpec) if f.default is not MISSING
 }
 _FIELD_NAMES = frozenset(f.name for f in fields(JobSpec))
-
-
-# -- deprecated builder shims ------------------------------------------
-#
-# The cartesian builders grew into repro.engine.sweeps.SweepSpec — a
-# frozen, hashable, serializable sweep description shared by the CLI,
-# run_jobs and the service.  These shims expand through SweepSpec (so
-# job order and hashes are bit-identical to what they always produced)
-# and warn so callers migrate.
-
-
-def sweep(workloads, modes=("dyser",), base: dict | None = None,
-          **axes) -> list[JobSpec]:
-    """Deprecated: build a :class:`~repro.engine.sweeps.SweepSpec` and
-    call :meth:`~repro.engine.sweeps.SweepSpec.jobs` instead."""
-    import warnings
-
-    from repro.engine.sweeps import SweepSpec
-
-    warnings.warn(
-        "repro.engine.sweep() is deprecated; use "
-        "SweepSpec(workloads=..., modes=..., base=..., axes=...).jobs()",
-        DeprecationWarning, stacklevel=2)
-    return SweepSpec(workloads=tuple(workloads), modes=tuple(modes),
-                     base=dict(base or {}),
-                     axes=tuple((name, tuple(values))
-                                for name, values in axes.items())).jobs()
-
-
-def comparison_jobs(workloads, scale: str = "small", seed: int = 7,
-                    **knobs) -> list[JobSpec]:
-    """Deprecated: use
-    :meth:`~repro.engine.sweeps.SweepSpec.comparison`."""
-    import warnings
-
-    from repro.engine.sweeps import SweepSpec
-
-    warnings.warn(
-        "repro.engine.comparison_jobs() is deprecated; use "
-        "SweepSpec.comparison(workloads, ...).jobs()",
-        DeprecationWarning, stacklevel=2)
-    return SweepSpec.comparison(workloads, scale=scale, seed=seed,
-                                **knobs).jobs()
-
-
-def suite_jobs(scale: str = "small", seed: int = 7) -> list[JobSpec]:
-    """Deprecated: use :meth:`~repro.engine.sweeps.SweepSpec.suite`."""
-    import warnings
-
-    from repro.engine.sweeps import SweepSpec
-
-    warnings.warn(
-        "repro.engine.suite_jobs() is deprecated; use "
-        "SweepSpec.suite(...).jobs()",
-        DeprecationWarning, stacklevel=2)
-    return SweepSpec.suite(scale=scale, seed=seed).jobs()

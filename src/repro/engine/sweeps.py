@@ -3,11 +3,9 @@
 A :class:`SweepSpec` is the declarative form of a design-space sweep:
 the workloads, the modes, a ``base`` of fixed non-default knob values,
 and ordered ``axes`` mapping :class:`~repro.engine.jobs.JobSpec` field
-names to the values each axis takes.  It replaces the loose builder
-functions (``sweep`` / ``comparison_jobs`` / ``suite_jobs``, now thin
-deprecated shims) with one frozen, hashable, serializable object that
-every sweep consumer shares — ``repro sweep``, :func:`run_jobs`, and
-the service's ``POST /v1/sweep``.
+names to the values each axis takes.  It is the one frozen, hashable,
+serializable sweep object every consumer shares — ``repro sweep``,
+:func:`run_jobs`, and the service's sweep jobs (``POST /v2/jobs``).
 
 Guarantees:
 
@@ -179,8 +177,8 @@ class SweepSpec:
     @classmethod
     def comparison(cls, workloads, scale: str = "small", seed: int = 7,
                    **knobs) -> "SweepSpec":
-        """The scalar-vs-DySER pairing historically built by
-        ``comparison_jobs``: both modes per workload, no axes."""
+        """The scalar-vs-DySER pairing: both modes per workload, no
+        axes."""
         return cls(workloads=tuple(workloads),
                    modes=("scalar", "dyser"),
                    base={"scale": scale, "seed": seed, **knobs})

@@ -96,11 +96,12 @@ class _GatedWorker:
 
 
 def _submit_async(port: int, spec: dict, out: list, **kwargs):
-    from repro.service import ServiceClient
+    from repro.service import Client
 
     def run():
-        with ServiceClient(port=port, retries=0, timeout=60) as client:
-            out.append(client.run(spec, raise_on_error=False, **kwargs))
+        with Client(port=port, retries=0, timeout=60) as client:
+            out.append(client.execute(spec, raise_on_error=False,
+                                      **kwargs))
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -112,7 +113,7 @@ def _submit_async(port: int, spec: dict, out: list, **kwargs):
 # ---------------------------------------------------------------------
 
 def _scenario_worker_crash(rng: random.Random) -> list[Finding]:
-    from repro.service import ServiceClient, ServiceThread
+    from repro.service import Client, ServiceThread
     from repro.service import protocol as P
 
     findings: list[Finding] = []
@@ -125,10 +126,9 @@ def _scenario_worker_crash(rng: random.Random) -> list[Finding]:
 
     with ServiceThread(cache=None, batch_max=1, batch_window_s=0.0,
                        worker=worker) as srv, \
-            ServiceClient(port=srv.port, retries=0,
-                          timeout=60) as client:
-        poisoned = client.run({**SPEC, "seed": 1},
-                              raise_on_error=False)
+            Client(port=srv.port, retries=0, timeout=60) as client:
+        poisoned = client.execute({**SPEC, "seed": 1},
+                                  raise_on_error=False)
         if poisoned.get("ok") or (poisoned.get("status")
                                   != P.STATUS_FAILED):
             findings.append(Finding(
@@ -136,8 +136,8 @@ def _scenario_worker_crash(rng: random.Random) -> list[Finding]:
                 f"poisoned job answered "
                 f"{poisoned.get('status')!r} ok="
                 f"{poisoned.get('ok')!r} instead of failing"))
-        healthy = client.run({**SPEC, "seed": 2},
-                             raise_on_error=False)
+        healthy = client.execute({**SPEC, "seed": 2},
+                                 raise_on_error=False)
         if healthy.get("status") != P.STATUS_EXECUTED:
             findings.append(Finding(
                 "chaos", "worker-crash", "no-recovery",
@@ -155,7 +155,7 @@ def _scenario_worker_crash(rng: random.Random) -> list[Finding]:
 
 
 def _scenario_queue_overflow(rng: random.Random) -> list[Finding]:
-    from repro.service import ServiceClient, ServiceThread
+    from repro.service import Client, ServiceThread
     from repro.service import protocol as P
 
     findings: list[Finding] = []
@@ -169,13 +169,13 @@ def _scenario_queue_overflow(rng: random.Random) -> list[Finding]:
             return [Finding("chaos", "queue-overflow", "harness-error",
                             "gated worker never started")]
         t2 = _submit_async(srv.port, {**SPEC, "seed": 2}, replies)
-        with ServiceClient(port=srv.port, retries=0) as probe:
+        with Client(port=srv.port, retries=0) as probe:
             if not _poll(lambda: probe.health()["inflight"] == 2):
                 findings.append(Finding(
                     "chaos", "queue-overflow", "harness-error",
                     "two jobs never became in-flight"))
             status, headers, data = probe._send_once(
-                "POST", "/v1/run",
+                "POST", "/v2/run",
                 json.dumps({"spec": {**SPEC, "seed": 3}}).encode())
             overflow = json.loads(data)
             retry_after = {k.lower(): v
@@ -228,7 +228,7 @@ def _corruptions(rng: random.Random):
 def _scenario_cache_corruption(rng: random.Random) -> list[Finding]:
     from repro.engine import ArtifactCache
     from repro.service import (
-        ServiceClient,
+        Client,
         ServiceThread,
         spec_from_payload,
     )
@@ -241,9 +241,8 @@ def _scenario_cache_corruption(rng: random.Random) -> list[Finding]:
         path = cache._path("run", spec_from_payload(SPEC).job_hash)
         with ServiceThread(cache=cache, batch_max=1,
                            batch_window_s=0.0) as srv, \
-                ServiceClient(port=srv.port, retries=0,
-                              timeout=120) as client:
-            first = client.run(SPEC, raise_on_error=False)
+                Client(port=srv.port, retries=0, timeout=120) as client:
+            first = client.execute(SPEC, raise_on_error=False)
             if (first.get("status") != P.STATUS_EXECUTED
                     or _canonical(first["result"]) != expected):
                 return [Finding(
@@ -254,7 +253,7 @@ def _scenario_cache_corruption(rng: random.Random) -> list[Finding]:
                 return [Finding(
                     "chaos", "cache-corruption", "harness-error",
                     "run artifact never reached the cache")]
-            warm = client.run(SPEC, raise_on_error=False)
+            warm = client.execute(SPEC, raise_on_error=False)
             if warm.get("status") != P.STATUS_HIT:
                 findings.append(Finding(
                     "chaos", "cache-corruption", "no-cache-hit",
@@ -262,7 +261,7 @@ def _scenario_cache_corruption(rng: random.Random) -> list[Finding]:
             for name, mutate in _corruptions(rng):
                 text = path.read_text()
                 path.write_text(mutate(text))
-                resp = client.run(SPEC, raise_on_error=False)
+                resp = client.execute(SPEC, raise_on_error=False)
                 if not resp.get("ok"):
                     findings.append(Finding(
                         "chaos", "cache-corruption",
@@ -292,7 +291,7 @@ def _scenario_slow_client_drain(rng: random.Random) -> list[Finding]:
 
     def slow_client():
         body = json.dumps({"spec": {**SPEC, "seed": 9}}).encode()
-        head = (f"POST /v1/run HTTP/1.1\r\nHost: chaos\r\n"
+        head = (f"POST /v2/run HTTP/1.1\r\nHost: chaos\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n").encode()
         try:

@@ -5,14 +5,14 @@ and the fast backend (PR 4), every entry point was still a one-shot
 CLI process — nothing kept the artifact cache, compile/decode caches
 or metrics warm across requests.  :mod:`repro.service` is that missing
 layer: a stdlib-only asyncio daemon (``repro serve``) accepting JSON
-over HTTP, and — since the v2 surface — a sharding front end
-(``repro serve --workers N``) with a durable async job API.
+over HTTP, and a sharding front end (``repro serve --workers N``),
+both with a durable async job API.
 
 The pipeline, by module:
 
 - :mod:`repro.service.protocol` — wire format, spec validation,
-  response envelopes (v1 legacy + the normalized v2 error schema),
-  status codes, job states;
+  the run envelope and the one normalized error envelope, status
+  codes, job states;
 - :mod:`repro.service.admission` — validate → pre-flight lint (422
   with structured diagnostics) → artifact-cache probe (warm hits are
   answered without touching the pool) → in-flight request coalescing;
@@ -22,7 +22,7 @@ The pipeline, by module:
   deadlines;
 - :mod:`repro.service.server` — asyncio HTTP front end, ``/healthz``,
   ``/metrics`` (Prometheus text exposition of the service registry),
-  graceful drain-then-shutdown on SIGTERM, the v2 job routes;
+  graceful drain-then-shutdown on SIGTERM, the job routes;
 - :mod:`repro.service.gateway` — consistent-hash sharding over N
   worker daemons: health checks, ring eviction/rebalance, failover
   re-dispatch, shared-cache fallback;
@@ -33,8 +33,8 @@ The pipeline, by module:
   quotas and allowlists at admission;
 - :mod:`repro.service.instruments` — the service-scoped
   :class:`~repro.obs.metrics.MetricsRegistry`;
-- :mod:`repro.service.client` — retrying synchronous :class:`Client`
-  (v2 surface) and the deprecated :class:`ServiceClient` shims.
+- :mod:`repro.service.client` — the retrying synchronous
+  :class:`Client`.
 
 Quick use::
 
@@ -55,7 +55,6 @@ from repro.service.client import (
     Client,
     JobHandle,
     JobStatus,
-    ServiceClient,
     ServiceError,
 )
 from repro.service.gateway import (
@@ -68,7 +67,6 @@ from repro.service.jobstore import JobManager, JobRecord, JobStore
 from repro.service.protocol import (
     DEFAULT_PORT,
     PROTOCOL,
-    PROTOCOL_V2,
     ProtocolError,
     spec_from_payload,
     spec_to_payload,
@@ -94,12 +92,10 @@ __all__ = [
     "JobStatus",
     "JobStore",
     "PROTOCOL",
-    "PROTOCOL_V2",
     "ProtocolError",
     "QueueFull",
     "ReproService",
     "Scheduler",
-    "ServiceClient",
     "ServiceError",
     "ServiceInstruments",
     "ServiceThread",

@@ -43,6 +43,26 @@ from repro.service import protocol as P
 from repro.service.scheduler import JobOutcome, QueueFull, Scheduler
 
 
+def probe_run(cache: ArtifactCache | None, spec: JobSpec) -> dict | None:
+    """A warm run summary for ``spec``, or None.
+
+    The raw stored payload is returned (not a re-serialization), so
+    a cache-hit response is byte-identical to the payload the
+    executing request stored — and therefore to
+    ``run_workload(config).to_dict()`` for the same config.
+    """
+    if cache is None:
+        return None
+    payload = cache.load_run(spec)
+    if payload is None:
+        return None
+    try:
+        result_from_dict(payload)   # stale/foreign entry == miss
+    except (KeyError, TypeError, ValueError):
+        return None
+    return payload
+
+
 def _estimate_cost(spec: JobSpec) -> int | None:
     """Predicted cycle cost of a spec; never raises (daemon path)."""
     from repro.analysis.perf import estimate_job_cost
@@ -89,25 +109,6 @@ class AdmissionController:
             self._lint_memo[h] = memo
         return memo
 
-    def probe_cache(self, spec: JobSpec) -> dict | None:
-        """A warm run summary for ``spec``, or None.
-
-        The raw stored payload is returned (not a re-serialization), so
-        a cache-hit response is byte-identical to the payload the
-        executing request stored — and therefore to
-        ``run_workload(config).to_dict()`` for the same config.
-        """
-        if self.cache is None:
-            return None
-        payload = self.cache.load_run(spec)
-        if payload is None:
-            return None
-        try:
-            result_from_dict(payload)   # stale/foreign entry == miss
-        except (KeyError, TypeError, ValueError):
-            return None
-        return payload
-
     async def admit_run(self, spec: JobSpec, *, priority: int = 0,
                         timeout_s: float | None = None,
                         draining: bool = False) -> JobOutcome:
@@ -125,7 +126,7 @@ class AdmissionController:
                                 for d in errors),
                 diagnostics=diagnostics)
 
-        payload = self.probe_cache(spec)
+        payload = probe_run(self.cache, spec)
         if payload is not None:
             if self.instruments is not None:
                 self.instruments.cache_hits.inc()

@@ -1,21 +1,18 @@
 """Synchronous client for the simulation service (stdlib ``http.client``).
 
-The v2 surface is one coherent :class:`Client`:
+One :class:`Client` covers the whole service surface:
 
-- :meth:`Client.execute` — the synchronous v1 fast path: submit one
-  run and block for its envelope (cache hits answer in microseconds);
+- :meth:`Client.execute` — the synchronous path (``POST /v2/run``):
+  submit one run and block for its envelope (cache hits answer in
+  microseconds);
 - :meth:`Client.submit` / :meth:`Client.sweep` — the durable async
   path: ``POST /v2/jobs`` returns a typed :class:`JobHandle`
   immediately; the job keeps running if this process goes away;
 - :meth:`Client.job` / :meth:`Client.jobs` / :meth:`Client.wait` /
   :meth:`Client.cancel` — poll, list, block on, or stop a job, all
-  returning typed :class:`JobStatus` snapshots.
-
-:class:`ServiceClient` is the legacy name: it *is* a :class:`Client`,
-plus the pre-v2 per-endpoint methods (``run`` / ``sweep(workloads)``
-/ ``sweep_spec``) kept as ``DeprecationWarning`` shims — same pattern
-as the PR 7 ``SweepSpec`` migration.  Existing code keeps working
-unchanged; new code should construct :class:`Client`.
+  returning typed :class:`JobStatus` snapshots;
+- :meth:`Client.lint`, :meth:`Client.submit_kernel`,
+  :meth:`Client.health` and :meth:`Client.metrics_text` for the rest.
 
 One client holds one keep-alive connection (it is not thread-safe —
 give each thread its own; the closed-loop benchmark does exactly
@@ -43,7 +40,6 @@ import http.client
 import json
 import socket
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -71,14 +67,10 @@ class ServiceError(ReproError):
 
 
 def _error_message(payload: dict, status: int) -> str:
-    """Human-readable error from a v1 or v2 response body."""
-    error = payload.get("error")
-    if isinstance(error, dict):
-        return str(error.get("message") or error.get("code")
-                   or f"HTTP {status}")
-    if error:
-        return str(error)
-    return f"HTTP {status}"
+    """Human-readable message of a response's error object."""
+    error = payload.get("error") or {}
+    return str(error.get("message") or error.get("code")
+               or f"HTTP {status}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +210,7 @@ class Client:
                 if attempt + 1 < attempts:
                     self._sleep(self._backoff(attempt))
                 continue
-            payload = self._decode(data)
+            payload = P.decode_body(data)
             if status in (429, 503) and attempt + 1 < attempts:
                 delay = self._backoff(attempt)
                 retry_after = headers.get("Retry-After")
@@ -237,17 +229,6 @@ class Client:
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap_s, self.backoff_s * (2 ** attempt))
-
-    @staticmethod
-    def _decode(data: bytes) -> dict:
-        if not data:
-            return {}
-        try:
-            decoded = json.loads(data)
-            return decoded if isinstance(decoded, dict) \
-                else {"body": decoded}
-        except ValueError:
-            return {"text": data.decode("utf-8", "replace")}
 
     def _expect_ok(self, method: str, path: str,
                    body: dict | None = None) -> dict:
@@ -273,15 +254,12 @@ class Client:
                                status=status, payload=payload)
         return payload.get("text", "")
 
-    def stats(self) -> dict:
-        return self._expect_ok("GET", "/v1/stats")
-
-    # -- synchronous v1 path -------------------------------------------
+    # -- synchronous runs ----------------------------------------------
 
     def execute(self, spec: dict, *, priority: int = 0,
                 timeout_s: float | None = None,
                 raise_on_error: bool = True) -> dict:
-        """Submit one run and block for its envelope (v1 fast path).
+        """Submit one run and block for its envelope.
 
         With ``raise_on_error`` (default) a non-served verdict
         (rejected / failed / throttled-after-retries / expired) raises
@@ -291,24 +269,21 @@ class Client:
         body: dict = {"spec": spec, "priority": priority}
         if timeout_s is not None:
             body["timeout_s"] = timeout_s
-        status, payload = self.request("POST", "/v1/run", body)
+        status, payload = self.request("POST", "/v2/run", body)
         if raise_on_error and not payload.get("ok"):
             raise ServiceError(_error_message(payload, status),
                                status=status, payload=payload)
         return payload
 
-    def compile(self, spec: dict) -> dict:
-        return self._expect_ok("POST", "/v1/compile", {"spec": spec})
-
     def lint(self, spec: dict) -> dict:
-        status, payload = self.request("POST", "/v1/lint",
+        status, payload = self.request("POST", "/v2/lint",
                                        {"spec": spec})
         if status != 200:
             raise ServiceError(_error_message(payload, status),
                                status=status, payload=payload)
         return payload
 
-    # -- durable async jobs (v2) ---------------------------------------
+    # -- durable async jobs --------------------------------------------
 
     def submit(self, spec: dict | None = None, *,
                sweep=None, priority: int = 0,
@@ -358,7 +333,7 @@ class Client:
                            wait=wait, poll_s=poll_s,
                            wait_timeout=wait_timeout)
 
-    # -- DSL kernels (v2) ------------------------------------------------
+    # -- DSL kernels ---------------------------------------------------
 
     def submit_kernel(self, source: str,
                       *, raise_on_error: bool = True) -> dict:
@@ -429,72 +404,3 @@ class Client:
         job_id = getattr(job, "id", job)
         payload = self._expect_ok("POST", f"/v2/jobs/{job_id}/cancel")
         return JobStatus.from_payload(payload.get("job", {}))
-
-
-class ServiceClient(Client):
-    """The legacy client surface (pre-v2), kept as deprecation shims.
-
-    ``run``/``sweep``/``sweep_spec`` forward to the same endpoints
-    they always hit, but emit :class:`DeprecationWarning` pointing at
-    the :class:`Client` replacement.  Note ``sweep`` keeps its legacy
-    *synchronous* ``(workloads, ...)`` signature here; the async
-    :meth:`Client.sweep` takes a ``SweepSpec``.
-    """
-
-    def run(self, spec: dict, *, priority: int = 0,
-            timeout_s: float | None = None,
-            raise_on_error: bool = True) -> dict:
-        warnings.warn(
-            "ServiceClient.run() is deprecated; use Client.execute() "
-            "(synchronous) or Client.submit() (durable async)",
-            DeprecationWarning, stacklevel=2)
-        return self.execute(spec, priority=priority,
-                            timeout_s=timeout_s,
-                            raise_on_error=raise_on_error)
-
-    def sweep(self, workloads: list, *, modes=("dyser",),
-              base: dict | None = None, axes: dict | None = None,
-              priority: int = 0, timeout_s: float | None = None) -> dict:
-        warnings.warn(
-            "ServiceClient.sweep(workloads, ...) is deprecated; use "
-            "Client.sweep(SweepSpec) for a durable async sweep or "
-            "POST /v1/sweep via request() for the synchronous form",
-            DeprecationWarning, stacklevel=2)
-        body: dict = {
-            "workloads": list(workloads),
-            "modes": list(modes),
-            "base": base or {},
-            "axes": axes or {},
-            "priority": priority,
-        }
-        if timeout_s is not None:
-            body["timeout_s"] = timeout_s
-        return self._post_sweep(body)
-
-    def sweep_spec(self, spec, *, priority: int = 0,
-                   timeout_s: float | None = None) -> dict:
-        """Submit a first-class sweep description (deprecated).
-
-        ``spec`` is a :class:`repro.engine.sweeps.SweepSpec` or its
-        :meth:`~repro.engine.sweeps.SweepSpec.to_dict` rendering; the
-        response echoes its ``sweep_hash``.
-        """
-        warnings.warn(
-            "ServiceClient.sweep_spec() is deprecated; use "
-            "Client.sweep(SweepSpec)",
-            DeprecationWarning, stacklevel=2)
-        body: dict = {
-            "sweep": spec.to_dict() if hasattr(spec, "to_dict")
-            else dict(spec),
-            "priority": priority,
-        }
-        if timeout_s is not None:
-            body["timeout_s"] = timeout_s
-        return self._post_sweep(body)
-
-    def _post_sweep(self, body: dict) -> dict:
-        status, payload = self.request("POST", "/v1/sweep", body)
-        if "jobs" not in payload:
-            raise ServiceError(_error_message(payload, status),
-                               status=status, payload=payload)
-        return payload

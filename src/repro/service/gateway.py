@@ -5,12 +5,13 @@ runs a :class:`GatewayService` in front of a fleet of single-node
 :class:`~repro.service.server.ReproService` workers.  The gateway owns
 no engine — it routes:
 
-- **Sharding.**  Every run is forwarded to the worker chosen by a
-  consistent-hash ring over ``JobSpec.job_hash`` (sweeps are expanded
-  at the gateway and each point is sharded independently).  The same
-  spec always lands on the same worker, so each shard's compile and
-  artifact caches stay hot for *its* slice of the design space — the
-  whole fleet behaves like one big cache without any coordination.
+- **Sharding.**  Every run is forwarded to the ``POST /v2/run`` of
+  the worker chosen by a consistent-hash ring over ``JobSpec.job_hash``
+  (sweep jobs are expanded at the gateway and each point is sharded
+  independently).  The same spec always lands on the same worker, so
+  each shard's compile and artifact caches stay hot for *its* slice of
+  the design space — the whole fleet behaves like one big cache
+  without any coordination.
 - **Shared-cache fallback.**  When the gateway is given an
   :class:`~repro.engine.cache.ArtifactCache`, a warm entry answers at
   the gateway without burning a forward; executed results are stored
@@ -24,7 +25,7 @@ no engine — it routes:
 - **Tenancy.**  Per-tenant token buckets / quotas / allowlists
   (:mod:`repro.service.tenancy`) gate admission before any forward,
   answering 429 with a cost-aware ``Retry-After`` or 403.
-- **Durable jobs.**  The same v2 job API as the worker
+- **Durable jobs.**  The same job API as the worker
   (``POST /v2/jobs``), journaled at the gateway, with each spec
   forwarded to its shard; a gateway restart replays the journal and
   resumes unfinished jobs.
@@ -43,12 +44,12 @@ import hashlib
 import json
 import time
 
-from repro.engine.cache import ArtifactCache, result_from_dict
+from repro.engine.cache import ArtifactCache
 from repro.obs.metrics import MetricsRegistry
 
 from repro.service import protocol as P
+from repro.service.admission import probe_run
 from repro.service.instruments import LATENCY_BUCKETS_MS
-from repro.service.jobstore import JobManager, JobStore
 from repro.service.server import HttpDaemon, ServiceThread, _Request
 from repro.service.tenancy import TenancyController
 
@@ -95,14 +96,8 @@ class HashRing:
         self._points = [p for p in self._points if p[1] != node]
 
     def node_for(self, key: str) -> str | None:
-        if not self._points:
-            return None
-        point = self._hash(key)
-        index = bisect.bisect_right(self._points,
-                                    (point, "￿"))
-        if index == len(self._points):
-            index = 0
-        return self._points[index][1]
+        preference = self.preference(key)
+        return preference[0] if preference else None
 
     def preference(self, key: str) -> list[str]:
         """All nodes in clockwise walk order from ``key`` (deduped)."""
@@ -163,9 +158,6 @@ class GatewayInstruments:
     def to_prometheus(self) -> str:
         return self.registry.to_prometheus()
 
-    def to_dict(self) -> dict:
-        return self.registry.to_dict()
-
 
 class _WorkerState:
     """Gateway-side view of one worker daemon."""
@@ -182,6 +174,13 @@ class _WorkerState:
     def to_dict(self) -> dict:
         return {"addr": self.addr, "healthy": self.healthy,
                 "forwarded": self.forwarded, "errors": self.errors}
+
+
+class NoLiveWorker(P.ProtocolError):
+    """Every shard is evicted (or the fleet never came up): 503."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message, error_code=P.ERR_UNAVAILABLE)
 
 
 #: Transport failures that trigger shard failover.
@@ -203,29 +202,25 @@ class GatewayService(HttpDaemon):
                  forward_timeout_s: float = 120.0,
                  max_sweep_specs: int = 1024,
                  ring_replicas: int = 64) -> None:
-        super().__init__(host, port)
         if not workers:
             raise ValueError("a gateway needs at least one worker")
+        super().__init__(host, port, tenancy=tenancy, journal=journal,
+                         max_sweep_specs=max_sweep_specs)
         self.cache = cache
-        self.tenancy = tenancy or TenancyController()
         self.health_interval_s = max(0.05, float(health_interval_s))
         self.health_fail_threshold = max(1, int(health_fail_threshold))
         self.forward_timeout_s = float(forward_timeout_s)
-        self.max_sweep_specs = max(1, int(max_sweep_specs))
         self.instruments = GatewayInstruments()
         self.workers: dict[str, _WorkerState] = {
             addr: _WorkerState(addr) for addr in workers}
         self.ring = HashRing(workers, replicas=ring_replicas)
         self.instruments.workers_live.set(len(self.ring))
-        self.job_store = JobStore(journal)
-        self.job_manager = JobManager(self.job_store, self._job_runner)
-        self.jobs_recovered = 0
         self._health_task: asyncio.Task | None = None
 
     # -- lifecycle hooks -----------------------------------------------
 
     async def _start_tasks(self) -> None:
-        self.jobs_recovered = self.job_manager.recover()
+        await super()._start_tasks()
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop(), name="repro-gateway-health")
 
@@ -236,28 +231,21 @@ class GatewayService(HttpDaemon):
             with contextlib.suppress(asyncio.CancelledError):
                 await self._health_task
             self._health_task = None
-        await self.job_manager.quiesce(timeout=10)
-        self.job_store.close()
+        await super()._drain()
 
     def _abort_tasks(self) -> None:
-        self.job_manager.stopping = True
-        self.job_manager.abort()
+        super()._abort_tasks()
         if self._health_task is not None:
             self._health_task.cancel()
             self._health_task = None
-        self.job_store.close()
 
     def _banner(self) -> str:
-        extra = ""
-        if self.jobs_recovered:
-            extra = (f", {self.jobs_recovered} journaled job"
-                     f"{'s' if self.jobs_recovered != 1 else ''} "
-                     f"recovered")
         return (f"repro gateway listening on "
                 f"http://{self.host}:{self.port} "
                 f"({len(self.workers)} worker"
                 f"{'s' if len(self.workers) != 1 else ''}: "
-                f"{', '.join(sorted(self.workers))}{extra})")
+                f"{', '.join(sorted(self.workers))}"
+                f"{self._recovered_note()})")
 
     def _summary(self) -> str:
         return (f"repro gateway drained: {self.requests_served} "
@@ -358,7 +346,7 @@ class GatewayService(HttpDaemon):
                                tenant: str | None = None):
         """Forward to the key's shard, failing over on dead workers.
 
-        Returns ``(http_status, headers, body_dict, worker_addr)``.
+        Returns ``(http_status, headers, body_dict)``.
         Raises :class:`NoLiveWorker` when every shard is down.
         """
         body = (json.dumps(payload).encode("utf-8")
@@ -394,345 +382,109 @@ class GatewayService(HttpDaemon):
                 continue
             worker.forwarded += 1
             self.instruments.forwarded.inc()
-            try:
-                decoded = json.loads(data) if data else {}
-            except ValueError:
-                decoded = {"text": data.decode("utf-8", "replace")}
-            if not isinstance(decoded, dict):
-                decoded = {"body": decoded}
-            return status, response_headers, decoded, addr
+            return status, response_headers, P.decode_body(data)
 
     # -- routing -------------------------------------------------------
 
-    async def _route(self, request: _Request):
-        method, path = request.method, request.path.split("?", 1)[0]
-        started = time.perf_counter()
-        try:
-            result = await self._route_inner(request, method, path)
-        finally:
-            self.instruments.latency_ms.observe(
-                (time.perf_counter() - started) * 1e3)
-        return result
-
-    async def _route_inner(self, request: _Request, method: str,
-                           path: str):
-        try:
-            if path == "/healthz" and method == "GET":
-                return 200, self._health_body(), None
-            if path == "/metrics" and method == "GET":
-                return 200, self.instruments.to_prometheus(), None
-            if path == "/v1/stats" and method == "GET":
-                return 200, P.envelope(
-                    True, metrics=self.instruments.to_dict(),
-                    tenancy=self.tenancy.stats(),
-                    workers=[w.to_dict()
-                             for w in self.workers.values()]), None
-            if path == "/v1/run" and method == "POST":
-                return await self._handle_run(request)
-            if path == "/v1/sweep" and method == "POST":
-                return await self._handle_sweep(request)
-            if path in ("/v1/compile", "/v1/lint") and method == "POST":
-                return await self._handle_forward_simple(request, path)
-            if path == "/v2/jobs" and method == "POST":
-                return self._handle_job_submit(request)
-            if path == "/v2/jobs" and method == "GET":
-                return self._handle_job_list(request)
-            if path == "/v2/kernels" and method == "POST":
-                return await self._handle_kernel_submit(request)
-            if path == "/v2/kernels" and method == "GET":
-                return await self._handle_kernel_list(request)
-            parts = path.strip("/").split("/")
-            if len(parts) == 3 and parts[:2] == ["v2", "jobs"] \
-                    and method == "GET":
-                return self._handle_job_get(request, parts[2])
-            if len(parts) == 4 and parts[:2] == ["v2", "jobs"] \
-                    and parts[3] == "cancel" and method == "POST":
-                return self._handle_job_cancel(parts[2])
-            message = f"no such endpoint {method} {path}"
-            if path.startswith("/v2/"):
-                status, body = P.error_envelope(P.ERR_NOT_FOUND,
-                                                message)
-                return status, body, None
-            return 404, P.envelope(
-                False, error=message,
-                error_detail=P.error_object(P.ERR_NOT_FOUND,
-                                            message)), None
-        except P.ProtocolError as exc:
-            code = (P.ERR_TOO_LARGE if exc.http_status == 413
-                    else P.ERR_BAD_REQUEST)
-            if path.startswith("/v2/"):
-                status, body = P.error_envelope(code, str(exc))
-                return exc.http_status, body, None
-            return exc.http_status, P.envelope(
-                False, error=str(exc),
-                error_detail=P.error_object(code, str(exc))), None
-        except NoLiveWorker as exc:
-            if path.startswith("/v2/"):
-                status, body = P.error_envelope(P.ERR_UNAVAILABLE,
-                                                str(exc))
-                return status, body, None
-            return 503, P.envelope(
-                False, status=P.STATUS_DRAINING, error=str(exc),
-                error_detail=P.error_object(P.ERR_UNAVAILABLE,
-                                            str(exc))), None
-        except Exception as exc:  # noqa: BLE001 — daemon must survive
-            message = f"{type(exc).__name__}: {exc}"
-            if path.startswith("/v2/"):
-                status, body = P.error_envelope(P.ERR_INTERNAL,
-                                                message)
-                return status, body, None
-            return 500, P.envelope(
-                False, error=message,
-                error_detail=P.error_object(P.ERR_INTERNAL,
-                                            message)), None
-
-    def _health_body(self) -> dict:
+    def _routes(self) -> dict:
         return {
-            "status": "draining" if self._draining else "ok",
-            "ready": not self._draining and len(self.ring) > 0,
-            "role": "gateway",
-            "uptime_s": round(time.time() - self.started_at, 3),
-            "requests_served": self.requests_served,
-            "workers": [w.to_dict() for w in self.workers.values()],
-            "ring_size": len(self.ring),
-            "jobs": {
-                "live": sum(1 for r in self.job_store.jobs.values()
-                            if not r.terminal),
-                "total": len(self.job_store.jobs),
-            },
+            **super()._routes(),
+            "/v2/run": {"POST": self._handle_run},
+            "/v2/lint": {"POST": self._handle_lint},
+            "/v2/kernels": {"POST": self._handle_kernel_submit,
+                            "GET": self._handle_kernel_list},
         }
 
-    # -- tenancy gate --------------------------------------------------
+    async def _dispatch(self, request: _Request):
+        started = time.perf_counter()
+        response = await super()._dispatch(request)
+        self.instruments.latency_ms.observe(
+            (time.perf_counter() - started) * 1e3)
+        return response
 
-    def _tenancy_gate(self, request: _Request):
-        """None when admitted (slot held), else a (status, body,
-        headers) rejection triple."""
-        tenant = request.tenant
-        verdict = self.tenancy.admit(tenant)
-        if verdict.allowed:
-            return None
+    def _health_body(self) -> dict:
+        body = super()._health_body()
+        body.update(
+            ready=body["ready"] and len(self.ring) > 0, role="gateway",
+            workers=[w.to_dict() for w in self.workers.values()],
+            ring_size=len(self.ring))
+        return body
+
+    def _count_refusal(self, verdict) -> None:
         if verdict.status == P.STATUS_DENIED:
             self.instruments.denied.inc()
         else:
             self.instruments.throttled.inc()
-        path = request.path.split("?", 1)[0]
-        code = (P.ERR_TENANT_DENIED
-                if verdict.status == P.STATUS_DENIED
-                else P.ERR_THROTTLED)
-        headers = ({"Retry-After": f"{verdict.retry_after_s:.3f}"}
-                   if verdict.retry_after_s is not None else None)
-        if path.startswith("/v2/"):
-            status, body = P.error_envelope(
-                code, verdict.reason,
-                retry_after_s=verdict.retry_after_s)
-            return status, body, headers
-        body = P.envelope(
-            False, status=verdict.status, error=verdict.reason,
-            error_detail=P.error_object(
-                code, verdict.reason,
-                retry_after_s=verdict.retry_after_s))
-        return P.http_status(verdict.status), body, headers
 
-    # -- v1 handlers ---------------------------------------------------
+    # -- runs ------------------------------------------------------------
 
-    def _probe_cache(self, spec) -> dict | None:
-        if self.cache is None:
-            return None
-        payload = self.cache.load_run(spec)
-        if payload is None:
-            return None
-        try:
-            result_from_dict(payload)   # stale/foreign entry == miss
-        except (KeyError, TypeError, ValueError):
-            return None
-        return payload
+    async def _run_on_shard(self, spec, priority: int,
+                            timeout_s: float | None, tenant: str):
+        """Answer one run from the shared cache or its shard.
+
+        Returns ``(status, run envelope, headers)`` with the worker's
+        envelope passed through unchanged; raises :class:`NoLiveWorker`
+        when every shard is down.  The sync handler and the job runner
+        share it.
+        """
+        cached = probe_run(self.cache, spec)
+        if cached is not None:
+            self.instruments.cache_hits.inc()
+            return P.run_response(P.STATUS_HIT, cached,
+                                  job_hash=spec.job_hash, latency_ms=0.0)
+        body: dict = {"spec": P.spec_to_payload(spec),
+                      "priority": priority}
+        if timeout_s is not None:
+            body["timeout_s"] = timeout_s
+        status, headers, envelope = await self._forward_sharded(
+            spec.job_hash, "POST", "/v2/run", body, tenant=tenant)
+        if status == 200 and self.cache is not None \
+                and isinstance(envelope.get("result"), dict):
+            self.cache.store_run(spec, envelope["result"])
+        passthrough = None
+        if "retry-after" in headers:
+            passthrough = {"Retry-After": headers["retry-after"]}
+        return status, envelope, passthrough
 
     async def _handle_run(self, request: _Request):
         spec, priority, timeout_s = P.parse_request_body(request.json())
-        rejection = self._tenancy_gate(request)
-        if rejection is not None:
-            return rejection
         tenant = request.tenant
+        self._gate(self.tenancy.admit(tenant))
         served = False
         try:
-            cached = self._probe_cache(spec)
-            if cached is not None:
-                self.instruments.cache_hits.inc()
-                served = True
-                body = P.run_response(P.STATUS_HIT, cached,
-                                      job_hash=spec.job_hash,
-                                      latency_ms=0.0)
-                return 200, body, None
-            payload: dict = {"spec": P.spec_to_payload(spec),
-                             "priority": priority}
-            if timeout_s is not None:
-                payload["timeout_s"] = timeout_s
-            status, headers, body, _addr = await self._forward_sharded(
-                spec.job_hash, "POST", "/v1/run", payload,
-                tenant=tenant)
-            served = status == 200
-            if served and self.cache is not None \
-                    and isinstance(body.get("result"), dict):
-                self.cache.store_run(spec, body["result"])
-            passthrough = None
-            if "retry-after" in headers:
-                passthrough = {"Retry-After": headers["retry-after"]}
-            return status, body, passthrough
+            response = await self._run_on_shard(spec, priority,
+                                                timeout_s, tenant)
+            served = response[0] == 200
+            return response
         finally:
             self.tenancy.release(tenant, served=served)
 
-    async def _handle_forward_simple(self, request: _Request,
-                                     path: str):
-        """Shard /v1/compile and /v1/lint by the spec's hash."""
+    async def _job_runner(self, payload: dict, *, priority: int,
+                          timeout_s: float | None,
+                          tenant: str) -> tuple[str, dict]:
+        """Per-spec execution hook: forward the run to its shard."""
+        spec = P.spec_from_payload(payload)
+        try:
+            status, envelope, _ = await self._run_on_shard(
+                spec, priority, timeout_s, tenant)
+        except NoLiveWorker as exc:
+            # Not served: the JobManager backs off and retries; the
+            # health loop may re-add a recovered worker meanwhile.
+            _, envelope, _ = P.run_response(
+                P.STATUS_DRAINING, None, job_hash=spec.job_hash,
+                latency_ms=0.0, message=str(exc), retry_after_s=0.25)
+            return P.STATUS_DRAINING, envelope
+        verdict = envelope.get("status") or (
+            P.STATUS_EXECUTED if status == 200 else P.STATUS_FAILED)
+        return verdict, envelope
+
+    async def _handle_lint(self, request: _Request):
+        """Shard ``POST /v2/lint`` by the spec's hash."""
         spec, _, _ = P.parse_request_body(request.json())
-        status, _, body, _addr = await self._forward_sharded(
-            spec.job_hash, "POST", path,
+        status, _, body = await self._forward_sharded(
+            spec.job_hash, "POST", "/v2/lint",
             {"spec": P.spec_to_payload(spec)}, tenant=request.tenant)
         return status, body, None
-
-    async def _handle_sweep(self, request: _Request):
-        body = request.json()
-        sweep = P.sweep_from_payload(body)
-        try:
-            specs = sweep.jobs()
-        except Exception as exc:
-            raise P.ProtocolError(f"bad sweep: {exc}") from exc
-        if len(specs) > self.max_sweep_specs:
-            raise P.ProtocolError(
-                f"sweep expands to {len(specs)} specs, over the "
-                f"{self.max_sweep_specs}-spec limit")
-        rejection = self._tenancy_gate(request)
-        if rejection is not None:
-            return rejection
-        tenant = request.tenant
-        priority = body.get("priority", 0)
-        timeout_s = body.get("timeout_s")
-        started = time.perf_counter()
-        try:
-            results = await asyncio.gather(*[
-                self._sweep_point(spec, priority, timeout_s, tenant)
-                for spec in specs])
-        finally:
-            self.tenancy.release(tenant, served=True)
-        latency_ms = (time.perf_counter() - started) * 1e3
-        jobs = []
-        counts: dict[str, int] = {}
-        for spec, (status, point) in zip(specs, results, strict=True):
-            entry = {
-                "spec": spec.describe(),
-                "job_hash": spec.job_hash,
-                "status": status,
-            }
-            if isinstance(point.get("result"), dict):
-                entry["result"] = point["result"]
-            if point.get("error"):
-                entry["error"] = point["error"]
-            if point.get("diagnostics"):
-                entry["diagnostics"] = point["diagnostics"]
-            jobs.append(entry)
-            counts[status] = counts.get(status, 0) + 1
-        ok = all(status in (P.STATUS_EXECUTED, P.STATUS_HIT,
-                            P.STATUS_COALESCED)
-                 for status, _ in results)
-        return 200, P.envelope(ok, jobs=jobs, counts=counts,
-                               sweep_hash=sweep.sweep_hash,
-                               latency_ms=round(latency_ms, 3)), None
-
-    async def _sweep_point(self, spec, priority, timeout_s,
-                           tenant) -> tuple[str, dict]:
-        """One sweep point: shard-forward with backpressure retries."""
-        cached = self._probe_cache(spec)
-        if cached is not None:
-            self.instruments.cache_hits.inc()
-            return P.STATUS_HIT, {"result": cached}
-        payload: dict = {"spec": P.spec_to_payload(spec),
-                         "priority": priority}
-        if timeout_s is not None:
-            payload["timeout_s"] = timeout_s
-        delay = 0.02
-        for _attempt in range(64):
-            try:
-                status, headers, body, _addr = \
-                    await self._forward_sharded(
-                        spec.job_hash, "POST", "/v1/run", payload,
-                        tenant=tenant)
-            except NoLiveWorker as exc:
-                return P.STATUS_DRAINING, {"error": str(exc)}
-            verdict = body.get("status") or (
-                P.STATUS_EXECUTED if status == 200 else P.STATUS_FAILED)
-            if status != 429 and verdict != P.STATUS_DRAINING:
-                if status == 200 and self.cache is not None \
-                        and isinstance(body.get("result"), dict):
-                    self.cache.store_run(spec, body["result"])
-                return verdict, body
-            # Worker queue full (or draining pre-eviction): back off
-            # by its hint and retry — the sweep fan-out must not lose
-            # points to transient backpressure.
-            hint = headers.get("retry-after")
-            try:
-                wait = min(2.0, max(delay, float(hint)))
-            except (TypeError, ValueError):
-                wait = delay
-            await asyncio.sleep(wait)
-            delay = min(2.0, delay * 2)
-        return P.STATUS_THROTTLED, body
-
-    # -- v2 job handlers -----------------------------------------------
-
-    def _handle_job_submit(self, request: _Request):
-        if self._draining:
-            status, body = P.error_envelope(
-                P.ERR_UNAVAILABLE, "gateway is draining")
-            return status, body, None
-        kind, payloads, priority, timeout_s, label = \
-            P.parse_job_submission(request.json())
-        if len(payloads) > self.max_sweep_specs:
-            raise P.ProtocolError(
-                f"job expands to {len(payloads)} specs, over the "
-                f"{self.max_sweep_specs}-spec limit")
-        rejection = self._tenancy_gate(request)
-        if rejection is not None:
-            return rejection
-        tenant = request.tenant
-        self.tenancy.release(tenant, served=True)
-        record = self.job_manager.submit(
-            kind, payloads, priority=priority, timeout_s=timeout_s,
-            tenant=tenant, label=label)
-        return 202, P.envelope_v2(True, job=record.status_payload()), \
-            None
-
-    def _handle_job_list(self, request: _Request):
-        query = request.query()
-        state = query.get("state")
-        if state is not None and state not in P.JOB_STATES:
-            raise P.ProtocolError(
-                f"unknown state {state!r}; expected one of "
-                f"{', '.join(P.JOB_STATES)}")
-        records = self.job_manager.list_jobs(
-            state=state, tenant=query.get("tenant"))
-        return 200, P.envelope_v2(
-            True, jobs=[r.status_payload() for r in records]), None
-
-    def _handle_job_get(self, request: _Request, job_id: str):
-        record = self.job_manager.get(job_id)
-        if record is None:
-            status, body = P.error_envelope(
-                P.ERR_NOT_FOUND, f"no such job {job_id!r}")
-            return status, body, None
-        want_results = request.query().get("results", "") \
-            in ("1", "true", "yes")
-        return 200, P.envelope_v2(
-            True, job=record.status_payload(results=want_results)), \
-            None
-
-    def _handle_job_cancel(self, job_id: str):
-        record = self.job_manager.cancel(job_id)
-        if record is None:
-            status, body = P.error_envelope(
-                P.ERR_NOT_FOUND, f"no such job {job_id!r}")
-            return status, body, None
-        return 200, P.envelope_v2(True, job=record.status_payload()), \
-            None
 
     # -- DSL kernel registration (broadcast) -----------------------------
 
@@ -747,32 +499,8 @@ class GatewayService(HttpDaemon):
         each worker's agree; the gateway gate rejects bad sources
         without burning a single forward.
         """
-        from repro.lang import check_source
-
-        if self._draining:
-            status, body = P.error_envelope(
-                P.ERR_UNAVAILABLE, "gateway is draining")
-            return status, body, None
-        source = P.parse_kernel_submission(request.json())
-        spec, report = check_source(source)
-        if spec is None:
-            status, body = P.error_envelope(
-                P.ERR_LINT_REJECTED,
-                "kernel rejected by DSL validation",
-                diagnostics=report.to_dict()["diagnostics"])
-            return status, body, None
+        source, _spec, _report = self._checked_kernel(request)
         tenant = request.tenant
-        verdict = self.tenancy.admit_kernel(tenant, spec.kernel_hash)
-        if not verdict.allowed:
-            code = (P.ERR_TENANT_DENIED
-                    if verdict.status == P.STATUS_DENIED
-                    else P.ERR_THROTTLED)
-            status, body = P.error_envelope(
-                code, verdict.reason,
-                retry_after_s=verdict.retry_after_s)
-            headers = ({"Retry-After": f"{verdict.retry_after_s:.3f}"}
-                       if verdict.retry_after_s is not None else None)
-            return status, body, headers
         payload = json.dumps({"source": source}).encode("utf-8")
         headers = ({P.TENANT_HEADER: tenant}
                    if tenant != P.DEFAULT_TENANT else None)
@@ -798,15 +526,13 @@ class GatewayService(HttpDaemon):
         if not accepted:
             self.instruments.unavailable.inc()
             if answer is None:
-                status, body = P.error_envelope(
-                    P.ERR_UNAVAILABLE,
+                raise P.ProtocolError(
                     f"no live worker accepted the kernel "
-                    f"({len(live)} tried)")
-                return status, body, None
+                    f"({len(live)} tried)", error_code=P.ERR_UNAVAILABLE)
             status, data = answer
-            return status, self._decode_body(data), None
+            return status, P.decode_body(data), None
         status, data = answer
-        body = self._decode_body(data)
+        body = P.decode_body(data)
         if isinstance(body.get("kernel"), dict):
             body["kernel"]["workers"] = len(accepted)
         return status, body, None
@@ -821,62 +547,9 @@ class GatewayService(HttpDaemon):
                     addr, "GET", "/v2/kernels", None)
             except _FORWARD_EXC:
                 continue
-            return status, self._decode_body(data), None
-        status, body = P.error_envelope(
-            P.ERR_UNAVAILABLE, "no live worker to list kernels")
-        return status, body, None
-
-    @staticmethod
-    def _decode_body(data: bytes) -> dict:
-        try:
-            decoded = json.loads(data) if data else {}
-        except ValueError:
-            decoded = {"text": data.decode("utf-8", "replace")}
-        return decoded if isinstance(decoded, dict) \
-            else {"body": decoded}
-
-    # -- job runner (forward-backed) -----------------------------------
-
-    async def _job_runner(self, payload: dict, *, priority: int,
-                          timeout_s: float | None,
-                          tenant: str) -> tuple[str, dict]:
-        """Per-spec execution hook: forward the run to its shard."""
-        spec = P.spec_from_payload(payload)
-        cached = self._probe_cache(spec)
-        if cached is not None:
-            self.instruments.cache_hits.inc()
-            return P.STATUS_HIT, P.run_response(
-                P.STATUS_HIT, cached, job_hash=spec.job_hash,
-                latency_ms=0.0)
-        body: dict = {"spec": payload, "priority": priority}
-        if timeout_s is not None:
-            body["timeout_s"] = timeout_s
-        try:
-            status, headers, envelope, _addr = \
-                await self._forward_sharded(
-                    spec.job_hash, "POST", "/v1/run", body,
-                    tenant=tenant)
-        except NoLiveWorker as exc:
-            # Not served: the JobManager backs off and retries; the
-            # health loop may re-add a recovered worker meanwhile.
-            return P.STATUS_DRAINING, {
-                "ok": False, "status": P.STATUS_DRAINING,
-                "error": str(exc), "retry_after_s": 0.25}
-        verdict = envelope.get("status") or (
-            P.STATUS_EXECUTED if status == 200 else P.STATUS_FAILED)
-        if status == 200 and self.cache is not None \
-                and isinstance(envelope.get("result"), dict):
-            self.cache.store_run(spec, envelope["result"])
-        if verdict == P.STATUS_THROTTLED \
-                and "retry_after_s" not in envelope:
-            hint = headers.get("retry-after")
-            with contextlib.suppress(TypeError, ValueError):
-                envelope["retry_after_s"] = float(hint)
-        return verdict, envelope
-
-
-class NoLiveWorker(Exception):
-    """Every shard is evicted (or the fleet never came up)."""
+            return status, P.decode_body(data), None
+        raise P.ProtocolError("no live worker to list kernels",
+                              error_code=P.ERR_UNAVAILABLE)
 
 
 class _GatewayServiceThread(ServiceThread):

@@ -85,6 +85,3 @@ class ServiceInstruments:
 
     def to_prometheus(self) -> str:
         return self.registry.to_prometheus()
-
-    def to_dict(self) -> dict:
-        return self.registry.to_dict()

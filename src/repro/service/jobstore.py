@@ -1,6 +1,6 @@
 """Durable async jobs: append-only JSONL journal + dispatch manager.
 
-The v2 job API decouples submission from execution: ``POST /v2/jobs``
+The job API decouples submission from execution: ``POST /v2/jobs``
 answers immediately with a job id, and the work — one run or a whole
 sweep expansion — proceeds in the background while clients poll
 ``GET /v2/jobs/{id}``.  Durability comes from a tiny append-only
@@ -266,9 +266,8 @@ class JobManager:
     """
 
     #: Statuses that mean "ran to a verdict" rather than "try later".
-    _SERVED = frozenset((P.STATUS_EXECUTED, P.STATUS_HIT,
-                         P.STATUS_COALESCED, P.STATUS_REJECTED,
-                         P.STATUS_FAILED, P.STATUS_EXPIRED))
+    _SERVED = P.SERVED_STATUSES | {P.STATUS_REJECTED, P.STATUS_FAILED,
+                                   P.STATUS_EXPIRED}
 
     def __init__(self, store: JobStore, runner, *,
                  max_attempts: int = 64,
@@ -381,8 +380,7 @@ class JobManager:
                     # journal replays this job (pending indices only).
                     return
                 self.store.record_result(record, index, envelope)
-                if status not in (P.STATUS_EXECUTED, P.STATUS_HIT,
-                                  P.STATUS_COALESCED):
+                if status not in P.SERVED_STATUSES:
                     failed = True
             self._cancelling.discard(record.job_id)
             if failed:
@@ -416,7 +414,7 @@ class JobManager:
                 return status, envelope
             # Backpressure (throttled/draining/denied): wait and
             # retry — the job is durable, pressure is transient.
-            hint = envelope.get("retry_after_s")
+            hint = (envelope.get("error") or {}).get("retry_after_s")
             if not isinstance(hint, (int, float)) or hint <= 0:
                 hint = delay
             await asyncio.sleep(min(2.0, max(self.retry_floor_s, hint)))

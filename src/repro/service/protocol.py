@@ -8,59 +8,49 @@ run needs — compiler options, fabric timing, energy model — derives
 from the spec exactly as it does in the engine, so a request names the
 same design point a :class:`JobSpec` does and shares its content hash.
 
-Endpoints (all responses are JSON envelopes with an ``ok`` bool):
+Endpoints (every response but ``/metrics`` is a JSON envelope with an
+``ok`` bool):
 
 ==============================  ====================================
-``POST /v1/run``                execute one spec (admission-controlled)
-``POST /v1/compile``            compile one spec, report regions
-``POST /v1/sweep``              expand a cartesian grid server-side
-``POST /v1/lint``               pre-flight lint only, no execution
+``POST /v2/run``                execute one spec, block for its result
+``POST /v2/lint``               pre-flight lint only, no execution
 ``POST /v2/jobs``               submit a durable async job (run/sweep)
 ``GET  /v2/jobs``               list jobs (``?state=`` / ``?tenant=``)
 ``GET  /v2/jobs/{id}``          poll one job: state, progress, results
 ``POST /v2/jobs/{id}/cancel``   cancel a queued/running job
-``POST /v2/kernels``            register a DSL kernel (422 on reject)
+``POST /v2/kernels``            register a DSL kernel
 ``GET  /v2/kernels``            list registered DSL kernels
 ``GET  /healthz``               readiness + queue/inflight gauges
 ``GET  /metrics``               Prometheus text exposition
-``GET  /v1/stats``              the metrics registry as JSON
 ==============================  ====================================
 
-Status codes: ``200`` served, ``400`` malformed request, ``403``
-tenant denied, ``404`` unknown endpoint or job, ``413`` oversized
-body, ``422`` rejected by pre-flight lint (body carries structured
-diagnostics), ``429`` queue full or tenant over quota (``Retry-After``
-header set), ``500`` execution failed, ``503`` draining or no live
-workers, ``504`` deadline expired while queued.
-
-**Error envelope (v2).**  Every non-200 response from a ``/v2``
-endpoint carries one normalized error object::
+**Errors.**  Every failed request — refused by a handler, by the run
+pipeline, or by the HTTP framing itself — is answered with one
+normalized error object::
 
     {"protocol": "repro-service-v2", "ok": false,
      "error": {"code": "...", "message": "...",
                "diagnostics": [...], "retry_after_s": null}}
 
-``code`` is a stable machine-readable slug (:data:`ERROR_CODES`),
-``diagnostics`` carries structured RPR diagnostics when the lint gate
-produced them, and ``retry_after_s`` mirrors the ``Retry-After``
-header for backpressure errors.  ``/v1`` endpoints keep their
-historical loose shapes for compatibility (string ``error``, optional
-top-level ``diagnostics``) but attach the same normalized object under
-``error_detail`` so clients can migrate field-by-field.
+``code`` is a stable slug whose HTTP status :data:`ERROR_CODES` fixes,
+``diagnostics`` carries structured RPR diagnostics when a lint gate
+produced them, and ``retry_after_s`` mirrors the ``Retry-After`` header
+on backpressure.  A run envelope (``POST /v2/run``, and each result of
+a job) also carries ``status``, ``job_hash`` and ``latency_ms``, plus
+``result`` when the run was served.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields as dataclass_fields
 
 from repro.errors import ReproError
 from repro.engine.jobs import JobSpec
+from repro.engine.sweeps import SweepSpec
 
-#: Protocol version tag carried in every v1 response envelope.
-PROTOCOL = "repro-service-v1"
-
-#: Protocol version tag carried in every v2 response envelope.
-PROTOCOL_V2 = "repro-service-v2"
+#: Protocol version tag carried in every response envelope.
+PROTOCOL = "repro-service-v2"
 
 #: Default TCP port for ``repro serve`` / ``repro submit``.
 DEFAULT_PORT = 8787
@@ -68,26 +58,75 @@ DEFAULT_PORT = 8787
 #: Largest accepted request body (a sweep grid fits comfortably).
 MAX_BODY_BYTES = 1 << 20
 
-#: Terminal per-request statuses reported in response envelopes.
+#: Terminal per-request statuses reported in run envelopes.
 STATUS_EXECUTED = "executed"    # ran on the engine this request
 STATUS_HIT = "hit"              # answered from the artifact cache
 STATUS_COALESCED = "coalesced"  # shared an identical in-flight request
 STATUS_REJECTED = "rejected"    # failed pre-flight lint (422)
-STATUS_THROTTLED = "throttled"  # queue full (429)
+STATUS_THROTTLED = "throttled"  # queue full or tenant over quota (429)
 STATUS_FAILED = "failed"        # engine exhausted retries (500)
 STATUS_EXPIRED = "expired"      # deadline passed while queued (504)
 STATUS_DRAINING = "draining"    # server shutting down (503)
-STATUS_DENIED = "denied"        # tenant not allowed (403, v2 era)
+STATUS_DENIED = "denied"        # tenant not allowed (403)
+
+#: Statuses of a run that was served (HTTP 200, ``result`` present).
+SERVED_STATUSES = frozenset((STATUS_EXECUTED, STATUS_HIT,
+                             STATUS_COALESCED))
+
+#: Stable machine-readable error codes, one per failure class.
+ERR_BAD_REQUEST = "bad-request"          # 400: malformed body/spec
+ERR_TENANT_DENIED = "tenant-denied"      # 403: tenant not allowed
+ERR_NOT_FOUND = "not-found"              # 404: unknown endpoint/job
+ERR_METHOD = "method-not-allowed"        # 405
+ERR_TOO_LARGE = "payload-too-large"      # 413
+ERR_LINT_REJECTED = "lint-rejected"      # 422: pre-flight diagnostics
+ERR_THROTTLED = "throttled"              # 429: queue/tenant quota
+ERR_INTERNAL = "internal"                # 500: engine failure
+ERR_UNAVAILABLE = "unavailable"          # 503: draining / no workers
+ERR_EXPIRED = "deadline-expired"         # 504: queue-wait deadline
+
+#: Every error code with its canonical HTTP status.
+ERROR_CODES = {
+    ERR_BAD_REQUEST: 400,
+    ERR_TENANT_DENIED: 403,
+    ERR_NOT_FOUND: 404,
+    ERR_METHOD: 405,
+    ERR_TOO_LARGE: 413,
+    ERR_LINT_REJECTED: 422,
+    ERR_THROTTLED: 429,
+    ERR_INTERNAL: 500,
+    ERR_UNAVAILABLE: 503,
+    ERR_EXPIRED: 504,
+}
+
+#: Error code of every terminal status that is not served.
+STATUS_ERROR_CODES = {
+    STATUS_REJECTED: ERR_LINT_REJECTED,
+    STATUS_THROTTLED: ERR_THROTTLED,
+    STATUS_FAILED: ERR_INTERNAL,
+    STATUS_EXPIRED: ERR_EXPIRED,
+    STATUS_DRAINING: ERR_UNAVAILABLE,
+    STATUS_DENIED: ERR_TENANT_DENIED,
+}
 
 _SPEC_FIELDS = frozenset(f.name for f in dataclass_fields(JobSpec))
 
 
 class ProtocolError(ReproError):
-    """Malformed request body (HTTP 400)."""
+    """A request the service refuses, answered with one error envelope.
 
-    def __init__(self, message: str, **context) -> None:
+    ``error_code`` (one of :data:`ERROR_CODES`, default 400
+    ``bad-request``) picks the HTTP status; ``diagnostics`` and
+    ``retry_after_s`` fill the matching fields of the error object.
+    """
+
+    def __init__(self, message: str, *, error_code: str = ERR_BAD_REQUEST,
+                 diagnostics: list | None = None,
+                 retry_after_s: float | None = None, **context) -> None:
         super().__init__(message, **context)
-        self.http_status = 400
+        self.error_code = error_code
+        self.diagnostics = diagnostics
+        self.retry_after_s = retry_after_s
 
 
 def spec_from_payload(data: object) -> JobSpec:
@@ -177,100 +216,10 @@ def envelope(ok: bool, **fields) -> dict:
     return {"protocol": PROTOCOL, "ok": ok, **fields}
 
 
-def run_response(status: str, payload: dict | None, *,
-                 job_hash: str, latency_ms: float,
-                 error: str | None = None,
-                 diagnostics: list | None = None) -> dict:
-    """Envelope for one run outcome (also used per-job inside sweeps)."""
-    body = envelope(
-        ok=status in (STATUS_EXECUTED, STATUS_HIT, STATUS_COALESCED),
-        status=status,
-        job_hash=job_hash,
-        latency_ms=round(latency_ms, 3),
-    )
-    if payload is not None:
-        body["result"] = payload
-    if error is not None:
-        body["error"] = error
-    if diagnostics is not None:
-        body["diagnostics"] = diagnostics
-    return body
-
-
-#: HTTP status per terminal request status.
-HTTP_STATUS = {
-    STATUS_EXECUTED: 200,
-    STATUS_HIT: 200,
-    STATUS_COALESCED: 200,
-    STATUS_REJECTED: 422,
-    STATUS_THROTTLED: 429,
-    STATUS_FAILED: 500,
-    STATUS_EXPIRED: 504,
-    STATUS_DRAINING: 503,
-}
-
-#: Statuses added after v1; kept out of :data:`HTTP_STATUS` so the v1
-#: status table stays frozen (it is part of the v1 contract).
-_HTTP_STATUS_EXTRA = {
-    STATUS_DENIED: 403,
-}
-
-
-def http_status(status: str) -> int:
-    """HTTP code for any terminal request status (v1 and later)."""
-    code = HTTP_STATUS.get(status)
-    if code is None:
-        code = _HTTP_STATUS_EXTRA.get(status, 500)
-    return code
-
-
-# -- normalized error envelope (v2) ------------------------------------
-
-#: Stable machine-readable error codes, one per failure class.
-ERR_BAD_REQUEST = "bad-request"          # 400: malformed body/spec
-ERR_TENANT_DENIED = "tenant-denied"      # 403: tenant not allowed
-ERR_NOT_FOUND = "not-found"              # 404: unknown endpoint/job
-ERR_METHOD = "method-not-allowed"        # 405
-ERR_TOO_LARGE = "payload-too-large"      # 413
-ERR_LINT_REJECTED = "lint-rejected"      # 422: pre-flight diagnostics
-ERR_THROTTLED = "throttled"              # 429: queue/tenant quota
-ERR_INTERNAL = "internal"                # 500: engine failure
-ERR_UNAVAILABLE = "unavailable"          # 503: draining / no workers
-ERR_EXPIRED = "deadline-expired"         # 504: queue-wait deadline
-ERR_CANCELLED = "cancelled"              # job cancelled by the caller
-ERR_UPSTREAM = "upstream-failed"         # gateway: worker misbehaved
-
-#: Every error code with its canonical HTTP status.
-ERROR_CODES = {
-    ERR_BAD_REQUEST: 400,
-    ERR_TENANT_DENIED: 403,
-    ERR_NOT_FOUND: 404,
-    ERR_METHOD: 405,
-    ERR_TOO_LARGE: 413,
-    ERR_LINT_REJECTED: 422,
-    ERR_THROTTLED: 429,
-    ERR_INTERNAL: 500,
-    ERR_UNAVAILABLE: 503,
-    ERR_EXPIRED: 504,
-    ERR_CANCELLED: 409,
-    ERR_UPSTREAM: 502,
-}
-
-#: Terminal request status -> normalized error code.
-_STATUS_ERROR_CODES = {
-    STATUS_REJECTED: ERR_LINT_REJECTED,
-    STATUS_THROTTLED: ERR_THROTTLED,
-    STATUS_FAILED: ERR_INTERNAL,
-    STATUS_EXPIRED: ERR_EXPIRED,
-    STATUS_DRAINING: ERR_UNAVAILABLE,
-    STATUS_DENIED: ERR_TENANT_DENIED,
-}
-
-
 def error_object(code: str, message: str, *,
                  diagnostics: list | None = None,
                  retry_after_s: float | None = None) -> dict:
-    """The normalized error object every non-200 response carries.
+    """The normalized error object every failed request carries.
 
     All four keys are always present so consumers never need
     existence checks; ``diagnostics`` defaults to an empty list and
@@ -287,30 +236,54 @@ def error_object(code: str, message: str, *,
     }
 
 
-def error_for_status(status: str, message: str, *,
-                     diagnostics: list | None = None,
-                     retry_after_s: float | None = None) -> dict:
-    """Normalized error object for a terminal request status."""
-    return error_object(_STATUS_ERROR_CODES.get(status, ERR_INTERNAL),
-                        message, diagnostics=diagnostics,
-                        retry_after_s=retry_after_s)
-
-
-def envelope_v2(ok: bool, **fields) -> dict:
-    """The v2 response envelope (``protocol: repro-service-v2``)."""
-    return {"protocol": PROTOCOL_V2, "ok": ok, **fields}
-
-
-def error_envelope(code: str, message: str, *,
+def error_response(code: str, message: str, *,
                    diagnostics: list | None = None,
-                   retry_after_s: float | None = None) -> tuple[int, dict]:
-    """(HTTP status, v2 error body) for one normalized error."""
+                   retry_after_s: float | None = None,
+                   **fields) -> tuple[int, dict, dict | None]:
+    """``(HTTP status, body, headers)`` for one normalized error.
+
+    ``fields`` land next to ``error`` in the envelope (a failed run
+    keeps its ``status``/``job_hash``/``latency_ms``); a
+    ``retry_after_s`` hint also sets the ``Retry-After`` header.
+    """
     err = error_object(code, message, diagnostics=diagnostics,
                        retry_after_s=retry_after_s)
-    return ERROR_CODES[err["code"]], envelope_v2(False, error=err)
+    headers = None
+    if retry_after_s is not None:
+        headers = {"Retry-After": f"{float(retry_after_s):.3f}"}
+    return (ERROR_CODES[err["code"]],
+            envelope(False, **fields, error=err), headers)
 
 
-# -- async job API (v2) ------------------------------------------------
+def decode_body(data: bytes) -> dict:
+    """A response body as a dict: JSON objects as-is, other JSON under
+    ``body``, non-JSON text under ``text``."""
+    if not data:
+        return {}
+    try:
+        decoded = json.loads(data)
+    except ValueError:
+        return {"text": data.decode("utf-8", "replace")}
+    return decoded if isinstance(decoded, dict) else {"body": decoded}
+
+
+def run_response(status: str, payload: dict | None, *,
+                 job_hash: str, latency_ms: float,
+                 message: str | None = None,
+                 diagnostics: list | None = None,
+                 retry_after_s: float | None = None
+                 ) -> tuple[int, dict, dict | None]:
+    """``(HTTP status, run envelope, headers)`` for one run outcome."""
+    fields = {"status": status, "job_hash": job_hash,
+              "latency_ms": round(latency_ms, 3)}
+    if status in SERVED_STATUSES:
+        return 200, envelope(True, **fields, result=payload), None
+    return error_response(STATUS_ERROR_CODES.get(status, ERR_INTERNAL),
+                          message or status, diagnostics=diagnostics,
+                          retry_after_s=retry_after_s, **fields)
+
+
+# -- async job API ---------------------------------------------------
 
 #: Job lifecycle states.  ``queued``/``running`` are live; the rest
 #: are terminal.  A job interrupted by a restart replays from the
@@ -357,53 +330,10 @@ def parse_kernel_submission(body: dict) -> str:
             "kernel submission requires a non-empty string 'source' "
             "field carrying the DSL text")
     if len(source.encode("utf-8")) > MAX_KERNEL_SOURCE_BYTES:
-        exc = ProtocolError(
+        raise ProtocolError(
             f"kernel source exceeds the {MAX_KERNEL_SOURCE_BYTES}-byte "
-            f"limit")
-        exc.http_status = 413
-        raise exc
+            f"limit", error_code=ERR_TOO_LARGE)
     return source
-
-
-def sweep_from_payload(body: dict):
-    """Parse a ``/v1/sweep``-shaped body into a ``SweepSpec``.
-
-    Accepts both the first-class form (``{"sweep": {...}}``) and the
-    legacy loose ``workloads``/``modes``/``base``/``axes`` fields.
-    Shared by the single-node server and the gateway so both ends of a
-    forwarded sweep parse requests identically.
-    """
-    from repro.engine.sweeps import SweepSpec
-
-    if not isinstance(body, dict):
-        raise ProtocolError("sweep body must be a JSON object")
-    if "sweep" in body:
-        try:
-            return SweepSpec.from_dict(body["sweep"])
-        except Exception as exc:
-            raise ProtocolError(f"bad sweep: {exc}") from exc
-    workloads = body.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        raise ProtocolError("sweep.workloads must be a non-empty list")
-    modes = tuple(body.get("modes", ["dyser"]))
-    base = body.get("base", {})
-    axes = body.get("axes", {})
-    if not isinstance(base, dict) or not isinstance(axes, dict):
-        raise ProtocolError("sweep.base/axes must be JSON objects")
-    base = dict(base)
-    axes = {name: list(values) for name, values in axes.items()}
-    for obj in (base, axes):
-        if "geometry" in obj:
-            value = obj["geometry"]
-            obj["geometry"] = ([tuple(v) for v in value]
-                               if isinstance(value, list) and value
-                               and isinstance(value[0], (list, tuple))
-                               else tuple(value))
-    try:
-        return SweepSpec(workloads=tuple(workloads), modes=modes,
-                         base=base, axes=tuple(axes.items()))
-    except Exception as exc:  # bad field names/values
-        raise ProtocolError(f"bad sweep: {exc}") from exc
 
 
 def parse_job_submission(body: dict):
@@ -419,23 +349,17 @@ def parse_job_submission(body: dict):
     label = body.get("label")
     if label is not None and not isinstance(label, str):
         raise ProtocolError(f"label must be a string, got {label!r}")
-    has_spec = "spec" in body
-    has_sweep = ("sweep" in body or "workloads" in body)
-    if has_spec == has_sweep:
+    if ("spec" in body) == ("sweep" in body):
         raise ProtocolError(
             "a job submission carries exactly one of 'spec' "
-            "(single run) or 'sweep'/'workloads' (sweep)")
-    if has_spec:
-        spec = spec_from_payload(body.get("spec"))
+            "(single run) or 'sweep' (a SweepSpec object)")
+    if "spec" in body:
+        spec = spec_from_payload(body["spec"])
         return JOB_KIND_RUN, [spec_to_payload(spec)], priority, \
             timeout_s, label
-    sweep = sweep_from_payload(
-        body.get("sweep") is not None and {"sweep": body["sweep"]}
-        or {k: body[k] for k in ("workloads", "modes", "base", "axes")
-            if k in body})
     try:
-        specs = sweep.jobs()
-    except Exception as exc:
+        specs = SweepSpec.from_dict(body["sweep"]).jobs()
+    except Exception as exc:  # bad field names/values
         raise ProtocolError(f"bad sweep: {exc}") from exc
     if not specs:
         raise ProtocolError("sweep expands to zero specs")

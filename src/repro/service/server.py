@@ -18,11 +18,13 @@ module owns the transport and the lifecycle:
 
 The transport + lifecycle live in :class:`HttpDaemon`, shared with
 the sharding front end (:mod:`repro.service.gateway`): both daemons
-speak identical HTTP, differ only in routing.  Besides the original
-synchronous v1 surface, the service mounts the durable v2 job API
-(``POST /v2/jobs`` → poll ``GET /v2/jobs/{id}``) backed by a JSONL
-journal (``journal=`` path), and optional per-tenant admission
-(:mod:`repro.service.tenancy`).
+speak identical HTTP, map every failure to the one error envelope of
+:mod:`repro.service.protocol`, and serve the same durable job API
+(``POST /v2/jobs`` → poll ``GET /v2/jobs/{id}``, backed by a JSONL
+journal at ``journal=``) behind optional per-tenant admission
+(:mod:`repro.service.tenancy`).  They differ in how ``POST /v2/run``
+executes a spec: here through admission and the engine, at the
+gateway by forwarding it to a worker.
 
 :class:`ServiceThread` runs the same daemon on a background thread for
 tests and benchmarks (port 0 → ephemeral port, no signals involved);
@@ -35,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import re
 import signal
 import threading
 import time
@@ -53,12 +56,14 @@ from repro.service.tenancy import TenancyController
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 403: "Forbidden",
-    404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
+    404: "Not Found", 405: "Method Not Allowed",
     413: "Payload Too Large", 422: "Unprocessable Entity",
     429: "Too Many Requests", 500: "Internal Server Error",
-    502: "Bad Gateway", 503: "Service Unavailable",
-    504: "Gateway Timeout",
+    503: "Service Unavailable", 504: "Gateway Timeout",
 }
+
+#: The only parameterized paths: ``/v2/jobs/{id}`` and its ``/cancel``.
+_JOB_PATH = re.compile(r"/v2/jobs/([^/]+)(/cancel)?")
 
 
 class _Request:
@@ -91,19 +96,41 @@ class _Request:
                 urllib.parse.parse_qs(qs).items()}
 
 
-class HttpDaemon:
-    """Transport + lifecycle shared by the worker and the gateway.
+async def _readline(reader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:   # LimitOverrunError: no newline within the limit
+        raise P.ProtocolError(
+            "request line or header exceeds the 64 KiB limit") from None
 
-    Subclasses implement :meth:`_route` (and optionally the lifecycle
-    hooks ``_drain``, ``_abort_tasks``, ``_banner``, ``_summary``).
+
+class HttpDaemon:
+    """Transport, lifecycle and the job API shared by worker and gateway.
+
+    Subclasses set ``instruments`` and extend :meth:`_routes` with
+    ``/v2/run``, ``/v2/lint`` and ``/v2/kernels``; they implement the
+    per-spec ``_job_runner`` the :class:`JobManager` drives and the
+    ``_banner``/``_summary`` lines, and may extend ``_health_body`` and
+    the lifecycle hooks (``_start_tasks``, ``_drain``,
+    ``_abort_tasks``).
     """
 
     def __init__(self, host: str = "127.0.0.1",
-                 port: int = P.DEFAULT_PORT) -> None:
+                 port: int = P.DEFAULT_PORT, *,
+                 tenancy: TenancyController | None = None,
+                 journal=None, max_sweep_specs: int = 1024) -> None:
         self.host = host
         self.port = port
         self.started_at = time.time()
         self.requests_served = 0
+        self.tenancy = tenancy or TenancyController()
+        self.max_sweep_specs = max(1, int(max_sweep_specs))
+        #: Journal path (None → in-memory jobs, no durability).
+        self.job_store = JobStore(journal)
+        self.job_manager = JobManager(self.job_store, self._job_runner)
+        self.jobs_recovered = 0
+        #: path → {method: async handler(request, *path_args)}.
+        self.routes = self._routes()
         self._server: asyncio.Server | None = None
         self._draining = False
         self._done: asyncio.Event | None = None
@@ -112,10 +139,6 @@ class HttpDaemon:
         self._writers: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -----------------------------------------------------
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     async def start(self) -> None:
         """Bind the listener (resolving port 0) and start dispatching."""
@@ -126,7 +149,8 @@ class HttpDaemon:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def _start_tasks(self) -> None:
-        """Hook: launch background tasks (needs the running loop)."""
+        """Launch background tasks (needs the running loop)."""
+        self.jobs_recovered = self.job_manager.recover()
 
     async def wait_done(self) -> None:
         """Block until a shutdown request has fully drained."""
@@ -142,10 +166,16 @@ class HttpDaemon:
             self._shutdown())
 
     async def _drain(self) -> None:
-        """Hook: flush internal queues before the listener closes."""
+        """Finish running jobs before the listener closes."""
+        self.job_manager.stopping = True
+        await self.job_manager.quiesce(timeout=10)
+        self.job_store.close()
 
     def _abort_tasks(self) -> None:
-        """Hook: hard-cancel internal tasks on :meth:`abort`."""
+        """Hard-cancel internal tasks on :meth:`abort`."""
+        self.job_manager.stopping = True
+        self.job_manager.abort()
+        self.job_store.close()
 
     async def _shutdown(self) -> None:
         # 1. stop accepting new connections; existing handlers finish.
@@ -207,13 +237,11 @@ class HttpDaemon:
         print(self._summary(), flush=True)
         return 0
 
-    def _banner(self) -> str:
-        return (f"repro service listening on "
-                f"http://{self.host}:{self.port}")
-
-    def _summary(self) -> str:
-        return (f"repro service drained: {self.requests_served} "
-                f"requests served")
+    def _recovered_note(self) -> str:
+        if not self.jobs_recovered:
+            return ""
+        return (f", {self.jobs_recovered} journaled job"
+                f"{'s' if self.jobs_recovered != 1 else ''} recovered")
 
     # -- HTTP transport ------------------------------------------------
 
@@ -225,9 +253,10 @@ class HttpDaemon:
                 try:
                     request = await self._read_request(reader)
                 except P.ProtocolError as exc:
-                    await self._respond(writer, exc.http_status,
-                                        P.envelope(False, error=str(exc)),
-                                        keep_alive=False)
+                    await self._respond(
+                        writer, *P.error_response(exc.error_code,
+                                                  str(exc)),
+                        keep_alive=False)
                     break
                 if request is None:
                     break
@@ -235,15 +264,14 @@ class HttpDaemon:
                               .lower() != "close")
                 self._active_requests += 1
                 try:
-                    status, body, headers = await self._route(request)
+                    status, body, headers = await self._dispatch(request)
                     self.requests_served += 1
                     # During a drain, finish this response but hang up
                     # afterwards so keep-alive clients release us.
                     if self._draining:
                         keep_alive = False
-                    await self._respond(writer, status, body,
-                                        keep_alive=keep_alive,
-                                        extra_headers=headers)
+                    await self._respond(writer, status, body, headers,
+                                        keep_alive=keep_alive)
                 finally:
                     self._active_requests -= 1
                 if not keep_alive:
@@ -263,7 +291,7 @@ class HttpDaemon:
                 await writer.wait_closed()
 
     async def _read_request(self, reader) -> _Request | None:
-        line = await reader.readline()
+        line = await _readline(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -272,7 +300,7 @@ class HttpDaemon:
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
-            hline = await reader.readline()
+            hline = await _readline(reader)
             if hline in (b"\r\n", b"\n", b""):
                 break
             name, _, value = hline.decode("latin-1").partition(":")
@@ -280,19 +308,20 @@ class HttpDaemon:
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            raise P.ProtocolError("bad Content-Length") from None
+            length = -1
+        if length < 0:
+            raise P.ProtocolError("bad Content-Length")
         if length > P.MAX_BODY_BYTES:
-            exc = P.ProtocolError(
+            raise P.ProtocolError(
                 f"body of {length} bytes exceeds the "
-                f"{P.MAX_BODY_BYTES}-byte limit")
-            exc.http_status = 413
-            raise exc
+                f"{P.MAX_BODY_BYTES}-byte limit",
+                error_code=P.ERR_TOO_LARGE)
         body = await reader.readexactly(length) if length else b""
         return _Request(method, path, headers, body)
 
     async def _respond(self, writer, status: int, body,
-                       keep_alive: bool = True,
-                       extra_headers: dict | None = None) -> None:
+                       headers: dict | None = None, *,
+                       keep_alive: bool = True) -> None:
         if isinstance(body, (dict, list)):
             payload = (json.dumps(body, sort_keys=True) + "\n") \
                 .encode("utf-8")
@@ -306,14 +335,163 @@ class HttpDaemon:
             f"Content-Length: {len(payload)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
-        for name, value in (extra_headers or {}).items():
+        for name, value in (headers or {}).items():
             head.append(f"{name}: {value}")
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
                      + payload)
         await writer.drain()
 
-    async def _route(self, request: _Request):
-        raise NotImplementedError
+    # -- routing -------------------------------------------------------
+
+    def _routes(self) -> dict:
+        """The daemon's route table; subclasses add their endpoints."""
+        return {
+            "/healthz": {"GET": self._handle_health},
+            "/metrics": {"GET": self._handle_metrics},
+            "/v2/jobs": {"POST": self._handle_job_submit,
+                         "GET": self._handle_job_list},
+            "/v2/jobs/{id}": {"GET": self._handle_job_get},
+            "/v2/jobs/{id}/cancel": {"POST": self._handle_job_cancel},
+        }
+
+    async def _dispatch(self, request: _Request):
+        """Route one request to ``(status, body, headers)``; every
+        failure becomes the one error envelope."""
+        try:
+            path = request.path.split("?", 1)[0]
+            args: tuple = ()
+            match = _JOB_PATH.fullmatch(path)
+            if match:
+                path = "/v2/jobs/{id}" + (match.group(2) or "")
+                args = (match.group(1),)
+            methods = self.routes.get(path)
+            if methods is None:
+                raise P.ProtocolError(
+                    f"no such endpoint {request.method} {path}",
+                    error_code=P.ERR_NOT_FOUND)
+            handler = methods.get(request.method)
+            if handler is None:
+                raise P.ProtocolError(
+                    f"{request.method} not allowed on {path}",
+                    error_code=P.ERR_METHOD)
+            return await handler(request, *args)
+        except P.ProtocolError as exc:
+            return P.error_response(
+                exc.error_code, str(exc), diagnostics=exc.diagnostics,
+                retry_after_s=exc.retry_after_s)
+        except Exception as exc:  # noqa: BLE001 — daemon must survive
+            return P.error_response(P.ERR_INTERNAL,
+                                    f"{type(exc).__name__}: {exc}")
+
+    async def _handle_health(self, request: _Request):
+        return 200, self._health_body(), None
+
+    def _health_body(self) -> dict:
+        return {
+            "status": "draining" if self._draining else "ok",
+            "ready": not self._draining,
+            "uptime_s": round(time.time() - self.started_at, 3),
+            "requests_served": self.requests_served,
+            "jobs": {
+                "live": sum(1 for r in self.job_store.jobs.values()
+                            if not r.terminal),
+                "total": len(self.job_store.jobs),
+            },
+        }
+
+    async def _handle_metrics(self, request: _Request):
+        return 200, self.instruments.to_prometheus(), None
+
+    # -- admission gates -----------------------------------------------
+
+    def _refuse_if_draining(self) -> None:
+        if self._draining:
+            raise P.ProtocolError("draining; resubmit elsewhere",
+                                  error_code=P.ERR_UNAVAILABLE)
+
+    def _gate(self, verdict) -> None:
+        """Raise the error envelope for a refused tenancy verdict."""
+        if verdict.allowed:
+            return
+        self._count_refusal(verdict)
+        raise P.ProtocolError(
+            verdict.reason,
+            error_code=P.STATUS_ERROR_CODES[verdict.status],
+            retry_after_s=verdict.retry_after_s)
+
+    def _count_refusal(self, verdict) -> None:
+        """Hook: account a tenancy refusal in the daemon's metrics."""
+
+    def _checked_kernel(self, request: _Request):
+        """Validate a ``POST /v2/kernels`` body and gate its tenant.
+
+        Rejections fail closed before any work: 422 carries the
+        structured RPR5xx diagnostics, 429 a kernel quota with
+        ``Retry-After``.  Returns ``(source, spec, report)``.
+        """
+        from repro.lang import check_source
+
+        self._refuse_if_draining()
+        source = P.parse_kernel_submission(request.json())
+        spec, report = check_source(source)
+        if spec is None:
+            raise P.ProtocolError(
+                "kernel rejected by DSL validation",
+                error_code=P.ERR_LINT_REJECTED,
+                diagnostics=report.to_dict()["diagnostics"])
+        self._gate(self.tenancy.admit_kernel(request.tenant,
+                                             spec.kernel_hash))
+        return source, spec, report
+
+    # -- durable jobs --------------------------------------------------
+
+    async def _handle_job_submit(self, request: _Request):
+        self._refuse_if_draining()
+        kind, payloads, priority, timeout_s, label = \
+            P.parse_job_submission(request.json())
+        if len(payloads) > self.max_sweep_specs:
+            raise P.ProtocolError(
+                f"job expands to {len(payloads)} specs, over the "
+                f"{self.max_sweep_specs}-spec limit")
+        tenant = request.tenant
+        self._gate(self.tenancy.admit(tenant))
+        # The submission slot is released once the job is journaled;
+        # job *execution* is bounded by the scheduler queue.
+        self.tenancy.release(tenant, served=True)
+        record = self.job_manager.submit(
+            kind, payloads, priority=priority, timeout_s=timeout_s,
+            tenant=tenant, label=label)
+        return 202, P.envelope(True, job=record.status_payload()), None
+
+    async def _handle_job_list(self, request: _Request):
+        query = request.query()
+        state = query.get("state")
+        if state is not None and state not in P.JOB_STATES:
+            raise P.ProtocolError(
+                f"unknown state {state!r}; expected one of "
+                f"{', '.join(P.JOB_STATES)}")
+        records = self.job_manager.list_jobs(
+            state=state, tenant=query.get("tenant"))
+        return 200, P.envelope(
+            True, jobs=[r.status_payload() for r in records]), None
+
+    async def _handle_job_get(self, request: _Request, job_id: str):
+        record = self._job(self.job_manager.get(job_id), job_id)
+        want_results = request.query().get("results", "") \
+            in ("1", "true", "yes")
+        return 200, P.envelope(
+            True, job=record.status_payload(results=want_results)), None
+
+    async def _handle_job_cancel(self, request: _Request, job_id: str):
+        record = self._job(self.job_manager.cancel(job_id), job_id)
+        return 200, P.envelope(True, job=record.status_payload()), None
+
+    @staticmethod
+    def _job(record, job_id: str):
+        if record is None:
+            raise P.ProtocolError(f"no such job {job_id!r}",
+                                  error_code=P.ERR_NOT_FOUND)
+        return record
 
 
 class ReproService(HttpDaemon):
@@ -330,10 +508,12 @@ class ReproService(HttpDaemon):
                  journal=None,
                  tenancy: TenancyController | None = None,
                  kernel_dir=None) -> None:
-        super().__init__(host, port)
+        if journal is None and cache is not None:
+            journal = cache.root / "jobs.jsonl"
+        super().__init__(host, port, tenancy=tenancy, journal=journal,
+                         max_sweep_specs=max_sweep_specs)
         self.cache = cache
         self.events = events
-        self.max_sweep_specs = max(1, int(max_sweep_specs))
         #: DSL kernel store (POST /v2/kernels).  Default: next to the
         #: artifact cache so every process that shares the cache also
         #: shares the kernels; pinned via the environment so engine
@@ -351,43 +531,29 @@ class ReproService(HttpDaemon):
         self.admission = AdmissionController(
             self.scheduler, cache=cache,
             instruments=self.instruments, events=events)
-        self.tenancy = tenancy or TenancyController()
-        #: Journal path (None → in-memory jobs, no durability).
-        if journal is None and cache is not None:
-            journal = cache.root / "jobs.jsonl"
-        self.job_store = JobStore(journal)
-        self.job_manager = JobManager(self.job_store, self._job_runner)
-        self.jobs_recovered = 0
 
     # -- lifecycle hooks -----------------------------------------------
 
     async def _start_tasks(self) -> None:
         self.scheduler.start()
-        self.jobs_recovered = self.job_manager.recover()
+        await super()._start_tasks()
 
     async def _drain(self) -> None:
         self.job_manager.stopping = True
         await self.scheduler.stop()
-        await self.job_manager.quiesce(timeout=10)
-        self.job_store.close()
+        await super()._drain()
 
     def _abort_tasks(self) -> None:
-        self.job_manager.stopping = True
-        self.job_manager.abort()
+        super()._abort_tasks()
         self.scheduler.abort()
-        self.job_store.close()
 
     def _banner(self) -> str:
-        extra = ""
-        if self.jobs_recovered:
-            extra = (f", {self.jobs_recovered} journaled job"
-                     f"{'s' if self.jobs_recovered != 1 else ''} "
-                     f"recovered")
         return (f"repro service listening on "
                 f"http://{self.host}:{self.port} "
                 f"(queue limit {self.scheduler.queue_limit}, "
                 f"{self.scheduler.jobs} engine worker"
-                f"{'s' if self.scheduler.jobs != 1 else ''}{extra})")
+                f"{'s' if self.scheduler.jobs != 1 else ''}"
+                f"{self._recovered_note()})")
 
     def _summary(self) -> str:
         return (f"repro service drained: {self.requests_served} "
@@ -395,298 +561,83 @@ class ReproService(HttpDaemon):
                 f"{int(self.instruments.cache_hits.value)} cache hits, "
                 f"{int(self.instruments.executed.value)} executed")
 
-    # -- routing -------------------------------------------------------
+    # -- endpoints -----------------------------------------------------
 
-    async def _route(self, request: _Request):
-        """Dispatch one request; returns (status, body, extra headers)."""
-        method, path = request.method, request.path.split("?", 1)[0]
-        if path.startswith("/v2/"):
-            return await self._route_v2(request, method, path)
-        try:
-            if path == "/healthz" and method == "GET":
-                return 200, self._health_body(), None
-            if path == "/metrics" and method == "GET":
-                return 200, self.instruments.to_prometheus(), None
-            if path == "/v1/stats" and method == "GET":
-                return 200, P.envelope(
-                    True, metrics=self.instruments.to_dict(),
-                    tenancy=self.tenancy.stats()), None
-            if path == "/v1/run" and method == "POST":
-                return await self._handle_run(request)
-            if path == "/v1/compile" and method == "POST":
-                return await self._handle_compile(request)
-            if path == "/v1/sweep" and method == "POST":
-                return await self._handle_sweep(request)
-            if path == "/v1/lint" and method == "POST":
-                return self._handle_lint(request)
-            if path in ("/healthz", "/metrics", "/v1/stats", "/v1/run",
-                        "/v1/compile", "/v1/sweep", "/v1/lint"):
-                message = f"{method} not allowed on {path}"
-                return 405, P.envelope(
-                    False, error=message,
-                    error_detail=P.error_object(P.ERR_METHOD,
-                                                message)), None
-            message = f"no such endpoint {path}"
-            return 404, P.envelope(
-                False, error=message,
-                error_detail=P.error_object(P.ERR_NOT_FOUND,
-                                            message)), None
-        except P.ProtocolError as exc:
-            # v1 contract: `error` stays a plain string; the normalized
-            # object rides along under `error_detail`.
-            code = (P.ERR_LINT_REJECTED if exc.http_status == 422
-                    else P.ERR_TOO_LARGE if exc.http_status == 413
-                    else P.ERR_BAD_REQUEST)
-            return exc.http_status, P.envelope(
-                False, error=str(exc),
-                error_detail=P.error_object(code, str(exc))), None
-        except Exception as exc:  # noqa: BLE001 — daemon must survive
-            message = f"{type(exc).__name__}: {exc}"
-            return 500, P.envelope(
-                False, error=message,
-                error_detail=P.error_object(P.ERR_INTERNAL,
-                                            message)), None
+    def _routes(self) -> dict:
+        return {
+            **super()._routes(),
+            "/v2/run": {"POST": self._handle_run},
+            "/v2/lint": {"POST": self._handle_lint},
+            "/v2/kernels": {"POST": self._handle_kernel_submit,
+                            "GET": self._handle_kernel_list},
+        }
 
     def _health_body(self) -> dict:
         return {
-            "status": "draining" if self._draining else "ok",
-            "ready": not self._draining,
-            "uptime_s": round(time.time() - self.started_at, 3),
+            **super()._health_body(),
             "queue_depth": self.scheduler.queue_depth,
             "inflight": self.scheduler.outstanding,
             "queue_limit": self.scheduler.queue_limit,
-            "requests_served": self.requests_served,
-            "jobs": {
-                "live": sum(1 for r in self.job_store.jobs.values()
-                            if not r.terminal),
-                "total": len(self.job_store.jobs),
-            },
         }
 
-    # -- v1 endpoint handlers ------------------------------------------
+    async def _run(self, spec, priority: int, timeout_s: float | None):
+        """Admit and execute one spec: ``(status, run envelope,
+        headers)``.  The sync handler and the job runner share it."""
+        started = time.perf_counter()
+        outcome = await self.admission.admit_run(
+            spec, priority=priority, timeout_s=timeout_s,
+            draining=self._draining)
+        latency_ms = (time.perf_counter() - started) * 1e3
+        retry_after = (self.scheduler.retry_after_s()
+                       if outcome.status == P.STATUS_THROTTLED else None)
+        return P.run_response(
+            outcome.status, outcome.payload, job_hash=spec.job_hash,
+            latency_ms=latency_ms, message=outcome.error,
+            diagnostics=outcome.diagnostics, retry_after_s=retry_after)
 
     async def _handle_run(self, request: _Request):
         spec, priority, timeout_s = P.parse_request_body(request.json())
         tenant = request.tenant
-        verdict = self.tenancy.admit(tenant)
-        if not verdict.allowed:
-            return self._tenancy_reject_v1(spec, verdict)
+        self._gate(self.tenancy.admit(tenant))
+        started = time.perf_counter()
         served = False
         try:
-            started = time.perf_counter()
-            outcome = await self.admission.admit_run(
-                spec, priority=priority, timeout_s=timeout_s,
-                draining=self._draining)
-            served = outcome.status in (P.STATUS_EXECUTED, P.STATUS_HIT,
-                                        P.STATUS_COALESCED)
+            status, body, headers = await self._run(spec, priority,
+                                                    timeout_s)
+            served = body["ok"]
         finally:
             self.tenancy.release(tenant, served=served)
-        latency_ms = (time.perf_counter() - started) * 1e3
-        self.instruments.latency_ms.observe(latency_ms)
+        self.instruments.latency_ms.observe(body["latency_ms"])
         if self.events is not None:
             self.events.complete(
                 "request", "service.request", started * 1e6,
-                latency_ms * 1e3, domain="wall",
-                status=outcome.status, spec=spec.describe())
-        body = P.run_response(
-            outcome.status, outcome.payload, job_hash=spec.job_hash,
-            latency_ms=latency_ms, error=outcome.error,
-            diagnostics=outcome.diagnostics or None)
-        headers = None
-        http = P.http_status(outcome.status)
-        if outcome.status == P.STATUS_THROTTLED:
-            retry_after = self.scheduler.retry_after_s()
-            headers = {"Retry-After": f"{retry_after:.3f}"}
-            body["error_detail"] = P.error_for_status(
-                outcome.status, outcome.error or "throttled",
-                retry_after_s=retry_after)
-        elif http != 200:
-            body["error_detail"] = P.error_for_status(
-                outcome.status, outcome.error or outcome.status,
-                diagnostics=outcome.diagnostics or None)
-        return http, body, headers
+                body["latency_ms"] * 1e3, domain="wall",
+                status=body["status"], spec=spec.describe())
+        return status, body, headers
 
-    def _tenancy_reject_v1(self, spec, verdict):
-        """v1-shaped rejection for a tenancy verdict (403/429)."""
-        body = P.run_response(
-            verdict.status, None, job_hash=spec.job_hash,
-            latency_ms=0.0, error=verdict.reason)
-        body["error_detail"] = P.error_for_status(
-            verdict.status, verdict.reason,
-            retry_after_s=verdict.retry_after_s)
-        headers = None
-        if verdict.retry_after_s is not None:
-            headers = {"Retry-After": f"{verdict.retry_after_s:.3f}"}
-        if self.instruments is not None:
-            self.instruments.rejected.inc()
-        return P.http_status(verdict.status), body, headers
+    async def _job_runner(self, payload: dict, *, priority: int,
+                          timeout_s: float | None,
+                          tenant: str) -> tuple[str, dict]:
+        """Per-spec execution hook the :class:`JobManager` drives."""
+        _, envelope, _ = await self._run(P.spec_from_payload(payload),
+                                         priority, timeout_s)
+        return envelope["status"], envelope
 
-    async def _handle_compile(self, request: _Request):
-        spec, _, _ = P.parse_request_body(request.json())
-        ok, diagnostics = self.admission.lint_verdict(spec)
-        if not ok:
-            return 422, P.envelope(
-                False, status=P.STATUS_REJECTED,
-                diagnostics=diagnostics,
-                error="rejected by pre-flight lint",
-                error_detail=P.error_object(
-                    P.ERR_LINT_REJECTED, "rejected by pre-flight lint",
-                    diagnostics=diagnostics)), None
-        started = time.perf_counter()
-        payload = await asyncio.get_running_loop().run_in_executor(
-            None, _compile_payload, spec, self.cache)
-        latency_ms = (time.perf_counter() - started) * 1e3
-        return 200, P.envelope(True, status=payload.pop("status"),
-                               latency_ms=round(latency_ms, 3),
-                               **payload), None
-
-    async def _handle_sweep(self, request: _Request):
-        body = request.json()
-        sweep = P.sweep_from_payload(body)
-        try:
-            specs = sweep.jobs()
-        except Exception as exc:
-            raise P.ProtocolError(f"bad sweep: {exc}") from exc
-        if len(specs) > self.max_sweep_specs:
-            raise P.ProtocolError(
-                f"sweep expands to {len(specs)} specs, over the "
-                f"{self.max_sweep_specs}-spec limit")
-        priority = body.get("priority", 0)
-        timeout_s = body.get("timeout_s")
-        started = time.perf_counter()
-        outcomes = await asyncio.gather(*[
-            self.admission.admit_run(
-                spec, priority=priority, timeout_s=timeout_s,
-                draining=self._draining)
-            for spec in specs])
-        latency_ms = (time.perf_counter() - started) * 1e3
-        self.instruments.latency_ms.observe(latency_ms)
-        jobs = []
-        for spec, outcome in zip(specs, outcomes, strict=True):
-            entry = {
-                "spec": spec.describe(),
-                "job_hash": spec.job_hash,
-                "status": outcome.status,
-            }
-            if outcome.payload is not None:
-                entry["result"] = outcome.payload
-            if outcome.error:
-                entry["error"] = outcome.error
-            if outcome.diagnostics:
-                entry["diagnostics"] = outcome.diagnostics
-            jobs.append(entry)
-        counts: dict[str, int] = {}
-        for outcome in outcomes:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
-        ok = all(o.status in (P.STATUS_EXECUTED, P.STATUS_HIT,
-                              P.STATUS_COALESCED) for o in outcomes)
-        return 200, P.envelope(ok, jobs=jobs, counts=counts,
-                               sweep_hash=sweep.sweep_hash,
-                               latency_ms=round(latency_ms, 3)), None
-
-    def _handle_lint(self, request: _Request):
+    async def _handle_lint(self, request: _Request):
         spec, _, _ = P.parse_request_body(request.json())
         report = lint_spec(spec)
         return 200, P.envelope(
             report.ok, status="linted", job_hash=spec.job_hash,
             report=report.to_dict()), None
 
-    # -- v2 job API ----------------------------------------------------
-
-    async def _route_v2(self, request: _Request, method: str,
-                        path: str):
-        try:
-            if path == "/v2/jobs" and method == "POST":
-                return self._handle_job_submit(request)
-            if path == "/v2/jobs" and method == "GET":
-                return self._handle_job_list(request)
-            if path == "/v2/kernels" and method == "POST":
-                return self._handle_kernel_submit(request)
-            if path == "/v2/kernels" and method == "GET":
-                return self._handle_kernel_list()
-            parts = path.strip("/").split("/")
-            if len(parts) == 3 and parts[:2] == ["v2", "jobs"] \
-                    and method == "GET":
-                return self._handle_job_get(request, parts[2])
-            if len(parts) == 4 and parts[:2] == ["v2", "jobs"] \
-                    and parts[3] == "cancel" and method == "POST":
-                return self._handle_job_cancel(parts[2])
-            status, body = P.error_envelope(
-                P.ERR_NOT_FOUND, f"no such endpoint {method} {path}")
-            return status, body, None
-        except P.ProtocolError as exc:
-            code = (P.ERR_TOO_LARGE if exc.http_status == 413
-                    else P.ERR_BAD_REQUEST)
-            status, body = P.error_envelope(code, str(exc))
-            return exc.http_status, body, None
-        except Exception as exc:  # noqa: BLE001 — daemon must survive
-            status, body = P.error_envelope(
-                P.ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
-            return status, body, None
-
-    def _handle_job_submit(self, request: _Request):
-        if self._draining:
-            status, body = P.error_envelope(
-                P.ERR_UNAVAILABLE, "service is draining")
-            return status, body, None
-        kind, payloads, priority, timeout_s, label = \
-            P.parse_job_submission(request.json())
-        if len(payloads) > self.max_sweep_specs:
-            raise P.ProtocolError(
-                f"job expands to {len(payloads)} specs, over the "
-                f"{self.max_sweep_specs}-spec limit")
-        tenant = request.tenant
-        verdict = self.tenancy.admit(tenant)
-        if not verdict.allowed:
-            status, body = P.error_envelope(
-                P.ERR_TENANT_DENIED if verdict.status == P.STATUS_DENIED
-                else P.ERR_THROTTLED, verdict.reason,
-                retry_after_s=verdict.retry_after_s)
-            headers = ({"Retry-After": f"{verdict.retry_after_s:.3f}"}
-                       if verdict.retry_after_s is not None else None)
-            return status, body, headers
-        # The submission slot is released once the job is journaled;
-        # job *execution* is bounded by the scheduler queue.
-        self.tenancy.release(tenant, served=True)
-        record = self.job_manager.submit(
-            kind, payloads, priority=priority, timeout_s=timeout_s,
-            tenant=tenant, label=label)
-        return 202, P.envelope_v2(True, job=record.status_payload()), \
-            None
-
-    def _handle_kernel_submit(self, request: _Request):
+    async def _handle_kernel_submit(self, request: _Request):
         """``POST /v2/kernels``: validate, persist, register a DSL
-        kernel.  Rejections fail closed *before* any engine work:
-        422 carries the structured RPR5xx diagnostics, 429 a kernel
-        quota with ``Retry-After``.  201 on first registration, 200
-        on an idempotent re-submit of the same content."""
-        from repro.lang import check_source, lower_spec
+        kernel.  201 on first registration, 200 on an idempotent
+        re-submit of the same content."""
+        from repro.lang import lower_spec
         from repro.workloads.suite import register_workload
 
-        if self._draining:
-            status, body = P.error_envelope(
-                P.ERR_UNAVAILABLE, "service is draining")
-            return status, body, None
-        source = P.parse_kernel_submission(request.json())
-        spec, report = check_source(source)
-        if spec is None:
-            status, body = P.error_envelope(
-                P.ERR_LINT_REJECTED,
-                "kernel rejected by DSL validation",
-                diagnostics=report.to_dict()["diagnostics"])
-            return status, body, None
-        tenant = request.tenant
-        verdict = self.tenancy.admit_kernel(tenant, spec.kernel_hash)
-        if not verdict.allowed:
-            code = (P.ERR_TENANT_DENIED
-                    if verdict.status == P.STATUS_DENIED
-                    else P.ERR_THROTTLED)
-            status, body = P.error_envelope(
-                code, verdict.reason,
-                retry_after_s=verdict.retry_after_s)
-            headers = ({"Retry-After": f"{verdict.retry_after_s:.3f}"}
-                       if verdict.retry_after_s is not None else None)
-            return status, body, headers
+        source, spec, report = self._checked_kernel(request)
         created = \
             self.kernel_store.load_source(spec.workload_name) is None
         self.kernel_store.put(source, spec)
@@ -699,85 +650,11 @@ class ReproService(HttpDaemon):
             "warnings": [d.to_dict() for d in report.warnings],
         }
         return (201 if created else 200), \
-            P.envelope_v2(True, kernel=kernel), None
+            P.envelope(True, kernel=kernel), None
 
-    def _handle_kernel_list(self):
-        return 200, P.envelope_v2(
+    async def _handle_kernel_list(self, request: _Request):
+        return 200, P.envelope(
             True, kernels=self.kernel_store.names()), None
-
-    def _handle_job_list(self, request: _Request):
-        query = request.query()
-        state = query.get("state")
-        if state is not None and state not in P.JOB_STATES:
-            raise P.ProtocolError(
-                f"unknown state {state!r}; expected one of "
-                f"{', '.join(P.JOB_STATES)}")
-        records = self.job_manager.list_jobs(
-            state=state, tenant=query.get("tenant"))
-        return 200, P.envelope_v2(
-            True, jobs=[r.status_payload() for r in records]), None
-
-    def _handle_job_get(self, request: _Request, job_id: str):
-        record = self.job_manager.get(job_id)
-        if record is None:
-            status, body = P.error_envelope(
-                P.ERR_NOT_FOUND, f"no such job {job_id!r}")
-            return status, body, None
-        want_results = request.query().get("results", "") \
-            in ("1", "true", "yes")
-        return 200, P.envelope_v2(
-            True, job=record.status_payload(results=want_results)), None
-
-    def _handle_job_cancel(self, job_id: str):
-        record = self.job_manager.cancel(job_id)
-        if record is None:
-            status, body = P.error_envelope(
-                P.ERR_NOT_FOUND, f"no such job {job_id!r}")
-            return status, body, None
-        return 200, P.envelope_v2(True, job=record.status_payload()), \
-            None
-
-    # -- job runner (admission-backed) ---------------------------------
-
-    async def _job_runner(self, payload: dict, *, priority: int,
-                          timeout_s: float | None,
-                          tenant: str) -> tuple[str, dict]:
-        """Per-spec execution hook the :class:`JobManager` drives."""
-        spec = P.spec_from_payload(payload)
-        started = time.perf_counter()
-        outcome = await self.admission.admit_run(
-            spec, priority=priority, timeout_s=timeout_s,
-            draining=self._draining)
-        latency_ms = (time.perf_counter() - started) * 1e3
-        envelope = P.run_response(
-            outcome.status, outcome.payload, job_hash=spec.job_hash,
-            latency_ms=latency_ms, error=outcome.error,
-            diagnostics=outcome.diagnostics or None)
-        if outcome.status == P.STATUS_THROTTLED:
-            envelope["retry_after_s"] = self.scheduler.retry_after_s()
-        return outcome.status, envelope
-
-
-def _compile_payload(spec, cache) -> dict:
-    """Compile one spec on an executor thread (cache-aware)."""
-    from repro.compiler import compile_dyser, compile_scalar
-    from repro.workloads import get as get_workload
-
-    compiled = cache.load_compile(spec) if cache is not None else None
-    cached = compiled is not None
-    if compiled is None:
-        source = get_workload(spec.workload).source
-        compiled = (compile_dyser(source, spec.options())
-                    if spec.mode == "dyser" else compile_scalar(source))
-        if cache is not None:
-            cache.store_compile(spec, compiled)
-    return {
-        "status": P.STATUS_HIT if cached else P.STATUS_EXECUTED,
-        "compile_hash": spec.compile_hash,
-        "instructions": len(compiled.program.instructions),
-        "dyser_configs": len(compiled.program.dyser_configs),
-        "regions": [r.to_dict() for r in compiled.regions],
-    }
 
 
 class ServiceThread:

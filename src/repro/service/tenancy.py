@@ -105,7 +105,7 @@ class TenancyController:
         self._buckets: dict[str, _Bucket] = {}
         self.inflight: dict[str, int] = {}
         #: Served-request tally per tenant, for fairness accounting
-        #: (exposed through /v1/stats and the bench fairness check).
+        #: (reported by :meth:`stats`).
         self.served: dict[str, int] = {}
         #: Content hashes of DSL kernels each tenant has registered.
         #: Re-submitting an already-owned kernel is idempotent — it

@@ -23,15 +23,13 @@ from repro.engine import (
     ArtifactCache,
     EngineFailure,
     JobSpec,
+    SweepSpec,
     code_fingerprint,
-    comparison_jobs,
     execute_job,
     result_from_dict,
     result_to_dict,
     run_comparisons,
     run_jobs,
-    suite_jobs,
-    sweep,
 )
 from repro.errors import WorkloadError
 from repro.harness import RunConfig, clear_caches, run_workload
@@ -140,24 +138,25 @@ class TestJobHash:
         with pytest.raises(WorkloadError):
             JobSpec("mm", geometry=(8,))
         with pytest.raises(WorkloadError):
-            sweep(["mm"], not_a_knob=[1, 2])
+            SweepSpec(workloads=("mm",), axes=(("not_a_knob", (1, 2)),))
 
 
 class TestSweepBuilders:
     def test_grid_expansion(self):
-        specs = sweep(["mm", "saxpy"], base={"scale": "tiny"},
-                      geometry=[(4, 4), (8, 8)], unroll=[1, 8])
+        specs = SweepSpec(workloads=("mm", "saxpy"), base={"scale": "tiny"},
+                          axes=(("geometry", ((4, 4), (8, 8))),
+                                ("unroll", (1, 8)))).jobs()
         assert len(specs) == 2 * 2 * 2
         assert {s.workload for s in specs} == {"mm", "saxpy"}
         assert all(s.scale == "tiny" for s in specs)
         assert len({s.job_hash for s in specs}) == 8
 
     def test_comparison_jobs_pairing(self):
-        specs = comparison_jobs(["mm"], scale="tiny")
+        specs = SweepSpec.comparison(["mm"], scale="tiny").jobs()
         assert [s.mode for s in specs] == ["scalar", "dyser"]
 
     def test_suite_jobs_cover_suite(self):
-        specs = suite_jobs(scale="tiny")
+        specs = SweepSpec.suite(scale="tiny").jobs()
         assert len(specs) == 2 * len(SUITE)
 
 
@@ -437,7 +436,7 @@ class TestParityAndWarmSuite:
     def test_warm_suite_rerun_does_zero_work(self, tmp_path):
         """Acceptance: a warm `repro suite --scale tiny` re-runs nothing."""
         cache = ArtifactCache(tmp_path)
-        specs = suite_jobs(scale="tiny")
+        specs = SweepSpec.suite(scale="tiny").jobs()
         cold = run_jobs(specs, cache=cache)
         cold_primaries = len(specs) - cold.duplicates
         assert cold.executed == cold_primaries

@@ -4,7 +4,7 @@ Covers: the ``POST /v2/kernels`` surface on a single worker (201
 create, 200 idempotent resubmit, the 422 rejection envelope with
 structured RPR5xx diagnostics, per-tenant kernel quotas with a 429 +
 ``Retry-After``, the 413 size cap), running a registered kernel
-through ``/v1/run``, engine artifact-cache correctness for ``dsl:``
+through ``/v2/run``, engine artifact-cache correctness for ``dsl:``
 job specs (same source → same hash → warm hit byte-identical to
 cold), gateway broadcast registration with survival of a worker kill,
 and the ``repro kernel`` CLI round trip.
@@ -97,7 +97,7 @@ class TestKernelEndpoint:
                     "POST", "/v2/kernels", {"source": BAD})
         assert status == 422
         assert body["ok"] is False
-        assert body["protocol"] == P.PROTOCOL_V2
+        assert body["protocol"] == P.PROTOCOL
         error = body["error"]
         assert error["code"] == P.ERR_LINT_REJECTED
         diags = error["diagnostics"]

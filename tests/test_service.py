@@ -24,10 +24,10 @@ import time
 import pytest
 
 from repro import RunConfig, run_workload
-from repro.engine import ArtifactCache, JobSpec, result_to_dict
+from repro.engine import ArtifactCache, JobSpec, SweepSpec, result_to_dict
 from repro.service import (
+    Client,
     ProtocolError,
-    ServiceClient,
     ServiceError,
     ServiceThread,
     spec_from_payload,
@@ -84,6 +84,14 @@ def _poll(predicate, timeout=10.0, interval=0.01):
     return False
 
 
+def _metric(text: str, name: str) -> float:
+    """One sample's value from a Prometheus text exposition."""
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return float(line.rpartition(" ")[2])
+    return 0.0
+
+
 def _free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -127,10 +135,19 @@ class TestProtocol:
             P.parse_request_body({"spec": SPEC, "timeout_s": -1})
 
     def test_every_status_has_http_code(self):
-        statuses = {P.STATUS_EXECUTED, P.STATUS_HIT, P.STATUS_COALESCED,
-                    P.STATUS_REJECTED, P.STATUS_THROTTLED,
-                    P.STATUS_FAILED, P.STATUS_EXPIRED, P.STATUS_DRAINING}
-        assert set(P.HTTP_STATUS) == statuses
+        expected = {
+            P.STATUS_EXECUTED: 200, P.STATUS_HIT: 200,
+            P.STATUS_COALESCED: 200, P.STATUS_REJECTED: 422,
+            P.STATUS_THROTTLED: 429, P.STATUS_FAILED: 500,
+            P.STATUS_EXPIRED: 504, P.STATUS_DRAINING: 503,
+            P.STATUS_DENIED: 403,
+        }
+        for status, code in expected.items():
+            http, body, _ = P.run_response(status, {}, job_hash="h",
+                                           latency_ms=0.0)
+            assert http == code, status
+            assert body["ok"] is (code == 200)
+            assert body["status"] == status
 
 
 # ---------------------------------------------------------------------
@@ -147,7 +164,7 @@ class TestServedRuns:
 
     @pytest.fixture()
     def client(self, service):
-        with ServiceClient(port=service.port, timeout=120) as client:
+        with Client(port=service.port, timeout=120) as client:
             yield client
 
     def test_health_ready(self, client):
@@ -157,10 +174,10 @@ class TestServedRuns:
         assert health["queue_limit"] >= 1
 
     def test_executed_then_hit_byte_identical(self, client):
-        first = client.run(SPEC)
+        first = client.execute(SPEC)
         assert first["status"] in (P.STATUS_EXECUTED, P.STATUS_HIT)
         assert first["ok"] is True
-        again = client.run(SPEC)
+        again = client.execute(SPEC)
         assert again["status"] == P.STATUS_HIT
 
         # Acceptance: a served payload is byte-identical to the direct
@@ -173,41 +190,32 @@ class TestServedRuns:
             == json.dumps(direct, sort_keys=True)
 
     def test_lint_rejection_payload_shape(self, client):
-        reply = client.run({"workload": "nosuchkernel"},
-                           raise_on_error=False)
+        reply = client.execute({"workload": "nosuchkernel"},
+                               raise_on_error=False)
         assert reply["ok"] is False
         assert reply["status"] == P.STATUS_REJECTED
-        codes = {d["code"] for d in reply["diagnostics"]}
-        assert "RPR251" in codes
-        severities = {d["severity"] for d in reply["diagnostics"]}
-        assert "error" in severities
-        assert "nosuchkernel" in reply["error"]
+        diagnostics = reply["error"]["diagnostics"]
+        assert "RPR251" in {d["code"] for d in diagnostics}
+        assert "error" in {d["severity"] for d in diagnostics}
+        assert "nosuchkernel" in reply["error"]["message"]
 
     def test_lint_rejection_is_422(self, client):
         status, payload = client.request(
-            "POST", "/v1/run", {"spec": {"workload": "nosuchkernel"}})
+            "POST", "/v2/run", {"spec": {"workload": "nosuchkernel"}})
         assert status == 422
         assert payload["status"] == P.STATUS_REJECTED
 
     def test_unknown_spec_field_is_400(self, client):
         status, payload = client.request(
-            "POST", "/v1/run", {"spec": {"workload": "mm", "unrol": 2}})
+            "POST", "/v2/run", {"spec": {"workload": "mm", "unrol": 2}})
         assert status == 400
-        assert "unrol" in payload["error"]
+        assert "unrol" in payload["error"]["message"]
 
     def test_unknown_endpoint_and_method(self, client):
-        status, _ = client.request("GET", "/v1/nope")
+        status, _ = client.request("GET", "/v2/nope")
         assert status == 404
         status, _ = client.request("POST", "/healthz", {})
         assert status == 405
-
-    def test_compile_endpoint(self, client):
-        reply = client.compile(SPEC)
-        assert reply["ok"] is True
-        assert reply["instructions"] > 0
-        assert reply["dyser_configs"] >= 1
-        again = client.compile(SPEC)
-        assert again["status"] == P.STATUS_HIT   # compile cache reuse
 
     def test_lint_endpoint(self, client):
         reply = client.lint(SPEC)
@@ -219,21 +227,22 @@ class TestServedRuns:
         assert "RPR256" in codes
 
     def test_sweep_endpoint(self, client):
-        reply = client.sweep(["vecadd", "saxpy"], modes=("dyser",),
-                             base={"scale": "tiny"})
-        assert reply["ok"] is True
-        assert len(reply["jobs"]) == 2
-        served = (P.STATUS_EXECUTED, P.STATUS_HIT, P.STATUS_COALESCED)
-        assert all(job["status"] in served for job in reply["jobs"])
+        sweep = SweepSpec(workloads=("vecadd", "saxpy"),
+                          base={"scale": "tiny"})
+        final = client.sweep(sweep, wait=True, wait_timeout=120)
+        assert final.succeeded
+        assert final.done == final.total == 2
+        assert all(r["ok"] for r in final.results)
         # Warm repeat: every point answers from the artifact cache.
-        again = client.sweep(["vecadd", "saxpy"], modes=("dyser",),
-                             base={"scale": "tiny"})
-        assert again["counts"] == {P.STATUS_HIT: 2}
+        again = client.sweep(sweep, wait=True, wait_timeout=120)
+        assert [r["status"] for r in again.results] == [P.STATUS_HIT] * 2
 
     def test_sweep_expansion_limit(self, service, client):
-        axes = {"seed": list(range(service.service.max_sweep_specs + 1))}
+        seeds = tuple(range(service.service.max_sweep_specs + 1))
+        sweep = SweepSpec(workloads=("vecadd",), base={"scale": "tiny"},
+                          axes=(("seed", seeds),))
         with pytest.raises(ServiceError) as err:
-            client.sweep(["vecadd"], base={"scale": "tiny"}, axes=axes)
+            client.sweep(sweep)
         assert err.value.status == 400
 
     def test_metrics_exposition_parses(self, client):
@@ -262,11 +271,6 @@ class TestServedRuns:
         assert counts == sorted(counts)
         assert 'le="+Inf"' in buckets[-1]
 
-    def test_stats_endpoint_mirrors_registry(self, client):
-        stats = client.stats()
-        metrics = stats["metrics"]
-        assert "service.requests.admitted" in metrics
-        assert metrics["service.requests.admitted"]["value"] >= 1
 
 
 # ---------------------------------------------------------------------
@@ -281,10 +285,9 @@ class TestBackpressureAndCoalescing:
 
     def _submit_async(self, port, spec, out, **kwargs):
         def run():
-            with ServiceClient(port=port, retries=0,
-                               timeout=60) as client:
-                out.append(client.run(spec, raise_on_error=False,
-                                      **kwargs))
+            with Client(port=port, retries=0, timeout=60) as client:
+                out.append(client.execute(spec, raise_on_error=False,
+                                          **kwargs))
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
         return thread
@@ -297,12 +300,12 @@ class TestBackpressureAndCoalescing:
             t1 = self._submit_async(srv.port, self._spec(1), replies)
             assert worker.started.wait(timeout=10)
             t2 = self._submit_async(srv.port, self._spec(2), replies)
-            with ServiceClient(port=srv.port, retries=0) as probe:
+            with Client(port=srv.port, retries=0) as probe:
                 assert _poll(lambda: probe.health()["inflight"] == 2)
                 # Third distinct spec: the bound counts queued AND
                 # executing jobs, so this must throttle.
                 status, headers, data = probe._send_once(
-                    "POST", "/v1/run",
+                    "POST", "/v2/run",
                     json.dumps({"spec": self._spec(3)}).encode())
                 payload = json.loads(data)
                 assert status == 429
@@ -324,9 +327,10 @@ class TestBackpressureAndCoalescing:
             t1 = self._submit_async(srv.port, self._spec(1), replies)
             assert worker.started.wait(timeout=10)
             t2 = self._submit_async(srv.port, self._spec(1), replies)
-            with ServiceClient(port=srv.port, retries=0) as probe:
-                coalesced = lambda: probe.stats()["metrics"][  # noqa: E731
-                    "service.requests.coalesced"]["value"] >= 1
+            with Client(port=srv.port, retries=0) as probe:
+                coalesced = lambda: _metric(  # noqa: E731
+                    probe.metrics_text(),
+                    "repro_service_requests_coalesced_total") >= 1
                 assert _poll(coalesced), "second request never coalesced"
                 # Only one engine job exists for the two requests.
                 assert probe.health()["inflight"] == 1
@@ -348,7 +352,7 @@ class TestBackpressureAndCoalescing:
             threads = [self._submit_async(srv.port, self._spec(1),
                                           replies)]
             assert worker.started.wait(timeout=10)
-            with ServiceClient(port=srv.port, retries=0) as probe:
+            with Client(port=srv.port, retries=0) as probe:
                 # Low priority (5) enqueued before high priority (0);
                 # the dispatcher must still pop the high one first.
                 threads.append(self._submit_async(
@@ -374,7 +378,7 @@ class TestBackpressureAndCoalescing:
             expired: list[dict] = []
             t2 = self._submit_async(srv.port, self._spec(2), expired,
                                     timeout_s=0.05)
-            with ServiceClient(port=srv.port, retries=0) as probe:
+            with Client(port=srv.port, retries=0) as probe:
                 assert _poll(lambda: probe.health()["queue_depth"] == 1)
             time.sleep(0.2)   # let the queued deadline lapse
             worker.release.set()
@@ -400,9 +404,9 @@ class TestDrain:
         replies: list[dict] = []
 
         def submit():
-            with ServiceClient(port=srv.port, retries=0,
-                               timeout=60) as client:
-                replies.append(client.run(
+            with Client(port=srv.port, retries=0,
+                        timeout=60) as client:
+                replies.append(client.execute(
                     {"workload": "vecadd", "scale": "tiny"},
                     raise_on_error=False))
 
@@ -424,8 +428,8 @@ class TestDrain:
         port = srv.port
         srv.shutdown(timeout=60)
         with pytest.raises(ServiceError) as err:
-            with ServiceClient(port=port, retries=1,
-                               backoff_s=0.01) as client:
+            with Client(port=port, retries=1,
+                        backoff_s=0.01) as client:
                 client.health()
         assert err.value.status == 0   # transport-level, after retries
 
@@ -450,8 +454,8 @@ class TestClientRetries:
         starter = threading.Thread(target=start_late, daemon=True)
         starter.start()
         try:
-            with ServiceClient(port=port, retries=8,
-                               backoff_s=0.1) as client:
+            with Client(port=port, retries=8,
+                        backoff_s=0.1) as client:
                 health = client.health()   # racing the bind
             assert health["ready"] is True
         finally:
@@ -460,15 +464,14 @@ class TestClientRetries:
                 srv_box[0].shutdown(timeout=60)
 
     def test_gives_up_with_transport_error(self):
-        client = ServiceClient(port=_free_port(), retries=2,
-                               backoff_s=0.01)
+        client = Client(port=_free_port(), retries=2, backoff_s=0.01)
         with pytest.raises(ServiceError) as err:
             client.health()
         assert err.value.status == 0
         assert "3 attempts" in str(err.value)
 
     def test_backoff_is_capped_exponential(self):
-        client = ServiceClient(backoff_s=0.1, backoff_cap_s=0.5)
+        client = Client(backoff_s=0.1, backoff_cap_s=0.5)
         delays = [client._backoff(i) for i in range(5)]
         assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
 
@@ -476,8 +479,7 @@ class TestClientRetries:
         # Fake transport: first response throttles with Retry-After,
         # second succeeds.  Exercises the retry loop without a server.
         sleeps: list[float] = []
-        client = ServiceClient(retries=3, backoff_s=0.01,
-                               sleep=sleeps.append)
+        client = Client(retries=3, backoff_s=0.01, sleep=sleeps.append)
         responses = [(429, {"Retry-After": "0.123"}, b'{"ok": false}'),
                      (200, {}, b'{"ok": true}')]
         client._send_once = lambda *a: responses.pop(0)

@@ -1,12 +1,11 @@
 """Tests for first-class sweep descriptions (``repro.engine.sweeps``).
 
 SweepSpec is the one sweep object shared by the CLI, ``run_jobs`` and
-the service's ``POST /v1/sweep``.  These tests pin its contract:
-expansion in the historical builder order (golden job hashes, literal
-hex — warm caches must stay warm), ``sweep_hash`` stability across
-spellings and round-trips, validation, the deprecated builder shims
-(warning + identical output), and the service/client transport of the
-first-class form with ``sweep_hash`` echoed in the envelope.
+the service's sweep jobs (``POST /v2/jobs``).  These tests pin its
+contract: expansion in the historical builder order (golden job
+hashes, literal hex — warm caches must stay warm), ``sweep_hash``
+stability across spellings and round-trips, validation, and the
+service/client transport of a sweep job in expansion order.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ import json
 import pytest
 
 from repro.engine import SWEEP_VERSION, ArtifactCache, SweepSpec
-from repro.engine.jobs import comparison_jobs, suite_jobs, sweep
 from repro.errors import WorkloadError
-from repro.service import ServiceClient, ServiceThread
+from repro.service import Client, ServiceThread
 from repro.service import protocol as P
 from repro.workloads import SUITE
 
@@ -140,29 +138,6 @@ class TestValidation:
             SweepSpec.from_dict(["mm"])
 
 
-class TestDeprecatedShims:
-    def test_sweep_builder_warns_and_matches(self):
-        with pytest.deprecated_call():
-            legacy = sweep(["vecadd", "mm"],
-                           modes=("scalar", "dyser"),
-                           base={"scale": "tiny", "seed": 7},
-                           input_fifo_depth=(2, 8),
-                           initiation_interval=(1, 2))
-        assert [j.job_hash for j in legacy] \
-            == [j.job_hash for j in SweepSpec(**GRID).jobs()]
-
-    def test_comparison_jobs_warns_and_matches(self):
-        with pytest.deprecated_call():
-            legacy = comparison_jobs(["vecadd"], scale="tiny")
-        assert legacy == SweepSpec.comparison(
-            ("vecadd",), scale="tiny").jobs()
-
-    def test_suite_jobs_warns_and_matches(self):
-        with pytest.deprecated_call():
-            legacy = suite_jobs(scale="tiny", seed=3)
-        assert legacy == SweepSpec.suite(scale="tiny", seed=3).jobs()
-
-
 class TestServiceTransport:
     @pytest.fixture(scope="class")
     def service(self, tmp_path_factory):
@@ -172,30 +147,24 @@ class TestServiceTransport:
 
     @pytest.fixture()
     def client(self, service):
-        with ServiceClient(port=service.port, timeout=120) as client:
+        with Client(port=service.port, timeout=120) as client:
             yield client
 
     def test_first_class_sweep_round_trip(self, client):
         spec = SweepSpec.comparison(("vecadd",), scale="tiny")
-        reply = client.sweep_spec(spec)
-        assert reply["ok"] is True
-        assert reply["sweep_hash"] == spec.sweep_hash
-        assert len(reply["jobs"]) == 2
+        final = client.sweep(spec, wait=True, wait_timeout=120)
+        assert final.succeeded
+        assert final.done == final.total == 2
+        # The job runs the points in the sweep's expansion order.
+        assert [r["job_hash"] for r in final.results] \
+            == [j.job_hash for j in spec.jobs()]
         served = (P.STATUS_EXECUTED, P.STATUS_HIT, P.STATUS_COALESCED)
-        assert all(job["status"] in served for job in reply["jobs"])
-
-    def test_legacy_form_still_served_with_hash(self, client):
-        reply = client.sweep(["vecadd"], modes=("dyser",),
-                             base={"scale": "tiny"})
-        assert reply["ok"] is True
-        assert reply["sweep_hash"] == SweepSpec(
-            workloads=("vecadd",), modes=("dyser",),
-            base={"scale": "tiny"}).sweep_hash
+        assert all(r["status"] in served for r in final.results)
 
     def test_bad_sweep_spec_is_400(self, client):
         status, payload = client.request(
-            "POST", "/v1/sweep",
+            "POST", "/v2/jobs",
             {"sweep": {"version": "sweepspec-v0",
                        "workloads": ["vecadd"]}})
         assert status == 400
-        assert "version" in payload["error"]
+        assert "version" in payload["error"]["message"]
