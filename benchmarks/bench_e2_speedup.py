@@ -13,7 +13,8 @@ from common import SCALE, emit, engine_kwargs, once
 
 from repro.engine import run_comparisons
 from repro.harness import format_series, geomean
-from repro.workloads import IRREGULAR_COMPUTE, IRREGULAR_CONTROL, REGULAR, SUITE, get
+from repro.workloads import IRREGULAR_COMPUTE, REGULAR, SUITE, get
+from repro.workloads.base import CATEGORIES
 
 
 def sweep():
@@ -32,8 +33,8 @@ def test_e2_speedup(benchmark):
     text = format_series(
         "E2: SPARC-DySER speedup over OpenSPARC (per benchmark)",
         names, [speedups[n] for n in names])
-    categories = {
-        REGULAR: [], IRREGULAR_COMPUTE: [], IRREGULAR_CONTROL: []}
+    # One geomean row per suite category, the DSL tier included.
+    categories = {cat: [] for cat in CATEGORIES}
     for name, s in speedups.items():
         categories[get(name).category].append(s)
     summary = "\n".join(

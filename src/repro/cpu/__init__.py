@@ -1,11 +1,7 @@
 """The OpenSPARC-T1-flavoured host core model."""
 
 from repro.cpu.batchcore import PER_POINT_FIELDS, BatchCore
-from repro.cpu.batchdecode import (
-    batch_decode_cache_size,
-    batch_decode_program,
-    clear_batch_decode_caches,
-)
+from repro.cpu.batchdecode import batch_decode_program
 from repro.cpu.cache import Cache, CacheConfig, dcache_config, icache_config
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.decode import (
@@ -29,9 +25,7 @@ __all__ = [
     "ExecStats",
     "FastCore",
     "PER_POINT_FIELDS",
-    "batch_decode_cache_size",
     "batch_decode_program",
-    "clear_batch_decode_caches",
     "clear_decode_caches",
     "decode_cache_size",
     "decode_program",

@@ -7,16 +7,14 @@ from :mod:`repro.cpu.batchdecode`; see that module for the SoA layout
 and the soundness argument (timing knobs cannot change architectural
 values, so functional work is shared and done once).
 
-The lowering is three composable passes, each independently testable:
-
-1. **decode** — :func:`repro.cpu.batchdecode.batch_decode_program`
-   lowers the program into basic blocks of lockstep handler makers
-   (static; cached per program like the fast backend's predecode).
-2. **batch-plan** — :func:`repro.harness.batch.plan_batches` groups
-   sweep configs into lanes whose functional execution provably
-   coincides, and singles out the rest.
-3. **lockstep-execute** — ``BatchCore.run()`` binds the handlers to a
-   batch context and walks the block graph once for the whole lane.
+The solo and the lockstep path share everything but their handlers and
+their core: one decoder (:mod:`repro.cpu.decode` — block discovery,
+opcode dispatch and cache — over two handler sets), one lane planner
+(:func:`repro.harness.batch.plan_batches`), one run set-up around the
+core (:mod:`repro.harness.runner`) and one engine dispatch loop
+(:func:`repro.engine.pool.run_jobs`, where a solo job is a lane of
+one).  ``BatchCore.run()`` binds the lockstep handlers to a batch
+context and walks the block graph once for the whole lane.
 
 Divergence model: within a lane, control flow is *shared by
 construction* (branches read shared registers), so points can only
@@ -239,7 +237,7 @@ class BatchCore:
                 evicted.update(ap)
                 ap.clear()
                 break
-            handlers, term, length = bound[bi]
+            handlers, term, length, _ = bound[bi]
             ne = executed + length
             if ne > min_limit:
                 # Some point's instruction limit lands inside this

@@ -1,9 +1,11 @@
 """Batched predecode: one program -> lockstep handler chains over N points.
 
-This is the static half of the batched backend (:mod:`repro.cpu.
-batchcore`).  It mirrors :mod:`repro.cpu.decode` block for block, but
-every handler is specialized for *lockstep* execution over a vector of
-sweep points that share one functional execution:
+This is the lockstep handler set of the batched backend (:mod:`repro.
+cpu.batchcore`).  Block discovery, the program types, the opcode
+dispatch and the decode cache are :mod:`repro.cpu.decode`'s; this
+module supplies only the makers, one per solo maker, each specialized
+for *lockstep* execution over a vector of sweep points that share one
+functional execution:
 
 - **Functional work happens once per batch.**  Register values, memory
   traffic, cache latencies, branch outcomes and DySER operand values are
@@ -36,10 +38,6 @@ core splitting the point out of the lockstep loop, never here.
 
 from __future__ import annotations
 
-import weakref
-from collections import Counter
-from dataclasses import dataclass
-
 from repro.cpu.decode import (
     _INSN_BYTES,
     _BRANCH_TAKEN,
@@ -56,14 +54,17 @@ from repro.cpu.decode import (
     LOAD_MISS,
     LSU_BUSY,
     STRUCTURAL_FPU,
+    DecodedProgram,
+    HandlerSet,
     _fp_eval_binder,
     _int_eval_binder,
     fp_insn_srcs,
+    decode_with,
     int_alu_srcs,
 )
 from repro.errors import SimulationError
 from repro.cpu.regfile import wrap64
-from repro.isa.opcodes import InsnClass, Opcode, WIDE_OPS
+from repro.isa.opcodes import Opcode, WIDE_OPS
 from repro.isa.program import Program
 
 
@@ -1008,163 +1009,19 @@ def _make_fall(fbi: int):
     return maker
 
 
-def _make_exec(insn):
-    iclass = insn.info.iclass
-    C = InsnClass
-    if iclass in (C.ALU, C.MUL, C.DIV):
-        return _make_int_alu(insn, iclass)
-    if iclass is C.MOVE:
-        return _make_move(insn)
-    if iclass in (C.FPU, C.FDIV):
-        return _make_fp(insn, iclass)
-    if iclass is C.LOAD:
-        return _make_load(insn)
-    if iclass is C.STORE:
-        return _make_store(insn)
-    if iclass is C.DYSER_INIT:
-        return _make_dinit(insn)
-    if iclass is C.DYSER_SEND:
-        return _make_dsend(insn)
-    if iclass is C.DYSER_RECV:
-        return _make_drecv(insn)
-    if iclass is C.DYSER_LOAD:
-        return _make_dld(insn)
-    if iclass is C.DYSER_STORE:
-        return _make_dst(insn)
-    if insn.op is Opcode.NOP:
-        return _make_nop()
-    raise SimulationError(f"unhandled opcode {insn.op}")
-
-
-# ---------------------------------------------------------------------------
-# Basic-block construction (same block discovery as repro.cpu.decode)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BatchBlock:
-    """One basic block as a static lockstep-handler template."""
-
-    start: int
-    length: int
-    makers: tuple
-    term_maker: object
-    mix: tuple
-
-
-@dataclass(frozen=True)
-class BatchProgram:
-    """All basic blocks of one program, batched form (entry 0)."""
-
-    blocks: tuple[BatchBlock, ...]
-    n: int
-    name: str
-    insns_per_line: int
-
-    def bind(self, ctx) -> list:
-        """Bind every maker to ``ctx``; per-block
-        ``(handlers, term, length)`` tuples."""
-        return [
-            (
-                tuple(m(ctx) for m in b.makers),
-                b.term_maker(ctx),
-                b.length,
-            )
-            for b in self.blocks
-        ]
-
-
-def _build(program: Program, insns_per_line: int) -> BatchProgram:
-    insns = program.instructions
-    n = len(insns)
-    control = (InsnClass.BRANCH, InsnClass.JUMP)
-    leaders = {0}
-    for i, insn in enumerate(insns):
-        iclass = insn.info.iclass
-        if iclass in control:
-            if insn.target_index is not None and insn.target_index < n:
-                leaders.add(insn.target_index)
-            leaders.add(i + 1)
-        elif insn.op is Opcode.HALT:
-            leaders.add(i + 1)
-    ordered = sorted(x for x in leaders if x < n)
-    block_of = {pc: bi for bi, pc in enumerate(ordered)}
-    bounds = ordered + [n]
-
-    blocks = []
-    for bi, start in enumerate(ordered):
-        end = bounds[bi + 1]
-        makers: list = []
-        mix: Counter = Counter()
-        term_maker = None
-        for pc in range(start, end):
-            insn = insns[pc]
-            mix[insn.info.iclass] += 1
-            line = pc // insns_per_line
-            if pc == start:
-                makers.append(_make_fetch(pc, line, conditional=True))
-            elif pc % insns_per_line == 0:
-                makers.append(_make_fetch(pc, line, conditional=False))
-            iclass = insn.info.iclass
-            if iclass is InsnClass.BRANCH:
-                ti = insn.target_index
-                tbi = block_of[ti] if ti < n else -2
-                fbi = block_of.get(pc + 1, -2)
-                term_maker = _make_branch(insn, tbi, fbi)
-            elif iclass is InsnClass.JUMP:
-                ti = insn.target_index
-                term_maker = _make_jump(block_of[ti] if ti < n else -2)
-            elif insn.op is Opcode.HALT:
-                term_maker = _make_halt()
-            else:
-                makers.append(_make_exec(insn))
-        if term_maker is None:
-            term_maker = _make_fall(block_of.get(end, -2))
-        blocks.append(BatchBlock(
-            start=start,
-            length=end - start,
-            makers=tuple(makers),
-            term_maker=term_maker,
-            mix=tuple(mix.items()),
-        ))
-    return BatchProgram(
-        blocks=tuple(blocks), n=n, name=program.name,
-        insns_per_line=insns_per_line,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Decode cache (identity-keyed, weakref-guarded, like repro.cpu.decode)
-# ---------------------------------------------------------------------------
-
-_BATCH_DECODE_CACHE: dict[tuple[int, int], tuple] = {}
+LOCKSTEP_HANDLERS = HandlerSet(
+    name="lockstep", fetch=_make_fetch, int_alu=_make_int_alu,
+    move=_make_move, fp=_make_fp, load=_make_load, store=_make_store,
+    nop=_make_nop, dinit=_make_dinit, dsend=_make_dsend,
+    drecv=_make_drecv, dld=_make_dld, dst=_make_dst,
+    branch=_make_branch, jump=_make_jump, halt=_make_halt,
+    fall=_make_fall,
+)
 
 
 def batch_decode_program(program: Program,
-                         insns_per_line: int | None = None) -> BatchProgram:
-    """Decode ``program`` into lockstep blocks (cached by identity)."""
-    if insns_per_line is None:
-        from repro.cpu.cache import icache_config
-
-        insns_per_line = max(1,
-                             icache_config().line_bytes // _INSN_BYTES)
-    key = (id(program), insns_per_line)
-    entry = _BATCH_DECODE_CACHE.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1]
-    if not program.is_linked:
-        program.link()
-    program.validate()
-    decoded = _build(program, insns_per_line)
-    _BATCH_DECODE_CACHE[key] = (weakref.ref(program), decoded)
-    weakref.finalize(program, _BATCH_DECODE_CACHE.pop, key, None)
-    return decoded
-
-
-def batch_decode_cache_size() -> int:
-    """Number of live batch-decoded programs (tests/cache stats)."""
-    return len(_BATCH_DECODE_CACHE)
-
-
-def clear_batch_decode_caches() -> None:
-    """Drop all batch-decoded programs (test isolation)."""
-    _BATCH_DECODE_CACHE.clear()
+                         insns_per_line: int | None = None
+                         ) -> DecodedProgram:
+    """Decode ``program`` into lockstep blocks (see
+    :func:`repro.cpu.decode.decode_with`)."""
+    return decode_with(LOCKSTEP_HANDLERS, program, insns_per_line)

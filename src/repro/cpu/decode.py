@@ -1,13 +1,17 @@
 """Predecode: programs -> basic blocks of specialized handler closures.
 
-This is the static half of the fast backend (:mod:`repro.cpu.fastcore`).
-At load time each program is decoded **once** into basic blocks; every
+This is the static half of the fast and the batched backend.  At load
+time each program is decoded **once** into basic blocks; every
 instruction becomes a *handler maker* — a closure factory specialized on
 the instruction's static operands (register indices, immediates, ports,
-branch targets).  At run time the fast core binds each maker to a
-:class:`~repro.cpu.fastcore._Ctx` (register files, scoreboard arrays,
-cache models, the DySER device) producing a flat tuple of handlers per
-block; executing a block is then just ``for h in handlers: t = h(t)``.
+branch targets).  The two backends share block discovery, the block
+types, the opcode dispatch and the decode cache; each brings its own
+:data:`HandlerSet`.  At run time the fast core binds this module's
+makers to a :class:`~repro.cpu.fastcore._Ctx` (register files,
+scoreboard arrays, cache models, the DySER device) producing a flat
+tuple of handlers per block; executing a block is then just
+``for h in handlers: t = h(t)``.  The lockstep makers live in
+:mod:`repro.cpu.batchdecode`.
 
 The decode result is **config-independent**: microarchitectural numbers
 (latencies, penalties, cache hit latencies, the vector port rate) are
@@ -23,23 +27,23 @@ differential harness in :mod:`repro.harness.parity` enforces this.
 
 The decode cache is keyed by program *identity* (``id()`` plus a
 liveness check through a weak reference — :class:`~repro.isa.program.
-Program` is a mutable dataclass and therefore unhashable) and by the
-I$ line geometry, and is evicted when the program is collected.
-``clear_decode_caches()`` drops everything, for test isolation and
-:func:`repro.harness.runner.clear_caches`.
+Program` is a mutable dataclass and therefore unhashable), by the I$
+line geometry and by the handler set, and is evicted when the program
+is collected.  ``clear_decode_caches()`` drops everything, for test
+isolation and :func:`repro.harness.runner.clear_caches`.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from repro.dyser.ops import int_div, int_rem
 from repro.errors import SimulationError
 from repro.cpu.regfile import wrap64
-from repro.isa.opcodes import InsnClass, Opcode, VECTOR_OPS, WIDE_OPS
+from repro.isa.opcodes import InsnClass, Opcode, WIDE_OPS
 from repro.isa.program import Program
 
 _INSN_BYTES = 4
@@ -1029,31 +1033,52 @@ def _make_fall(fbi: int):
     return maker
 
 
-def _make_exec(insn):
+#: One core's handler makers, for :func:`decode_with`.  Block discovery,
+#: the block and program types, the decode cache and the opcode
+#: dispatch are shared; only the makers differ.  :data:`SOLO_HANDLERS`
+#: serve :class:`~repro.cpu.fastcore.FastCore` (``handler(t) -> t``);
+#: :mod:`repro.cpu.batchdecode`'s ``LOCKSTEP_HANDLERS`` serve
+#: :class:`~repro.cpu.batchcore.BatchCore` (``handler()`` over the
+#: per-point cursors).  ``name`` keys the decode cache.
+HandlerSet = namedtuple(
+    "HandlerSet", "name fetch int_alu move fp load store nop dinit dsend "
+                  "drecv dld dst branch jump halt fall")
+
+
+SOLO_HANDLERS = HandlerSet(
+    name="solo", fetch=_make_fetch, int_alu=_make_int_alu, move=_make_move,
+    fp=_make_fp, load=_make_load, store=_make_store, nop=_make_nop,
+    dinit=_make_dinit, dsend=_make_dsend, drecv=_make_drecv,
+    dld=_make_dld, dst=_make_dst, branch=_make_branch, jump=_make_jump,
+    halt=_make_halt, fall=_make_fall,
+)
+
+
+def _make_exec(insn, hs: HandlerSet):
     iclass = insn.info.iclass
     C = InsnClass
     if iclass in (C.ALU, C.MUL, C.DIV):
-        return _make_int_alu(insn, iclass)
+        return hs.int_alu(insn, iclass)
     if iclass is C.MOVE:
-        return _make_move(insn)
+        return hs.move(insn)
     if iclass in (C.FPU, C.FDIV):
-        return _make_fp(insn, iclass)
+        return hs.fp(insn, iclass)
     if iclass is C.LOAD:
-        return _make_load(insn)
+        return hs.load(insn)
     if iclass is C.STORE:
-        return _make_store(insn)
+        return hs.store(insn)
     if iclass is C.DYSER_INIT:
-        return _make_dinit(insn)
+        return hs.dinit(insn)
     if iclass is C.DYSER_SEND:
-        return _make_dsend(insn)
+        return hs.dsend(insn)
     if iclass is C.DYSER_RECV:
-        return _make_drecv(insn)
+        return hs.drecv(insn)
     if iclass is C.DYSER_LOAD:
-        return _make_dld(insn)
+        return hs.dld(insn)
     if iclass is C.DYSER_STORE:
-        return _make_dst(insn)
+        return hs.dst(insn)
     if insn.op is Opcode.NOP:
-        return _make_nop()
+        return hs.nop()
     raise SimulationError(f"unhandled opcode {insn.op}")
 
 
@@ -1105,7 +1130,8 @@ class DecodedProgram:
         ]
 
 
-def _build(program: Program, insns_per_line: int) -> DecodedProgram:
+def _build(program: Program, insns_per_line: int,
+           hs: HandlerSet) -> DecodedProgram:
     insns = program.instructions
     n = len(insns)
     control = (InsnClass.BRANCH, InsnClass.JUMP)
@@ -1135,24 +1161,24 @@ def _build(program: Program, insns_per_line: int) -> DecodedProgram:
             mix[insn.info.iclass] += 1
             line = pc // insns_per_line
             if pc == start:
-                makers.append(_make_fetch(pc, line, conditional=True))
+                makers.append(hs.fetch(pc, line, conditional=True))
             elif pc % insns_per_line == 0:
-                makers.append(_make_fetch(pc, line, conditional=False))
+                makers.append(hs.fetch(pc, line, conditional=False))
             iclass = insn.info.iclass
             if iclass is InsnClass.BRANCH:
                 ti = insn.target_index
                 tbi = block_of[ti] if ti < n else -2
                 fbi = block_of.get(pc + 1, -2)
-                term_maker = _make_branch(insn, tbi, fbi)
+                term_maker = hs.branch(insn, tbi, fbi)
             elif iclass is InsnClass.JUMP:
                 ti = insn.target_index
-                term_maker = _make_jump(block_of[ti] if ti < n else -2)
+                term_maker = hs.jump(block_of[ti] if ti < n else -2)
             elif insn.op is Opcode.HALT:
-                term_maker = _make_halt()
+                term_maker = hs.halt()
             else:
-                makers.append(_make_exec(insn))
+                makers.append(_make_exec(insn, hs))
         if term_maker is None:
-            term_maker = _make_fall(block_of.get(end, -2))
+            term_maker = hs.fall(block_of.get(end, -2))
         blocks.append(DecodedBlock(
             start=start,
             length=end - start,
@@ -1174,12 +1200,13 @@ def _build(program: Program, insns_per_line: int) -> DecodedProgram:
 # Program is a mutable (unhashable) dataclass, so the cache is keyed by
 # identity and guarded by a weak reference: a dead or recycled id() can
 # never serve a stale entry, and finalizers evict on collection.
-_DECODE_CACHE: dict[tuple[int, int], tuple] = {}
+_DECODE_CACHE: dict[tuple[int, int, str], tuple] = {}
 
 
-def decode_program(program: Program,
-                   insns_per_line: int | None = None) -> DecodedProgram:
-    """Decode ``program`` (cached by identity and I$ line geometry).
+def decode_with(hs: HandlerSet, program: Program,
+                insns_per_line: int | None = None) -> DecodedProgram:
+    """Decode ``program`` into ``hs``'s makers (cached by identity,
+    I$ line geometry and handler set).
 
     ``insns_per_line`` defaults to the stock I$ line geometry
     (:func:`repro.cpu.cache.icache_config`), matching a default
@@ -1190,17 +1217,23 @@ def decode_program(program: Program,
 
         insns_per_line = max(1,
                              icache_config().line_bytes // _INSN_BYTES)
-    key = (id(program), insns_per_line)
+    key = (id(program), insns_per_line, hs.name)
     entry = _DECODE_CACHE.get(key)
     if entry is not None and entry[0]() is program:
         return entry[1]
     if not program.is_linked:
         program.link()
     program.validate()
-    decoded = _build(program, insns_per_line)
+    decoded = _build(program, insns_per_line, hs)
     _DECODE_CACHE[key] = (weakref.ref(program), decoded)
     weakref.finalize(program, _DECODE_CACHE.pop, key, None)
     return decoded
+
+
+def decode_program(program: Program,
+                   insns_per_line: int | None = None) -> DecodedProgram:
+    """Decode ``program`` for the fast core (see :func:`decode_with`)."""
+    return decode_with(SOLO_HANDLERS, program, insns_per_line)
 
 
 def decode_cache_size() -> int:

@@ -2,9 +2,10 @@
 
 :func:`run_jobs` takes a list of :class:`JobSpec`, consults the
 persistent :class:`~repro.engine.cache.ArtifactCache`, deduplicates
-identical specs, and executes the remaining jobs either in-process
+identical specs, and executes the remaining jobs as *lanes* — a lockstep
+group of ``batched`` sweep points, or a single job — either in-process
 (``jobs=1`` — byte-identical to the historical serial paths) or across
-a ``ProcessPoolExecutor`` with per-job timeout and bounded retry on
+a ``ProcessPoolExecutor`` with per-lane timeout and bounded retry on
 worker crashes.  One failed design point never aborts the sweep; it is
 recorded in the returned :class:`~repro.engine.report.EngineReport`.
 
@@ -22,7 +23,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.harness.runner import Comparison, RunResult, run_workload
-from repro.obs.events import maybe_span
 
 from repro.engine.cache import ArtifactCache, result_from_dict, result_to_dict
 from repro.engine.jobs import JobSpec
@@ -62,79 +62,74 @@ def _worker(spec: JobSpec, cache: ArtifactCache | None = None) -> dict:
     return result_to_dict(execute_job(spec, cache))
 
 
-#: Marker key of a per-point failure inside a batch worker's payload
-#: list; its value is the formatted error string a solo worker raise
-#: would have produced.
-_BATCH_FAILED = "__batch_failed__"
+#: Marker key of a per-point failure inside a lane's payload list; its
+#: value is the formatted error string a solo worker raise would have
+#: produced.
+_LANE_FAILED = "__batch_failed__"
 
 
-def _batch_worker(specs, cache: ArtifactCache | None = None) -> list:
-    """Run one lane of ``batched``-backend specs in lockstep.
+def _lane_worker(specs, cache: ArtifactCache | None = None,
+                 worker=_worker) -> list:
+    """Run one dispatch unit; returns one payload per spec.
 
-    Returns one entry per spec: either the serialized run summary —
-    byte-identical to what :func:`_worker` produces for the same spec,
-    by the batched parity contract — or ``{_BATCH_FAILED: "..."}``
-    carrying the error string the solo path would have recorded.
-    Compiled artifacts are reused from / stored into ``cache`` exactly
-    like :func:`execute_job` (one compile per lane).
+    A lane of one is ``worker(spec, cache)``.  A wider lane of
+    ``batched``-backend specs runs in lockstep; each entry is then
+    either the serialized run summary — byte-identical to what
+    :func:`_worker` produces for the same spec, by the batched parity
+    contract — or ``{_LANE_FAILED: "..."}`` carrying the error string
+    the solo path would have recorded.  Compiled artifacts are reused
+    from / stored into ``cache`` exactly like :func:`execute_job` (one
+    compile per lane).
     """
+    if len(specs) == 1:
+        return [worker(specs[0], cache)]
     from repro.harness.batch import execute_batch_group
 
     compiled = cache.load_compile(specs[0]) if cache is not None else None
-    stored = compiled is not None
     outcomes = execute_batch_group(
         [spec.to_run_config() for spec in specs], compiled=compiled)
     payloads = []
     for spec, outcome in zip(specs, outcomes, strict=True):
         if outcome.error is not None:
-            payloads.append({_BATCH_FAILED:
+            payloads.append({_LANE_FAILED:
                              f"{type(outcome.error).__name__}: "
                              f"{outcome.error}"})
             continue
-        if cache is not None and not stored:
-            cache.store_compile(spec, outcome.result.compile_result)
-            stored = True
+        if cache is not None and compiled is None:
+            compiled = outcome.result.compile_result
+            cache.store_compile(spec, compiled)
         payloads.append(result_to_dict(outcome.result))
     return payloads
 
 
-def _plan_job_batches(specs, pending, costs=None):
-    """Split pending indices into lockstep lanes and leftovers.
+def _plan_lanes(specs, pending, costs=None, batching=True):
+    """Split pending indices into dispatch units (lists of indices).
 
-    Only ``backend="batched"`` specs batch, grouped by the harness's
-    :func:`~repro.harness.batch.lane_key` over their expanded run
-    configs — the same planner the direct API uses, so engine batching
-    can never group what the harness would refuse.  Lanes need at
-    least two members; everything else stays on the solo path.
+    With ``batching``, ``backend="batched"`` specs are grouped by the
+    harness's :func:`~repro.harness.batch.plan_batches` over their run
+    configs, so engine batching can never group what the harness would
+    refuse.  Every other index is a lane of one.
 
-    ``costs`` (index → predicted cycles, from the static perf
-    analyzer) orders lanes and leftovers longest-first for better pool
-    utilization; with no (or incomplete) cost data the historical
-    first-index order is preserved.
+    Wider lanes go first.  ``costs`` (index → predicted cycles, from
+    the static perf analyzer) orders each kind longest-first for
+    better pool utilization; a lockstep lane's wall time tracks its
+    slowest member.  With no (or incomplete) cost data the first-index
+    order is kept.
     """
-    from repro.harness.batch import lane_key
+    from repro.harness.batch import plan_batches
 
-    lanes: dict[tuple, list[int]] = {}
-    rest: list[int] = []
-    for i in pending:
-        if specs[i].backend != "batched":
-            rest.append(i)
-            continue
-        lanes.setdefault(lane_key(specs[i].to_run_config()), []).append(i)
-    groups = []
-    for members in lanes.values():
-        if len(members) >= 2:
-            groups.append(members)
-        else:
-            rest.extend(members)
+    batched = [i for i in pending
+               if batching and specs[i].backend == "batched"]
+    groups, _ = plan_batches([specs[i].to_run_config() for i in batched])
+    lanes = [[batched[k] for k in group] for group in groups]
+    grouped = {i for lane in lanes for i in lane}
+    lanes += [[i] for i in pending if i not in grouped]
     if costs and all(costs.get(i) is not None for i in pending):
-        # A lockstep lane's wall time tracks its slowest member.
-        groups.sort(key=lambda g: (-max(costs[i] for i in g), g[0]))
-        rest.sort(key=lambda i: (-costs[i], i))
+        lanes.sort(key=lambda lane: (len(lane) == 1,
+                                     -max(costs[i] for i in lane), lane[0]))
     else:
-        groups.sort(key=lambda g: g[0])
-        rest.sort()
-    return groups, rest
+        lanes.sort(key=lambda lane: (len(lane) == 1, lane[0]))
+    return lanes
 
 
 def _notify(progress, record) -> None:
@@ -143,77 +138,6 @@ def _notify(progress, record) -> None:
         return
     with contextlib.suppress(Exception):
         progress(record)
-
-
-def _finish_batch(members, payloads, specs, records, results, cache,
-                  wall_s, progress=None) -> None:
-    """Record one batch group's payload list onto its member jobs."""
-    for i, payload in zip(members, payloads, strict=False):
-        records[i].attempts += 1
-        records[i].wall_s = wall_s
-        if _BATCH_FAILED in payload:
-            records[i].status = FAILED
-            records[i].error = payload[_BATCH_FAILED]
-        else:
-            _finish(i, payload, specs, records, results, cache)
-        _notify(progress, records[i])
-
-
-def _run_batches(specs, groups, records, results, cache, jobs, timeout,
-                 events=None, progress=None) -> list[int]:
-    """Execute lockstep lanes; returns indices needing solo retry.
-
-    A group whose worker call fails outright (crash, timeout, decode
-    error at the lane level) is not retried as a lane — its members
-    are handed back for the ordinary solo path, which has its own
-    retry budget and is always parity-safe.
-    """
-    leftovers: list[int] = []
-    if jobs > 1 and len(groups) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(groups)))
-        futures = {}
-        starts = {}
-        for members in groups:
-            starts[members[0]] = time.perf_counter()
-            futures[pool.submit(
-                _batch_worker, [specs[i] for i in members], cache)] = members
-        timed_out = False
-        for future, members in futures.items():
-            try:
-                payloads = future.result(timeout=timeout)
-            except FutureTimeout:
-                timed_out = True
-                future.cancel()
-                leftovers.extend(members)
-                continue
-            except Exception:  # noqa: BLE001 — lane falls back to solo
-                leftovers.extend(members)
-                continue
-            _finish_batch(members, payloads, specs, records, results,
-                          cache, time.perf_counter() - starts[members[0]],
-                          progress)
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
-        if timed_out:
-            for proc in getattr(pool, "_processes", None) or {}:
-                with contextlib.suppress(Exception):  # pragma: no cover
-                    pool._processes[proc].terminate()
-        return leftovers
-    for members in groups:
-        t0 = time.perf_counter()
-        with maybe_span(events, f"batch[{len(members)}] "
-                                f"{specs[members[0]].describe()}",
-                        "engine.batch") as info:
-            try:
-                payloads = _batch_worker([specs[i] for i in members],
-                                         cache)
-            except Exception:  # noqa: BLE001 — lane falls back to solo
-                info["status"] = "fallback"
-                leftovers.extend(members)
-                continue
-            info["status"] = "executed"
-        _finish_batch(members, payloads, specs, records, results, cache,
-                      time.perf_counter() - t0, progress)
-    return leftovers
 
 
 def run_jobs(
@@ -233,14 +157,15 @@ def run_jobs(
 
     ``jobs=1`` runs serially in-process (no pool, fully deterministic);
     ``jobs>1`` fans out over worker processes.  ``timeout`` (seconds,
-    per job) and crash recovery apply to the pooled path; a job is
+    per lane) and crash recovery apply to the pooled path; a job is
     retried at most ``retries`` times before being recorded as FAILED.
 
-    Cache-miss specs with ``backend="batched"`` are grouped by lane
-    (same program, same functional knobs) and dispatched to the
-    lockstep :func:`_batch_worker` before the solo paths run; their
-    cached payloads are byte-identical to solo runs, and a lane that
-    fails wholesale falls back to the solo path transparently.
+    Every cache miss is dispatched as a *lane*: cache-miss specs with
+    ``backend="batched"`` are grouped (same program, same functional
+    knobs) into lanes that run in lockstep, every other job is a lane
+    of one.  Lanes share one dispatch loop, pool, timeout and failure
+    policy; their cached payloads are byte-identical to solo runs, and
+    a lane that fails wholesale falls back to solo jobs transparently.
     Batching only applies with the default worker — an injected
     ``worker`` sees every job individually, as before.
 
@@ -257,8 +182,6 @@ def run_jobs(
 
     if isinstance(specs, SweepSpec):
         specs = specs.jobs()
-    batching = worker is None
-    worker = worker or _worker
     started = time.perf_counter()
     n = len(specs)
     records = [JobRecord(spec=spec) for spec in specs]
@@ -323,24 +246,9 @@ def run_jobs(
         for i in pending:
             records[i].cost = costs[i] = estimate_job_cost(specs[i])
 
-    if pending and batching:
-        groups, pending = _plan_job_batches(specs, pending, costs)
-        if groups:
-            pending = sorted(pending + _run_batches(
-                specs, groups, records, results, cache, jobs, timeout,
-                events, progress))
-
-    if pending and costs and all(costs.get(i) is not None
-                                 for i in pending):
-        pending = sorted(pending, key=lambda i: (-costs[i], i))
-
-    if pending:
-        if jobs <= 1:
-            _run_serial(specs, pending, records, results, cache, retries,
-                        worker, events, progress)
-        else:
-            _run_pooled(specs, pending, records, results, cache, jobs,
-                        timeout, retries, worker, events, progress)
+    _dispatch(specs, _plan_lanes(specs, pending, costs, worker is None),
+              records, results, cache, jobs, timeout, retries,
+              worker or _worker, events, progress)
 
     for i, j in dup_of.items():
         results[i] = results[j]
@@ -353,101 +261,126 @@ def run_jobs(
     )
 
 
-def _finish(index: int, payload: dict, specs, records, results, cache) -> bool:
-    """Decode one successful payload; returns False on a decode error."""
+def _finish(index: int, payload: dict, specs, records, results,
+            cache) -> None:
+    """Record one job's payload: a run summary, or a lane's per-point
+    failure marker."""
+    record = records[index]
+    if isinstance(payload, dict) and _LANE_FAILED in payload:
+        record.status = FAILED
+        record.error = payload[_LANE_FAILED]
+        return
     try:
         results[index] = result_from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        records[index].status = FAILED
-        records[index].error = f"bad worker payload: {exc}"
-        return False
-    records[index].status = EXECUTED
+        record.status = FAILED
+        record.error = f"bad worker payload: {exc}"
+        return
+    record.status = EXECUTED
     if cache is not None:
         cache.store_run(specs[index], payload)
-    return True
 
 
-def _run_serial(specs, pending, records, results, cache, retries,
-                worker, events=None, progress=None) -> None:
-    for i in pending:
-        record = records[i]
+def _dispatch(specs, lanes, records, results, cache, jobs, timeout,
+              retries, worker, events=None, progress=None) -> None:
+    """The one dispatch loop: run ``lanes`` in rounds until none is left.
+
+    ``jobs<=1`` runs each round in-process (:func:`_run_serial`), else
+    over a process pool (:func:`_run_pooled`).  What fails in a round
+    comes back under :func:`_retry_or_fail` for the next one.
+    """
+    run = _run_serial if jobs <= 1 else _run_pooled
+    while lanes:
+        round_lanes, lanes = lanes, []
+        for lane in round_lanes:
+            if len(lane) == 1:
+                records[lane[0]].attempts += 1
+        for lane, payloads, error, t0, wall_s in run(
+                specs, round_lanes, cache, jobs, timeout, worker):
+            if events is not None:
+                name = specs[lane[0]].describe()
+                events.complete(
+                    name if len(lane) == 1
+                    else f"batch[{len(lane)}] {name}",
+                    "engine.job" if len(lane) == 1 else "engine.batch",
+                    t0 * 1e6, wall_s * 1e6, domain="wall",
+                    attempts=records[lane[0]].attempts,
+                    status="failed" if payloads is None else "executed")
+            if payloads is None:
+                lanes += _retry_or_fail(lane, error, records, wall_s,
+                                        retries, progress)
+                continue
+            for i, payload in zip(lane, payloads, strict=True):
+                records[i].wall_s = wall_s
+                if len(lane) > 1:
+                    # A lane is one attempt for each of its members.
+                    records[i].attempts += 1
+                _finish(i, payload, specs, records, results, cache)
+                _notify(progress, records[i])
+
+
+def _retry_or_fail(lane, error, records, wall_s, retries,
+                   progress) -> list[list[int]]:
+    """The one failure policy; returns the lanes to dispatch again.
+
+    A failed wider lane (crash, timeout, an error at the lane level) is
+    not retried as a lane: its members come back as lanes of one, which
+    are always parity-safe and have their own retry budget.  A lane of
+    one retries while it has attempts left, then is recorded FAILED.
+    """
+    if len(lane) > 1:
+        return [[i] for i in lane]
+    record = records[lane[0]]
+    record.error = error
+    record.wall_s = wall_s
+    if record.attempts <= retries:
+        return [lane]
+    record.status = FAILED
+    _notify(progress, record)
+    return []
+
+
+def _run_serial(specs, lanes, cache, jobs, timeout, worker):
+    """Run each lane in-process, yielding ``(lane, payloads, error,
+    start, wall_s)`` as it finishes (``payloads`` None on failure)."""
+    for lane in lanes:
         t0 = time.perf_counter()
-        payload = None
-        with maybe_span(events, specs[i].describe(), "engine.job") as info:
-            while record.attempts <= retries:
-                record.attempts += 1
-                try:
-                    payload = worker(specs[i], cache)
-                    break
-                except Exception as exc:  # noqa: BLE001 — must survive
-                    record.error = f"{type(exc).__name__}: {exc}"
-            info["attempts"] = record.attempts
-            info["status"] = "failed" if payload is None else "executed"
-        record.wall_s = time.perf_counter() - t0
-        if payload is None:
-            record.status = FAILED
-        else:
-            _finish(i, payload, specs, records, results, cache)
-        _notify(progress, record)
+        try:
+            payloads = _lane_worker([specs[i] for i in lane], cache, worker)
+            error = None
+        except Exception as exc:  # noqa: BLE001 — must survive
+            payloads, error = None, f"{type(exc).__name__}: {exc}"
+        yield lane, payloads, error, t0, time.perf_counter() - t0
 
 
-def _run_pooled(specs, pending, records, results, cache, jobs, timeout,
-                retries, worker, events=None, progress=None) -> None:
-    queue = list(pending)
-    while queue:
-        round_jobs, queue = queue, []
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(round_jobs)))
-        futures = {}
-        starts = {}
-        for i in round_jobs:
-            records[i].attempts += 1
-            starts[i] = time.perf_counter()
-            futures[pool.submit(worker, specs[i], cache)] = i
-        timed_out = False
-        for future, i in futures.items():
-            record = records[i]
+def _run_pooled(specs, lanes, cache, jobs, timeout, worker):
+    """Run the lanes over a process pool with a per-lane ``timeout``;
+    yields like :func:`_run_serial`, in submission order."""
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(lanes)))
+    futures = {}
+    for lane in lanes:
+        futures[pool.submit(_lane_worker, [specs[i] for i in lane], cache,
+                            worker)] = (lane, time.perf_counter())
+    timed_out = False
+    try:
+        for future, (lane, t0) in futures.items():
+            payloads = None
             try:
-                payload = future.result(timeout=timeout)
+                payloads = future.result(timeout=timeout)
+                error = None
             except FutureTimeout:
                 timed_out = True
                 future.cancel()
-                record.error = f"timed out after {timeout}s"
-                record.wall_s = time.perf_counter() - starts[i]
-                if record.attempts <= retries:
-                    queue.append(i)
-                else:
-                    record.status = FAILED
-                    _notify(progress, record)
-                continue
+                error = f"timed out after {timeout}s"
             except BrokenProcessPool:
                 # A worker died (segfault/os._exit); every unfinished
-                # future in this round reports broken.  Retry each such
-                # job in a fresh pool until its attempts run out.
-                record.error = "worker process crashed"
-                record.wall_s = time.perf_counter() - starts[i]
-                if record.attempts <= retries:
-                    queue.append(i)
-                else:
-                    record.status = FAILED
-                    _notify(progress, record)
-                continue
+                # future in this round reports broken and is retried
+                # in a fresh pool until its attempts run out.
+                error = "worker process crashed"
             except Exception as exc:  # noqa: BLE001 — sweep must survive
-                record.error = f"{type(exc).__name__}: {exc}"
-                record.wall_s = time.perf_counter() - starts[i]
-                if record.attempts <= retries:
-                    queue.append(i)
-                else:
-                    record.status = FAILED
-                    _notify(progress, record)
-                continue
-            record.wall_s = time.perf_counter() - starts[i]
-            _finish(i, payload, specs, records, results, cache)
-            _notify(progress, record)
-            if events is not None:
-                events.complete(specs[i].describe(), "engine.job",
-                                starts[i] * 1e6, record.wall_s * 1e6,
-                                domain="wall",
-                                attempts=record.attempts)
+                error = f"{type(exc).__name__}: {exc}"
+            yield lane, payloads, error, t0, time.perf_counter() - t0
+    finally:
         pool.shutdown(wait=not timed_out, cancel_futures=True)
         if timed_out:
             # Don't let a hung worker outlive its round.

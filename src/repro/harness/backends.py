@@ -9,6 +9,10 @@ A *backend* is a core implementation with identical observable results:
   :mod:`repro.harness.parity` and ``tests/test_fastcore.py``) but does
   not emit events; traced runs transparently resolve to the reference
   backend, whose cycle counts are identical by that same contract.
+- ``"batched"`` — :class:`repro.cpu.FastCore` for a single point, plus
+  :class:`repro.cpu.BatchCore` (``batch_cls``) to run a lane of sweep
+  points that differ only in timing knobs in lockstep.  Every point's
+  result is byte-identical to a solo run (:mod:`repro.harness.batch`).
 
 ``RunConfig.backend`` selects by name and is validated against this
 registry at construction.  Everything that executes a run —

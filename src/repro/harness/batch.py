@@ -16,11 +16,12 @@ questions:
    accounting) shift *when* things happen, never *what* happens.
    Traced configs and lanes of one are returned as singles.
 
-2. **How does a lane run?**  :func:`execute_batch_group` mirrors
-   :func:`repro.harness.runner.execute` exactly — one compile (shared
-   memo), one :class:`Memory` + ``prepare``, per-point
+2. **How does a lane run?**  :func:`execute_batch_group` shares
+   :func:`repro.harness.runner.execute`'s run set-up and result
+   assembly (``_RunSetup``) — one compile (shared memo), one
+   :class:`Memory` + ``prepare``, per-point
    :class:`BatchedDyserDevice` over one shared evaluation tape — then
-   drives a :class:`BatchCore` and post-processes per point (energy
+   drives a :class:`BatchCore` and assembles a result per point (energy
    model, correctness checked once against the shared memory image).
    Points the core evicts (per-point instruction limits, shared
    faults) are replayed solo via :func:`execute`, which reproduces
@@ -36,13 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler import CompileResult, CompilerOptions
-from repro.cpu import CoreConfig, Memory
+from repro.compiler import CompileResult
 from repro.cpu.batchcore import _SHARED_FIELDS, BatchCore
-from repro.dyser import DyserTimingParams, Fabric, FabricGeometry
 from repro.dyser.batch import BatchedDyserDevice
-from repro.dyser.config_cache import ConfigCacheParams
-from repro.energy import EnergyModel, EnergyParams
 from repro.errors import ReproError, stable_error_string
 from repro.harness.config import RunConfig
 from repro.harness.parity import (
@@ -52,14 +49,13 @@ from repro.harness.parity import (
     diff_summaries,
 )
 from repro.harness.runner import (
-    DEFAULT_GEOMETRY,
     RunResult,
-    _compile,
+    _core_config,
+    _default_options,
     _options_key,
+    _RunSetup,
     execute,
-    source_hash,
 )
-from repro.workloads import get as get_workload
 
 
 @dataclass
@@ -78,16 +74,6 @@ class BatchOutcome:
     result: RunResult | None = None
     error: ReproError | None = None
     batched: bool = False
-
-
-def _default_options(config: RunConfig) -> CompilerOptions:
-    return config.options or CompilerOptions(
-        fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
-
-
-def _core_config(config: RunConfig) -> CoreConfig:
-    return config.core_config or CoreConfig(
-        has_dyser=(config.mode == "dyser"))
 
 
 def _wants_trace(config: RunConfig) -> bool:
@@ -158,66 +144,30 @@ def execute_batch_group(
     and the whole lane, if lockstep setup or execution faults — fall
     back to solo :func:`execute` calls, which are always parity-safe.
     """
-    base = configs[0]
-    n = len(configs)
-    workload = get_workload(base.workload)
-    options = _default_options(base)
-    if compiled is None:
-        compiled = _compile(base.workload, source_hash(workload.source),
-                            base.mode, _options_key(options))
-
-    stats_list: list = [None] * n
-    core = None
-    memory = Memory(base.memory_bytes)
-    instance = workload.prepare(memory, base.scale, base.seed)
+    run = _RunSetup(configs[0], compiled)
     try:
-        devices: list = [None] * n
-        if base.mode == "dyser":
-            tape: dict = {}
-            devices = [
-                BatchedDyserDevice(
-                    fabric=options.fabric,
-                    timing=cfg.timing or DyserTimingParams(),
-                    cache_params=(cfg.cache_params
-                                  or ConfigCacheParams()),
-                    tape=tape,
-                )
-                for cfg in configs
-            ]
-        core = BatchCore(compiled.program, memory, devices,
+        tape: dict = {}
+        devices = [run.device(cfg, BatchedDyserDevice, tape=tape)
+                   for cfg in configs]
+        core = BatchCore(run.compiled.program, run.memory, devices,
                          [_core_config(cfg) for cfg in configs])
-        core.set_args(instance.int_args, instance.fp_args)
+        core.set_args(run.instance.int_args, run.instance.fp_args)
         stats_list = core.run()
     except ReproError:
         # Lockstep itself faulted (shared functional state): every
         # point would hit the same fault, but solo replay reproduces
         # each point's exact observable outcome, so take that path.
-        stats_list = [None] * n
+        stats_list = [None] * len(configs)
 
-    outcomes: list[BatchOutcome | None] = [None] * n
-    survivors = [p for p in range(n) if stats_list[p] is not None]
-    if survivors:
-        correct = instance.check(memory)
-        for p in survivors:
-            cfg = configs[p]
-            stats = stats_list[p]
-            eparams = cfg.energy_params or EnergyParams(
-                dyser_present=(cfg.mode == "dyser"))
-            outcomes[p] = BatchOutcome(
-                config=cfg,
-                result=RunResult(
-                    workload=cfg.workload, mode=cfg.mode,
-                    scale=cfg.scale, correct=correct, stats=stats,
-                    energy=EnergyModel(eparams).account(stats),
-                    compile_result=compiled,
-                    work_items=instance.work_items,
-                ),
-                batched=True,
-            )
-    for p in range(n):
-        if outcomes[p] is None:
-            outcomes[p] = _solo(configs[p])
-    return outcomes  # type: ignore[return-value]
+    # Survivors share one correctness check against the lane's memory.
+    correct = (any(s is not None for s in stats_list)
+               and run.instance.check(run.memory))
+    return [
+        _solo(cfg) if stats is None
+        else BatchOutcome(config=cfg, batched=True,
+                          result=run.result(cfg, stats, correct))
+        for cfg, stats in zip(configs, stats_list, strict=True)
+    ]
 
 
 def execute_batch(

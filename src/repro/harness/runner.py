@@ -37,7 +37,7 @@ from repro.errors import WorkloadError
 from repro.harness.backends import resolve_backend
 from repro.harness.config import RunConfig
 from repro.obs.events import EventStream, TraceOptions
-from repro.workloads import get as get_workload
+from repro.workloads import Instance, get as get_workload
 
 #: The prototype's fabric: 8x8, heterogeneous.
 DEFAULT_GEOMETRY = (8, 8)
@@ -178,8 +178,8 @@ def _compile(workload_name: str, src_hash: str, mode: str,
 
 
 def clear_caches() -> None:
-    """Drop all process-local memoized state: compiles **and** the fast
-    backend's decode/block caches.
+    """Drop all process-local memoized state: compiles **and** the
+    decode cache of both predecoding backends.
 
     The engine calls this in worker processes after code-fingerprint
     changes, and tests use it to guarantee cold-compile (and
@@ -224,64 +224,95 @@ def run_workload(config: RunConfig, /,
     return execute(config, compiled=compiled)
 
 
+def _default_options(config: RunConfig) -> CompilerOptions:
+    return config.options or CompilerOptions(
+        fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
+
+
+def _core_config(config: RunConfig) -> CoreConfig:
+    return config.core_config or CoreConfig(
+        has_dyser=(config.mode == "dyser"))
+
+
+class _RunSetup:
+    """Everything around the core that a solo run (:func:`execute`) and
+    a lockstep lane (:func:`repro.harness.batch.execute_batch_group`)
+    share: compile (unless ``compiled`` is given), memory image and
+    workload instance, and per config the DySER device and the result
+    assembly."""
+
+    def __init__(self, config: RunConfig,
+                 compiled: CompileResult | None = None,
+                 events: EventStream | None = None) -> None:
+        workload = get_workload(config.workload)
+        options = self.options = _default_options(config)
+        if compiled is None:
+            if events is not None:
+                # Tracing wants per-pass wall times: compile fresh,
+                # outside the memo (a memo hit would have no passes to
+                # time).
+                with events.span("compile", "compiler",
+                                 workload=config.workload,
+                                 mode=config.mode):
+                    compiled = (
+                        compile_scalar(workload.source, events=events)
+                        if config.mode == "scalar"
+                        else compile_dyser(workload.source, options,
+                                           events=events))
+            else:
+                compiled = _compile(config.workload,
+                                    source_hash(workload.source),
+                                    config.mode, _options_key(options))
+        self.compiled: CompileResult = compiled
+        self.memory = Memory(config.memory_bytes)
+        self.instance: Instance = workload.prepare(
+            self.memory, config.scale, config.seed)
+
+    def device(self, config: RunConfig, cls: type = DyserDevice,
+               **extra) -> DyserDevice | None:
+        """``config``'s DySER device (None for a scalar run)."""
+        if config.mode != "dyser":
+            return None
+        return cls(fabric=self.options.fabric,
+                   timing=config.timing or DyserTimingParams(),
+                   cache_params=config.cache_params or ConfigCacheParams(),
+                   **extra)
+
+    def result(self, config: RunConfig, stats: ExecStats, correct: bool,
+               events: EventStream | None = None) -> RunResult:
+        """``config``'s :class:`RunResult`, energy accounted."""
+        eparams = config.energy_params or EnergyParams(
+            dyser_present=(config.mode == "dyser"))
+        return RunResult(
+            workload=config.workload, mode=config.mode, scale=config.scale,
+            correct=correct, stats=stats,
+            energy=EnergyModel(eparams).account(stats),
+            compile_result=self.compiled,
+            work_items=self.instance.work_items, events=events,
+        )
+
+
 def execute(config: RunConfig,
             compiled: CompileResult | None = None) -> RunResult:
     """Run one fully specified :class:`RunConfig`."""
-    workload = get_workload(config.workload)
-    options = config.options or CompilerOptions(
-        fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
     events = config.trace.stream()
-
-    if compiled is None:
-        if events is not None:
-            # Tracing wants per-pass wall times: compile fresh, outside
-            # the memo (a memo hit would have no passes to time).
-            with events.span("compile", "compiler",
-                             workload=config.workload, mode=config.mode):
-                compiled = (
-                    compile_scalar(workload.source, events=events)
-                    if config.mode == "scalar"
-                    else compile_dyser(workload.source, options,
-                                       events=events))
-        else:
-            compiled = _compile(config.workload,
-                                source_hash(workload.source),
-                                config.mode, _options_key(options))
-
-    memory = Memory(config.memory_bytes)
-    instance = workload.prepare(memory, config.scale, config.seed)
-    device = None
-    if config.mode == "dyser":
-        device = DyserDevice(
-            fabric=options.fabric,
-            timing=config.timing or DyserTimingParams(),
-            cache_params=config.cache_params or ConfigCacheParams(),
-        )
+    run = _RunSetup(config, compiled, events)
+    device = run.device(config)
+    if device is not None:
         device.events = events
-    core_config = config.core_config or CoreConfig(
-        has_dyser=(config.mode == "dyser"))
     backend = resolve_backend(config)
     core = backend.core_cls(
-        compiled.program, memory, dyser=device, config=core_config,
-        events=events,
+        run.compiled.program, run.memory, dyser=device,
+        config=_core_config(config), events=events,
         trace_instructions=(config.trace.instructions
                             and events is not None))
-    core.set_args(instance.int_args, instance.fp_args)
+    core.set_args(run.instance.int_args, run.instance.fp_args)
     stats = core.run()
-    correct = instance.check(memory)
+    correct = run.instance.check(run.memory)
     if events is not None:
         events.instant("run_end", "cpu", stats.cycles,
                        correct=bool(correct))
-
-    eparams = config.energy_params or EnergyParams(
-        dyser_present=(config.mode == "dyser"))
-    energy = EnergyModel(eparams).account(stats)
-    return RunResult(
-        workload=config.workload, mode=config.mode, scale=config.scale,
-        correct=correct, stats=stats, energy=energy,
-        compile_result=compiled, work_items=instance.work_items,
-        events=events,
-    )
+    return run.result(config, stats, correct, events)
 
 
 def compare(name: str, scale: str = "small", seed: int = 7,

@@ -14,6 +14,9 @@ to single-run payloads).
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,3 +325,36 @@ class TestEngineBatching:
         report = run_jobs(self._sweep(), worker=spy, jobs=1)
         assert sorted(seen) == [2, 4, 8]
         assert [r.status for r in report.records] == ["executed"] * 3
+
+    def test_single_pooled_lane_honours_timeout(self, tmp_path,
+                                                monkeypatch):
+        import repro.harness.batch as batch_mod
+
+        marker = tmp_path / "lane.pid"
+
+        def stall(configs, compiled=None):
+            marker.write_text(str(os.getpid()))
+            time.sleep(10)
+
+        monkeypatch.setattr(batch_mod, "execute_batch_group", stall)
+        t0 = time.perf_counter()
+        report = run_jobs(self._sweep(), jobs=2, timeout=2.0)
+        elapsed = time.perf_counter() - t0
+        # The lane ran in a worker process, was cut off at the timeout
+        # and its points then ran solo.
+        assert int(marker.read_text()) != os.getpid()
+        assert elapsed < 10
+        assert [r.status for r in report.records] == ["executed"] * 3
+        assert all(res is not None for res in report.results)
+
+
+class TestDecodeCache:
+    def test_clear_caches_drops_lockstep_decode(self):
+        from repro.cpu import batch_decode_program
+        from repro.harness import clear_caches
+
+        program = execute(_cfg(backend="fast")).compile_result.program
+        decoded = batch_decode_program(program)
+        assert batch_decode_program(program) is decoded
+        clear_caches()
+        assert batch_decode_program(program) is not decoded
