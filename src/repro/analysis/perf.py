@@ -3,13 +3,14 @@
 ``analyze_program`` runs a timing-only *abstract interpretation* of a
 compiled program against its statically known initial environment (the
 prepared memory image, the kernel arguments, zero-initialized register
-files).  The abstract domain is "concrete value or unknown": every
-instruction's issue/retire timing is mirrored from the in-order
-scoreboard model (:class:`repro.cpu.core.Core`), but no simulator
-backend ever runs — the walk degrades gracefully when a value cannot be
-resolved (a branch condition or address derived from data the analysis
-chose not to track), guessing control flow conservatively and flagging
-the prediction *inexact*.
+files).  The abstract domain is "concrete value or unknown".  The walk
+dispatches on the same per-pc table (:mod:`repro.cpu.rules`: sources,
+immediates, latencies, evaluators, LSU occupancy) as the in-order
+scoreboard model (:class:`repro.cpu.core.Core`) and inherits its cache
+hierarchy, but no simulator backend ever runs.  The walk degrades
+gracefully when a value cannot be resolved (a branch condition or
+address derived from data the analysis chose not to track), guessing
+control flow conservatively and flagging the prediction *inexact*.
 
 Three results come out of one walk:
 
@@ -52,11 +53,14 @@ from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.cpu.cache import Cache
-from repro.cpu.core import CoreConfig
-from repro.cpu.decode import (
-    _BRANCH_TAKEN, fp_insn_srcs, int_alu_srcs, int_op)
+from repro.cpu.core import (
+    _INSN_BYTES, CacheHierarchy, CoreConfig, check_kernel_args)
 from repro.cpu.memory import WORD_BYTES, Memory
 from repro.cpu.regfile import wrap64
+from repro.cpu.rules import (
+    FP_INT_DEST, K_BAD_IMM, K_BRANCH, K_DYSER, K_FLD, K_FLI, K_FMOV, K_FPU,
+    K_FST, K_HALT, K_JUMP, K_LD, K_LI, K_MOV, K_NOP, K_SEL, K_ST,
+    decode_table)
 from repro.dyser.config_cache import ConfigCacheParams
 from repro.dyser.fabric import Fabric
 from repro.dyser.functional import FunctionalEvaluator
@@ -64,10 +68,8 @@ from repro.dyser.interface import DyserDevice
 from repro.dyser.timing import DyserTimingParams
 from repro.errors import ReproError
 from repro.isa.instruction import ARG_FP_REGS, ARG_INT_REGS
-from repro.isa.opcodes import InsnClass, MULTI_OPS, OP_INFO, Opcode
+from repro.isa.opcodes import InsnClass, Opcode
 from repro.isa.program import Program
-
-_INSN_BYTES = 4
 
 #: Default walk budget, in instructions.  Every instruction occupies at
 #: least one cycle, so this also bounds the predictable cycle count.
@@ -246,104 +248,6 @@ class _AbstractEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# static decode
-
-
-#: Walk dispatch kinds; the integer ALU kinds come first (``<= _SEL``).
-(_ALU, _SEL, _BRANCH, _LD, _FLD, _FPU, _DYSER, _MOV, _LI, _ST, _FST,
- _JUMP, _FLI, _FMOV, _NOP, _HALT, _BAD_IMM, _UNHANDLED) = range(18)
-
-_CLASS_KIND = {
-    InsnClass.ALU: _ALU, InsnClass.MUL: _ALU, InsnClass.DIV: _ALU,
-    InsnClass.FPU: _FPU, InsnClass.FDIV: _FPU,
-    InsnClass.BRANCH: _BRANCH, InsnClass.JUMP: _JUMP,
-}
-_KIND_OF_OP = {
-    op: _CLASS_KIND.get(info.iclass, _DYSER if info.is_dyser else _UNHANDLED)
-    for op, info in OP_INFO.items()
-}
-# Ops whose arm differs from the rest of their class.
-_KIND_OF_OP.update({
-    Opcode.SEL: _SEL, Opcode.LD: _LD, Opcode.FLD: _FLD,
-    Opcode.MOV: _MOV, Opcode.LI: _LI, Opcode.ST: _ST, Opcode.FST: _FST,
-    Opcode.FLI: _FLI, Opcode.FMOV: _FMOV, Opcode.NOP: _NOP,
-    Opcode.HALT: _HALT,
-})
-
-
-class _Unconvertible:
-    """A load or store immediate ``int()`` rejects.  Adding it to a
-    resolved base address raises what the conversion raised; through an
-    unresolved base the walk never needs it."""
-
-    def __init__(self, exc: Exception) -> None:
-        self.exc = exc
-
-    def __radd__(self, base):
-        raise self.exc
-
-
-def _decode(instructions: list, cfg: CoreConfig) -> tuple[list, ...]:
-    """Static per-pc facts of a program, worked out once per walk.
-
-    Seven lists indexed by pc: the dispatch kind; the integer and FP
-    source registers the instruction waits on; the immediate as an int
-    (a float for ``fli``); the result latency; the integer-op evaluator
-    or branch comparator; and, for DySER memory ops, the issue slots
-    the transfer holds the LSU for.  Any other immediate ``int()`` or
-    ``float()`` rejects gives kind ``_BAD_IMM`` and its exception in
-    place of the evaluator, raised when the walk reaches it.
-    """
-    rows: list[tuple] = []
-    rate = max(1, cfg.vector_port_words_per_cycle)
-    for insn in instructions:
-        op = insn.op
-        kind = _KIND_OF_OP[op]
-        int_srcs: tuple = ()
-        fp_srcs: tuple = ()
-        imm: object = None
-        func: object = None
-        occ: int | None = None
-        try:
-            if kind <= _SEL:
-                int_srcs = int_alu_srcs(insn)
-                if kind == _ALU:
-                    func = int_op(op.value)
-                    if insn.imm is not None:
-                        imm = int(insn.imm)
-            elif kind == _FPU:
-                int_srcs, fp_srcs = fp_insn_srcs(insn)
-            elif kind == _BRANCH:
-                int_srcs = (insn.rs1, insn.rs2)
-                func = _BRANCH_TAKEN[op]
-            elif kind in (_LD, _FLD, _MOV):
-                int_srcs = (insn.rs1,)
-            elif kind == _ST:
-                int_srcs = (insn.rs1, insn.rs2)
-            elif kind == _FST:
-                int_srcs, fp_srcs = (insn.rs1,), (insn.rs2,)
-            elif kind == _FMOV:
-                fp_srcs = (insn.rs1,)
-            elif kind == _DYSER and insn.info.is_memory:
-                # A vector count int() rejects is raised by _step_dyser
-                # before this occupancy is used.
-                occ = (max(1, int(insn.imm) // rate)
-                       if op in MULTI_OPS else 1)
-            if kind in (_LD, _FLD, _ST, _FST, _LI):
-                imm = int(insn.imm)
-            elif kind == _FLI:
-                imm = float(insn.imm)
-        except (OverflowError, ValueError) as exc:
-            if kind in (_LD, _FLD, _ST, _FST):
-                imm = _Unconvertible(exc)
-            elif kind != _DYSER:
-                kind, func = _BAD_IMM, exc
-        rows.append((kind, int_srcs, fp_srcs, imm,
-                     cfg.latency_for(insn.info.iclass), func, occ))
-    return tuple(list(column) for column in zip(*rows))
-
-
-# ---------------------------------------------------------------------------
 # the walker
 
 
@@ -360,13 +264,15 @@ def _blank_acct() -> dict:
     }
 
 
-class _Walker:
+class _Walker(CacheHierarchy):
     """Timing-only abstract interpreter mirroring the scoreboard core.
 
     Every timing arm of :meth:`repro.cpu.core.Core.run` is reproduced
-    over the value domain ``int | float | None`` (None = unknown).  The
-    walk owns its memory image, caches and DySER device outright — it
-    never touches shared state.
+    over the value domain ``int | float | None`` (None = unknown), from
+    the same :func:`~repro.cpu.rules.decode_table`.  What stays here is
+    the unknown-value handling and the bottleneck attribution.  The walk
+    owns its memory image, caches and DySER device outright — it never
+    touches shared state.
     """
 
     def __init__(self, program: Program, memory: Memory,
@@ -374,7 +280,7 @@ class _Walker:
                  step_limit: int) -> None:
         self.program = program
         self.memory = memory
-        self.cfg = config
+        self.config = config
         self.device = device
         self.step_limit = min(step_limit, config.max_instructions)
         self.icache = Cache(config.icache)
@@ -445,6 +351,7 @@ class _Walker:
         self.forigin[rd] = origin
 
     def set_args(self, int_args=(), fp_args=()) -> None:
+        check_kernel_args(int_args, fp_args)
         for reg, value in zip(ARG_INT_REGS, int_args, strict=False):
             self._write_int(reg, int(value))
         for reg, value in zip(ARG_FP_REGS, fp_args, strict=False):
@@ -483,111 +390,6 @@ class _Walker:
         for i, value in enumerate(values):
             self._store_word(base + i * WORD_BYTES, value)
 
-    # -- cache hierarchy (mirrors Core) ----------------------------------
-
-    def _data_access(self, addr: int, is_write: bool = False) -> int:
-        lat = self.dcache.access(addr, is_write)
-        if self.l2 is None or is_write:
-            return lat
-        if lat <= self.cfg.dcache.hit_latency:
-            return lat
-        return (self.cfg.dcache.hit_latency
-                + self.cfg.l1_to_l2_latency
-                + self.l2.access(addr))
-
-    def _fetch_access(self, addr: int) -> int:
-        lat = self.icache.access(addr)
-        if self.l2 is None or lat <= self.cfg.icache.hit_latency:
-            return lat
-        return (self.cfg.icache.hit_latency
-                + self.cfg.l1_to_l2_latency
-                + self.l2.access(addr))
-
-    def _vector_cache_access(self, base: int, count: int,
-                             is_write: bool) -> int:
-        line = self.cfg.dcache.line_bytes
-        lat = self.cfg.dcache.hit_latency
-        addr = base
-        end = base + count * WORD_BYTES
-        seen = set()
-        while addr < end:
-            key = addr // line
-            if key not in seen:
-                seen.add(key)
-                lat = max(lat, self._data_access(addr, is_write=is_write))
-            addr += WORD_BYTES
-        return lat
-
-    # -- functional evaluation mirrors -----------------------------------
-
-    def _eval_fp(self, insn, ready, fp_ready, int_ready):
-        import math
-
-        O = Opcode
-        op = insn.op
-        fv, iv = self.fval, self.ival
-        try:
-            if op in (O.FLT, O.FLE, O.FEQ, O.F2I):
-                a = fv[insn.rs1]
-                if op is O.F2I:
-                    value = None if a is None else wrap64(int(a))
-                else:
-                    b = fv[insn.rs2]
-                    if a is None or b is None:
-                        value = None
-                    elif op is O.FLT:
-                        value = 1 if a < b else 0
-                    elif op is O.FLE:
-                        value = 1 if a <= b else 0
-                    else:
-                        value = 1 if a == b else 0
-                self._write_int(insn.rd, value)
-                if insn.rd != 0:
-                    int_ready[insn.rd] = ready
-                return
-            if op is O.I2F:
-                a = iv[insn.rs1]
-                result = None if a is None else float(a)
-            elif op is O.FSEL:
-                c = iv[insn.rs1]
-                result = (None if c is None
-                          else fv[insn.rs2] if c else fv[insn.rs3])
-            elif op in (O.FSQRT, O.FNEG, O.FABS):
-                a = fv[insn.rs1]
-                if a is None:
-                    result = None
-                elif op is O.FSQRT:
-                    result = math.sqrt(a) if a >= 0.0 else math.nan
-                elif op is O.FNEG:
-                    result = -a
-                else:
-                    result = abs(a)
-            else:
-                a, b = fv[insn.rs1], fv[insn.rs2]
-                if a is None or b is None:
-                    result = None
-                elif op is O.FADD:
-                    result = a + b
-                elif op is O.FSUB:
-                    result = a - b
-                elif op is O.FMUL:
-                    result = a * b
-                elif op is O.FDIV:
-                    result = a / b if b else math.inf
-                elif op is O.FMIN:
-                    result = min(a, b)
-                elif op is O.FMAX:
-                    result = max(a, b)
-                else:
-                    raise _WalkAborted(f"unhandled fp op {op}")
-        except _WalkAborted:
-            raise
-        except Exception:
-            self._inexact(f"fp op {op.value} faulted")
-            result = None
-        self._write_fp(insn.rd, result)
-        fp_ready[insn.rd] = ready
-
     def _guess_branch(self, pc: int, insn) -> bool:
         self._inexact("unknown branch condition (control flow guessed)")
         n = self._guesses.get(pc, 0)
@@ -602,9 +404,10 @@ class _Walker:
         if self.program.spill_words:
             spill_base = self.memory.alloc(self.program.spill_words)
             self._write_int(28, spill_base)
-        cfg = self.cfg
+        cfg = self.config
         program = self.program.instructions
-        kinds, isrcs, fsrcs, imms, lats, funcs, occs = _decode(program, cfg)
+        kinds, isrcs, fsrcs, imms, lats, funcs, occs = decode_table(
+            program, cfg)
         insns_per_line = max(1, cfg.icache.line_bytes // _INSN_BYTES)
         icache_hit = cfg.icache.hit_latency
         dcache_hit = cfg.dcache.hit_latency
@@ -651,7 +454,7 @@ class _Walker:
                 if fp_ready[reg] > issue:
                     issue = fp_ready[reg]
 
-            if kind <= _SEL:
+            if kind <= K_SEL:
                 srcs = isrcs[pc]
                 chain = 1
                 for reg in srcs:
@@ -660,7 +463,7 @@ class _Walker:
                 a = ival[srcs[0]]
                 if a is None:
                     value = None
-                elif kind == _SEL:
+                elif kind == K_SEL:
                     value = ival[srcs[1]] if a else ival[srcs[2]]
                 else:
                     b = imms[pc]
@@ -683,7 +486,7 @@ class _Walker:
                     int_ready[rd] = issue + lats[pc]
                 t = issue + 1
 
-            elif kind == _BRANCH:
+            elif kind == K_BRANCH:
                 a, b = ival[insn.rs1], ival[insn.rs2]
                 if a is None or b is None:
                     taken = self._guess_branch(pc, insn)
@@ -695,7 +498,7 @@ class _Walker:
                 else:
                     t = issue + 1
 
-            elif kind in (_LD, _FLD):
+            elif kind in (K_LD, K_FLD):
                 if lsu_free > issue:
                     issue = lsu_free
                 icost[insn.rs1] = 0
@@ -708,7 +511,7 @@ class _Walker:
                     addr = base + imms[pc]
                     lat = self._data_access(addr)
                     value = self._load_word(addr)
-                if kind == _FLD:
+                if kind == K_FLD:
                     self._write_fp(
                         insn.rd, None if value is None else float(value))
                     fp_ready[insn.rd] = issue + lat
@@ -720,15 +523,33 @@ class _Walker:
                 lsu_free = issue + 1
                 t = issue + 1
 
-            elif kind == _FPU:
+            elif kind == K_FPU:
                 if not fpu_pipelined and fpu_free > issue:
                     issue = fpu_free
-                lat = lats[pc]
-                fpu_free = issue + lat
-                self._eval_fp(insn, issue + lat, fp_ready, int_ready)
+                ready = fpu_free = issue + lats[pc]
+                op = insn.op
+                args = [ival[r] for r in isrcs[pc]]
+                args += [fval[r] for r in fsrcs[pc]]
+                # fsel needs only its condition; the arm it picks may be
+                # unknown.
+                if (args[0] is None) if op is Opcode.FSEL else (None in args):
+                    value = None
+                else:
+                    try:
+                        value = funcs[pc](*args)
+                    except Exception:
+                        self._inexact(f"fp op {op.value} faulted")
+                        value = None
+                if op in FP_INT_DEST:
+                    self._write_int(insn.rd, value)
+                    if insn.rd != 0:
+                        int_ready[insn.rd] = ready
+                else:
+                    self._write_fp(insn.rd, value)
+                    fp_ready[insn.rd] = ready
                 t = issue + 1
 
-            elif kind == _DYSER:
+            elif kind == K_DYSER:
                 if dev is None:
                     raise _WalkAborted(
                         f"{insn.op.value} on a core without DySER")
@@ -741,7 +562,7 @@ class _Walker:
                 if self._sq_busy > store_queue_busy:
                     store_queue_busy = self._sq_busy
 
-            elif kind == _MOV:
+            elif kind == K_MOV:
                 chain = 1 + icost[insn.rs1]
                 icost[insn.rs1] = 0
                 self._write_int(insn.rd, ival[insn.rs1],
@@ -751,19 +572,19 @@ class _Walker:
                     icost[insn.rd] = chain
                 t = issue + 1
 
-            elif kind == _LI:
+            elif kind == K_LI:
                 self._write_int(insn.rd, imms[pc])
                 if insn.rd != 0:
                     int_ready[insn.rd] = t + 1
                     icost[insn.rd] = 1
                 t += 1
 
-            elif kind in (_ST, _FST):
+            elif kind in (K_ST, K_FST):
                 if lsu_free > issue:
                     issue = lsu_free
                 for reg in isrcs[pc]:
                     icost[reg] = 0
-                value = (ival if kind == _ST else fval)[insn.rs2]
+                value = (ival if kind == K_ST else fval)[insn.rs2]
                 base = ival[insn.rs1]
                 if base is None:
                     self.dirty_all = True
@@ -775,27 +596,27 @@ class _Walker:
                 lsu_free = issue + 1
                 t = issue + 1
 
-            elif kind == _JUMP:
+            elif kind == K_JUMP:
                 next_pc = insn.target_index
                 t = t + 1 + penalty
 
-            elif kind == _FLI:
+            elif kind == K_FLI:
                 self._write_fp(insn.rd, imms[pc])
                 fp_ready[insn.rd] = t + 1
                 t += 1
 
-            elif kind == _FMOV:
+            elif kind == K_FMOV:
                 self._write_fp(insn.rd, fval[insn.rs1],
                                origin=forigin[insn.rs1])
                 fp_ready[insn.rd] = issue + 1
                 t = issue + 1
 
-            elif kind == _NOP:
+            elif kind == K_NOP:
                 t += 1
-            elif kind == _HALT:
+            elif kind == K_HALT:
                 t = max(t, store_queue_busy) + 1
                 break
-            elif kind == _BAD_IMM:
+            elif kind == K_BAD_IMM:
                 raise funcs[pc]
             else:
                 raise _WalkAborted(f"unhandled opcode {insn.op}")
@@ -817,7 +638,7 @@ class _Walker:
         queue high-water mark rides on ``self._sq_busy``.
         """
         O = Opcode
-        cfg = self.cfg
+        cfg = self.config
         dev = self.device
         op = insn.op
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from repro.errors import ReproError, SimulationError
 from repro.cpu.batchdecode import batch_decode_program
 from repro.cpu.cache import Cache
-from repro.cpu.core import Core, CoreConfig, _INSN_BYTES
+from repro.cpu.core import CacheHierarchy, Core, CoreConfig, _INSN_BYTES
 from repro.cpu.memory import Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile
 from repro.cpu.statistics import ExecStats, StallCause
@@ -104,13 +104,7 @@ class _BatchCtx:
         self.da = core._data_access
         self.fa = core._fetch_access
         self.vca = core._vector_cache_access
-        self.lats = {
-            InsnClass.ALU: cfg.alu_latency,
-            InsnClass.MUL: cfg.mul_latency,
-            InsnClass.DIV: cfg.div_latency,
-            InsnClass.FPU: cfg.fpu_latency,
-            InsnClass.FDIV: cfg.fdiv_latency,
-        }
+        self.lats = {c: cfg.latency_for(c) for c in InsnClass}
         self.pipelined = cfg.fpu_pipelined
         self.penalty = cfg.branch_taken_penalty
         self.ihit = cfg.icache.hit_latency
@@ -132,7 +126,7 @@ class _PointView:
         self.dyser = dyser
 
 
-class BatchCore:
+class BatchCore(CacheHierarchy):
     """Lockstep core over one lane of N timing configurations.
 
     ``configs[p]`` and ``dysers[p]`` describe point *p*.  All configs
@@ -203,12 +197,9 @@ class BatchCore:
         #: caller replays them solo.
         self.evicted: set[int] = set()
 
-    # Shared helpers: byte-for-byte the reference implementations, so
-    # the cache hierarchy and calling convention can never drift.
+    # Shared helpers: the reference implementations, so the calling
+    # convention can never drift.
     set_args = Core.set_args
-    _data_access = Core._data_access
-    _fetch_access = Core._fetch_access
-    _vector_cache_access = Core._vector_cache_access
 
     def run(self) -> list[ExecStats | None]:
         if self.program.spill_words:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from repro.cpu.decode import (
     _INSN_BYTES,
-    _BRANCH_TAKEN,
     _H64,
     _M64,
     _W64,
@@ -50,18 +49,16 @@ from repro.cpu.decode import (
     DYSER_RECV,
     DYSER_SEND,
     FETCH_MISS,
-    FP_INT_DEST,
     LOAD_MISS,
     LSU_BUSY,
     STRUCTURAL_FPU,
     DecodedProgram,
     HandlerSet,
-    _fp_eval_binder,
-    _int_eval_binder,
-    fp_insn_srcs,
     decode_with,
-    int_alu_srcs,
 )
+from repro.cpu.rules import (
+    _BRANCH_TAKEN, FP_INT_DEST, _fp_eval_binder, _int_eval_binder,
+    fp_insn_srcs, int_alu_srcs)
 from repro.errors import SimulationError
 from repro.cpu.regfile import wrap64
 from repro.isa.opcodes import Opcode, WIDE_OPS

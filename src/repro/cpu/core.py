@@ -13,6 +13,14 @@ documented on :class:`CoreConfig`.
 T1-flavoured parameters: no branch prediction (taken-branch bubble),
 a long-latency shared FPU (unpipelined by default — a major reason DySER
 helps FP kernels on the prototype), write-through D$.
+
+What each instruction waits on, computes and costs is not written here:
+``run`` dispatches on the per-pc table of :mod:`repro.cpu.rules`, the
+same table the static cost walker (:mod:`repro.analysis.perf`) reads,
+and the fast and lockstep handlers bind the same source rules and
+value templates.  This module owns the scoreboard, stall-cause
+attribution, event emission, the DySER interface and the cache
+hierarchy (:class:`CacheHierarchy`) every model shares.
 """
 
 from __future__ import annotations
@@ -22,14 +30,21 @@ from dataclasses import dataclass, field
 from repro.errors import SimulationError
 from repro.cpu.cache import Cache, CacheConfig, dcache_config, icache_config
 from repro.cpu.memory import WORD_BYTES, Memory
-from repro.cpu.regfile import FpRegFile, IntRegFile, wrap64
+from repro.cpu.regfile import FpRegFile, IntRegFile
+from repro.cpu.rules import (
+    FP_INT_DEST, K_BAD_IMM, K_BRANCH, K_DYSER, K_FLD, K_FLI, K_FMOV, K_FPU,
+    K_FST, K_HALT, K_JUMP, K_LD, K_LI, K_MOV, K_NOP, K_SEL, K_ST,
+    decode_table)
 from repro.cpu.statistics import ExecStats, StallCause
 from repro.dyser.interface import DyserDevice
-from repro.dyser.ops import int_div, int_rem
+from repro.isa.instruction import ARG_FP_REGS, ARG_INT_REGS
 from repro.isa.opcodes import InsnClass, Opcode
 from repro.isa.program import Program
 
 _INSN_BYTES = 4
+
+#: Kinds whose issue also waits for the LSU.
+_LSU_KINDS = frozenset({K_LD, K_FLD, K_ST, K_FST})
 
 #: The :class:`CoreConfig` field holding each class's result latency;
 #: every other class completes in one cycle.
@@ -77,7 +92,72 @@ class CoreConfig:
         return 1 if name is None else getattr(self, name)
 
 
-class Core:
+def check_kernel_args(int_args, fp_args) -> None:
+    """Refuse more kernel arguments than the calling convention has
+    argument registers for."""
+    if len(int_args) > len(ARG_INT_REGS) or len(fp_args) > len(ARG_FP_REGS):
+        raise SimulationError("too many kernel arguments")
+
+
+def _src_wait(ready, causes, indices, floor: int):
+    """(issue floor, dominating stall cause) once every register in
+    ``indices`` is ready."""
+    cause = None
+    for idx in indices:
+        if ready[idx] > floor:
+            floor, cause = ready[idx], causes[idx]
+    return floor, cause
+
+
+class CacheHierarchy:
+    """L1 instruction and data caches over an optional unified L2.
+
+    The one cache model every core and the static walker inherit; each
+    sets ``config``, ``icache``, ``dcache`` and ``l2`` itself.
+    """
+
+    config: CoreConfig
+    icache: Cache
+    dcache: Cache
+    l2: Cache | None
+
+    def _data_access(self, addr: int, is_write: bool = False) -> int:
+        """One data access through L1 (and the optional L2)."""
+        lat = self.dcache.access(addr, is_write)
+        if self.l2 is None or is_write:
+            # Write-through traffic is absorbed by the store buffer.
+            return lat
+        if lat <= self.config.dcache.hit_latency:
+            return lat
+        return (self.config.dcache.hit_latency
+                + self.config.l1_to_l2_latency
+                + self.l2.access(addr))
+
+    def _fetch_access(self, addr: int) -> int:
+        lat = self.icache.access(addr)
+        if self.l2 is None or lat <= self.config.icache.hit_latency:
+            return lat
+        return (self.config.icache.hit_latency
+                + self.config.l1_to_l2_latency
+                + self.l2.access(addr))
+
+    def _vector_cache_access(self, base: int, count: int, is_write: bool) -> int:
+        """Access every line a vector transfer touches; return max latency."""
+        line = self.config.dcache.line_bytes
+        lat = self.config.dcache.hit_latency
+        addr = base
+        end = base + count * WORD_BYTES
+        seen = set()
+        while addr < end:
+            key = addr // line
+            if key not in seen:
+                seen.add(key)
+                lat = max(lat, self._data_access(addr, is_write=is_write))
+            addr += WORD_BYTES
+        return lat
+
+
+class Core(CacheHierarchy):
     """One host core, optionally with a DySER device attached.
 
     Usage::
@@ -125,37 +205,11 @@ class Core:
 
     def set_args(self, int_args=(), fp_args=()) -> None:
         """Install kernel arguments per the calling convention."""
-        from repro.isa.instruction import ARG_FP_REGS, ARG_INT_REGS
-
-        if len(int_args) > len(ARG_INT_REGS) or len(fp_args) > len(ARG_FP_REGS):
-            raise SimulationError("too many kernel arguments")
+        check_kernel_args(int_args, fp_args)
         for reg, value in zip(ARG_INT_REGS, int_args, strict=False):
             self.iregs.write(reg, int(value))
         for reg, value in zip(ARG_FP_REGS, fp_args, strict=False):
             self.fregs.write(reg, float(value))
-
-
-    # -- cache hierarchy -------------------------------------------------
-
-    def _data_access(self, addr: int, is_write: bool = False) -> int:
-        """One data access through L1 (and the optional L2)."""
-        lat = self.dcache.access(addr, is_write)
-        if self.l2 is None or is_write:
-            # Write-through traffic is absorbed by the store buffer.
-            return lat
-        if lat <= self.config.dcache.hit_latency:
-            return lat
-        return (self.config.dcache.hit_latency
-                + self.config.l1_to_l2_latency
-                + self.l2.access(addr))
-
-    def _fetch_access(self, addr: int) -> int:
-        lat = self.icache.access(addr)
-        if self.l2 is None or lat <= self.config.icache.hit_latency:
-            return lat
-        return (self.config.icache.hit_latency
-                + self.config.l1_to_l2_latency
-                + self.l2.access(addr))
 
     # -- the simulator loop ----------------------------------------------------
 
@@ -165,8 +219,11 @@ class Core:
             self.iregs.write(28, spill_base)
         cfg = self.config
         program = self.program.instructions
+        kinds, isrcs, fsrcs, imms, lats, funcs, occs = decode_table(
+            program, cfg)
         mem = self.memory
         iregs, fregs = self.iregs, self.fregs
+        ir, fr = iregs._regs, fregs._regs
         stats = self.stats
         insns_per_line = max(1, cfg.icache.line_bytes // _INSN_BYTES)
 
@@ -183,7 +240,6 @@ class Core:
         self._store_queue_busy = 0
         cur_fetch_line = -1
         executed = 0
-        O = Opcode
         ev = self.events
         ev_insn = ev if (ev is not None and self.trace_instructions) \
             else None
@@ -194,15 +250,6 @@ class Core:
                 if ev is not None:
                     ev.complete(cause.value, "cpu.stall", t, amount, pc=pc)
 
-        def src_wait(regs_ready, regs_cause, indices, base: int):
-            """Return (issue floor, dominating cause) for source regs."""
-            floor, cause = base, None
-            for idx in indices:
-                r = regs_ready[idx]
-                if r > floor:
-                    floor, cause = r, regs_cause[idx]
-            return floor, cause
-
         while True:
             if executed >= cfg.max_instructions:
                 raise SimulationError(
@@ -210,11 +257,12 @@ class Core:
                     f"(runaway loop in {self.program.name}?)"
                 )
             try:
-                insn = program[pc]
+                kind = kinds[pc]
             except IndexError:
                 raise SimulationError(
                     f"pc {pc} fell off the end of {self.program.name}"
                 ) from None
+            insn = program[pc]
 
             # Fetch: charge an I$ bubble when moving to a new line.
             line = pc // insns_per_line
@@ -225,139 +273,44 @@ class Core:
                     charge(StallCause.FETCH_MISS, lat)
                     t += lat
             op = insn.op
-            iclass = insn.info.iclass
-            stats.count(iclass)
+            stats.count(insn.info.iclass)
             executed += 1
             if cfg.trace_limit and len(self.trace) < cfg.trace_limit:
                 self.trace.append((t, pc, insn.text()))
             next_pc = pc + 1
             t_issue = t
+            rd = insn.rd
 
-            # ---------------- integer ALU -------------------------------
-            if iclass in (InsnClass.ALU, InsnClass.MUL, InsnClass.DIV):
-                if op is O.SEL:
-                    srcs = (insn.rs1, insn.rs2, insn.rs3)
-                elif insn.imm is not None and op.value.endswith("i"):
-                    srcs = (insn.rs1,)
-                else:
-                    srcs = (insn.rs1, insn.rs2)
-                issue, cause = src_wait(int_ready, int_cause, srcs, t)
+            # Issue floor: the LSU for memory ops, then the integer and
+            # FP sources (an FP source's stall cause outranks an int's).
+            issue, cause = _src_wait(
+                int_ready, int_cause, isrcs[pc],
+                max(t, lsu_free) if kind in _LSU_KINDS else t)
+            if fsrcs[pc]:
+                issue, fp_wait = _src_wait(fp_ready, fp_cause, fsrcs[pc],
+                                           issue)
+                cause = fp_wait or cause
+            if kind == K_FPU and not cfg.fpu_pipelined and fpu_free > issue:
+                charge(StallCause.STRUCTURAL_FPU, fpu_free - issue)
                 charge(cause or StallCause.DATA_HAZARD, issue - t)
-                lat = cfg.latency_for(iclass)
-                value = self._eval_int(insn)
-                iregs.write(insn.rd, value)
-                if insn.rd != 0:
-                    int_ready[insn.rd] = issue + lat
-                    int_cause[insn.rd] = None
+                issue = fpu_free
+            else:
+                charge(cause or StallCause.DATA_HAZARD, issue - t)
+
+            if kind <= K_SEL:
+                srcs = isrcs[pc]
+                if kind == K_SEL:
+                    value = ir[srcs[1]] if ir[srcs[0]] else ir[srcs[2]]
+                else:
+                    b = imms[pc]
+                    value = funcs[pc](ir[srcs[0]],
+                                      ir[srcs[1]] if b is None else b)
+                iregs.write(rd, value)
+                self._retire_int(rd, issue + lats[pc], int_ready, int_cause)
                 t = issue + 1
 
-            # ---------------- moves / immediates ------------------------
-            elif iclass is InsnClass.MOVE:
-                if op is O.LI:
-                    iregs.write(insn.rd, int(insn.imm))
-                    self._retire_int(insn.rd, t + 1, int_ready, int_cause)
-                    t += 1
-                elif op is O.MOV:
-                    issue, cause = src_wait(
-                        int_ready, int_cause, (insn.rs1,), t)
-                    charge(cause or StallCause.DATA_HAZARD, issue - t)
-                    iregs.write(insn.rd, iregs.read(insn.rs1))
-                    self._retire_int(insn.rd, issue + 1, int_ready, int_cause)
-                    t = issue + 1
-                elif op is O.FLI:
-                    fregs.write(insn.rd, float(insn.imm))
-                    fp_ready[insn.rd] = t + 1
-                    fp_cause[insn.rd] = None
-                    t += 1
-                else:  # FMOV
-                    issue, cause = src_wait(fp_ready, fp_cause, (insn.rs1,), t)
-                    charge(cause or StallCause.DATA_HAZARD, issue - t)
-                    fregs.write(insn.rd, fregs.read(insn.rs1))
-                    fp_ready[insn.rd] = issue + 1
-                    fp_cause[insn.rd] = None
-                    t = issue + 1
-
-            # ---------------- floating point ----------------------------
-            elif iclass in (InsnClass.FPU, InsnClass.FDIV):
-                int_srcs: tuple[int, ...] = ()
-                fp_srcs: tuple[int, ...] = ()
-                if op is O.I2F:
-                    int_srcs = (insn.rs1,)
-                elif op is O.F2I:
-                    fp_srcs = (insn.rs1,)
-                elif op in (O.FSQRT, O.FNEG, O.FABS):
-                    fp_srcs = (insn.rs1,)
-                elif op in (O.FLT, O.FLE, O.FEQ):
-                    fp_srcs = (insn.rs1, insn.rs2)
-                elif op is O.FSEL:
-                    int_srcs = (insn.rs1,)
-                    fp_srcs = (insn.rs2, insn.rs3)
-                else:
-                    fp_srcs = (insn.rs1, insn.rs2)
-                issue, cause1 = src_wait(int_ready, int_cause, int_srcs, t)
-                issue, cause2 = src_wait(fp_ready, fp_cause, fp_srcs, issue)
-                cause = cause2 or cause1
-                if not cfg.fpu_pipelined and fpu_free > issue:
-                    charge(StallCause.STRUCTURAL_FPU, fpu_free - issue)
-                    charge(cause or StallCause.DATA_HAZARD, issue - t)
-                    issue = fpu_free
-                else:
-                    charge(cause or StallCause.DATA_HAZARD, issue - t)
-                lat = cfg.latency_for(iclass)
-                fpu_free = issue + lat
-                self._eval_fp(insn, issue + lat, fp_ready, fp_cause,
-                              int_ready, int_cause)
-                t = issue + 1
-
-            # ---------------- memory ------------------------------------
-            elif iclass is InsnClass.LOAD:
-                issue, cause = src_wait(int_ready, int_cause, (insn.rs1,),
-                                        max(t, lsu_free))
-                charge(cause or StallCause.DATA_HAZARD, issue - t)
-                addr = iregs.read(insn.rs1) + int(insn.imm)
-                lat = self._data_access(addr)
-                value = mem.load_word(addr)
-                missed = lat > cfg.dcache.hit_latency
-                if op is O.LD:
-                    iregs.write(insn.rd, int(value))
-                    self._retire_int(
-                        insn.rd, issue + lat, int_ready, int_cause,
-                        StallCause.LOAD_MISS if missed else None)
-                else:
-                    fregs.write(insn.rd, float(value))
-                    fp_ready[insn.rd] = issue + lat
-                    fp_cause[insn.rd] = (
-                        StallCause.LOAD_MISS if missed else None)
-                lsu_free = issue + 1
-                t = issue + 1
-
-            elif iclass is InsnClass.STORE:
-                if op is O.ST:
-                    issue, cause = src_wait(
-                        int_ready, int_cause, (insn.rs1, insn.rs2),
-                        max(t, lsu_free))
-                    value: int | float = iregs.read(insn.rs2)
-                else:
-                    issue, cause = src_wait(
-                        int_ready, int_cause, (insn.rs1,), max(t, lsu_free))
-                    issue, c2 = src_wait(fp_ready, fp_cause, (insn.rs2,),
-                                         issue)
-                    cause = c2 or cause
-                    value = fregs.read(insn.rs2)
-                charge(cause or StallCause.DATA_HAZARD, issue - t)
-                addr = iregs.read(insn.rs1) + int(insn.imm)
-                self._data_access(addr, is_write=True)
-                mem.store_word(addr, value)
-                lsu_free = issue + 1
-                t = issue + 1
-
-            # ---------------- control flow --------------------------------
-            elif iclass is InsnClass.BRANCH:
-                issue, cause = src_wait(
-                    int_ready, int_cause, (insn.rs1, insn.rs2), t)
-                charge(cause or StallCause.DATA_HAZARD, issue - t)
-                taken = self._branch_taken(insn)
-                if taken:
+            elif kind == K_BRANCH:
+                if funcs[pc](ir[insn.rs1], ir[insn.rs2]):
                     stats.branches_taken += 1
                     next_pc = insn.target_index
                     charge(StallCause.BRANCH, cfg.branch_taken_penalty)
@@ -368,7 +321,62 @@ class Core:
                 else:
                     t = issue + 1
 
-            elif iclass is InsnClass.JUMP:
+            elif kind in (K_LD, K_FLD):
+                addr = ir[insn.rs1] + imms[pc]
+                lat = self._data_access(addr)
+                value = mem.load_word(addr)
+                why = (StallCause.LOAD_MISS
+                       if lat > cfg.dcache.hit_latency else None)
+                if kind == K_LD:
+                    iregs.write(rd, int(value))
+                    self._retire_int(rd, issue + lat, int_ready, int_cause,
+                                     why)
+                else:
+                    fregs.write(rd, float(value))
+                    fp_ready[rd] = issue + lat
+                    fp_cause[rd] = why
+                lsu_free = t = issue + 1
+
+            elif kind == K_FPU:
+                ready = fpu_free = issue + lats[pc]
+                value = funcs[pc](*[ir[r] for r in isrcs[pc]],
+                                  *[fr[r] for r in fsrcs[pc]])
+                if op in FP_INT_DEST:
+                    iregs.write(rd, value)
+                    self._retire_int(rd, ready, int_ready, int_cause)
+                else:
+                    fregs.write(rd, value)
+                    fp_ready[rd] = ready
+                    fp_cause[rd] = None
+                t = issue + 1
+
+            elif kind == K_DYSER:
+                t, next_fabric_ready = self._exec_dyser(
+                    insn, t, lsu_free, fabric_ready,
+                    int_ready, int_cause, fp_ready, fp_cause)
+                if next_fabric_ready is not None:
+                    fabric_ready = next_fabric_ready
+                if occs[pc] is not None:
+                    # Vector transfers hold the LSU for their occupancy.
+                    lsu_free = t - 1 + occs[pc]
+
+            elif kind == K_MOV:
+                iregs.write(rd, ir[insn.rs1])
+                self._retire_int(rd, issue + 1, int_ready, int_cause)
+                t = issue + 1
+
+            elif kind == K_LI:
+                iregs.write(rd, imms[pc])
+                self._retire_int(rd, t + 1, int_ready, int_cause)
+                t += 1
+
+            elif kind in (K_ST, K_FST):
+                addr = ir[insn.rs1] + imms[pc]
+                self._data_access(addr, is_write=True)
+                mem.store_word(addr, (ir if kind == K_ST else fr)[insn.rs2])
+                lsu_free = t = issue + 1
+
+            elif kind == K_JUMP:
                 next_pc = insn.target_index
                 stats.branches_taken += 1
                 charge(StallCause.BRANCH, cfg.branch_taken_penalty)
@@ -377,24 +385,27 @@ class Core:
                                pc=pc, target=next_pc)
                 t = t + 1 + cfg.branch_taken_penalty
 
-            # ---------------- DySER extension -----------------------------
-            elif insn.info.is_dyser:
-                t, next_fabric_ready = self._exec_dyser(
-                    insn, t, lsu_free, fabric_ready,
-                    int_ready, int_cause, fp_ready, fp_cause)
-                if next_fabric_ready is not None:
-                    fabric_ready = next_fabric_ready
-                if insn.info.is_memory:
-                    lsu_free = self._lsu_after(insn, t)
-
-            # ---------------- system --------------------------------------
-            elif op is O.NOP:
+            elif kind == K_FLI:
+                fregs.write(rd, imms[pc])
+                fp_ready[rd] = t + 1
+                fp_cause[rd] = None
                 t += 1
-            elif op is O.HALT:
+
+            elif kind == K_FMOV:
+                fregs.write(rd, fr[insn.rs1])
+                fp_ready[rd] = issue + 1
+                fp_cause[rd] = None
+                t = issue + 1
+
+            elif kind == K_NOP:
+                t += 1
+            elif kind == K_HALT:
                 # Drain the decoupled DySER store queue before retiring.
                 t = max(t, self._store_queue_busy) + 1
                 break
-            else:  # pragma: no cover - every opcode is handled above
+            elif kind == K_BAD_IMM:
+                raise funcs[pc]
+            else:  # pragma: no cover - every opcode has a kind
                 raise SimulationError(f"unhandled opcode {op}")
 
             if ev_insn is not None:
@@ -412,109 +423,10 @@ class Core:
         self._finalize_stats()
         return stats
 
-    # -- functional evaluation helpers -------------------------------------
-
     def _retire_int(self, rd, ready, int_ready, int_cause, cause=None):
         if rd != 0:
             int_ready[rd] = ready
             int_cause[rd] = cause
-
-    def _eval_int(self, insn) -> int:
-        O = Opcode
-        r = self.iregs.read
-        a = r(insn.rs1) if insn.rs1 is not None else 0
-        op = insn.op
-        if op is O.SEL:
-            return r(insn.rs2) if a else r(insn.rs3)
-        b = int(insn.imm) if insn.imm is not None else (
-            r(insn.rs2) if insn.rs2 is not None else 0)
-        if op in (O.ADD, O.ADDI):
-            return a + b
-        if op is O.SUB:
-            return a - b
-        if op in (O.MUL, O.MULI):
-            return a * b
-        if op is O.DIV:
-            return int_div(a, b)
-        if op is O.REM:
-            return int_rem(a, b)
-        if op in (O.AND, O.ANDI):
-            return a & b
-        if op in (O.OR, O.ORI):
-            return a | b
-        if op in (O.XOR, O.XORI):
-            return a ^ b
-        if op in (O.SLL, O.SLLI):
-            return a << (b & 63)
-        if op in (O.SRL, O.SRLI):
-            return (a & ((1 << 64) - 1)) >> (b & 63)
-        if op in (O.SRA, O.SRAI):
-            return a >> (b & 63)
-        if op in (O.SLT, O.SLTI):
-            return 1 if a < b else 0
-        if op is O.SEQ:
-            return 1 if a == b else 0
-        if op is O.MIN:
-            return min(a, b)
-        if op is O.MAX:
-            return max(a, b)
-        raise SimulationError(f"unhandled int op {op}")  # pragma: no cover
-
-    def _eval_fp(self, insn, ready, fp_ready, fp_cause, int_ready, int_cause):
-        import math
-
-        O = Opcode
-        fr, ir = self.fregs.read, self.iregs.read
-        op = insn.op
-        if op in (O.FLT, O.FLE, O.FEQ, O.F2I):
-            if op is O.FLT:
-                value = 1 if fr(insn.rs1) < fr(insn.rs2) else 0
-            elif op is O.FLE:
-                value = 1 if fr(insn.rs1) <= fr(insn.rs2) else 0
-            elif op is O.FEQ:
-                value = 1 if fr(insn.rs1) == fr(insn.rs2) else 0
-            else:
-                value = wrap64(int(fr(insn.rs1)))
-            self.iregs.write(insn.rd, value)
-            self._retire_int(insn.rd, ready, int_ready, int_cause)
-            return
-        if op is O.I2F:
-            result = float(ir(insn.rs1))
-        elif op is O.FADD:
-            result = fr(insn.rs1) + fr(insn.rs2)
-        elif op is O.FSUB:
-            result = fr(insn.rs1) - fr(insn.rs2)
-        elif op is O.FMUL:
-            result = fr(insn.rs1) * fr(insn.rs2)
-        elif op is O.FDIV:
-            b = fr(insn.rs2)
-            result = fr(insn.rs1) / b if b else math.inf
-        elif op is O.FSQRT:
-            a = fr(insn.rs1)
-            result = math.sqrt(a) if a >= 0.0 else math.nan
-        elif op is O.FNEG:
-            result = -fr(insn.rs1)
-        elif op is O.FABS:
-            result = abs(fr(insn.rs1))
-        elif op is O.FMIN:
-            result = min(fr(insn.rs1), fr(insn.rs2))
-        elif op is O.FMAX:
-            result = max(fr(insn.rs1), fr(insn.rs2))
-        elif op is O.FSEL:
-            result = fr(insn.rs2) if ir(insn.rs1) else fr(insn.rs3)
-        else:  # pragma: no cover
-            raise SimulationError(f"unhandled fp op {op}")
-        self.fregs.write(insn.rd, result)
-        fp_ready[insn.rd] = ready
-        fp_cause[insn.rd] = None
-
-    def _branch_taken(self, insn) -> bool:
-        O = Opcode
-        a, b = self.iregs.read(insn.rs1), self.iregs.read(insn.rs2)
-        return {
-            O.BEQ: a == b, O.BNE: a != b, O.BLT: a < b,
-            O.BGE: a >= b, O.BLE: a <= b, O.BGT: a > b,
-        }[insn.op]
 
     # -- DySER op execution --------------------------------------------------
 
@@ -549,11 +461,11 @@ class Core:
 
         if op in (O.DSEND, O.DFSEND):
             if op is O.DSEND:
-                issue, cause = self._wait(int_ready, int_cause,
+                issue, cause = _src_wait(int_ready, int_cause,
                                           (insn.rs1,), t)
                 value: int | float = self.iregs.read(insn.rs1)
             else:
-                issue, cause = self._wait(fp_ready, fp_cause, (insn.rs1,), t)
+                issue, cause = _src_wait(fp_ready, fp_cause, (insn.rs1,), t)
                 value = self.fregs.read(insn.rs1)
             charge(cause or StallCause.DATA_HAZARD, issue - t)
             if fabric_ready > issue:
@@ -579,7 +491,7 @@ class Core:
             return done + 1, None
 
         if op in (O.DLD, O.DFLD, O.DLDV, O.DFLDV, O.DLDW, O.DFLDW):
-            issue, cause = self._wait(int_ready, int_cause, (insn.rs1,),
+            issue, cause = _src_wait(int_ready, int_cause, (insn.rs1,),
                                       max(t, lsu_free))
             if lsu_free > t and issue == lsu_free:
                 cause = cause or StallCause.LSU_BUSY
@@ -612,7 +524,7 @@ class Core:
             return issue + 1, None
 
         if op in (O.DST, O.DFST, O.DSTV, O.DFSTV, O.DSTW, O.DFSTW):
-            issue, cause = self._wait(int_ready, int_cause, (insn.rs1,),
+            issue, cause = _src_wait(int_ready, int_cause, (insn.rs1,),
                                       max(t, lsu_free))
             if lsu_free > t and issue == lsu_free:
                 cause = cause or StallCause.LSU_BUSY
@@ -648,38 +560,6 @@ class Core:
             return issue + 1, None
 
         raise SimulationError(f"unhandled DySER op {op}")  # pragma: no cover
-
-    def _wait(self, regs_ready, regs_cause, indices, base):
-        floor, cause = base, None
-        for idx in indices:
-            if regs_ready[idx] > floor:
-                floor, cause = regs_ready[idx], regs_cause[idx]
-        return floor, cause
-
-    def _vector_cache_access(self, base: int, count: int, is_write: bool) -> int:
-        """Access every line a vector transfer touches; return max latency."""
-        line = self.config.dcache.line_bytes
-        lat = self.config.dcache.hit_latency
-        addr = base
-        end = base + count * WORD_BYTES
-        seen = set()
-        while addr < end:
-            key = addr // line
-            if key not in seen:
-                seen.add(key)
-                lat = max(lat, self._data_access(addr, is_write=is_write))
-            addr += WORD_BYTES
-        return lat
-
-    def _lsu_after(self, insn, t_next: int) -> int:
-        """LSU occupancy after a DySER memory op (vector ops hold it)."""
-        from repro.isa.opcodes import MULTI_OPS
-
-        if insn.op in MULTI_OPS:
-            count = int(insn.imm)
-            rate = max(1, self.config.vector_port_words_per_cycle)
-            return t_next - 1 + max(1, count // rate)
-        return t_next
 
     # -- wrap-up ----------------------------------------------------------------
 

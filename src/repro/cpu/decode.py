@@ -23,7 +23,11 @@ case of :meth:`repro.cpu.core.Core.run` — same issue-floor rules, same
 stall-cause attribution (including the ``cause or DATA_HAZARD`` default
 and the LSU_BUSY refinement on DySER memory ops), same functional
 semantics (64-bit wrapping, r0 discipline, division conventions).  The
-differential harness in :mod:`repro.harness.parity` enforces this.
+source-register rules and the value semantics are not restated: the
+makers take them from :mod:`repro.cpu.rules`, whose templates compile
+into specialised closures here and into the plain functions the
+reference core calls.  The differential harness in
+:mod:`repro.harness.parity` enforces the rest.
 
 The decode cache is keyed by program *identity* (``id()`` plus a
 liveness check through a weak reference — :class:`~repro.isa.program.
@@ -35,14 +39,15 @@ isolation and :func:`repro.harness.runner.clear_caches`.
 
 from __future__ import annotations
 
-import math
 import weakref
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 
-from repro.dyser.ops import int_div, int_rem
 from repro.errors import SimulationError
 from repro.cpu.regfile import wrap64
+from repro.cpu.rules import (
+    _BRANCH_TAKEN, FP_INT_DEST, _fp_eval_binder, _int_eval_binder,
+    clear_eval_caches, fp_insn_srcs, int_alu_srcs)
 from repro.isa.opcodes import InsnClass, Opcode, WIDE_OPS
 from repro.isa.program import Program
 
@@ -63,168 +68,6 @@ DYSER_SEND = 5
 DYSER_RECV = 6
 DYSER_CONFIG = 7
 LSU_BUSY = 8
-
-
-# ---------------------------------------------------------------------------
-# Static operand analysis (mirrors core.py's source-register rules)
-# ---------------------------------------------------------------------------
-
-def int_alu_srcs(insn) -> tuple:
-    """Timing source registers of an integer ALU/MUL/DIV instruction.
-
-    Mirrors the reference core exactly: SEL waits on all three sources;
-    register-immediate forms (mnemonics ending in ``i`` with an
-    immediate present) wait only on rs1; everything else on rs1+rs2.
-    """
-    op = insn.op
-    if op is Opcode.SEL:
-        return (insn.rs1, insn.rs2, insn.rs3)
-    if insn.imm is not None and op.value.endswith("i"):
-        return (insn.rs1,)
-    return (insn.rs1, insn.rs2)
-
-
-def fp_insn_srcs(insn) -> tuple[tuple, tuple]:
-    """(int_srcs, fp_srcs) of an FPU/FDIV instruction, as the core waits
-    on them."""
-    op = insn.op
-    O = Opcode
-    if op is O.I2F:
-        return (insn.rs1,), ()
-    if op is O.F2I:
-        return (), (insn.rs1,)
-    if op in (O.FSQRT, O.FNEG, O.FABS):
-        return (), (insn.rs1,)
-    if op in (O.FLT, O.FLE, O.FEQ):
-        return (), (insn.rs1, insn.rs2)
-    if op is O.FSEL:
-        return (insn.rs1,), (insn.rs2, insn.rs3)
-    return (), (insn.rs1, insn.rs2)
-
-
-#: FP-class opcodes that retire into the *integer* register file.
-FP_INT_DEST = frozenset({Opcode.FLT, Opcode.FLE, Opcode.FEQ, Opcode.F2I})
-
-
-# ---------------------------------------------------------------------------
-# Specialized integer evaluators (tiny exec-codegen, cached per pattern)
-# ---------------------------------------------------------------------------
-
-#: Expression template per integer opcode; ``{a}``/``{b}`` are the
-#: operand slots.  Semantics match ``Core._eval_int`` verbatim.
-_INT_EXPR = {
-    "add": "{a} + {b}", "addi": "{a} + {b}",
-    "sub": "{a} - {b}",
-    "mul": "{a} * {b}", "muli": "{a} * {b}",
-    "div": "int_div({a}, {b})",
-    "rem": "int_rem({a}, {b})",
-    "and": "{a} & {b}", "andi": "{a} & {b}",
-    "or": "{a} | {b}", "ori": "{a} | {b}",
-    "xor": "{a} ^ {b}", "xori": "{a} ^ {b}",
-    "sll": "{a} << ({b} & 63)", "slli": "{a} << ({b} & 63)",
-    "srl": "({a} & 18446744073709551615) >> ({b} & 63)",
-    "srli": "({a} & 18446744073709551615) >> ({b} & 63)",
-    "sra": "{a} >> ({b} & 63)", "srai": "{a} >> ({b} & 63)",
-    "slt": "1 if {a} < {b} else 0", "slti": "1 if {a} < {b} else 0",
-    "seq": "1 if {a} == {b} else 0",
-    "min": "min({a}, {b})", "max": "max({a}, {b})",
-}
-
-_A_SLOT = {"reg": "ir[s1]", "zero": "0"}
-_B_SLOT = {"imm": "imm", "reg": "ir[s2]", "zero": "0"}
-
-_EVAL_BINDERS: dict[tuple[str, str, str], object] = {}
-
-
-def _int_eval_binder(op_value: str, akind: str, bkind: str):
-    """Compile (once per pattern) a binder producing a zero-argument
-    evaluator closure for an integer op."""
-    key = (op_value, akind, bkind)
-    binder = _EVAL_BINDERS.get(key)
-    if binder is None:
-        expr = _INT_EXPR[op_value].format(
-            a=_A_SLOT[akind], b=_B_SLOT[bkind])
-        ns = {"int_div": int_div, "int_rem": int_rem,
-              "min": min, "max": max}
-        exec(  # noqa: S102 - static templates above, no external input
-            f"def _bind(ir, s1, s2, imm):\n    return lambda: {expr}\n",
-            ns,
-        )
-        binder = ns["_bind"]
-        _EVAL_BINDERS[key] = binder
-    return binder
-
-
-_INT_OPS: dict[str, object] = {}
-
-
-def int_op(op_value: str):
-    """``(a, b) -> result`` function of an integer op (cached per op),
-    from the same templates as the bound evaluators."""
-    fn = _INT_OPS.get(op_value)
-    if fn is None:
-        ns = {"int_div": int_div, "int_rem": int_rem,
-              "min": min, "max": max}
-        exec(  # noqa: S102 - static templates above, no external input
-            f"def fn(a, b):\n"
-            f"    return {_INT_EXPR[op_value].format(a='a', b='b')}\n",
-            ns,
-        )
-        fn = _INT_OPS[op_value] = ns["fn"]
-    return fn
-
-
-def _fp_eval_binder(op, ir, fr, s1, s2, s3):
-    """Zero-argument evaluator for an FP-class op (reads registers at
-    call time, like ``Core._eval_fp``)."""
-    O = Opcode
-    if op is O.I2F:
-        return lambda: float(ir[s1])
-    if op is O.FADD:
-        return lambda: fr[s1] + fr[s2]
-    if op is O.FSUB:
-        return lambda: fr[s1] - fr[s2]
-    if op is O.FMUL:
-        return lambda: fr[s1] * fr[s2]
-    if op is O.FDIV:
-        def ev():
-            b = fr[s2]
-            return fr[s1] / b if b else math.inf
-        return ev
-    if op is O.FSQRT:
-        def ev():
-            a = fr[s1]
-            return math.sqrt(a) if a >= 0.0 else math.nan
-        return ev
-    if op is O.FNEG:
-        return lambda: -fr[s1]
-    if op is O.FABS:
-        return lambda: abs(fr[s1])
-    if op is O.FMIN:
-        return lambda: min(fr[s1], fr[s2])
-    if op is O.FMAX:
-        return lambda: max(fr[s1], fr[s2])
-    if op is O.FSEL:
-        return lambda: fr[s2] if ir[s1] else fr[s3]
-    if op is O.FLT:
-        return lambda: 1 if fr[s1] < fr[s2] else 0
-    if op is O.FLE:
-        return lambda: 1 if fr[s1] <= fr[s2] else 0
-    if op is O.FEQ:
-        return lambda: 1 if fr[s1] == fr[s2] else 0
-    if op is O.F2I:
-        return lambda: wrap64(int(fr[s1]))
-    raise SimulationError(f"unhandled fp op {op}")  # pragma: no cover
-
-
-_BRANCH_TAKEN = {
-    Opcode.BEQ: (lambda a, b: a == b),
-    Opcode.BNE: (lambda a, b: a != b),
-    Opcode.BLT: (lambda a, b: a < b),
-    Opcode.BGE: (lambda a, b: a >= b),
-    Opcode.BLE: (lambda a, b: a <= b),
-    Opcode.BGT: (lambda a, b: a > b),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1244,4 +1087,4 @@ def decode_cache_size() -> int:
 def clear_decode_caches() -> None:
     """Drop all decoded programs and compiled evaluator patterns."""
     _DECODE_CACHE.clear()
-    _EVAL_BINDERS.clear()
+    clear_eval_caches()

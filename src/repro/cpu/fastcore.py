@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.cpu.cache import Cache
-from repro.cpu.core import Core, CoreConfig, _INSN_BYTES
+from repro.cpu.core import CacheHierarchy, Core, CoreConfig, _INSN_BYTES
 from repro.cpu.decode import decode_program
 from repro.cpu.memory import Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile
@@ -78,13 +78,7 @@ class _Ctx:
         self.da = core._data_access
         self.fa = core._fetch_access
         self.vca = core._vector_cache_access
-        self.lats = {
-            InsnClass.ALU: cfg.alu_latency,
-            InsnClass.MUL: cfg.mul_latency,
-            InsnClass.DIV: cfg.div_latency,
-            InsnClass.FPU: cfg.fpu_latency,
-            InsnClass.FDIV: cfg.fdiv_latency,
-        }
+        self.lats = {c: cfg.latency_for(c) for c in InsnClass}
         self.pipelined = cfg.fpu_pipelined
         self.penalty = cfg.branch_taken_penalty
         self.ihit = cfg.icache.hit_latency
@@ -92,7 +86,7 @@ class _Ctx:
         self.rate = max(1, cfg.vector_port_words_per_cycle)
 
 
-class FastCore:
+class FastCore(CacheHierarchy):
     """Drop-in replacement for :class:`~repro.cpu.core.Core` on the
     untraced path.  Same constructor signature; same ``run()`` result.
     """
@@ -140,12 +134,9 @@ class FastCore:
         self.events = None
         self.trace_instructions = False
 
-    # Shared helpers: byte-for-byte the reference implementations, so
-    # the cache hierarchy and calling convention can never drift.
+    # Shared helpers: the reference implementations, so the calling
+    # convention can never drift.
     set_args = Core.set_args
-    _data_access = Core._data_access
-    _fetch_access = Core._fetch_access
-    _vector_cache_access = Core._vector_cache_access
     _finalize_stats = Core._finalize_stats
 
     def run(self) -> ExecStats:

@@ -867,6 +867,74 @@ def test_unconvertible_immediate_aborts_where_used(source, walked,
     assert prediction.notes == notes
 
 
+def test_walker_refuses_too_many_kernel_args():
+    """The walk refuses the argument lists ``Core.set_args`` refuses,
+    rather than predicting a run that can never start."""
+    from repro.cpu import Core
+    from repro.errors import SimulationError
+
+    source = "addi r1, r1, 1\nhalt"
+    with pytest.raises(SimulationError, match="too many kernel arguments"):
+        Core(assemble(source), Memory(1 << 16)).set_args(range(20))
+    with pytest.raises(SimulationError, match="too many kernel arguments"):
+        analyze_program(assemble(source), int_args=range(20))
+    with pytest.raises(SimulationError, match="too many kernel arguments"):
+        analyze_program(assemble(source), fp_args=[0.0] * 20)
+
+
+#: Every timing knob the walker and the core share, off its default.
+_KNOBS = {"alu_latency": 2, "mul_latency": 3, "div_latency": 11,
+          "fpu_latency": 5, "fdiv_latency": 9, "fpu_pipelined": True,
+          "branch_taken_penalty": 2}
+
+
+#: The hazard program plus back-to-back FPU work (so the pipelined-FPU
+#: knob matters) and a loop (so the taken-branch penalty does).
+_HAZARD_LOOP_SRC = HAZARD_SRC.replace("    halt\n", """\
+    fadd  f8, f1, f1
+    fmul  f9, f8, f1
+    fsqrt f10, f1
+    fdiv  f11, f1, f9
+    li    r20, 3
+again:
+    addi  r20, r20, -1
+    add   r21, r20, r20
+    bne   r20, r0, again
+    halt
+""")
+
+
+@pytest.mark.parametrize("source,knobs,cycles", [
+    (HAZARD_SRC, _KNOBS, 199),
+    (_HAZARD_LOOP_SRC, _KNOBS, 210),
+    (_HAZARD_LOOP_SRC,
+     {**_KNOBS, "fpu_pipelined": False, "branch_taken_penalty": 7}, 229),
+], ids=["hazards", "hazards-loop", "hazards-loop-unpipelined"])
+def test_hazard_walk_matches_core_under_non_default_timing(source, knobs,
+                                                           cycles):
+    from repro.cpu import Core
+    from repro.dyser import DyserDevice
+
+    def build():
+        program = assemble(source)
+        program.dyser_configs[0] = _unary_config(0, 1.0)
+        return program
+
+    fabric = Fabric(FabricGeometry(4, 4))
+    config = CoreConfig(**knobs)
+    prediction = analyze_program(build(), memory=Memory(1 << 16),
+                                 fabric=fabric, core_config=config)
+    core = Core(build(), Memory(1 << 16), dyser=DyserDevice(fabric=fabric),
+                config=config)
+    measured = core.run().cycles
+    assert prediction.exact
+    assert prediction.predicted_cycles == measured
+    default = Core(build(), Memory(1 << 16),
+                   dyser=DyserDevice(fabric=fabric)).run().cycles
+    assert measured != default
+    assert measured == cycles
+
+
 def test_cost_fallback_is_pinned(monkeypatch):
     assert fallback_cost_digest(monkeypatch) == WALKER_DIGESTS["fallback"]
 
