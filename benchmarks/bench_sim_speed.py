@@ -1,4 +1,4 @@
-"""Simulator speed: fast backend vs the reference core.
+"""Simulator speed: solo runs on the default backend vs the reference core.
 
 Two entry points:
 
@@ -8,11 +8,16 @@ Two entry points:
   from the command line and appends a machine-readable entry to
   ``BENCH_sim_speed.json`` (the committed history of the speedup
   acceptance criterion); ``--batched`` measures the batched lockstep
-  backend on a timing-knob sweep instead (reference vs fast vs
+  backend on a timing-knob sweep instead (reference vs solo vs
   batched, recorded under ``batched_entries`` and gated at
   :data:`BATCHED_MIN_SPEEDUP` by :func:`validate_batched_gate`);
   ``--check`` runs the differential parity harnesses instead — solo
   and batched — with no timing (CI's bench-smoke gate).
+
+Solo runs go to the default backend (``repro.DEFAULT_BACKEND``, where a
+solo run is a lane of one).  Entries keep the ``fast_s`` key for that time: entries
+recorded before solo runs moved there timed the fast core, which has
+since been removed.
 
 Methodology: every (workload, mode) config is executed once per backend
 after a compile warm-up pass, so the numbers compare *simulation* time,
@@ -92,6 +97,7 @@ def _time_backend(configs, backend: str) -> float:
 
 def measure(workloads=None, scale: str = "small") -> dict:
     """One benchmark entry: parity check + wall time per backend."""
+    from repro import DEFAULT_BACKEND
     from repro.harness import verify_parity
     from repro.workloads import names
 
@@ -103,10 +109,10 @@ def measure(workloads=None, scale: str = "small") -> dict:
         raise AssertionError(report.summary())
 
     # Warm the compile cache so both timings measure simulation only.
-    _time_backend(_configs(workloads, "tiny"), "fast")
+    _time_backend(_configs(workloads, "tiny"), DEFAULT_BACKEND)
 
     reference_s = _time_backend(configs, "reference")
-    fast_s = _time_backend(configs, "fast")
+    fast_s = _time_backend(configs, DEFAULT_BACKEND)
     return {
         "date": _dt.date.today().isoformat(),
         "scale": scale,
@@ -124,6 +130,7 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
     """One batched-sweep entry: the same config grid through all three
     backends, with every batched payload asserted byte-identical to
     its solo reference run before any timing is trusted."""
+    from repro import DEFAULT_BACKEND
     from repro.harness import execute
     from repro.harness.batch import execute_batch
 
@@ -132,7 +139,7 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
 
     # Warm the compile cache so the timings measure simulation only.
     for config in _batched_configs(workloads, "tiny"):
-        execute(config.with_(backend="fast"))
+        execute(config.with_(backend=DEFAULT_BACKEND))
 
     def timed_solo(backend):
         started = time.perf_counter()
@@ -140,7 +147,7 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
         return time.perf_counter() - started, results
 
     reference_s, reference = timed_solo("reference")
-    fast_s, _ = timed_solo("fast")
+    fast_s, _ = timed_solo(DEFAULT_BACKEND)
     started = time.perf_counter()
     outcomes = execute_batch(configs)
     batched_s = time.perf_counter() - started
@@ -177,7 +184,7 @@ def validate(document: dict) -> None:
         assert entry["fast_s"] > 0 and entry["reference_s"] > 0
         assert entry["parity_checked"] == entry["runs"]
         assert entry["speedup"] > 1.0, (
-            f"fast backend slower than reference: {entry}")
+            f"solo runs slower than reference: {entry}")
     for entry in document.get("batched_entries", ()):
         for key in ("date", "scale", "workloads", "runs",
                     "parity_checked", "reference_s", "fast_s",
@@ -208,7 +215,7 @@ def _render(entry: dict) -> str:
 
     rows = [
         ["reference", f"{entry['reference_s']:.3f}", "1.00x"],
-        ["fast", f"{entry['fast_s']:.3f}", f"{entry['speedup']:.2f}x"],
+        ["solo", f"{entry['fast_s']:.3f}", f"{entry['speedup']:.2f}x"],
     ]
     return format_table(
         ["backend", "wall s", "speedup"], rows,
@@ -221,7 +228,7 @@ def _render_batched(entry: dict) -> str:
 
     rows = [
         ["reference", f"{entry['reference_s']:.3f}", "1.00x"],
-        ["fast", f"{entry['fast_s']:.3f}",
+        ["solo", f"{entry['fast_s']:.3f}",
          f"{entry['reference_s'] / entry['fast_s']:.2f}x"],
         ["batched", f"{entry['batched_s']:.3f}",
          f"{entry['speedup_vs_reference']:.2f}x"],
@@ -237,7 +244,7 @@ def test_sim_speed(benchmark):
     from common import emit, once
 
     entry = once(benchmark, lambda: measure(scale="small"))
-    emit("SIM_SPEED: fast backend vs reference", _render(entry))
+    emit("SIM_SPEED: solo runs vs reference", _render(entry))
     assert entry["speedup"] > 1.0
 
 
@@ -249,7 +256,7 @@ def main(argv=None) -> int:
                         choices=("tiny", "small", "medium"))
     parser.add_argument("--check", action="store_true",
                         help="run the parity harnesses only (no "
-                             "timing): solo fast-vs-reference plus a "
+                             "timing): solo-vs-reference plus a "
                              "batched sweep; defaults to the CI smoke "
                              "pair")
     parser.add_argument("--batched", action="store_true",

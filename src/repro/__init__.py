@@ -44,7 +44,7 @@ exclusively.  The canonical entry points::
 # NOTE: repro.cpu must be imported before repro.compiler/repro.dyser —
 # the machine models participate in an import cycle (cpu.core ↔
 # dyser.interface) whose safe entry point is the cpu package.
-from repro.cpu import Core, CoreConfig, ExecStats, FastCore, Memory
+from repro.cpu import BatchCore, Core, CoreConfig, ExecStats, Memory
 from repro.analysis import (
     Diagnostic,
     DiagnosticReport,
@@ -221,10 +221,10 @@ __all__ = [
     "compile_dyser",
     "compile_scalar",
     # machine models
+    "BatchCore",
     "Core",
     "CoreConfig",
     "ExecStats",
-    "FastCore",
     "Memory",
     "SteadyState",
     "Dfg",

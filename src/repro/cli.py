@@ -80,8 +80,8 @@ def _cmd_run(args) -> int:
 def _cmd_profile(args) -> int:
     from repro import profile_workload
 
-    # ``--backend fast`` is accepted here too: tracing resolves it to
-    # the reference core (same cycles, by the parity contract).
+    # ``--backend batched`` is accepted here too: tracing resolves it
+    # to the reference core (same cycles, by the parity contract).
     report = profile_workload(RunConfig(
         workload=args.name, mode=args.mode, scale=args.scale,
         seed=args.seed, backend=args.backend,

@@ -1,7 +1,6 @@
 """The OpenSPARC-T1-flavoured host core model."""
 
 from repro.cpu.batchcore import PER_POINT_FIELDS, BatchCore
-from repro.cpu.batchdecode import batch_decode_program
 from repro.cpu.cache import Cache, CacheConfig, dcache_config, icache_config
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.decode import (
@@ -10,7 +9,6 @@ from repro.cpu.decode import (
     decode_cache_size,
     decode_program,
 )
-from repro.cpu.fastcore import FastCore
 from repro.cpu.memory import WORD_BYTES, Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile, wrap64
 from repro.cpu.statistics import ExecStats, StallCause
@@ -23,9 +21,7 @@ __all__ = [
     "CoreConfig",
     "DecodedProgram",
     "ExecStats",
-    "FastCore",
     "PER_POINT_FIELDS",
-    "batch_decode_program",
     "clear_decode_caches",
     "decode_cache_size",
     "decode_program",

@@ -1,20 +1,18 @@
-"""Batched lockstep backend: N timing configs of one program at once.
+"""The simulation core of every untraced run: N timing configs at once.
 
 ``BatchCore`` runs a *lane* — N sweep points that share one program,
 one memory image, and one functional execution — in lockstep, as a
-structure-of-arrays over per-point timing state.  The handlers come
-from :mod:`repro.cpu.batchdecode`; see that module for the SoA layout
-and the soundness argument (timing knobs cannot change architectural
-values, so functional work is shared and done once).
+structure-of-arrays over per-point timing state.  A solo run is a lane
+of one.  The handlers come from :mod:`repro.cpu.decode`; see that
+module for the soundness argument (timing knobs cannot change
+architectural values, so functional work is shared and done once).
 
-The solo and the lockstep path share everything but their handlers and
-their core: one decoder (:mod:`repro.cpu.decode` — block discovery,
-opcode dispatch and cache — over two handler sets), one lane planner
-(:func:`repro.harness.batch.plan_batches`), one run set-up around the
-core (:mod:`repro.harness.runner`) and one engine dispatch loop
-(:func:`repro.engine.pool.run_jobs`, where a solo job is a lane of
-one).  ``BatchCore.run()`` binds the lockstep handlers to a batch
-context and walks the block graph once for the whole lane.
+Around the core, solo runs and wider lanes share one lane planner
+(:func:`repro.harness.batch.plan_batches`), one run set-up
+(:mod:`repro.harness.runner`) and one engine dispatch loop
+(:func:`repro.engine.pool.run_jobs`).  ``BatchCore.run()`` binds the
+handlers to a batch context and walks the block graph once for the
+whole lane.
 
 Divergence model: within a lane, control flow is *shared by
 construction* (branches read shared registers), so points can only
@@ -22,22 +20,26 @@ diverge by faulting — most commonly a per-point ``max_instructions``
 limit.  ``run()`` therefore splits lazily: at block entry, any point
 whose limit would land inside the block is *evicted* (recorded in
 ``self.evicted``) and simply dropped from the active list; the caller
-re-runs evicted points solo on the fast backend, which reproduces
-byte-identical results including mid-block HALT-before-limit and the
-exact stable error strings.  A fault in *shared* functional state
-(e.g. a DySER flow-control error, or falling off the program end)
-would hit every point identically, so the whole remaining batch is
-evicted and replayed solo — correctness never depends on partially
-poisoned lockstep state.  Points that survive to HALT "re-merge"
-trivially: they were never apart.
+re-runs each evicted point as a lane of one, which reproduces the
+reference core's outcome byte for byte, stable error strings included.
+A fault in *shared* functional state (e.g. a DySER flow-control error,
+or falling off the program end) would hit every point identically, so
+the whole remaining lane is evicted and replayed — correctness never
+depends on partially poisoned lockstep state.  Points that survive to
+HALT "re-merge" trivially: they were never apart.
+
+A lane of one never evicts.  When its instruction limit lands inside a
+block it runs the instructions before the limit and raises the
+reference core's limit error; any other fault propagates as the run's
+own error.  Replaying an evicted point therefore cannot recurse.
 """
 
 from __future__ import annotations
 
 from repro.errors import ReproError, SimulationError
-from repro.cpu.batchdecode import batch_decode_program
 from repro.cpu.cache import Cache
 from repro.cpu.core import CacheHierarchy, Core, CoreConfig, _INSN_BYTES
+from repro.cpu.decode import decode_program
 from repro.cpu.memory import Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile
 from repro.cpu.statistics import ExecStats, StallCause
@@ -45,7 +47,7 @@ from repro.dyser.interface import DyserDevice
 from repro.isa.opcodes import InsnClass
 from repro.isa.program import Program
 
-#: StallCause by fast-path integer ID (declaration order).
+#: StallCause by handler integer ID (declaration order).
 _CAUSES = tuple(StallCause)
 
 #: CoreConfig fields allowed to differ across the points of one lane.
@@ -72,16 +74,23 @@ class _BatchCtx:
     Per point (lists indexed by point id): register scoreboards
     ``irdys``/``frdys`` with cause maps ``iczs``/``fczs``, stall
     accumulators ``sts``, structural scoreboards ``scs`` =
-    ``[fpu_free, lsu_free, fabric_ready, store_queue_busy]``, cycle
-    cursors ``tv``, DySER devices ``devs`` and port rates ``rates``.
-    ``ap`` is the *active point list*; handlers iterate it, the core
-    shrinks it on eviction.
+    ``[fpu_free, lsu_free, fabric_ready, store_queue_busy, cycle]``
+    (``cycle`` is the point's cursor), DySER devices ``devs`` and port
+    rates ``rates``.
+
+    ``ap`` is the *active point list*; handlers iterate one of its
+    views instead, which bind each active point's scoreboards as one
+    tuple: ``pi`` = ``(irdy, icz, st, sc)``, ``pf`` = ``(frdy, fcz, st,
+    sc)``, ``pa`` = ``(irdy, icz, frdy, fcz, st, sc)``, ``pdi`` = ``(p,
+    dev) + pi`` and ``pdf`` = ``(p, dev) + pf``.  :meth:`keep` shrinks
+    them all on eviction.
     """
 
     __slots__ = (
         "ir", "fr", "irdys", "frdys", "iczs", "fczs", "sts", "scs",
-        "tv", "ap", "fl", "misc", "mem", "devs", "da", "fa", "vca",
-        "lats", "pipelined", "penalty", "ihit", "dhit", "rates",
+        "ap", "pi", "pf", "pa", "pdi", "pdf", "fl", "misc", "mem", "devs",
+        "da", "fa", "vca", "lats", "pipelined", "penalty", "ihit", "dhit",
+        "rates",
     )
 
     def __init__(self, core: "BatchCore") -> None:
@@ -94,9 +103,7 @@ class _BatchCtx:
         self.iczs: list = [[None] * 32 for _ in range(n)]
         self.fczs: list = [[None] * 32 for _ in range(n)]
         self.sts = [[0] * len(_CAUSES) for _ in range(n)]
-        self.scs = [[0, 0, 0, 0] for _ in range(n)]
-        self.tv = [0] * n
-        self.ap = list(range(n))
+        self.scs = [[0, 0, 0, 0, 0] for _ in range(n)]
         self.fl = [-1]
         self.misc = [0]
         self.mem = core.memory
@@ -111,6 +118,33 @@ class _BatchCtx:
         self.dhit = cfg.dcache.hit_latency
         self.rates = [max(1, c.vector_port_words_per_cycle)
                       for c in core.configs]
+        self.ap: list[int] = []
+        self.pi: list[tuple] = []
+        self.pf: list[tuple] = []
+        self.pa: list[tuple] = []
+        self.pdi: list[tuple] = []
+        self.pdf: list[tuple] = []
+        self.keep(range(n))
+
+    def keep(self, points) -> None:
+        """Make ``points`` (ascending ids) the active point list."""
+        ap = self.ap
+        ap[:] = points
+        ints = [(self.irdys[p], self.iczs[p]) for p in ap]
+        fps = [(self.frdys[p], self.fczs[p]) for p in ap]
+        tails = [(self.sts[p], self.scs[p]) for p in ap]
+        self.pi[:] = [i + t for i, t in zip(ints, tails)]
+        self.pf[:] = [f + t for f, t in zip(fps, tails)]
+        self.pa[:] = [i + f + t for i, f, t in zip(ints, fps, tails)]
+        self.pdi[:] = [(p, self.devs[p]) + v for p, v in zip(ap, self.pi)]
+        self.pdf[:] = [(p, self.devs[p]) + v for p, v in zip(ap, self.pf)]
+
+
+def _limit_error(limit: int, program: Program) -> SimulationError:
+    return SimulationError(
+        f"instruction limit {limit} exceeded "
+        f"(runaway loop in {program.name}?)"
+    )
 
 
 class _PointView:
@@ -135,7 +169,9 @@ class BatchCore(CacheHierarchy):
     (:data:`PER_POINT_FIELDS`); devices must be attached to either
     every point or none.  ``run()`` returns per-point
     ``ExecStats | None`` — ``None`` marks a point recorded in
-    ``self.evicted`` that must be replayed solo by the caller.
+    ``self.evicted`` that the caller must replay as a lane of one.
+    A lane of one (one config) raises where the reference core raises
+    and so always returns its stats.
     """
 
     def __init__(
@@ -194,7 +230,8 @@ class BatchCore(CacheHierarchy):
         self.l2 = Cache(base.l2) if base.l2 else None
         #: Point ids dropped from lockstep (limit landed inside a
         #: block, shared fault, or fell off the program end); the
-        #: caller replays them solo.
+        #: caller replays each as a lane of one.  Always empty for a
+        #: lane of one, which raises its faults instead.
         self.evicted: set[int] = set()
 
     # Shared helpers: the reference implementations, so the calling
@@ -207,37 +244,52 @@ class BatchCore(CacheHierarchy):
             self.iregs.write(28, spill_base)
         cfg = self.config
         insns_per_line = max(1, cfg.icache.line_bytes // _INSN_BYTES)
-        decoded = batch_decode_program(self.program, insns_per_line)
+        decoded = decode_program(self.program, insns_per_line)
         ctx = _BatchCtx(self)
         bound = decoded.bind(ctx)
 
         limits = [c.max_instructions for c in self.configs]
+        # A lane of one never evicts: every fault is the run's own.
+        solo = len(limits) == 1
         ap = ctx.ap
         evicted = self.evicted
         counts = [0] * len(bound)
         executed = 0
-        min_limit = min(limits[p] for p in ap)
+        min_limit = min(limits)
         bi = 0
         while True:
             if bi < 0:
                 if bi == -1:        # HALT retired for the whole lane
                     break
                 # Fell off the program end: a shared-control fault that
-                # hits every point identically (possibly as a limit
-                # error first) — replay them all solo.
+                # hits every point identically (the reference checks
+                # the instruction limit before the fetch that faults).
+                if solo:
+                    if executed >= min_limit:
+                        raise _limit_error(min_limit, self.program)
+                    raise SimulationError(
+                        f"pc {decoded.n} fell off the end of "
+                        f"{self.program.name}"
+                    )
                 evicted.update(ap)
-                ap.clear()
+                ctx.keep(())
                 break
-            handlers, term, length, _ = bound[bi]
+            handlers, term, length, starts = bound[bi]
             ne = executed + length
             if ne > min_limit:
+                if solo:
+                    # The limit lands inside this block: run the
+                    # instructions before it (a fault there comes
+                    # first), then stop where the reference core does.
+                    for h in handlers[:starts[min_limit - executed]]:
+                        h()
+                    raise _limit_error(min_limit, self.program)
                 # Some point's instruction limit lands inside this
-                # block: split it out of lockstep.  Solo replay gives
-                # exact semantics (per-instruction limit checks,
-                # mid-block HALT-before-limit, stable error strings).
-                keep = [p for p in ap if ne <= limits[p]]
+                # block: split it out of lockstep.  Its replay as a
+                # lane of one gives exact semantics (stable error
+                # strings included).
                 evicted.update(p for p in ap if ne > limits[p])
-                ap[:] = keep
+                ctx.keep([p for p in ap if ne <= limits[p]])
                 if not ap:
                     break
                 min_limit = min(limits[p] for p in ap)
@@ -248,12 +300,14 @@ class BatchCore(CacheHierarchy):
                     h()
                 bi = term()
             except ReproError:
+                if solo:
+                    raise
                 # Faults raised from shared functional state (DySER
                 # flow errors, missing device, ...) would hit every
-                # point identically; evict the lane and let solo
-                # replay reproduce each point's exact error.
+                # point identically; evict the lane and let each
+                # point's replay reproduce its exact error.
                 evicted.update(ap)
-                ap.clear()
+                ctx.keep(())
                 break
 
         n = len(self.configs)
@@ -286,7 +340,7 @@ class BatchCore(CacheHierarchy):
             for cid, cycles in enumerate(ctx.sts[p]):
                 if cycles:
                     stall[_CAUSES[cid]] += cycles
-            stats.cycles = ctx.tv[p]
+            stats.cycles = ctx.scs[p][4]
             _PointView(stats, self.dcache, self.icache,
                        self.dysers[p])._finalize_stats()
             results[p] = stats

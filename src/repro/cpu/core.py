@@ -17,8 +17,8 @@ helps FP kernels on the prototype), write-through D$.
 What each instruction waits on, computes and costs is not written here:
 ``run`` dispatches on the per-pc table of :mod:`repro.cpu.rules`, the
 same table the static cost walker (:mod:`repro.analysis.perf`) reads,
-and the fast and lockstep handlers bind the same source rules and
-value templates.  This module owns the scoreboard, stall-cause
+and the lockstep handlers bind the same source rules and value
+templates.  This module owns the scoreboard, stall-cause
 attribution, event emission, the DySER interface and the cache
 hierarchy (:class:`CacheHierarchy`) every model shares.
 """

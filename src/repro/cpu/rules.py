@@ -1,10 +1,10 @@
 """The instruction rules every timing model reads: one definition each.
 
-Four models execute the same in-order OpenSPARC-T1-flavoured pipeline:
-the reference core (:mod:`repro.cpu.core`), the fast and the lockstep
-handler sets (:mod:`repro.cpu.decode`, :mod:`repro.cpu.batchdecode`)
-and the static cost walker (:mod:`repro.analysis.perf`).  This module
-holds what they would otherwise each restate:
+Three models execute the same in-order OpenSPARC-T1-flavoured
+pipeline: the reference core (:mod:`repro.cpu.core`), the lockstep
+handlers (:mod:`repro.cpu.decode`) and the static cost walker
+(:mod:`repro.analysis.perf`).  This module holds what they would
+otherwise each restate:
 
 - the **source-register rules** — which registers an instruction waits
   on before it may issue (:func:`int_alu_srcs`, :func:`fp_insn_srcs`);

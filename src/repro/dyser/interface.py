@@ -137,34 +137,6 @@ class DyserDevice:
             self.send_stall_cycles[port] += total
         return total
 
-    def send_wide(self, base_port: int, values, arrivals) -> int:
-        """Bulk sends of one wide transfer (``dldw``/``dfldw``): value
-        *i* goes to port ``base_port + i``.
-
-        Cycle-exact with per-element :meth:`send` calls (see
-        :meth:`InvocationEngine.send_wide`); returns total send-stall
-        cycles.  The batched backend's lockstep handlers use this to
-        collapse N×k call chains into N.
-        """
-        if self.events is not None:
-            total = 0
-            for i, (value, arrive) in enumerate(zip(values, arrivals, strict=True)):
-                done = self.send(base_port + i, value, arrive)
-                if done > arrive:
-                    total += done - arrive
-            return total
-        engine = self._require_engine("send")
-        dones = engine.send_wide(base_port, values, arrivals)
-        self.stats.values_sent += len(dones)
-        total = 0
-        stalls = self.send_stall_cycles
-        for i, (done, arrive) in enumerate(zip(dones, arrivals, strict=True)):
-            if done > arrive:
-                stall = done - arrive
-                stalls[base_port + i] += stall
-                total += stall
-        return total
-
     def recv(self, port: int, t_try: int) -> tuple[int | float, int]:
         engine = self._require_engine("recv")
         value, done = engine.recv(port, t_try)

@@ -33,7 +33,7 @@ class SteadyState:
     fabric fires one invocation every ``interval`` cycles and each
     invocation's last output appears ``latency`` cycles after it fires.
     The event-driven engine converges to exactly this behaviour — the
-    fast backend leans on it to reason about streamed transfers, and
+    batched backend leans on it to reason about streamed transfers, and
     ``tests/test_dyser_timing.py`` asserts the two models agree.
     """
 
@@ -77,9 +77,6 @@ class InvocationEngine:
             for p in config.dfg.output_ports
         }
         self.fire_times: list[int] = []
-        # Memo for send_wide: (base_port, count) -> tuple of the target
-        # input FIFOs, or None when some target port does not exist.
-        self._wide_fifos: dict[tuple[int, int], tuple | None] = {}
         # Readiness bookkeeping: number of input FIFOs currently
         # holding at least one value.  A firing is possible exactly
         # when every FIFO is non-empty, so `send` compares this count
@@ -188,96 +185,6 @@ class InvocationEngine:
                 out_fifos[p].produce(v, fire_at + delays[p])
         fifo.total_sent = sent
         return total
-
-    def send_wide(self, base_port: int, values, arrivals) -> list[int]:
-        """Bulk equivalent of ``send(base_port + i, v_i, a_i)`` for a
-        wide transfer (one value per consecutive port); returns the
-        per-element completion cycles.
-
-        Cycle-exact with the per-element path when every target FIFO
-        starts empty: the elements land on *distinct* ports, so no
-        invocation can become ready until the last element is in —
-        enqueueing them all and scanning readiness once reproduces the
-        per-send fire sequence exactly, and no fire interleaves with
-        the enqueues, so each FIFO's freeing recurrence sees the same
-        ``fire_times``.  When the transfer additionally covers *all*
-        input ports (the common compiler shape for ``dldw``), exactly
-        one invocation fires and its time is computed arithmetically —
-        no deque traffic at all, mirroring ``send_stream``'s
-        steady-state fast-forward.  A non-empty target FIFO could let a
-        fire trigger mid-transfer (extending ``fire_times`` under later
-        elements), so that case — like traced engines — takes the
-        per-send path.
-        """
-        k = len(values)
-        if self.events is None:
-            in_fifos = self.in_fifos
-            key = (base_port, k)
-            fifos = self._wide_fifos.get(key, False)
-            if fifos is False:
-                got: list | None = []
-                for i in range(k):
-                    fifo = in_fifos.get(base_port + i)
-                    if fifo is None:
-                        got = None
-                        break
-                    got.append(fifo)
-                fifos = tuple(got) if got is not None else None
-                self._wide_fifos[key] = fifos
-            if fifos is not None:
-                for fifo in fifos:
-                    if fifo.pending:
-                        break
-                else:
-                    ft = self.fire_times
-                    if len(in_fifos) != k:
-                        # Extra (dsend-fed) input ports: enqueue all,
-                        # then run the generic fire scan once.
-                        dones = [fifo.send(value, arrive, ft)
-                                 for fifo, value, arrive
-                                 in zip(fifos, values, arrivals,
-                                        strict=True)]
-                        self._fire_ready()
-                        return dones
-                    # Full coverage: exactly one fire, consuming
-                    # exactly these values — compute it in place.
-                    nft = len(ft)
-                    fire_at = (ft[-1] + self.params.initiation_interval
-                               if nft else 0)
-                    dones = []
-                    append = dones.append
-                    inputs: dict[int, int | float] = {}
-                    port = base_port
-                    for fifo, value, arrive in zip(fifos, values,
-                                                   arrivals, strict=True):
-                        entry = arrive
-                        free = fifo.total_sent - fifo.depth
-                        if free >= 0:
-                            if free < nft:
-                                f = ft[free]
-                                if f > entry:
-                                    entry = f
-                            else:
-                                fifo.unresolved_stalls += 1
-                        fifo.total_sent += 1
-                        append(entry)
-                        if entry > fire_at:
-                            fire_at = entry
-                        inputs[port] = value
-                        port += 1
-                    out_fifos = self.out_fifos
-                    for fo in out_fifos.values():
-                        space = fo.space_time()
-                        if space is not None and space > fire_at:
-                            fire_at = space
-                    ft.append(fire_at)
-                    delays = self.delays
-                    for p, v in self.evaluator(inputs).items():
-                        out_fifos[p].produce(v, fire_at + delays[p])
-                    return dones
-        return [self.send(base_port + i, v, a)
-                for i, (v, a) in enumerate(zip(values, arrivals,
-                                               strict=True))]
 
     def recv(self, port: int, t_try: int) -> tuple[int | float, int]:
         fifo = self.out_fifos.get(port)

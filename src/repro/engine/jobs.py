@@ -106,7 +106,7 @@ class JobSpec:
     #: it is deliberately excluded from :meth:`canonical_dict` and
     #: therefore from :attr:`job_hash` — results computed on either
     #: backend share one artifact-cache entry.
-    backend: str = "fast"
+    backend: str = "batched"
 
     def __post_init__(self) -> None:
         if self.mode not in ("scalar", "dyser"):

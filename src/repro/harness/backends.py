@@ -4,15 +4,14 @@ A *backend* is a core implementation with identical observable results:
 
 - ``"reference"`` — :class:`repro.cpu.Core`, the per-cycle interpreted
   oracle.  Supports event tracing and instruction traces.
-- ``"fast"`` — :class:`repro.cpu.FastCore`, the predecoding basic-block
-  interpreter.  Cycle-exact-equal to the reference (enforced by
-  :mod:`repro.harness.parity` and ``tests/test_fastcore.py``) but does
-  not emit events; traced runs transparently resolve to the reference
-  backend, whose cycle counts are identical by that same contract.
-- ``"batched"`` — :class:`repro.cpu.FastCore` for a single point, plus
-  :class:`repro.cpu.BatchCore` (``batch_cls``) to run a lane of sweep
-  points that differ only in timing knobs in lockstep.  Every point's
-  result is byte-identical to a solo run (:mod:`repro.harness.batch`).
+- ``"batched"`` — :class:`repro.cpu.BatchCore`, the predecoded lockstep
+  core.  A solo run is a lane of one; sweep points that differ only in
+  timing knobs run as one wider lane (:mod:`repro.harness.batch`).
+  Every result is byte-identical to the reference's (enforced by
+  :mod:`repro.harness.parity` and ``tests/test_fastcore.py``), but no
+  events are emitted: traced runs transparently resolve to the
+  reference backend, whose cycle counts are identical by that same
+  contract.
 
 ``RunConfig.backend`` selects by name and is validated against this
 registry at construction.  Everything that executes a run —
@@ -26,30 +25,37 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from repro.cpu import Core, FastCore
-from repro.cpu.batchcore import BatchCore
+from repro.cpu import BatchCore, Core
 from repro.errors import WorkloadError
 
 #: The registry default (and therefore ``RunConfig``'s default).
-DEFAULT_BACKEND = "fast"
+DEFAULT_BACKEND = "batched"
 
 
 @dataclass(frozen=True)
 class Backend:
     """One registered core implementation.
 
-    ``core_cls`` runs a single config (the :class:`Core` constructor
-    contract).  ``batch_cls``, when set, is a lockstep core able to run
-    a whole lane of configs at once (the :class:`BatchCore` contract);
-    single-point dispatch through ``core_cls`` stays available so a
-    batched backend degrades transparently to its solo implementation.
+    ``core_cls`` follows the :class:`Core` constructor contract, or —
+    when it is a :class:`BatchCore` subclass (:attr:`lockstep`) — the
+    lane contract, which runs a solo config as a lane of one.
     """
 
     name: str
     core_cls: type
     supports_tracing: bool
     description: str = ""
-    batch_cls: type | None = None
+
+    @property
+    def lockstep(self) -> bool:
+        """True when ``core_cls`` runs lanes (the BatchCore contract)."""
+        return issubclass(self.core_cls, BatchCore)
+
+    @property
+    def batch_cls(self) -> type | None:
+        """``core_cls`` for a lockstep backend, else None.  Kept for
+        the layer benchmark's tracer, which names spans after it."""
+        return self.core_cls if self.lockstep else None
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -68,7 +74,7 @@ def unregister_backend(name: str) -> None:
     The built-in backends are load-bearing (``resolve_backend`` falls
     back to ``"reference"``); removing them is refused.
     """
-    if name in ("reference", "fast", "batched"):
+    if name in ("reference", "batched"):
         raise WorkloadError(f"cannot unregister built-in backend {name!r}")
     if name not in _REGISTRY:
         raise WorkloadError(f"unknown backend {name!r}")
@@ -136,19 +142,9 @@ register_backend(Backend(
     description="per-cycle interpreted core (the parity oracle)",
 ))
 register_backend(Backend(
-    name="fast",
-    core_cls=FastCore,
-    supports_tracing=False,
-    description="predecoded basic-block interpreter, cycle-exact "
-                "with the reference",
-))
-
-
-register_backend(Backend(
     name="batched",
-    core_cls=FastCore,
+    core_cls=BatchCore,
     supports_tracing=False,
-    description="lockstep structure-of-arrays core for sweep lanes; "
-                "single runs fall back to the fast backend",
-    batch_cls=BatchCore,
+    description="predecoded lockstep core; a solo run is a lane of "
+                "one, cycle-exact with the reference",
 ))

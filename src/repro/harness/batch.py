@@ -24,11 +24,12 @@ questions:
    drives a :class:`BatchCore` and assembles a result per point (energy
    model, correctness checked once against the shared memory image).
    Points the core evicts (per-point instruction limits, shared
-   faults) are replayed solo via :func:`execute`, which reproduces
-   byte-identical results *including* stable error strings; a point's
-   fault therefore never poisons its siblings.
+   faults) are replayed solo via :func:`execute` as lanes of one,
+   which never evict and reproduce byte-identical results *including*
+   stable error strings; a point's fault therefore never poisons its
+   siblings.
 
-The parity contract is the fast backend's, lifted to lanes:
+The parity contract is the solo run's, lifted to lanes:
 :func:`verify_batch_parity` diffs every batched point against a solo
 reference run and must report zero mismatches.
 """
@@ -142,7 +143,8 @@ def execute_batch_group(
     All configs must share a :func:`lane_key` (the :class:`BatchCore`
     constructor re-validates the core-config side).  Evicted points —
     and the whole lane, if lockstep setup or execution faults — fall
-    back to solo :func:`execute` calls, which are always parity-safe.
+    back to solo :func:`execute` calls: lanes of one, which never
+    evict, so the fallback cannot recurse.
     """
     run = _RunSetup(configs[0], compiled)
     try:

@@ -63,7 +63,7 @@ class RunConfig:
     memory_bytes: int = 1 << 22
     trace: TraceOptions = field(default_factory=TraceOptions)
     #: Simulation backend name; validated against the backend registry
-    #: (``"fast"`` by default, ``"reference"`` is the oracle).
+    #: (``"batched"`` by default, ``"reference"`` is the oracle).
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:

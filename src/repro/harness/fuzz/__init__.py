@@ -9,7 +9,7 @@ The subsystem has four parts, mirroring the paper's evaluation flow:
   control flow around invocation groups, wide vector transfers,
   multi-port sends, deliberately ill-formed configurations.
 - :mod:`repro.harness.fuzz.oracles` — differential oracles per case:
-  fast-vs-reference parity, batched-lockstep-vs-solo parity,
+  lane-of-one-vs-reference parity, batched-lockstep-vs-reference parity,
   lint-vs-crash agreement, and IR-verifier stability across compiler
   passes.
 - :mod:`repro.harness.fuzz.chaos` — fault injection for the service
@@ -44,7 +44,6 @@ from repro.harness.fuzz.generator import CaseGenerator, FuzzCase
 from repro.harness.fuzz.oracles import (
     Finding,
     MutantBatchCore,
-    MutantFastCore,
     batched_oracle,
     dsl_oracle,
     run_case,
@@ -59,7 +58,6 @@ __all__ = [
     "FuzzOptions",
     "FuzzReport",
     "MutantBatchCore",
-    "MutantFastCore",
     "batched_oracle",
     "chaos_scenario_names",
     "default_corpus_dir",

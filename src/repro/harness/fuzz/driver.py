@@ -53,7 +53,7 @@ class FuzzOptions:
     #: Directory to persist shrunk findings into (None: don't persist).
     corpus_dir: str | None = None
     #: Candidate override for the parity/batched oracles — the
-    #: self-check plants ``MutantFastCore`` / ``MutantBatchCore`` here.
+    #: self-check plants ``MutantBatchCore`` here.
     candidate_cls: type | None = None
     chaos_scenarios: tuple | None = None
 

@@ -3,10 +3,11 @@
 Five per-case oracles plus the planted-mutation cores used by the
 self-check:
 
-- **parity** — run the case on the reference and fast backends; any
-  difference in the full summary (stats, registers, touched scratch
-  memory) or in the error outcome is a finding.  Raising is an outcome
-  too: both backends must fault with the same stable error string.
+- **parity** — run the case on the reference core and as a lane of one
+  on the batched core; any difference in the full summary (stats,
+  registers, touched scratch memory) or in the error outcome is a
+  finding.  Raising is an outcome too: both must fault with the same
+  stable error string.
 - **lint** — static/dynamic agreement.  A run that crashes with no
   error-severity lint diagnostic is a finding (the linter missed it);
   a lint diagnostic from the *must-crash* set on a run that completes
@@ -18,8 +19,8 @@ self-check:
   dumps and configurations with ``verify_passes`` on and off.
 - **batched** — run the case as one multi-point lockstep lane
   (differing per-point knobs) and demand each point reproduce its
-  solo run exactly, evicted points included via the harness's solo
-  fallback.
+  reference run exactly, evicted points included via the harness's
+  lane-of-one fallback.
 - **perfbound** — the static performance analyzer's lower bound must
   never exceed the reference run's measured cycles, and an ``exact``
   walk must predict them exactly.
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis import lint_config
-from repro.cpu import BatchCore, Core, CoreConfig, FastCore, Memory
+from repro.cpu import BatchCore, Core, CoreConfig, Memory
 from repro.dyser import ConfigCacheParams, DyserDevice, DyserTimingParams
 from repro.dyser.batch import BatchedDyserDevice
 from repro.dyser.serialize import config_to_dict
@@ -90,25 +91,16 @@ class Finding:
                    index=int(data.get("index", -1)))
 
 
-class MutantFastCore(FastCore):
-    """FastCore with a planted off-by-one in the memory-access timing.
+class MutantBatchCore(BatchCore):
+    """BatchCore with a planted off-by-one in the memory-access timing.
 
     The fuzz self-check pits this against the reference: any generated
     program that touches memory diverges in ``stats.cycles``, so the
     harness must catch it, shrink it, and produce a corpus entry that
-    replays red against this core and green against the real one.
-    """
-
-    def _data_access(self, addr: int, is_write: bool = False) -> int:
-        return Core._data_access(self, addr, is_write) + 1
-
-
-class MutantBatchCore(BatchCore):
-    """BatchCore with the same planted off-by-one, batch-path only.
-
-    Solo runs stay clean, so every divergence the batched oracle sees
-    against this core is attributable to the lockstep path — the exact
-    failure mode the oracle exists to catch.
+    replays red against this core and green against the real one.  The
+    parity oracle runs it as a lane of one; the batched oracle plants
+    it in the three-point lane while the replays of evicted points stay
+    on the real core.
     """
 
     def _data_access(self, addr: int, is_write: bool = False) -> int:
@@ -140,14 +132,24 @@ def _summary(core, memory, stats) -> dict:
     }
 
 
-def run_case(case: FuzzCase, core_cls: type = Core) -> tuple[str, object]:
-    """``("ok", summary)`` or ``("error", stable_error_string)``."""
+def run_case(case: FuzzCase, core_cls: type = Core, config=None,
+             timing=None, cache_params=None) -> tuple[str, object]:
+    """``("ok", summary)`` or ``("error", stable_error_string)`` for
+    one point; a :class:`BatchCore` subclass runs it as a lane of one."""
     try:
         program = build_program(case)
         memory = Memory(1 << 16)
-        core = core_cls(program, memory,
-                        dyser=DyserDevice(fabric=default_fabric()))
-        stats = core.run()
+        device = DyserDevice(fabric=default_fabric(),
+                             timing=timing or DyserTimingParams(),
+                             cache_params=cache_params
+                             or ConfigCacheParams())
+        if issubclass(core_cls, BatchCore):
+            core = core_cls(program, memory, [device],
+                            [config or CoreConfig()])
+            [stats] = core.run()
+        else:
+            core = core_cls(program, memory, dyser=device, config=config)
+            stats = core.run()
         return ("ok", _summary(core, memory, stats))
     except ReproError as exc:
         return ("error", stable_error_string(exc))
@@ -167,10 +169,9 @@ def _render_diff(ref: dict, cand: dict, keys: list[str],
 
 def parity_oracle(case: FuzzCase,
                   candidate_cls: type | None = None) -> Finding | None:
-    """Reference vs fast (or a planted-mutant candidate)."""
-    cand_cls = candidate_cls or FastCore
+    """Reference vs a lane of one (or a planted-mutant candidate)."""
     ref = run_case(case, Core)
-    cand = run_case(case, cand_cls)
+    cand = run_case(case, candidate_cls or BatchCore)
     if ref == cand:
         return None
     if ref[0] == "ok" and cand[0] == "ok":
@@ -201,49 +202,28 @@ _BATCH_POINTS = (
 )
 
 
-def _run_point_solo(case: FuzzCase, core_cls: type, config, timing,
-                    cache_params) -> tuple[str, object]:
-    """One sweep point run solo — same outcome shape as run_case."""
-    try:
-        program = build_program(case)
-        memory = Memory(1 << 16)
-        core = core_cls(
-            program, memory,
-            dyser=DyserDevice(fabric=default_fabric(), timing=timing,
-                              cache_params=cache_params),
-            config=config)
-        stats = core.run()
-        return ("ok", _summary(core, memory, stats))
-    except ReproError as exc:
-        return ("error", stable_error_string(exc))
-
-
 def batched_oracle(case: FuzzCase,
                    candidate_cls: type | None = None) -> Finding | None:
-    """Batched lockstep vs solo fast, point by point.
+    """Batched lockstep vs the reference, point by point.
 
     The case runs once as a three-point lane (:data:`_BATCH_POINTS`)
-    and every point's summary — or error string — must match a solo
-    run with identical knobs.  Evicted points are replayed solo just
-    like the harness fallback, so what this oracle really pins down is
-    the lockstep machinery: shared functional state, per-point timing
-    vectors, and eviction leaving siblings unpoisoned.
+    and every point's summary — or error string — must match a
+    reference run with identical knobs.  Evicted points are replayed as
+    lanes of one on the real core, just like the harness fallback, so
+    what this oracle really pins down is the lockstep machinery: shared
+    functional state, per-point timing vectors, and eviction leaving
+    siblings unpoisoned.
 
-    ``candidate_cls`` swaps the lane core when it is a
-    :class:`~repro.cpu.BatchCore` subclass (the self-check plants
-    :class:`MutantBatchCore`); anything else — e.g. a parity campaign's
-    ``MutantFastCore`` — is ignored.
+    ``candidate_cls`` swaps the lane core (the self-check plants
+    :class:`MutantBatchCore`).
     """
     if case.kind not in ("scalar", "dyser"):
         return None
-    batch_cls = BatchCore
-    if candidate_cls is not None and issubclass(candidate_cls, BatchCore):
-        batch_cls = candidate_cls
+    batch_cls = candidate_cls or BatchCore
     points = [(CoreConfig(**ck), DyserTimingParams(**tk),
                ConfigCacheParams(**pk))
               for ck, tk, pk in _BATCH_POINTS]
-    expected = [_run_point_solo(case, FastCore, *point)
-                for point in points]
+    expected = [run_case(case, Core, *point) for point in points]
     shared = None
     try:
         program = build_program(case)
@@ -263,7 +243,7 @@ def batched_oracle(case: FuzzCase,
         # fallback below) must reproduce each point's exact outcome.
         stats_list = [None] * len(points)
     for p, stats in enumerate(stats_list):
-        got = (_run_point_solo(case, FastCore, *points[p])
+        got = (run_case(case, BatchCore, *points[p])
                if stats is None
                else ("ok", _summary(shared[0], shared[1], stats)))
         exp = expected[p]
@@ -275,11 +255,11 @@ def batched_oracle(case: FuzzCase,
             detail = f"point {p}: " + _render_diff(exp[1], got[1], keys)
         elif exp[0] != got[0]:
             kind = "outcome-mismatch"
-            detail = (f"point {p}: solo={exp[0]} batched={got[0]}: "
-                      f"{got[1]!r}")
+            detail = (f"point {p}: reference={exp[0]} "
+                      f"batched={got[0]}: {got[1]!r}")
         else:
             kind = "error-mismatch"
-            detail = f"point {p}: solo={exp[1]} batched={got[1]}"
+            detail = f"point {p}: reference={exp[1]} batched={got[1]}"
         return Finding("batched", case.key, kind, detail,
                        seed=case.seed, index=case.index)
     return None

@@ -1,6 +1,6 @@
 """Differential backend-parity harness.
 
-The fast backend's contract is *cycle-exact equality* with the
+The batched backend's contract is *cycle-exact equality* with the
 reference core: for any :class:`~repro.harness.config.RunConfig`, both
 backends must report byte-identical run summaries
 (:meth:`RunResult.to_dict`) — cycles, instructions, the full stall
@@ -108,7 +108,7 @@ def _outcome(config: RunConfig) -> dict:
 
 
 def verify_parity(configs: list[RunConfig] | tuple[RunConfig, ...],
-                  candidate: str = "fast",
+                  candidate: str = "batched",
                   reference: str = "reference") -> ParityReport:
     """Run every config on both backends and diff the summaries.
 

@@ -179,7 +179,7 @@ def _compile(workload_name: str, src_hash: str, mode: str,
 
 def clear_caches() -> None:
     """Drop all process-local memoized state: compiles **and** the
-    decode cache of both predecoding backends.
+    decode cache of the predecoding backend.
 
     The engine calls this in worker processes after code-fingerprint
     changes, and tests use it to guarantee cold-compile (and
@@ -301,13 +301,21 @@ def execute(config: RunConfig,
     if device is not None:
         device.events = events
     backend = resolve_backend(config)
-    core = backend.core_cls(
-        run.compiled.program, run.memory, dyser=device,
-        config=_core_config(config), events=events,
-        trace_instructions=(config.trace.instructions
-                            and events is not None))
+    program, core_config = run.compiled.program, _core_config(config)
+    if backend.lockstep:
+        core = backend.core_cls(program, run.memory, [device],
+                                [core_config])
+    else:
+        core = backend.core_cls(
+            program, run.memory, dyser=device, config=core_config,
+            events=events,
+            trace_instructions=(config.trace.instructions
+                                and events is not None))
     core.set_args(run.instance.int_args, run.instance.fp_args)
     stats = core.run()
+    if backend.lockstep:
+        # A lane of one raises its own faults, so it has its stats.
+        [stats] = stats
     correct = run.instance.check(run.memory)
     if events is not None:
         events.instant("run_end", "cpu", stats.cycles,

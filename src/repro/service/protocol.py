@@ -58,6 +58,10 @@ DEFAULT_PORT = 8787
 #: Largest accepted request body (a sweep grid fits comfortably).
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines accepted per request (as ``http.client`` caps
+#: them); more is a 400 and a closed connection.
+MAX_HEADER_LINES = 100
+
 #: Terminal per-request statuses reported in run envelopes.
 STATUS_EXECUTED = "executed"    # ran on the engine this request
 STATUS_HIT = "hit"              # answered from the artifact cache

@@ -299,12 +299,19 @@ class HttpDaemon:
             raise P.ProtocolError(f"malformed request line {line!r}")
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
+        for _ in range(P.MAX_HEADER_LINES + 1):
             hline = await _readline(reader)
             if hline in (b"\r\n", b"\n", b""):
                 break
             name, _, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            if name == "content-length" and name in headers:
+                # Two lengths frame the body two ways; trust neither.
+                raise P.ProtocolError("duplicate Content-Length header")
+            headers[name] = value.strip()
+        else:
+            raise P.ProtocolError(
+                f"more than {P.MAX_HEADER_LINES} header lines")
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:

@@ -6,7 +6,7 @@ validation, batched-vs-reference parity across the whole workload
 suite including fault cases, divergence handling (a per-point
 instruction limit evicts one point without poisoning its siblings,
 with byte-identical stable error strings), a hypothesis property that
-batched results are dict-identical to solo fast runs under random
+batched results are dict-identical to solo reference runs under random
 per-point knobs, and the engine integration (``run_jobs`` groups
 batched specs into lanes and caches per-point payloads byte-identical
 to single-run payloads).
@@ -137,7 +137,7 @@ class TestBatchCoreValidation:
 
     def test_backend_registry_entry(self):
         backend = get_backend("batched")
-        assert backend.batch_cls is BatchCore
+        assert backend.core_cls is BatchCore and backend.lockstep
         assert not backend.supports_tracing
 
 
@@ -194,13 +194,13 @@ class TestDivergence:
         assert outcomes[1].result is None
         assert isinstance(outcomes[1].error, ReproError)
         with pytest.raises(ReproError) as solo_exc:
-            execute(sick.with_(backend="fast"))
+            execute(sick.with_(backend="reference"))
         assert (stable_error_string(outcomes[1].error)
                 == stable_error_string(solo_exc.value))
 
         for cfg, outcome in zip(healthy, (outcomes[0], outcomes[2])):
             assert outcome.batched
-            solo = execute(cfg.with_(backend="fast"))
+            solo = execute(cfg.with_(backend="reference"))
             assert outcome.result.to_dict() == solo.to_dict()
 
     def test_all_points_faulting_fall_back_solo(self):
@@ -212,7 +212,7 @@ class TestDivergence:
         for cfg, outcome in zip(configs, outcomes):
             assert outcome.result is None
             with pytest.raises(ReproError) as solo_exc:
-                execute(cfg.with_(backend="fast"))
+                execute(cfg.with_(backend="reference"))
             assert (stable_error_string(outcome.error)
                     == stable_error_string(solo_exc.value))
 
@@ -227,12 +227,12 @@ class TestDivergence:
         outcomes = execute_batch_group(configs)
         assert outcomes[0].result is None and outcomes[1].result is None
         assert outcomes[2].result is not None
-        solo = execute(configs[2].with_(backend="fast"))
+        solo = execute(configs[2].with_(backend="reference"))
         assert outcomes[2].result.to_dict() == solo.to_dict()
 
 
 # ---------------------------------------------------------------------
-# Property: batched == fast, point by point, under random knobs
+# Property: batched == reference, point by point, under random knobs
 # ---------------------------------------------------------------------
 
 
@@ -256,7 +256,7 @@ class TestBatchedProperty:
         ]
         outcomes = execute_batch_group(configs)
         for cfg, outcome in zip(configs, outcomes):
-            solo = execute(cfg.with_(backend="fast"))
+            solo = execute(cfg.with_(backend="reference"))
             assert outcome.result.to_dict() == solo.to_dict()
 
 
@@ -292,7 +292,7 @@ class TestEngineBatching:
         solo_specs = [JobSpec(**{
             **{name: getattr(s, name)
                for name in s.__dataclass_fields__},
-            "backend": "fast"}) for s in specs]
+            "backend": "reference"}) for s in specs]
         cache_b = ArtifactCache(tmp_path / "b")
         run_jobs(solo_specs, cache=cache_b, jobs=1)
         # backend is hash-excluded, so the entries must collide — and
@@ -350,11 +350,11 @@ class TestEngineBatching:
 
 class TestDecodeCache:
     def test_clear_caches_drops_lockstep_decode(self):
-        from repro.cpu import batch_decode_program
+        from repro.cpu import decode_program
         from repro.harness import clear_caches
 
-        program = execute(_cfg(backend="fast")).compile_result.program
-        decoded = batch_decode_program(program)
-        assert batch_decode_program(program) is decoded
+        program = execute(_cfg()).compile_result.program
+        decoded = decode_program(program)
+        assert decode_program(program) is decoded
         clear_caches()
-        assert batch_decode_program(program) is not decoded
+        assert decode_program(program) is not decoded

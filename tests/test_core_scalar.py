@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu import BatchCore, Core, CoreConfig, FastCore, Memory, StallCause
+from repro.cpu import BatchCore, Core, CoreConfig, Memory, StallCause
 from repro.errors import SimulationError
 from repro.isa import assemble
 
@@ -391,15 +391,22 @@ VALUE_CASES = {
 }
 
 
+#: Lane widths per parameter id.  ``fast`` names the solo path (a lane
+#: of one), the id it kept from the removed fast core; ``batched`` runs
+#: a two-point lane whose points differ in a per-point knob.
+_LANES = {"fast": 1, "batched": 2}
+
+
 def _run_on(backend, source):
     program, memory = assemble(source), Memory(1 << 16)
-    if backend == "batched":
-        core = BatchCore(program, memory, [None], [CoreConfig()])
-        [stats] = core.run()
-        assert stats is not None, core.evicted
-    else:
-        core = {"reference": Core, "fast": FastCore}[backend](program, memory)
+    if backend == "reference":
+        core = Core(program, memory)
         core.run()
+        return core
+    configs = [CoreConfig(vector_port_words_per_cycle=rate)
+               for rate in (1, 4)[:_LANES[backend]]]
+    core = BatchCore(program, memory, [None] * len(configs), configs)
+    assert None not in core.run(), core.evicted
     return core
 
 

@@ -1,8 +1,8 @@
-"""Differential tests for the fast simulation backend.
+"""Differential tests for solo runs on the batched backend.
 
-The fast backend's whole value rests on one claim: :class:`FastCore`
-is *cycle-exact-equal* to the reference :class:`Core`.  These tests
-attack that claim from several directions:
+A solo run is a lane of one on :class:`BatchCore`, and its whole value
+rests on one claim: it is *cycle-exact-equal* to the reference
+:class:`Core`.  These tests attack that claim from several directions:
 
 - the full workload suite, both modes, at tiny AND small scales, with
   byte-identical ``RunResult.to_dict()`` (the acceptance criterion);
@@ -10,9 +10,11 @@ attack that claim from several directions:
   width) and seeds;
 - randomly generated assembled programs (hypothesis), compared on
   stats, registers and touched memory;
-- the instruction-limit slow path, including the exact error message;
-- backend dispatch: tracing transparently resolves fast -> reference
-  and never changes reported cycles;
+- instruction limits, including the exact error message and a limit
+  that lands inside a block (a lane of one never evicts);
+- backend dispatch: tracing transparently resolves batched ->
+  reference and never changes reported cycles, and ``"fast"`` is an
+  unknown backend;
 - the decode cache: identity-keyed, cleared by ``clear_caches``,
   evicted when programs are garbage collected.
 """
@@ -26,9 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import (
+    BatchCore,
     Core,
     CoreConfig,
-    FastCore,
     Memory,
     clear_decode_caches,
     decode_cache_size,
@@ -37,7 +39,7 @@ from repro.cpu import (
 from repro.compiler import CompilerOptions
 from repro.dyser import DyserTimingParams, Fabric, FabricGeometry
 from repro.dyser.config_cache import ConfigCacheParams
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.harness import (
     RunConfig,
     TraceOptions,
@@ -202,10 +204,24 @@ def _programs(draw) -> str:
     return "\n".join(lines)
 
 
+def _solo(core_cls, program, memory, config=None):
+    """A solo core: the reference, or a lane of one."""
+    if core_cls is BatchCore:
+        return BatchCore(program, memory, [None], [config or CoreConfig()])
+    return core_cls(program, memory, config=config)
+
+
+def _run(core):
+    stats = core.run()
+    if isinstance(core, BatchCore):
+        [stats] = stats
+    return stats
+
+
 def _run_on(core_cls, program, config=None):
     memory = Memory(1 << 16)
-    core = core_cls(program, memory, config=config)
-    stats = core.run()
+    core = _solo(core_cls, program, memory, config)
+    stats = _run(core)
     words = [memory.load_word(_BASE + 8 * i) for i in range(32)]
     return stats, core.iregs._regs[:], core.fregs._regs[:], words
 
@@ -216,9 +232,9 @@ class TestRandomProgramParity:
     def test_random_program_parity(self, source):
         program = assemble(source, name="random")
         ref = _run_on(Core, program)
-        fast = _run_on(FastCore, program)
-        assert ref[0].to_dict() == fast[0].to_dict()
-        assert ref[1:] == fast[1:]
+        lane = _run_on(BatchCore, program)
+        assert ref[0].to_dict() == lane[0].to_dict()
+        assert ref[1:] == lane[1:]
 
     @settings(max_examples=20, deadline=None)
     @given(_programs(), st.integers(min_value=1, max_value=40))
@@ -228,7 +244,7 @@ class TestRandomProgramParity:
         program = assemble(source, name="random")
         config = CoreConfig(max_instructions=limit)
         outcomes = []
-        for cls in (Core, FastCore):
+        for cls in (Core, BatchCore):
             try:
                 outcomes.append(("ok", _run_on(cls, program, config)))
             except SimulationError as exc:
@@ -247,9 +263,9 @@ class TestLimitMessages:
         program = assemble(src, name="spin")
         config = CoreConfig(max_instructions=10)
         errors = []
-        for cls in (Core, FastCore):
+        for cls in (Core, BatchCore):
             with pytest.raises(SimulationError) as exc_info:
-                cls(program, Memory(1 << 16), config=config).run()
+                _run(_solo(cls, program, Memory(1 << 16), config))
             errors.append(str(exc_info.value))
         assert errors[0] == errors[1]
         assert "instruction limit 10 exceeded" in errors[0]
@@ -258,12 +274,25 @@ class TestLimitMessages:
         # Branch past the halt: pc walks off the program.
         program = assemble("li r1, 1\nbne r1, r0, L\nhalt\nL:", name="off")
         errors = []
-        for cls in (Core, FastCore):
+        for cls in (Core, BatchCore):
             with pytest.raises(SimulationError) as exc_info:
-                cls(program, Memory(1 << 16)).run()
+                _run(_solo(cls, program, Memory(1 << 16)))
             errors.append(str(exc_info.value))
         assert errors[0] == errors[1]
         assert "fell off the end" in errors[0]
+
+    def test_mid_block_limit_raises_without_eviction(self):
+        # The limit of 3 lands inside the five-instruction entry block.
+        program = assemble("li r1, 1\nli r2, 2\nadd r3, r1, r2\n"
+                           "add r4, r3, r3\nhalt", name="mid")
+        config = CoreConfig(max_instructions=3)
+        with pytest.raises(SimulationError) as ref:
+            Core(program, Memory(1 << 16), config=config).run()
+        core = BatchCore(program, Memory(1 << 16), [None], [config])
+        with pytest.raises(SimulationError) as lane:
+            core.run()
+        assert core.evicted == set()
+        assert str(lane.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------
@@ -272,18 +301,19 @@ class TestLimitMessages:
 
 class TestBackendDispatch:
     def test_registry_names(self):
-        assert backend_names() == ("batched", "fast", "reference")
-        assert get_backend("fast").core_cls is FastCore
+        assert backend_names() == ("batched", "reference")
         assert get_backend("reference").core_cls is Core
-        # The batched backend degrades to the fast core for solo runs
-        # and carries its lockstep implementation alongside.
+        # Solo runs are lanes of one on the lockstep core.
         batched = get_backend("batched")
-        assert batched.core_cls is FastCore
-        assert batched.batch_cls is not None
+        assert batched.core_cls is BatchCore and batched.lockstep
+        assert RunConfig(workload="mm").backend == "batched"
+        # The removed fast backend is an unknown name like any other.
+        with pytest.raises(WorkloadError, match="unknown backend 'fast'"):
+            RunConfig(workload="mm", backend="fast")
 
     def test_fast_resolves_to_reference_when_traced(self):
-        base = RunConfig(workload="mm", scale="tiny", backend="fast")
-        assert resolve_backend(base).name == "fast"
+        base = RunConfig(workload="mm", scale="tiny", backend="batched")
+        assert resolve_backend(base).name == "batched"
         traced = base.traced()
         assert resolve_backend(traced).name == "reference"
         # An instruction trace request also forces the reference core.
@@ -293,11 +323,11 @@ class TestBackendDispatch:
 
     def test_tracing_never_changes_reported_cycles(self):
         """The satellite contract: enabling the event stream (which
-        silently swaps fast -> reference) must not move a single
+        silently swaps batched -> reference) must not move a single
         counter."""
         for mode in ("scalar", "dyser"):
             base = RunConfig(workload="fir", mode=mode, scale="tiny",
-                             backend="fast")
+                             backend="batched")
             plain = execute(base)
             traced = execute(base.traced())
             assert traced.events is not None and plain.events is None
@@ -309,24 +339,21 @@ class TestBackendDispatch:
         from repro import profile_workload
 
         report = profile_workload(RunConfig(
-            workload="saxpy", scale="tiny", backend="fast",
+            workload="saxpy", scale="tiny", backend="batched",
             trace=TraceOptions(enabled=True)))
         assert report.result.correct
         assert report.result.events is not None
         untraced = execute(RunConfig(workload="saxpy", scale="tiny",
-                                     backend="fast"))
+                                     backend="batched"))
         assert report.result.cycles == untraced.cycles
 
     def test_fastcore_refuses_tracing_loudly(self):
+        # The lane core takes no event stream and refuses instruction
+        # traces rather than silently dropping them.
         program = assemble("halt", name="p")
-        from repro.obs.events import EventStream
-
         with pytest.raises(SimulationError, match="trac"):
-            FastCore(program, Memory(1 << 16),
-                     events=EventStream(capacity=8))
-        with pytest.raises(SimulationError, match="trac"):
-            FastCore(program, Memory(1 << 16),
-                     config=CoreConfig(trace_limit=4))
+            BatchCore(program, Memory(1 << 16), [None],
+                      [CoreConfig(trace_limit=4)])
 
 
 # ---------------------------------------------------------------------
@@ -367,8 +394,8 @@ class TestDecodeCache:
     def test_repeated_runs_reuse_one_decode(self):
         clear_decode_caches()
         program = assemble("li r1, 2\nmul r2, r1, r1\nhalt", name="p")
-        first = FastCore(program, Memory(1 << 16)).run()
+        first = _run(_solo(BatchCore, program, Memory(1 << 16)))
         assert decode_cache_size() == 1
-        second = FastCore(program, Memory(1 << 16)).run()
+        second = _run(_solo(BatchCore, program, Memory(1 << 16)))
         assert decode_cache_size() == 1
         assert first.to_dict() == second.to_dict()

@@ -21,8 +21,8 @@ import pytest
 from repro import (
     ArtifactCache,
     Backend,
+    BatchCore,
     Core,
-    FastCore,
     Memory,
     RunConfig,
     WorkloadError,
@@ -38,8 +38,6 @@ from repro.harness.fuzz import (
     FuzzCase,
     FuzzOptions,
     MutantBatchCore,
-    MutantFastCore,
-    batched_oracle,
     iter_corpus,
     load_entry,
     replay_entry,
@@ -150,7 +148,7 @@ class TestOraclesOnMain:
             case = gen.generate(index)
             if case.kind not in ("scalar", "dyser"):
                 continue
-            finding = parity_oracle(case, candidate_cls=MutantFastCore)
+            finding = parity_oracle(case, candidate_cls=MutantBatchCore)
             if finding is not None:
                 break
         assert finding is not None
@@ -174,7 +172,7 @@ class TestSelfCheck:
     def test_mutant_is_caught_shrunk_and_replayable(self, tmp_path):
         report = run_fuzz(FuzzOptions(
             seed=0, cases=12, oracles=("parity",),
-            candidate_cls=MutantFastCore, corpus_dir=str(tmp_path)))
+            candidate_cls=MutantBatchCore, corpus_dir=str(tmp_path)))
         assert not report.ok, "planted off-by-one was never caught"
         entries = iter_corpus(tmp_path)
         assert entries, "finding was not persisted to the corpus"
@@ -182,7 +180,7 @@ class TestSelfCheck:
             case, finding = load_entry(path)
             assert finding.oracle == "parity"
             # Red against the mutant, green against the real backend.
-            assert replay_entry(path, MutantFastCore) is not None
+            assert replay_entry(path, MutantBatchCore) is not None
             assert replay_entry(path) is None
             # The shrunk case still assembles and runs standalone.
             verdict, _ = run_case(case, Core)
@@ -204,17 +202,9 @@ class TestSelfCheck:
             verdict, _ = run_case(case, Core)
             assert verdict in ("ok", "error")
 
-    def test_batched_oracle_ignores_non_batch_candidate(self):
-        # A parity campaign's MutantFastCore must not leak into the
-        # lane construction (its constructor signature differs).
-        case = CaseGenerator(seed=5).generate(1)
-        if case.kind == "kernel":  # pragma: no cover - seed-stable
-            pytest.skip("kernel case")
-        assert batched_oracle(case, MutantFastCore) is None
-
     def test_shrinking_reduces_the_case(self):
         gen = CaseGenerator(seed=0)
-        check = lambda c: parity_oracle(c, MutantFastCore)  # noqa: E731
+        check = lambda c: parity_oracle(c, MutantBatchCore)  # noqa: E731
         for index in range(30):
             case = gen.generate(index)
             if case.kind == "kernel" or check(case) is None:
@@ -403,11 +393,13 @@ class TestStableErrorString:
         from repro import CoreConfig, assemble
 
         program = assemble(program_src, name="spin")
+        config = CoreConfig(max_instructions=5)
         rendered = []
-        for cls in (Core, FastCore):
+        for core in (Core(program, Memory(1 << 16), config=config),
+                     BatchCore(program, Memory(1 << 16), [None],
+                               [config])):
             try:
-                cls(program, Memory(1 << 16),
-                    config=CoreConfig(max_instructions=5)).run()
+                core.run()
             except ReproError as exc:
                 rendered.append(stable_error_string(exc))
         assert len(rendered) == 2
@@ -419,12 +411,13 @@ class TestStableErrorString:
 # ---------------------------------------------------------------------
 
 
-class _MiscountingCore(FastCore):
+class _MiscountingCore(BatchCore):
     """Deliberately inflates the cycle count by one."""
 
     def run(self):
         stats = super().run()
-        stats.cycles += 1
+        for point in stats:
+            point.cycles += 1
         return stats
 
 
@@ -460,14 +453,14 @@ class TestParityFailurePath:
 
     def test_builtin_backends_cannot_be_unregistered(self):
         with pytest.raises(WorkloadError):
-            unregister_backend("fast")
+            unregister_backend("batched")
         with pytest.raises(WorkloadError):
             unregister_backend("reference")
         with pytest.raises(WorkloadError):
             unregister_backend("never-registered")
 
     def test_crashing_candidate_is_a_mismatch_not_a_harness_error(self):
-        class _ExplodingCore(FastCore):
+        class _ExplodingCore(BatchCore):
             def run(self):
                 raise SimulationError("synthetic fault", code="RPR998")
 

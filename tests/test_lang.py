@@ -28,7 +28,9 @@ from repro import (
     run_workload,
     verify_parity,
 )
+from repro.dyser import DyserTimingParams
 from repro.errors import ParseError
+from repro.harness import verify_batch_parity
 from repro.harness.fuzz import CaseGenerator, save_entry, replay_entry
 from repro.harness.fuzz.generator import DSL_MUTATIONS
 from repro.harness.fuzz.oracles import Finding, dsl_oracle
@@ -199,14 +201,20 @@ class TestLowering:
         finally:
             SUITE.pop(workload.name, None)
 
-    @pytest.mark.parametrize("backend", ["fast", "batched"])
-    def test_dsl_kernel_backend_parity(self, backend):
-        # Acceptance criterion: DSL kernels byte-identical across
-        # reference/fast/batched (the shipped tier is registered).
+    # ``fast`` names the solo path (a lane of one), the id it kept from
+    # the removed fast core; ``batched`` runs two-point lanes.
+    @pytest.mark.parametrize("lane", [1, 2], ids=["fast", "batched"])
+    def test_dsl_kernel_backend_parity(self, lane):
+        # Acceptance criterion: DSL kernels byte-identical between the
+        # reference and the batched backend, solo and in lanes (the
+        # shipped tier is registered).
         configs = [RunConfig(workload="spmv_csr_dsl", mode=mode,
-                             scale="tiny")
-                   for mode in ("scalar", "dyser")]
-        report = verify_parity(configs, candidate=backend)
+                             scale="tiny",
+                             timing=DyserTimingParams(input_fifo_depth=d))
+                   for mode in ("scalar", "dyser")
+                   for d in (2, 8)[:lane]]
+        report = (verify_parity(configs) if lane == 1
+                  else verify_batch_parity(configs))
         assert report.ok, report.summary()
 
     def test_lowered_source_is_compilable_kernel_language(self):

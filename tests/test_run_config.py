@@ -98,17 +98,21 @@ class TestLegacyShimRemoved:
 
 
 class TestBackendField:
-    def test_default_backend_is_fast(self):
+    def test_default_backend_is_batched(self):
         from repro import DEFAULT_BACKEND
 
-        assert RunConfig(workload="mm").backend == DEFAULT_BACKEND == "fast"
+        assert (RunConfig(workload="mm").backend == DEFAULT_BACKEND
+                == "batched")
         assert JobSpec(workload="mm").backend == DEFAULT_BACKEND
 
     def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(WorkloadError, match="unknown backend"):
-            RunConfig(workload="mm", backend="verilator")
-        with pytest.raises(WorkloadError, match="unknown backend"):
-            JobSpec(workload="mm", backend="verilator")
+        # "fast" named a solo core that is gone: solo runs are lanes of
+        # one on "batched" now.
+        for name in ("verilator", "fast"):
+            with pytest.raises(WorkloadError, match="unknown backend"):
+                RunConfig(workload="mm", backend=name)
+            with pytest.raises(WorkloadError, match="unknown backend"):
+                JobSpec(workload="mm", backend=name)
 
     def test_backend_survives_the_jobspec_bridge(self):
         spec = JobSpec(workload="mm", backend="reference")
@@ -119,9 +123,9 @@ class TestBackendField:
     def test_backend_does_not_enter_the_job_hash(self):
         # Both backends are cycle-exact-equal, so a cached result is
         # valid regardless of which backend computed it.
-        fast = JobSpec(workload="mm", backend="fast")
+        batched = JobSpec(workload="mm", backend="batched")
         ref = JobSpec(workload="mm", backend="reference")
-        assert fast.job_hash == ref.job_hash
+        assert batched.job_hash == ref.job_hash
 
     def test_backend_in_describe_only_when_non_default(self):
         assert "backend" not in RunConfig(workload="mm").describe()

@@ -173,6 +173,12 @@ FRAMING = {
                         b"Content-Length: -5\r\n\r\n"),
     "oversized-header": (b"GET /healthz HTTP/1.1\r\nX-Big: "
                          + b"a" * 70_000 + b"\r\n\r\n"),
+    "too-many-headers": (b"GET /healthz HTTP/1.1\r\n"
+                         + b"X-Pad: a\r\n" * (P.MAX_HEADER_LINES + 1)
+                         + b"\r\n"),
+    "duplicate-length": (b"POST /v2/run HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: 2\r\nContent-Length: 40\r\n"
+                         b"\r\n{}"),
 }
 
 
