@@ -1074,10 +1074,10 @@ _COST_MEMO_LIMIT = 4096
 #: estimate walks every instruction the run will execute, mirroring the
 #: scoreboard, caches and DySER device, so it is not cheap next to the
 #: run: on the 16 ``tiny`` specs of the layer benchmark's
-#: ``service-mixed`` workload one estimate costs about 1.35x the
-#: fast-core run of the job it prices (2-vCPU host, measured before
-#: solo runs moved to the batched backend).  Past the budget
-#: the estimate walks the tiny instance and scales by work items.
+#: ``service-mixed`` workload one estimate costs about 1.5x the core
+#: run of the job it prices (CPU time, 2-vCPU Xeon host).  Past the
+#: budget the estimate walks the tiny instance and scales by work
+#: items.
 _COST_STEP_LIMIT = 300_000
 
 

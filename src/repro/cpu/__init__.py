@@ -1,6 +1,6 @@
 """The OpenSPARC-T1-flavoured host core model."""
 
-from repro.cpu.batchcore import PER_POINT_FIELDS, BatchCore
+from repro.cpu.batchcore import PER_POINT_FIELDS, BatchCore, LaneOfOne
 from repro.cpu.cache import Cache, CacheConfig, dcache_config, icache_config
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.decode import (
@@ -27,6 +27,7 @@ __all__ = [
     "decode_program",
     "FpRegFile",
     "IntRegFile",
+    "LaneOfOne",
     "Memory",
     "StallCause",
     "WORD_BYTES",

@@ -3,8 +3,9 @@
 ``BatchCore`` runs a *lane* — N sweep points that share one program,
 one memory image, and one functional execution — in lockstep, as a
 structure-of-arrays over per-point timing state.  A solo run is a lane
-of one.  The handlers come from :mod:`repro.cpu.decode`; see that
-module for the soundness argument (timing knobs cannot change
+of one, which :class:`LaneOfOne` runs behind the reference core's
+constructor contract.  The handlers come from :mod:`repro.cpu.decode`;
+see that module for the soundness argument (timing knobs cannot change
 architectural values, so functional work is shared and done once).
 
 Around the core, solo runs and wider lanes share one lane planner
@@ -345,3 +346,38 @@ class BatchCore(CacheHierarchy):
                        self.dysers[p])._finalize_stats()
             results[p] = stats
         return results
+
+
+class LaneOfOne:
+    """A solo run behind the :class:`Core` constructor contract.
+
+    It runs ``program`` as a :class:`BatchCore` lane of one point
+    (:attr:`lane`), and ``run()`` returns that point's stats.  It emits
+    no events and refuses an event stream or instruction trace rather
+    than silently dropping them; the backend dispatch
+    (:mod:`repro.harness.backends`) routes traced runs to the reference
+    core, whose cycles are identical by the parity contract.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        memory: Memory,
+        dyser: DyserDevice | None = None,
+        config: CoreConfig | None = None,
+        events=None,
+        trace_instructions: bool = False,
+    ) -> None:
+        if events is not None or trace_instructions:
+            raise SimulationError(
+                "a lane of one does not support event tracing; "
+                "use the reference backend for traced runs"
+            )
+        self.lane = BatchCore(program, memory, [dyser],
+                              [config or CoreConfig()])
+        self.set_args = self.lane.set_args
+
+    def run(self) -> ExecStats:
+        # A lane of one raises its own faults, so it has its stats.
+        [stats] = self.lane.run()
+        return stats

@@ -5,13 +5,16 @@ A *backend* is a core implementation with identical observable results:
 - ``"reference"`` — :class:`repro.cpu.Core`, the per-cycle interpreted
   oracle.  Supports event tracing and instruction traces.
 - ``"batched"`` — :class:`repro.cpu.BatchCore`, the predecoded lockstep
-  core.  A solo run is a lane of one; sweep points that differ only in
-  timing knobs run as one wider lane (:mod:`repro.harness.batch`).
-  Every result is byte-identical to the reference's (enforced by
-  :mod:`repro.harness.parity` and ``tests/test_fastcore.py``), but no
-  events are emitted: traced runs transparently resolve to the
-  reference backend, whose cycle counts are identical by that same
-  contract.
+  core.  A solo run is a lane of one (:class:`repro.cpu.LaneOfOne`);
+  sweep points that differ only in timing knobs run as one wider lane
+  (:mod:`repro.harness.batch`).  Every result is byte-identical to the
+  reference's (enforced by :mod:`repro.harness.parity` and
+  ``tests/test_fastcore.py``), but no events are emitted: traced runs
+  transparently resolve to the reference backend, whose cycle counts
+  are identical by that same contract.
+- ``"fast"`` — another name for solo runs on the lockstep core.  The
+  layer benchmark (``benchmarks/layers``) names a per-layer metric
+  after it, ``cpu.fast.run.s``, which times :class:`LaneOfOne` runs.
 
 ``RunConfig.backend`` selects by name and is validated against this
 registry at construction.  Everything that executes a run —
@@ -25,7 +28,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from repro.cpu import BatchCore, Core
+from repro.cpu import BatchCore, Core, LaneOfOne
 from repro.errors import WorkloadError
 
 #: The registry default (and therefore ``RunConfig``'s default).
@@ -36,26 +39,16 @@ DEFAULT_BACKEND = "batched"
 class Backend:
     """One registered core implementation.
 
-    ``core_cls`` follows the :class:`Core` constructor contract, or —
-    when it is a :class:`BatchCore` subclass (:attr:`lockstep`) — the
-    lane contract, which runs a solo config as a lane of one.
+    ``core_cls`` runs one config and follows the :class:`Core`
+    constructor contract.  ``batch_cls``, when set, is the lockstep
+    core that runs wider lanes of this backend's configs.
     """
 
     name: str
     core_cls: type
     supports_tracing: bool
     description: str = ""
-
-    @property
-    def lockstep(self) -> bool:
-        """True when ``core_cls`` runs lanes (the BatchCore contract)."""
-        return issubclass(self.core_cls, BatchCore)
-
-    @property
-    def batch_cls(self) -> type | None:
-        """``core_cls`` for a lockstep backend, else None.  Kept for
-        the layer benchmark's tracer, which names spans after it."""
-        return self.core_cls if self.lockstep else None
+    batch_cls: type | None = None
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -74,7 +67,7 @@ def unregister_backend(name: str) -> None:
     The built-in backends are load-bearing (``resolve_backend`` falls
     back to ``"reference"``); removing them is refused.
     """
-    if name in ("reference", "batched"):
+    if name in ("reference", "fast", "batched"):
         raise WorkloadError(f"cannot unregister built-in backend {name!r}")
     if name not in _REGISTRY:
         raise WorkloadError(f"unknown backend {name!r}")
@@ -143,8 +136,15 @@ register_backend(Backend(
 ))
 register_backend(Backend(
     name="batched",
-    core_cls=BatchCore,
+    core_cls=LaneOfOne,
     supports_tracing=False,
     description="predecoded lockstep core; a solo run is a lane of "
                 "one, cycle-exact with the reference",
+    batch_cls=BatchCore,
+))
+register_backend(Backend(
+    name="fast",
+    core_cls=LaneOfOne,
+    supports_tracing=False,
+    description="solo runs on the lockstep core (as on batched)",
 ))

@@ -301,21 +301,13 @@ def execute(config: RunConfig,
     if device is not None:
         device.events = events
     backend = resolve_backend(config)
-    program, core_config = run.compiled.program, _core_config(config)
-    if backend.lockstep:
-        core = backend.core_cls(program, run.memory, [device],
-                                [core_config])
-    else:
-        core = backend.core_cls(
-            program, run.memory, dyser=device, config=core_config,
-            events=events,
-            trace_instructions=(config.trace.instructions
-                                and events is not None))
+    core = backend.core_cls(
+        run.compiled.program, run.memory, dyser=device,
+        config=_core_config(config), events=events,
+        trace_instructions=(config.trace.instructions
+                            and events is not None))
     core.set_args(run.instance.int_args, run.instance.fp_args)
     stats = core.run()
-    if backend.lockstep:
-        # A lane of one raises its own faults, so it has its stats.
-        [stats] = stats
     correct = run.instance.check(run.memory)
     if events is not None:
         events.instant("run_end", "cpu", stats.cycles,

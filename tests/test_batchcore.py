@@ -137,7 +137,7 @@ class TestBatchCoreValidation:
 
     def test_backend_registry_entry(self):
         backend = get_backend("batched")
-        assert backend.core_cls is BatchCore and backend.lockstep
+        assert backend.batch_cls is BatchCore
         assert not backend.supports_tracing
 
 

@@ -391,9 +391,9 @@ VALUE_CASES = {
 }
 
 
-#: Lane widths per parameter id.  ``fast`` names the solo path (a lane
-#: of one), the id it kept from the removed fast core; ``batched`` runs
-#: a two-point lane whose points differ in a per-point knob.
+#: Lane widths per parameter id: ``fast`` runs a lane of one, as solo
+#: runs do; ``batched`` runs a two-point lane whose points differ in a
+#: per-point knob.
 _LANES = {"fast": 1, "batched": 2}
 
 

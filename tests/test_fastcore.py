@@ -13,8 +13,7 @@ rests on one claim: it is *cycle-exact-equal* to the reference
 - instruction limits, including the exact error message and a limit
   that lands inside a block (a lane of one never evicts);
 - backend dispatch: tracing transparently resolves batched ->
-  reference and never changes reported cycles, and ``"fast"`` is an
-  unknown backend;
+  reference and never changes reported cycles;
 - the decode cache: identity-keyed, cleared by ``clear_caches``,
   evicted when programs are garbage collected.
 """
@@ -31,6 +30,7 @@ from repro.cpu import (
     BatchCore,
     Core,
     CoreConfig,
+    LaneOfOne,
     Memory,
     clear_decode_caches,
     decode_cache_size,
@@ -39,7 +39,7 @@ from repro.cpu import (
 from repro.compiler import CompilerOptions
 from repro.dyser import DyserTimingParams, Fabric, FabricGeometry
 from repro.dyser.config_cache import ConfigCacheParams
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import SimulationError
 from repro.harness import (
     RunConfig,
     TraceOptions,
@@ -301,15 +301,16 @@ class TestLimitMessages:
 
 class TestBackendDispatch:
     def test_registry_names(self):
-        assert backend_names() == ("batched", "reference")
+        assert backend_names() == ("batched", "fast", "reference")
         assert get_backend("reference").core_cls is Core
-        # Solo runs are lanes of one on the lockstep core.
+        # Solo runs are lanes of one on the lockstep core, which also
+        # runs the batched backend's wider lanes.
+        assert get_backend("fast").core_cls is LaneOfOne
+        assert get_backend("fast").batch_cls is None
         batched = get_backend("batched")
-        assert batched.core_cls is BatchCore and batched.lockstep
+        assert batched.core_cls is LaneOfOne
+        assert batched.batch_cls is BatchCore
         assert RunConfig(workload="mm").backend == "batched"
-        # The removed fast backend is an unknown name like any other.
-        with pytest.raises(WorkloadError, match="unknown backend 'fast'"):
-            RunConfig(workload="mm", backend="fast")
 
     def test_fast_resolves_to_reference_when_traced(self):
         base = RunConfig(workload="mm", scale="tiny", backend="batched")
@@ -348,12 +349,15 @@ class TestBackendDispatch:
         assert report.result.cycles == untraced.cycles
 
     def test_fastcore_refuses_tracing_loudly(self):
-        # The lane core takes no event stream and refuses instruction
-        # traces rather than silently dropping them.
         program = assemble("halt", name="p")
+        from repro.obs.events import EventStream
+
         with pytest.raises(SimulationError, match="trac"):
-            BatchCore(program, Memory(1 << 16), [None],
-                      [CoreConfig(trace_limit=4)])
+            LaneOfOne(program, Memory(1 << 16),
+                      events=EventStream(capacity=8))
+        with pytest.raises(SimulationError, match="trac"):
+            LaneOfOne(program, Memory(1 << 16),
+                      config=CoreConfig(trace_limit=4))
 
 
 # ---------------------------------------------------------------------

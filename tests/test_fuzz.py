@@ -21,7 +21,6 @@ import pytest
 from repro import (
     ArtifactCache,
     Backend,
-    BatchCore,
     Core,
     Memory,
     RunConfig,
@@ -32,6 +31,7 @@ from repro import (
     verify_parity,
 )
 from repro.cli import main
+from repro.cpu import LaneOfOne
 from repro.errors import MemoryFault, ReproError, SimulationError
 from repro.harness.fuzz import (
     CaseGenerator,
@@ -393,13 +393,11 @@ class TestStableErrorString:
         from repro import CoreConfig, assemble
 
         program = assemble(program_src, name="spin")
-        config = CoreConfig(max_instructions=5)
         rendered = []
-        for core in (Core(program, Memory(1 << 16), config=config),
-                     BatchCore(program, Memory(1 << 16), [None],
-                               [config])):
+        for cls in (Core, LaneOfOne):
             try:
-                core.run()
+                cls(program, Memory(1 << 16),
+                    config=CoreConfig(max_instructions=5)).run()
             except ReproError as exc:
                 rendered.append(stable_error_string(exc))
         assert len(rendered) == 2
@@ -411,13 +409,12 @@ class TestStableErrorString:
 # ---------------------------------------------------------------------
 
 
-class _MiscountingCore(BatchCore):
+class _MiscountingCore(LaneOfOne):
     """Deliberately inflates the cycle count by one."""
 
     def run(self):
         stats = super().run()
-        for point in stats:
-            point.cycles += 1
+        stats.cycles += 1
         return stats
 
 
@@ -453,14 +450,14 @@ class TestParityFailurePath:
 
     def test_builtin_backends_cannot_be_unregistered(self):
         with pytest.raises(WorkloadError):
-            unregister_backend("batched")
+            unregister_backend("fast")
         with pytest.raises(WorkloadError):
             unregister_backend("reference")
         with pytest.raises(WorkloadError):
             unregister_backend("never-registered")
 
     def test_crashing_candidate_is_a_mismatch_not_a_harness_error(self):
-        class _ExplodingCore(BatchCore):
+        class _ExplodingCore(LaneOfOne):
             def run(self):
                 raise SimulationError("synthetic fault", code="RPR998")
 

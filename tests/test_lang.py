@@ -201,8 +201,8 @@ class TestLowering:
         finally:
             SUITE.pop(workload.name, None)
 
-    # ``fast`` names the solo path (a lane of one), the id it kept from
-    # the removed fast core; ``batched`` runs two-point lanes.
+    # ``fast`` checks solo runs (lanes of one), ``batched`` two-point
+    # lanes.
     @pytest.mark.parametrize("lane", [1, 2], ids=["fast", "batched"])
     def test_dsl_kernel_backend_parity(self, lane):
         # Acceptance criterion: DSL kernels byte-identical between the

@@ -106,13 +106,10 @@ class TestBackendField:
         assert JobSpec(workload="mm").backend == DEFAULT_BACKEND
 
     def test_unknown_backend_rejected_at_construction(self):
-        # "fast" named a solo core that is gone: solo runs are lanes of
-        # one on "batched" now.
-        for name in ("verilator", "fast"):
-            with pytest.raises(WorkloadError, match="unknown backend"):
-                RunConfig(workload="mm", backend=name)
-            with pytest.raises(WorkloadError, match="unknown backend"):
-                JobSpec(workload="mm", backend=name)
+        with pytest.raises(WorkloadError, match="unknown backend"):
+            RunConfig(workload="mm", backend="verilator")
+        with pytest.raises(WorkloadError, match="unknown backend"):
+            JobSpec(workload="mm", backend="verilator")
 
     def test_backend_survives_the_jobspec_bridge(self):
         spec = JobSpec(workload="mm", backend="reference")
