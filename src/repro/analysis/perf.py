@@ -43,7 +43,9 @@ pc/address streams.
 ``estimate_job_cost`` packages the prediction as the engine/service
 pre-flight cost estimate: :func:`repro.engine.pool.run_jobs` orders
 lanes longest-first with it and the service scheduler turns it into
-queue-wait estimates and a cost-aware ``Retry-After``.
+queue-wait estimates and a cost-aware ``Retry-After``.  It walks only
+shapes (specs without their seed) that no finished run has priced
+yet: observed cycles, recorded by :func:`record_job_cycles`, win.
 """
 
 from __future__ import annotations
@@ -1064,9 +1066,14 @@ def perf_report(name: str, *, mode: str = "dyser", scale: str = "small",
 # ---------------------------------------------------------------------------
 # engine/service cost pre-flight
 
-#: Cost memo keyed by job hash (process-local, like the compile memo).
-#: Cleared once past :data:`_COST_MEMO_LIMIT` entries: a long-running
-#: service adds one for every fresh seed it prices.
+#: Cost memo keyed by :attr:`~repro.engine.jobs.JobSpec.shape_hash`:
+#: the sha256 of ``JobSpec.canonical_dict()`` with the seed left out
+#: (scalar specs keep its dyser-only normalisation).  Cycles barely move
+#: with the seed, so one entry prices every seed of a shape.  A finished
+#: run's observed cycles (:func:`record_job_cycles`) always overwrite an
+#: entry; a walk only fills a slot that is empty or holds a failed
+#: walk's None.  Process-local, like the compile memo, and cleared once
+#: past :data:`_COST_MEMO_LIMIT` entries.
 _COST_MEMO: dict[str, int | None] = {}
 _COST_MEMO_LIMIT = 4096
 
@@ -1085,20 +1092,38 @@ def estimate_job_cost(spec) -> int | None:
     """Predicted cycle cost of one :class:`~repro.engine.jobs.JobSpec`.
 
     Returns None when no defensible estimate exists (analysis failure,
-    budget exhausted at every scale).  Memoized by job hash; safe to
-    call from the engine pre-flight and the service admission path.
+    budget exhausted at every scale).  Memoized per shape (the spec
+    without its seed): a shape some run has already finished is priced
+    by that run's cycles, and only a shape never seen is walked.  Safe
+    to call from the engine pre-flight and the service admission path.
     """
     try:
-        key = spec.job_hash
+        key = spec.shape_hash
     except Exception:
         return None
     if key in _COST_MEMO:
         return _COST_MEMO[key]
-    cost = _estimate(spec)
-    if len(_COST_MEMO) > _COST_MEMO_LIMIT:
+    return _remember_walk(key, _estimate(spec))
+
+
+def record_job_cycles(spec, cycles: int) -> None:
+    """Price ``spec``'s shape by the cycles a finished run of it took."""
+    _remember(spec.shape_hash, cycles)
+
+
+def _remember_walk(key: str, cost: int | None) -> int | None:
+    """Fill ``key``'s slot with a walked cost unless it holds a value;
+    returns what the slot holds then."""
+    if _COST_MEMO.get(key) is None:
+        _remember(key, cost)
+    # A run of the shape that finished during the walk wins.
+    return _COST_MEMO.get(key, cost)
+
+
+def _remember(key: str, cost: int | None) -> None:
+    if key not in _COST_MEMO and len(_COST_MEMO) > _COST_MEMO_LIMIT:
         _COST_MEMO.clear()
     _COST_MEMO[key] = cost
-    return cost
 
 
 def _estimate(spec) -> int | None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import cached_property
 
 from repro.compiler import CompilerOptions
 from repro.cpu import CoreConfig
@@ -152,11 +153,29 @@ class JobSpec:
         data["energy_overrides"] = [list(p) for p in data["energy_overrides"]]
         return data
 
-    @property
+    # The two hashes below are computed once per spec and kept in the
+    # instance ``__dict__`` (a frozen dataclass only blocks
+    # ``__setattr__``).  Fields, equality and ``asdict`` never see
+    # them; a pickle to a pool worker carries them along, which is
+    # safe because the spec cannot change.
+
+    @cached_property
     def job_hash(self) -> str:
         """Stable content hash of the canonical spec (hex sha256)."""
-        blob = json.dumps(self.canonical_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _sha256_json(self.canonical_dict())
+
+    @cached_property
+    def shape_hash(self) -> str:
+        """:attr:`job_hash` with the seed left out (hex sha256).
+
+        Specs that differ only in their seed share a shape; the cost
+        pre-flight (:func:`repro.analysis.perf.estimate_job_cost`)
+        prices a shape once, from the cycles of a finished run when
+        there is one.
+        """
+        data = self.canonical_dict()
+        del data["seed"]
+        return _sha256_json(data)
 
     @property
     def compile_hash(self) -> str:
@@ -172,8 +191,7 @@ class JobSpec:
         data = {k: data[k] for k in _COMPILE_FIELDS}
         data["version"] = SPEC_VERSION
         data["source"] = source_hash(get(self.workload).source)
-        blob = json.dumps(data, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _sha256_json(data)
 
     # -- parameter-object construction ---------------------------------
 
@@ -310,3 +328,8 @@ _FIELD_DEFAULTS = {
     f.name: f.default for f in fields(JobSpec) if f.default is not MISSING
 }
 _FIELD_NAMES = frozenset(f.name for f in fields(JobSpec))
+
+
+def _sha256_json(data: dict) -> str:
+    blob = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

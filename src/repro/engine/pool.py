@@ -234,15 +234,17 @@ def run_jobs(
                 continue
         pending.append(i)
 
-    # Cost pre-flight: with real parallelism ahead, predict each
-    # pending job's cycle cost statically (memoized per hash; the
-    # compile is shared with the run via the harness memo) and dispatch
-    # longest-first — the classic LPT heuristic.  Serial runs skip it:
-    # ordering cannot change their wall time.
+    # Cost pre-flight: with real parallelism ahead, price each pending
+    # job's cycles (memoized per shape, i.e. per spec without its seed:
+    # a shape that has run before is priced by that run's cycles, a new
+    # one is walked statically, sharing the compile with the run via
+    # the harness memo) and dispatch longest-first — the classic LPT
+    # heuristic.  Serial runs skip it: ordering cannot change their
+    # wall time.
+    from repro.analysis.perf import estimate_job_cost, record_job_cycles
+
     costs: dict[int, int | None] = {}
     if len(pending) > 1 and jobs > 1:
-        from repro.analysis.perf import estimate_job_cost
-
         for i in pending:
             records[i].cost = costs[i] = estimate_job_cost(specs[i])
 
@@ -250,6 +252,11 @@ def run_jobs(
               records, results, cache, jobs, timeout, retries,
               worker or _worker, events, progress)
 
+    # Every result returned, executed or hit, prices its shape from now
+    # on (here in the calling process, so pooled runs count too).
+    for i in primary.values():
+        if results[i] is not None:
+            record_job_cycles(specs[i], results[i].stats.cycles)
     for i, j in dup_of.items():
         results[i] = results[j]
 

@@ -178,15 +178,19 @@ def _compile(workload_name: str, src_hash: str, mode: str,
 
 
 def clear_caches() -> None:
-    """Drop all process-local memoized state: compiles **and** the
-    decode cache of the predecoding backend.
+    """Drop all process-local memoized state: compiles, the decode
+    cache of the predecoding backend **and** the cost memo of the
+    engine/service pre-flight.
 
     The engine calls this in worker processes after code-fingerprint
     changes, and tests use it to guarantee cold-compile (and
     cold-decode) behaviour.
     """
+    from repro.analysis.perf import clear_cost_memo
+
     _compile.cache_clear()
     clear_decode_caches()
+    clear_cost_memo()
 
 
 def _options_key(options: CompilerOptions) -> tuple:

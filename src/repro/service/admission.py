@@ -22,12 +22,16 @@ before it can cost an engine slot, in strictly increasing price order:
 Only a request that clears all four gates reaches the scheduler's
 bounded queue, where backpressure (429) is the final gate.  On the way
 in, the static perf analyzer (:mod:`repro.analysis.perf`) annotates
-the job with its predicted cycle cost (computed on an executor thread,
-memoized by hash): the scheduler calibrates cycles-per-second from
-completed jobs, turns queued cost into a queue-wait estimate and a
-cost-aware ``Retry-After``, and a deadline that the calibrated
-estimate already exceeds is answered 504 at admission instead of
-after the wait.
+the job with its cycle cost, memoized per shape (the spec without its
+seed).  A shape that has been seen is priced by observed cycles: every
+run the scheduler's engine submissions finish and every cache hit
+answered here records its ``stats.cycles``, so a restarted daemon
+over a warm disk cache learns from its hits.  Only a shape never seen
+is walked, on an executor thread.  The scheduler calibrates
+cycles-per-second from completed jobs, turns queued cost into a
+queue-wait estimate and a cost-aware ``Retry-After``, and a deadline
+that the calibrated estimate already exceeds is answered 504 at
+admission instead of after the wait.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import time
 
+from repro.analysis import perf
 from repro.analysis.speclint import lint_spec
 from repro.engine.cache import ArtifactCache, result_from_dict
 from repro.engine.jobs import JobSpec
@@ -65,10 +70,8 @@ def probe_run(cache: ArtifactCache | None, spec: JobSpec) -> dict | None:
 
 def _estimate_cost(spec: JobSpec) -> int | None:
     """Predicted cycle cost of a spec; never raises (daemon path)."""
-    from repro.analysis.perf import estimate_job_cost
-
     try:
-        return estimate_job_cost(spec)
+        return perf.estimate_job_cost(spec)
     except Exception:  # noqa: BLE001 — estimation must not kill admits
         return None
 
@@ -131,6 +134,7 @@ class AdmissionController:
             if self.instruments is not None:
                 self.instruments.cache_hits.inc()
             self._mark("request_cache_hit", spec)
+            perf.record_job_cycles(spec, payload["stats"]["cycles"])
             return JobOutcome(P.STATUS_HIT, payload=payload,
                               diagnostics=diagnostics)
 
@@ -152,10 +156,10 @@ class AdmissionController:
                 P.STATUS_DRAINING,
                 error="service is draining; resubmit elsewhere")
 
-        # Static cost pre-flight (executor thread: the first estimate
-        # for a spec compiles and walks the program; repeats are memo
-        # hits).  The cost feeds the scheduler's queue-wait estimate
-        # and cost-aware Retry-After.
+        # Cost pre-flight (executor thread: the first estimate for a
+        # shape never run compiles and walks the program; a shape
+        # already run or walked is a memo hit).  The cost feeds the
+        # scheduler's queue-wait estimate and cost-aware Retry-After.
         loop = asyncio.get_running_loop()
         cost = await loop.run_in_executor(None, _estimate_cost, spec)
 

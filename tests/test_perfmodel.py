@@ -28,6 +28,7 @@ table with ``PYTHONPATH=src python tests/test_perfmodel.py``.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -312,13 +313,14 @@ class TestEngineCostPreflight:
         priced = []
 
         def stub(spec):
-            priced.append(spec.job_hash)
+            priced.append(spec.shape_hash)
             return spec.seed * 10
 
         monkeypatch.setattr(perf, "_estimate", stub)
         clear_cost_memo()
         limit = perf._COST_MEMO_LIMIT
-        specs = [SimpleNamespace(job_hash=f"h{seed}", seed=seed)
+        # Fakes carry one distinct shape each: the memo keys on shapes.
+        specs = [SimpleNamespace(shape_hash=f"s{seed}", seed=seed)
                  for seed in range(limit + 5)]
         for spec in specs:
             assert estimate_job_cost(spec) == spec.seed * 10
@@ -327,8 +329,113 @@ class TestEngineCostPreflight:
         # which still answer from the memo.
         assert len(perf._COST_MEMO) == 4
         assert estimate_job_cost(specs[-1]) == specs[-1].seed * 10
-        assert priced == [spec.job_hash for spec in specs]
+        assert priced == [spec.shape_hash for spec in specs]
         clear_cost_memo()
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Specs the cost pre-flight walks, with a fixed walked cost."""
+        from repro.analysis import perf
+
+        walked = []
+
+        def stub(spec):
+            walked.append(spec)
+            return 123
+
+        monkeypatch.setattr(perf, "_estimate", stub)
+        clear_cost_memo()
+        yield walked
+        clear_cost_memo()
+
+    def test_shape_leaves_out_the_seed_only(self):
+        spec = JobSpec(workload="vecadd", scale="tiny", seed=1)
+        assert replace(spec, seed=2).shape_hash == spec.shape_hash
+        assert replace(spec, seed=2).job_hash != spec.job_hash
+        assert replace(spec, scale="small").shape_hash != spec.shape_hash
+        # Scalar specs keep the dyser-only normalisation.
+        scalar = replace(spec, mode="scalar")
+        assert replace(scalar, unroll=2).shape_hash == scalar.shape_hash
+
+    def test_fresh_seed_of_a_run_shape_is_not_walked(self, walks):
+        from repro.engine.pool import run_jobs
+
+        spec = JobSpec(workload="vecadd", scale="tiny", seed=1)
+        report = run_jobs([spec], jobs=1)
+        cycles = report.results[0].stats.cycles
+        for seed in (2, 3, 4):
+            assert estimate_job_cost(replace(spec, seed=seed)) == cycles
+        assert walks == []
+
+    def test_run_jobs_fills_memo_with_observed_cycles(self, walks):
+        from repro.analysis import perf
+        from repro.engine.pool import run_jobs
+
+        specs = [JobSpec(workload="vecadd", scale="tiny"),
+                 JobSpec(workload="vecadd", mode="scalar", scale="tiny")]
+        report = run_jobs(specs, jobs=1)
+        for spec, result in zip(specs, report.results, strict=True):
+            assert perf._COST_MEMO[spec.shape_hash] == result.stats.cycles
+
+    def test_admission_cache_hit_fills_memo(self, walks, tmp_path):
+        import asyncio
+
+        from repro.analysis import perf
+        from repro.engine import ArtifactCache
+        from repro.engine.pool import run_jobs
+        from repro.service import protocol as P
+        from repro.service.admission import AdmissionController
+        from repro.service.scheduler import Scheduler
+
+        cache = ArtifactCache(tmp_path)
+        spec = JobSpec(workload="vecadd", scale="tiny")
+        cycles = run_jobs([spec], cache=cache).results[0].stats.cycles
+        clear_cost_memo()   # as in a restarted daemon over a warm cache
+
+        async def admit():
+            admission = AdmissionController(
+                Scheduler(queue_limit=8, jobs=1), cache=cache)
+            return await admission.admit_run(spec)
+
+        assert asyncio.run(admit()).status == P.STATUS_HIT
+        assert perf._COST_MEMO == {spec.shape_hash: cycles}
+        assert estimate_job_cost(replace(spec, seed=99)) == cycles
+        assert walks == []
+
+    def test_new_mode_or_timing_knob_is_a_new_shape(self, walks):
+        from repro.engine.pool import run_jobs
+
+        spec = JobSpec(workload="vecadd", scale="tiny")
+        run_jobs([spec], jobs=1)
+        others = [replace(spec, mode="scalar"),
+                  replace(spec, input_fifo_depth=2),
+                  replace(spec, initiation_interval=2)]
+        for other in others:
+            assert estimate_job_cost(other) == 123
+        assert walks == others
+
+    def test_observed_cycles_replace_a_walked_cost(self, walks):
+        from repro.engine.pool import run_jobs
+
+        spec = JobSpec(workload="vecadd", scale="tiny")
+        assert estimate_job_cost(spec) == 123
+        cycles = run_jobs([spec], jobs=1).results[0].stats.cycles
+        assert cycles != 123
+        assert estimate_job_cost(spec) == cycles
+        assert walks == [spec]
+
+    def test_walk_fills_only_an_empty_slot(self, walks):
+        from repro.analysis import perf
+
+        spec = JobSpec(workload="vecadd", scale="tiny")
+        # A failed walk's None is an empty slot ...
+        perf._COST_MEMO[spec.shape_hash] = None
+        perf._remember_walk(spec.shape_hash, 123)
+        assert perf._COST_MEMO[spec.shape_hash] == 123
+        # ... an observed value is not.
+        perf.record_job_cycles(spec, 266)
+        perf._remember_walk(spec.shape_hash, 123)
+        assert perf._COST_MEMO[spec.shape_hash] == 266
 
     def test_plan_orders_solo_jobs_longest_first(self):
         from repro.engine.pool import _plan_lanes

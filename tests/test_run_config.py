@@ -176,6 +176,20 @@ class TestHashStability:
         assert JobSpec(workload="mm", mode=mode).job_hash == \
             GOLDEN_HASHES[("mm", mode)]
 
+    def test_cached_hashes_stay_out_of_fields_and_pickles(self):
+        import pickle
+        from dataclasses import asdict
+
+        spec = JobSpec(workload="mm", mode="dyser")
+        fresh = asdict(spec)
+        assert spec.job_hash is spec.job_hash   # computed once
+        assert spec.shape_hash
+        assert asdict(spec) == fresh
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.job_hash == GOLDEN_HASHES[("mm", "dyser")]
+        assert clone.shape_hash == spec.shape_hash
+
     def test_hash_ignores_run_config_round_trip(self):
         for spec in (JobSpec(workload="mm"),
                      JobSpec(workload="saxpy", geometry=(4, 4))):
