@@ -5,7 +5,11 @@ Three steps, mirroring the prototype toolchain:
 1. **Placement** — greedy constructive placement in topological order
    (each node goes to the legal FU minimizing wirelength to its already-
    placed producers and its ports), followed by a deterministic
-   improvement loop of relocations/swaps.
+   improvement loop of relocations/swaps.  Costs are integer lookups:
+   FUs and switches are indexed in ``Coord`` order, a cached
+   per-geometry table (:func:`fu_input_distance`) holds the hops from
+   every switch to every FU's nearest input switch, and the refiner
+   keeps an inverse FU -> node map to find a swap partner.
 2. **Cut check** — a sound capacity bound (:func:`_check_cuts`): for
    every horizontal and vertical line through the switch grid, the
    signals that must cross it in one direction may not outnumber the
@@ -19,7 +23,9 @@ Three steps, mirroring the prototype toolchain:
    output link carries exactly one signal, with free fan-out of the
    same signal).  The search runs on integers: a cached per-geometry
    adjacency table (:func:`switch_adjacency`) with usage and history in
-   flat per-link lists; paths become ``Coord`` lists only when returned.
+   flat per-link lists, and each round prices every link's unshared
+   cost (1 + history) once; paths become ``Coord`` lists only when
+   returned.
 
 When the cut check or congestion fails, the DFG is placed again with a
 new seed (:data:`_PLACE_ATTEMPTS` times).
@@ -38,7 +44,7 @@ from heapq import heappop, heappush
 from repro.dyser.config import DyserConfig, SinkKey, SourceKey, source_key
 from repro.dyser.dfg import Dfg, NodeRef, PortRef
 from repro.dyser.fabric import Coord, Fabric, FabricGeometry
-from repro.dyser.ops import capability_of
+from repro.dyser.ops import FuCapability, capability_of
 from repro.errors import SchedulingError
 
 #: Improvement iterations for the placement refiner.
@@ -107,67 +113,87 @@ def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
 
 def _place(dfg: Dfg, fabric: Fabric, rng: random.Random,
            refine: bool, jitter: int = 0) -> dict[int, Coord]:
+    """Place every node; returns node id -> FU in topological order.
+
+    Works on FU indices in ``Coord`` order (:func:`fu_input_distance`),
+    so ``(cost, fu)`` ties break exactly as they do on coordinates.
+    """
     geometry = fabric.geometry
-    in_switches = geometry.input_port_switches()
+    height = geometry.height
+    rows = geometry.switch_rows
+    near = fu_input_distance(geometry)
+    fus = sorted(geometry.fus())
+    # Output switch of each FU, as a coordinate and as a switch index.
+    fu_out = [geometry.fu_output_switch(fu) for fu in fus]
+    fu_out_index = [x * rows + y for x, y in fu_out]
+    in_switches = [x * rows + y for x, y in geometry.input_port_switches()]
     out_switches = geometry.output_port_switches()
-    out_port_of: dict[int, list[int]] = {}
+
+    # Per node: the switch of each input port it reads, its producers
+    # (once per input that reads one), the switches of the output ports
+    # it drives, and its consumers (each listed once however many of
+    # their inputs read the node).
+    port_starts: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
+    producers: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
+    consumers: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
+    out_targets: dict[int, list[Coord]] = {nid: [] for nid in dfg.nodes}
     for port, src in dfg.outputs.items():
         if isinstance(src, NodeRef):
-            out_port_of.setdefault(src.node, []).append(port)
-
-    # Consumers of each node, each listed once however many of its
-    # inputs read the node.
-    consumers: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
+            out_targets[src.node].append(out_switches[port])
     for other in dfg.nodes.values():
+        for src in other.inputs:
+            if isinstance(src, NodeRef):
+                producers[other.id].append(src.node)
+            elif isinstance(src, PortRef):
+                port_starts[other.id].append(in_switches[src.port])
         for nid in {s.node for s in other.inputs if isinstance(s, NodeRef)}:
             if nid != other.id:
                 consumers[nid].append(other.id)
 
-    placement: dict[int, Coord] = {}
-    occupied: set[Coord] = set()
+    placement: dict[int, int] = {}
+    holder: list[int | None] = [None] * len(fus)
 
-    def node_cost(nid: int, fu: Coord) -> int:
-        node = dfg.nodes[nid]
+    def node_cost(nid: int, fu: int) -> int:
+        to_fu = near[fu]
         cost = 0
-        targets = geometry.fu_input_switches(fu)
-        for src in node.inputs:
-            if isinstance(src, NodeRef) and src.node in placement:
-                start = geometry.fu_output_switch(placement[src.node])
-            elif isinstance(src, PortRef):
-                start = in_switches[src.port]
-            else:
-                continue
-            cost += min(_dist(start, t) for t in targets)
-        source = geometry.fu_output_switch(fu)
-        for port in out_port_of.get(nid, ()):
-            cost += _dist(source, out_switches[port])
+        for start in port_starts[nid]:
+            cost += to_fu[start]
+        for src in producers[nid]:
+            at = placement.get(src)
+            if at is not None:
+                cost += to_fu[fu_out_index[at]]
+        source = fu_out[fu]
+        for sw in out_targets[nid]:
+            cost += _dist(source, sw)
         # Consumers placed already (refinement path).
+        source_index = fu_out_index[fu]
         for other in consumers[nid]:
-            if other in placement:
-                cost += min(
-                    _dist(source, t)
-                    for t in geometry.fu_input_switches(placement[other])
-                )
+            at = placement.get(other)
+            if at is not None:
+                cost += near[at][source_index]
         return cost
 
     # Placement cost carries a scarcity penalty (3 per extra capability)
     # so cheap ops avoid parking on rare FP/divide-capable FUs.
+    penalty = [3 * (len(fabric.capabilities[fu]) - 1) for fu in fus]
+    # Capable FUs per capability, in ``fus_with`` order: jitter draws
+    # follow the candidate order.
+    capable: dict[FuCapability, list[int]] = {}
     for node in dfg.topo_order():
-        candidates = [
-            fu for fu in fabric.fus_with(capability_of(node.op))
-            if fu not in occupied
-        ]
+        cap = capability_of(node.op)
+        if cap not in capable:
+            capable[cap] = [fu[0] * height + fu[1]
+                            for fu in fabric.fus_with(cap)]
+        candidates = [fu for fu in capable[cap] if holder[fu] is None]
         if not candidates:
             raise SchedulingError(
                 f"{dfg.name}: no free FU supports {node.op.value}",
                 code="RPR216", dfg=dfg.name, node=node.id,
-                op=node.op.value,
-                capability=capability_of(node.op).value)
+                op=node.op.value, capability=cap.value)
         best = min(
             candidates,
             key=lambda fu: (
-                node_cost(node.id, fu)
-                + 3 * (len(fabric.capabilities[fu]) - 1)
+                node_cost(node.id, fu) + penalty[fu]
                 # Retry attempts explore different placements: a little
                 # cost noise is what un-sticks congestion hotspots.
                 + (rng.randint(0, jitter) if jitter else 0),
@@ -175,29 +201,36 @@ def _place(dfg: Dfg, fabric: Fabric, rng: random.Random,
             ),
         )
         placement[node.id] = best
-        occupied.add(best)
+        holder[best] = node.id
 
     if refine and len(dfg.nodes) > 1:
-        _refine(dfg, fabric, placement, occupied, rng, node_cost)
-    return placement
+        _refine(dfg, fabric, placement, holder, rng, node_cost)
+    return {nid: fus[fu] for nid, fu in placement.items()}
 
 
-def _refine(dfg, fabric, placement, occupied, rng, node_cost) -> None:
+def _refine(dfg, fabric, placement, holder, rng, node_cost) -> None:
+    """Relocate or swap random nodes while the cost does not rise.
+
+    ``placement`` maps node -> FU index and ``holder`` FU index -> node
+    (``None`` when free); both are kept in step on every accepted move.
+    """
     geometry = fabric.geometry
+    height = geometry.height
     node_ids = list(placement)
-    all_fus = geometry.fus()
+    caps = {nid: capability_of(dfg.nodes[nid].op) for nid in node_ids}
+    # ``geometry.fus()`` order: the target draw picks the same FU.
+    all_fus = [x * height + y for x, y in geometry.fus()]
+    fu_caps = [fabric.capabilities[fu] for fu in sorted(geometry.fus())]
     for _ in range(_REFINE_ITERS):
         nid = rng.choice(node_ids)
-        cap = capability_of(dfg.nodes[nid].op)
         target = rng.choice(all_fus)
-        if target == placement[nid] or not fabric.supports(target, cap):
+        if target == placement[nid] or caps[nid] not in fu_caps[target]:
             continue
         old = placement[nid]
         before = node_cost(nid, old)
-        other = next((n for n, fu in placement.items() if fu == target),
-                     None)
+        other = holder[target]
         if other is not None:
-            if not fabric.supports(old, capability_of(dfg.nodes[other].op)):
+            if caps[other] not in fu_caps[old]:
                 continue
             before += node_cost(other, target)
             # Tentatively swap.
@@ -205,18 +238,37 @@ def _refine(dfg, fabric, placement, occupied, rng, node_cost) -> None:
             after = node_cost(nid, target) + node_cost(other, old)
             if after > before:
                 placement[nid], placement[other] = old, target
+            else:
+                holder[target], holder[old] = nid, other
         else:
             placement[nid] = target
             after = node_cost(nid, target)
             if after > before:
                 placement[nid] = old
             else:
-                occupied.discard(old)
-                occupied.add(target)
+                holder[old], holder[target] = None, nid
 
 
 def _dist(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+@lru_cache(maxsize=64)
+def fu_input_distance(geometry: FabricGeometry
+                      ) -> tuple[tuple[int, ...], ...]:
+    """Hops from each switch to each FU's nearest input switch.
+
+    Entry ``[fu][switch]`` is ``min(_dist(switch, t))`` over the FU's
+    :meth:`~repro.dyser.fabric.FabricGeometry.fu_input_switches`.  FU
+    ``(x, y)`` has index ``x * height + y`` and switch ``(x, y)`` index
+    ``x * switch_rows + y`` (as in :func:`switch_adjacency`): both are
+    monotone in ``Coord`` order.
+    """
+    switches = sorted(geometry.switches())
+    return tuple(
+        tuple(min(_dist(sw, t) for t in geometry.fu_input_switches(fu))
+              for sw in switches)
+        for fu in sorted(geometry.fus()))
 
 
 # -- routing ------------------------------------------------------------------
@@ -303,6 +355,8 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
     history = [0.0] * num_links
     present_penalty = 2.0
     for _iteration in range(_ROUTE_ROUNDS):
+        # A link's price without sharing: fixed for the whole round.
+        base = [1.0 + h for h in history]
         usage: list[set[int]] = [set() for _ in range(num_links)]
         trees: dict[int, dict[int, tuple[int, int] | None]] = {}
         routes: dict[tuple[SourceKey, SinkKey], list[int]] = {}
@@ -310,7 +364,7 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
             signal = signal_ids[skey]
             tree = trees.setdefault(signal, {start: None})
             target = _grow_tree_negotiated(
-                adjacency, tree, targets, usage, history,
+                adjacency, tree, targets, usage, base,
                 present_penalty, signal)
             if target is None:
                 raise SchedulingError(
@@ -387,14 +441,17 @@ def _check_cuts(dfg: Dfg, geometry: FabricGeometry,
 
 def _grow_tree_negotiated(adjacency, tree: dict[int, tuple[int, int] | None],
                           targets: set[int], usage: list[set[int]],
-                          history: list[float], present_penalty: float,
+                          base: list[float], present_penalty: float,
                           signal: int) -> int | None:
     """Dijkstra from the signal's current tree to any target.
 
-    Link cost = 1 + history + present-sharing penalty; links already in
-    this signal's tree fan out for free.  ``tree`` maps each switch to
-    its ``(parent switch, link id)``, ``None`` at the root.  Commits the
-    found branch into the tree and returns the target switch.
+    Link cost = ``base`` (1 + history) + present-sharing penalty; links
+    already in this signal's tree fan out for free.  The penalty is
+    added only to a link with users: ``1.0 + h + s * p`` evaluates as
+    ``(1.0 + h) + s * p``, so the floats match the unsplit sum.  ``tree``
+    maps each switch to its ``(parent switch, link id)``, ``None`` at the
+    root.  Commits the found branch into the tree and returns the target
+    switch.
     """
     already = [t for t in targets if t in tree]
     if already:
@@ -423,9 +480,11 @@ def _grow_tree_negotiated(adjacency, tree: dict[int, tuple[int, int] | None],
             if visited[nxt]:
                 continue
             users = usage[link]
-            sharing = len(users) - (signal in users)
-            cost = 1.0 + history[link] + sharing * present_penalty
-            nd = d + cost
+            if users:
+                nd = d + (base[link]
+                          + (len(users) - (signal in users)) * present_penalty)
+            else:
+                nd = d + base[link]
             if nd < dist[nxt]:
                 dist[nxt] = nd
                 parent[nxt] = current
