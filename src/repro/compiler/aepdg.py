@@ -14,8 +14,13 @@ Given an if-converted (and possibly unrolled) loop body, this pass:
 4. vectorizes: unrolled lanes whose load/store addresses are provably
    consecutive (affine analysis) merge into wide cache-line transfers on
    adjacent ports;
-5. spatially schedules the DFG onto the fabric;
-6. rewrites the body block into {address+loads+sends | receives |
+5. runs every check that reads no placement, so none wastes one, in
+   this order (it fixes the reason of a region that fails several):
+   the DFG fits the fabric (``RPR213`` ops, ``RPR206`` ports), no load
+   follows a possibly-aliasing store, and a region that is not
+   unrolled is profitable;
+6. spatially schedules the DFG onto the fabric (place and route only);
+7. rewrites the body block into {address+loads+sends | receives |
    stores+uses}, the ordering the fabric's FIFO protocol requires.
 
 Every infeasibility is a :class:`RegionRejected` with a reason code so
@@ -45,12 +50,13 @@ from repro.compiler.ir import (
     Store,
     Value,
 )
-from repro.compiler.schedule import schedule
+from repro.compiler.schedule import check_fits, schedule
 from repro.compiler.types import Scalar
 from repro.compiler.unroll import LoopInfo
 from repro.dyser.config import DyserConfig
 from repro.dyser.dfg import ConstRef, Dfg, NodeRef, PortRef
 from repro.dyser.fabric import Fabric
+from repro.dyser.ops import FuCapability, capability_of
 from repro.errors import RegionRejected
 
 #: Widest single transfer (one cache line of 8-byte words).
@@ -72,7 +78,8 @@ def offload_body(func: Function, info: LoopInfo, fabric: Fabric,
                  config_id: int, min_ops: int = 2,
                  max_ops: int | None = None,
                  vectorize: bool = True,
-                 reassociate: bool = True) -> Partition:
+                 reassociate: bool = True,
+                 unrolled: bool = False) -> Partition:
     """Partition and rewrite the loop body in place."""
     body = func.blocks[info.body]
     instrs = list(body.instrs)
@@ -147,15 +154,16 @@ def offload_body(func: Function, info: LoopInfo, fabric: Fabric,
     # Redundant-load elimination at the interface: loads with identical
     # affine addresses share one port and one transfer (this is what lets
     # unrolled stencils/convolutions fit the port budget — overlapping
-    # taps collapse).
-    dedup_analysis = AffineAnalysis()
-    dedup_analysis.visit_function(func)
+    # taps collapse).  The function is not changed before the rewrite,
+    # so one analysis serves dedup, vector grouping and the alias check.
+    analysis = AffineAnalysis()
+    analysis.visit_function(func)
     canonical: dict[tuple, Load] = {}
     load_alias: dict[Value, Value] = {}
     dropped_loads: set[int] = set()
     unique_loads: list[Load] = []
     for load in direct_loads:
-        form = dedup_analysis.form_of(load.addr)
+        form = analysis.form_of(load.addr)
         key = (form.terms, form.offset, load.result.scalar)
         rep = canonical.get(key)
         if rep is None:
@@ -203,11 +211,11 @@ def offload_body(func: Function, info: LoopInfo, fabric: Fabric,
 
     # ---- 4. vector grouping -------------------------------------------------
     load_groups = (_group_transfers(
-        func, [(ld, ld.addr) for ld in direct_loads])
+        analysis, [(ld, ld.addr) for ld in direct_loads])
         if vectorize else [[ld] for ld in direct_loads])
     store_list = list(direct_stores.values())
     store_groups = (_group_transfers(
-        func, [(st, st.addr) for st in store_list])
+        analysis, [(st, st.addr) for st in store_list])
         if vectorize else [[st] for st in store_list])
     vectorized = any(len(g) > 1 for g in load_groups + store_groups)
 
@@ -286,10 +294,16 @@ def offload_body(func: Function, info: LoopInfo, fabric: Fabric,
 
         rebalance(dfg)
 
-    # ---- 7. spatial scheduling ---------------------------------------------
+    # ---- 7. checks that read no placement -----------------------------------
+    check_fits(dfg, fabric)
+    _check_memory_order(func, instrs, analysis)
+    if not unrolled:
+        _check_profitable(dfg, len(execute))
+
+    # ---- 8. spatial scheduling ---------------------------------------------
     config = schedule(config_id, dfg, fabric)
 
-    # ---- 8. body rewrite -------------------------------------------------------
+    # ---- 9. body rewrite -------------------------------------------------------
     _rewrite_body(func, info, body, instrs, exec_set, tainted,
                   direct_loads, load_groups, load_port,
                   store_list, store_groups, store_port,
@@ -302,6 +316,48 @@ def offload_body(func: Function, info: LoopInfo, fabric: Fabric,
         output_ports=next_out,
         vectorized=vectorized,
     )
+
+
+def _check_memory_order(func: Function, instrs: list[Instr],
+                        analysis: AffineAnalysis) -> None:
+    """Reject a load that follows a store it may alias.
+
+    The rewrite moves every load to segment A (before all stores, which
+    move to segment C).  A load that originally followed a store may
+    only be hoisted when the two provably never alias.  Alias discipline
+    (a documented kernel-language rule, the moral equivalent of C99
+    restrict): distinct array parameters never overlap; within one
+    array, affine addresses with a nonzero constant difference are
+    disjoint.
+    """
+    array_bases = {p.value for p in func.params if p.is_array}
+    pending_stores: list[Affine] = []
+    for instr in instrs:
+        if isinstance(instr, Store):
+            pending_stores.append(analysis.form_of(instr.addr))
+        elif isinstance(instr, Load):
+            form = analysis.form_of(instr.addr)
+            for store_form in pending_stores:
+                if _may_alias(form, store_form, array_bases):
+                    raise RegionRejected(
+                        "load after possibly-aliasing store")
+
+
+def _check_profitable(dfg: Dfg, execute_ops: int) -> None:
+    """Reject a region that was not unrolled and cannot beat the host.
+
+    A small all-integer slice that could not be unrolled runs one
+    serialized invocation per iteration; the fabric round trip dwarfs the
+    cost of a handful of 1-cycle host ALU ops.  FP regions always win
+    (the prototype's shared FPU is an order of magnitude slower per op),
+    as do larger or pipelined (unrolled) regions.
+    """
+    caps = {capability_of(node.op) for node in dfg.nodes.values()}
+    expensive = {FuCapability.FP, FuCapability.FPDIV, FuCapability.MUL}
+    if execute_ops < 8 and not (caps & expensive):
+        raise RegionRejected(
+            "unprofitable: small integer-only slice, one invocation "
+            "per iteration")
 
 
 def _may_alias(a: Affine, b: Affine, array_bases: set[Value]) -> bool:
@@ -335,13 +391,10 @@ def _taint(instrs: list[Instr], exec_set: set, roots: set[Value]
     return tainted
 
 
-def _group_transfers(func: Function, items: list[tuple[Instr, Operand]]
+def _group_transfers(analysis: AffineAnalysis,
+                     items: list[tuple[Instr, Operand]]
                      ) -> list[list[Instr]]:
     """Group loads/stores whose addresses are affine-consecutive (+8)."""
-    if not items:
-        return []
-    analysis = AffineAnalysis()
-    analysis.visit_function(func)
     keyed: list[tuple[Affine, Instr]] = []
     for instr, addr in items:
         keyed.append((analysis.form_of(addr), instr))
@@ -385,27 +438,6 @@ def _rewrite_body(func: Function, info: LoopInfo, body: Block,
     group_member_store = {
         id(m) for g in store_groups for m in g[1:]
     }
-
-    # Memory-ordering hazard: every load moves to segment A (before all
-    # stores, which move to segment C).  A load that originally followed
-    # a store may only be hoisted when the two provably never alias.
-    # Alias discipline (a documented kernel-language rule, the moral
-    # equivalent of C99 restrict): distinct array parameters never
-    # overlap; within one array, affine addresses with a nonzero constant
-    # difference are disjoint.
-    analysis = AffineAnalysis()
-    analysis.visit_function(func)
-    array_bases = {p.value for p in func.params if p.is_array}
-    pending_stores: list[Affine] = []
-    for instr in instrs:
-        if isinstance(instr, Store):
-            pending_stores.append(analysis.form_of(instr.addr))
-        elif isinstance(instr, Load):
-            form = analysis.form_of(instr.addr)
-            for store_form in pending_stores:
-                if _may_alias(form, store_form, array_bases):
-                    raise RegionRejected(
-                        "load after possibly-aliasing store")
 
     send_defined_in_body = {
         v for v in send_values

@@ -5,12 +5,17 @@ selector:
 
 1. classifies its control-flow shape (:mod:`repro.compiler.shapes`);
 2. attempts the full offload pipeline — if-convert, unroll+vectorize,
-   partition, spatially schedule — on a *clone* of the function, retrying
-   with unrolling disabled when the aggressive attempt is rejected
-   (e.g. cross-iteration memory dependences surface as load-after-store
-   hazards only once unrolled);
+   partition, spatially schedule — on a *clone* of the function, down a
+   halving ladder of unroll factors (8 -> 4 -> 2 -> 1 by default): a
+   rejected rung falls to the next (e.g. cross-iteration memory
+   dependences surface as load-after-store hazards only once unrolled,
+   and a big unrolled region may not fit or route);
 3. adopts the clone on success, or leaves the loop as scalar code on
-   failure, recording the rejection reason.
+   failure, recording the rejection reason of the last rung.
+
+A rung runs every check that reads no placement before place and route
+(:func:`repro.compiler.aepdg.offload_body`): fit (``RPR213`` ops,
+``RPR206`` ports), then aliasing, then profitability when not unrolled.
 
 This mirrors the paper's compiler behaviour: profitable regions are
 offloaded, everything else silently stays on the OpenSPARC side.
@@ -122,37 +127,13 @@ def _attempt(work: Function, header: str, options, config_id: int,
         max_ops=options.max_region_ops,
         vectorize=options.vectorize and unroll_factor > 1,
         reassociate=options.reassociate,
+        unrolled=unroll_factor > 1,
     )
-    _check_profitable(partition, unroll_factor)
     if not hasattr(work, "dyser_configs"):
         work.dyser_configs = {}
     work.dyser_configs[config_id] = partition.config
     work.verify()
     return partition
-
-
-def _check_profitable(partition: Partition, unroll_factor: int) -> None:
-    """Reject regions that cannot beat the host core.
-
-    A small all-integer slice that could not be unrolled runs one
-    serialized invocation per iteration; the fabric round trip dwarfs the
-    cost of a handful of 1-cycle host ALU ops.  FP regions always win
-    (the prototype's shared FPU is an order of magnitude slower per op),
-    as do larger or pipelined (unrolled) regions.
-    """
-    from repro.dyser.ops import FuCapability, capability_of
-
-    if unroll_factor > 1:
-        return
-    caps = {
-        capability_of(node.op)
-        for node in partition.config.dfg.nodes.values()
-    }
-    expensive = {FuCapability.FP, FuCapability.FPDIV, FuCapability.MUL}
-    if partition.execute_ops < 8 and not (caps & expensive):
-        raise RegionRejected(
-            "unprofitable: small integer-only slice, one invocation "
-            "per iteration")
 
 
 def _loop_inductions(func: Function, loop: Loop) -> set[Value]:

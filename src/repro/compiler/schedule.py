@@ -1,6 +1,8 @@
 """Spatial scheduler: place a DFG onto the fabric and route its signals.
 
-Three steps, mirroring the prototype toolchain:
+:func:`check_fits` rejects a DFG that can never map (too many ops or
+ports) without placing it.  :func:`schedule` then runs three steps,
+mirroring the prototype toolchain:
 
 1. **Placement** — greedy constructive placement in topological order
    (each node goes to the legal FU minimizing wirelength to its already-
@@ -57,14 +59,10 @@ _PLACE_ATTEMPTS = 8
 _INF = float("inf")
 
 
-def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
-             refine: bool = True, seed: int = 0xD75E2) -> DyserConfig:
-    """Place and route ``dfg``; returns a validated config.
-
-    Routing failures trigger re-placement with a different seed — the
-    cheap version of the rip-up-and-reroute loop a production spatial
-    scheduler runs.
-    """
+def check_fits(dfg: Dfg, fabric: Fabric) -> None:
+    """The checks that read no placement: ``dfg`` is well formed, has
+    no more ops than FUs (``RPR213``) and no port beyond the fabric's
+    (``RPR206``).  Run before :func:`schedule`, which assumes them."""
     dfg.validate()
     if len(dfg.nodes) > fabric.geometry.num_fus:
         raise SchedulingError(
@@ -86,6 +84,16 @@ def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
             code="RPR206", dfg=dfg.name, direction="out",
             port=max(dfg.output_ports),
             limit=fabric.geometry.num_output_ports)
+
+
+def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
+             refine: bool = True, seed: int = 0xD75E2) -> DyserConfig:
+    """Place and route ``dfg``; returns a validated config.
+
+    Routing failures trigger re-placement with a different seed — the
+    cheap version of the rip-up-and-reroute loop a production spatial
+    scheduler runs.
+    """
     for attempt in range(_PLACE_ATTEMPTS):
         rng = random.Random(seed + attempt * 7919)
         placement = _place(dfg, fabric, rng, refine, jitter=2 * attempt)
