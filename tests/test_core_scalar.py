@@ -1,5 +1,8 @@
 """Tests for the host core: functional correctness and timing behaviour."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cpu import BatchCore, Core, CoreConfig, Memory, StallCause
@@ -420,3 +423,205 @@ def test_opcode_value_semantics(backend, case):
     assert type(value) is type(expected)
     # repr keeps NaN and the sign of zero exact.
     assert repr(value) == repr(expected)
+
+
+# ---------------------------------------------------------------------------
+# Golden digests of the reference core.  One sha256 per traced suite run
+# at ``tiny`` (its ``RunResult.to_dict()`` plus every cycle-domain event,
+# per-instruction events included), one over the outcomes of the first
+# generated fuzz cases (summaries and stable error strings), and one over
+# an instruction trace.  A change meant to move the reference core
+# regenerates the table with ``PYTHONPATH=src python
+# tests/test_core_scalar.py``.
+
+#: Generated cases (``CaseGenerator(seed=0)``) the outcome digest covers.
+GENERATED_CASES = 900
+
+
+def _digest(doc) -> str:
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def reference_cases() -> list[str]:
+    """``name/mode`` keys of the traced suite runs."""
+    from repro.workloads import SUITE
+
+    # Content-addressed ``dsl:`` kernels other tests register at run
+    # time are not part of the shipped suite.
+    suite = sorted(name for name in SUITE if not name.startswith("dsl:"))
+    return [f"{name}/{mode}" for name in suite
+            for mode in ("scalar", "dyser")]
+
+
+def traced_run_digest(case: str) -> str:
+    from repro import RunConfig
+    from repro.harness.runner import (
+        _compile, _default_options, _options_key, execute, source_hash)
+    from repro.obs.events import CYCLES, TraceOptions
+    from repro.workloads import suite
+
+    name, mode = case.split("/")
+    config = RunConfig(workload=name, mode=mode, scale="tiny",
+                       backend="reference",
+                       trace=TraceOptions(enabled=True, instructions=True))
+    # The compile memo: a traced run compiles afresh otherwise, and its
+    # compiler events are wall-clock ones this digest leaves out.
+    compiled = _compile(name, source_hash(suite.get(name).source), mode,
+                        _options_key(_default_options(config)))
+    result = execute(config, compiled)
+    events = [[e.name, e.category, e.phase, e.ts, e.dur, e.args]
+              for e in result.events if e.domain == CYCLES]
+    return _digest({"result": result.to_dict(), "events": events})
+
+
+def generated_outcomes_digest() -> str:
+    from repro.harness.fuzz.generator import CaseGenerator
+    from repro.harness.fuzz.oracles import run_case
+
+    return _digest([run_case(case, Core)
+                    for case in CaseGenerator(seed=0).cases(
+                        GENERATED_CASES)])
+
+
+def trace_limit_digest() -> str:
+    """The instruction trace of a loop that runs past ``trace_limit``."""
+    mem = Memory(1 << 16)
+    addr = mem.alloc_array(list(range(1, 33)))
+    core, stats = run(f"""
+        li  r1, {addr}
+        li  r2, {addr + 256}
+        li  r3, 0
+    loop:
+        ld  r4, r1, 0
+        mul r4, r4, r4
+        add r3, r3, r4
+        addi r1, r1, 8
+        blt r1, r2, loop
+        halt
+    """, memory=mem, config=CoreConfig(trace_limit=100))
+    assert len(core.trace) == 100 < stats.instructions
+    return _digest({"trace": core.trace, "stats": stats.to_dict()})
+
+
+#: Key -> sha256; see the comment above ``GENERATED_CASES``.
+REFERENCE_DIGESTS: dict[str, str] = {
+    'collatz_diamonds/scalar':
+        '00296b7e5d365016f1451819dea9fdb356b753ab3ec8b565e889b3a6c93d7ae6',
+    'collatz_diamonds/dyser':
+        '647784d3331f796c26e1849c55fd02cb769e5ea9e8957db4ff06a9a5c4d45313',
+    'conv2d/scalar':
+        '189706c533d2ae0f4f2fb9d483ed5934e12fc9b3230329f62870bc8d7c0624ca',
+    'conv2d/dyser':
+        '50fe378e2fcfe4bd0fc92f68ea09bd797a8c7971f9669cbcfeb02a99cefc4bcd',
+    'dag_reduce_dsl/scalar':
+        '61c1ec8247ab6cbc34cfbbfa02818d30643fb4368c37c234313c38abc3b30d90',
+    'dag_reduce_dsl/dyser':
+        '3fa38a566b73558e04262703f0aef9fd6250c3d781f6aff0366a7bc4ef98f4af',
+    'dotprod/scalar':
+        'b08c7e84809572c03e8501d87fd7d449d96e866b0058432ffa35e899eb1bd1df',
+    'dotprod/dyser':
+        '60b3633bb4d2b39957bdad35fc3f8522cec1452f683276e8d443c522e6949c2a',
+    'fft_stage/scalar':
+        '3e7c08b3753ce3bbfaa139e5326014dffb22b651d4d09c0dac28137220e31098',
+    'fft_stage/dyser':
+        '5985ae039a9cbdaf4c25d411f355e3384ea13d09e1154e97cb4983ea941e7150',
+    'fir/scalar':
+        'c2f70d0bfeaad72a03d4209b9185f648d88f3c594090f1901c1233525a488a03',
+    'fir/dyser':
+        'a1c637392096a6a0c9e21a1ecc4a3add8b144042d301da2630eb2337b8fcd9f4',
+    'hist_branchy_dsl/scalar':
+        '18a832ee1fad58a36c123efa440e6fa6e5c1fa8bfeb513db7f937885ddfab5a0',
+    'hist_branchy_dsl/dyser':
+        'd2d09c1c353fca972884fc3f15086f30750126a4c61fc5718b2408441be69f5b',
+    'hist_weighted/scalar':
+        '57844d8f3fa0a7e52fede0d85e4b3d182ea250f7231fa08b298076c5ce05029d',
+    'hist_weighted/dyser':
+        '9396029676aeda56bf1ab1e3345b9229ce8ca65ba2352df9a65d6f2a79ba0ba2',
+    'kmeans/scalar':
+        '0aec0d37e5e2d1304a2b2e486c2e292d784cb1809c7ac4899a367500cd879676',
+    'kmeans/dyser':
+        '9a6b44213e1d2b6b59d75258767a8ef09c2ad49c05479b3a78ac331b2cf5aa32',
+    'mm/scalar':
+        '99bebaa7d9cd6a90f333dbb8b5c2154a5ba66a56f57436503fee27106a664252',
+    'mm/dyser':
+        '0fa84371d893759ce500a9592577f9e1018c8d2fc88c389492422b3364420eea',
+    'mriq/scalar':
+        '086d504c055f8e07c69bb1bc28282382858aefdd242a87b69d55bec889f5cf7c',
+    'mriq/dyser':
+        'd0126d1e5f54b0d81114723cb8f6c7243ae207b357b11943c49e62464855db97',
+    'nbody/scalar':
+        '61675edbb568c82f5f25646021b5670ec6244eee947d8b247a52c4079b17bb05',
+    'nbody/dyser':
+        'a209a0631886ae8cef6a8ffa670faf3f4c3f3befecf719676d9ee47039d69d66',
+    'needle/scalar':
+        '26c27731144266d506ec589bc9f0f7420b20f58a579c89db70ab689963659f26',
+    'needle/dyser':
+        'fc181e5c4fe696d356f39e279662a5cb2d3a9672015cafad7ea5a8c69d313eab',
+    'newton_lcd/scalar':
+        '67f439f8664c5470c90fdc813716b52b0dd1e7ccbb1c953e9af86c2c9f833712',
+    'newton_lcd/dyser':
+        '717036332e38aa8dea33f30bb05e86b9f22cf264862d604ce5252e3ac6900b35',
+    'ptr_chase_dsl/scalar':
+        'c5a4090b0b9bad3caae028c30c4df92bcb8fdfc530684603b9f173924f697f7b',
+    'ptr_chase_dsl/dyser':
+        'e5217634a3233c5770e60b042af6490a99656682f2db0bf3b038d65271e10a74',
+    'sad/scalar':
+        '47506173e6812c6d142553e73c36f6dbf3cf359b6df2eb216e4eb856497c53e3',
+    'sad/dyser':
+        'd789fcc048f0a093602f121fe05c603792cff38c4c6c35d7ceaf08cfd4867884',
+    'saxpy/scalar':
+        '40f017204fa72d6a8b88a658e0c74c46d955c3a91952d573bea1e2031181ca50',
+    'saxpy/dyser':
+        '12e9d8391eabefbc3c158fee54ce6deaf75dd78b5f906306bfa57fd03896ce8b',
+    'spmv/scalar':
+        '57f97d865984322173a2937e0e5e9375f9c9c7bbba4bb9b31a5cdcccf488bf62',
+    'spmv/dyser':
+        '14b3be57d6567d23d0cf6ef0535bbe0d767d716e89284f66c4ec2c22ee43c9bb',
+    'spmv_csr_dsl/scalar':
+        '18dd925ec25e1a661c0d408158d993975db10eb2e677e3493939c0444a32620a',
+    'spmv_csr_dsl/dyser':
+        'bb9c72fcefec4fdbeb2d5b2d9ed78b996bf6b99ffaa2ae2b77f77adf5ffcede8',
+    'stencil2d/scalar':
+        '1dc82622d7bf416823a5eba2fd906226734b6ed8615d4a7cf1be9aa44aaff432',
+    'stencil2d/dyser':
+        'bf25d67cbb684c53c4d448473eed185f8643c58b28c3797cc2ef9ea910b254c1',
+    'tpacf_bin/scalar':
+        '73c200ef0072e9728d774a7a7a2c0674f7a15617447b03d3b5763595b2fdca11',
+    'tpacf_bin/dyser':
+        'd3263abead34a4e253efd8b0b0aca5fa2776222321e960b9d796ee40c61be6ee',
+    'vecadd/scalar':
+        'cc63c506021c49c3f67210bea5cf27d39f912fb96464f4b80965814794aa9e3c',
+    'vecadd/dyser':
+        '623dd3847e164a3dcacde1769184e848804d29d68571f96d244f8d02f8715e69',
+    'generated':
+        '5f1965183943fbcf38542aac170b226c4c3921b2509c1801d9fa7bb8f6dde9d5',
+    'trace_limit':
+        '21c1e2707a9a6877faaa72313162f5e22e8a256144f717efdd29dfc41a82ff48',
+}
+
+
+def test_reference_table_covers_cases():
+    assert sorted(REFERENCE_DIGESTS) == sorted(
+        reference_cases() + ["generated", "trace_limit"])
+
+
+@pytest.mark.parametrize("case", reference_cases())
+def test_traced_reference_run_is_pinned(case):
+    assert traced_run_digest(case) == REFERENCE_DIGESTS[case]
+
+
+def test_generated_outcomes_are_pinned():
+    assert generated_outcomes_digest() == REFERENCE_DIGESTS["generated"]
+
+
+def test_trace_limit_is_pinned():
+    assert trace_limit_digest() == REFERENCE_DIGESTS["trace_limit"]
+
+
+if __name__ == "__main__":
+    table = {case: traced_run_digest(case) for case in reference_cases()}
+    table["generated"] = generated_outcomes_digest()
+    table["trace_limit"] = trace_limit_digest()
+    for key, value in table.items():
+        print(f"    {key!r}:\n        {value!r},")

@@ -20,10 +20,11 @@ Golden walker digests pin every walk bit for bit: one sha256 over
 ``tiny``, per timing-knob variant, for a walk that runs out of its
 step budget, for two hand-built programs (one that stalls every
 kind of instruction on a slow producer, one whose walk goes inexact),
-and for the tiny-rescale fallback of ``estimate_job_cost``.  E11
-gates exact cycle totals only; these also pin lower bounds, notes and
-the per-region attribution.  A change meant to move a walk regenerates the
-table with ``PYTHONPATH=src python tests/test_perfmodel.py``.
+for the tiny-rescale fallback of ``estimate_job_cost``, and over walks
+of the first 900 generated fuzz cases.  E11 gates exact cycle totals
+only; these also pin lower bounds, notes and the per-region
+attribution.  A change meant to move a walk regenerates the table with
+``PYTHONPATH=src python tests/test_perfmodel.py``.
 """
 
 import hashlib
@@ -665,6 +666,30 @@ def hazard_walk_digest() -> str:
     return digest(prediction.to_dict())
 
 
+#: Generated cases (``CaseGenerator(seed=0)``) the ``generated`` walk
+#: digest covers: the same cases ``tests/test_core_scalar.py`` pins the
+#: reference core's outcomes over.
+GENERATED_CASES = 900
+
+
+def generated_walks_digest() -> str:
+    """Walks of the generated cases, as the perfbound oracle walks
+    them; a case the walk refuses contributes its stable error."""
+    from repro.errors import ReproError, stable_error_string
+    from repro.harness.fuzz.generator import CaseGenerator, default_fabric
+    from repro.harness.fuzz.oracles import build_program
+
+    walks = []
+    for case in CaseGenerator(seed=0).cases(GENERATED_CASES):
+        try:
+            walks.append(analyze_program(
+                build_program(case), fabric=default_fabric(),
+                subject=case.key).to_dict())
+        except ReproError as exc:
+            walks.append(stable_error_string(exc))
+    return digest(walks)
+
+
 #: Scalar mm at medium runs past the estimate's step budget, so its
 #: cost is a tiny walk scaled by the work-item ratio.
 FALLBACK_SPEC = JobSpec(workload="mm", mode="scalar", scale="medium")
@@ -928,12 +953,14 @@ WALKER_DIGESTS: dict[str, str] = {
         'be84a4233a46190fdd14b079261bc90fd940b727cf9d317f5f7e2caa2b2d9c32',
     'fallback':
         '3b07396405a2fced9a4bbc22ce90ad458d931c16144703325b634c8bb9f61664',
+    'generated':
+        '33f2849c1dcd93684d04f365f0c1b9b4dc5a687d535b151558a3ad2ec73ee19f',
 }
 
 
 def test_walker_table_covers_cases():
     assert sorted(WALKER_DIGESTS) == sorted(
-        walker_cases() + ["hazards", "inexact", "fallback"])
+        walker_cases() + ["hazards", "inexact", "fallback", "generated"])
 
 
 @pytest.mark.parametrize("case", walker_cases())
@@ -947,6 +974,10 @@ def test_hazard_walk_is_pinned():
 
 def test_inexact_walk_is_pinned():
     assert inexact_walk_digest() == WALKER_DIGESTS["inexact"]
+
+
+def test_generated_walks_are_pinned():
+    assert generated_walks_digest() == WALKER_DIGESTS["generated"]
 
 
 _INF_TO_INT = "walk aborted: cannot convert float infinity to integer"
@@ -1050,6 +1081,7 @@ if __name__ == "__main__":
     table = {case: workload_walk_digest(case) for case in walker_cases()}
     table["hazards"] = hazard_walk_digest()
     table["inexact"] = inexact_walk_digest()
+    table["generated"] = generated_walks_digest()
     with pytest.MonkeyPatch.context() as patch:
         table["fallback"] = fallback_cost_digest(patch)
     for key, value in table.items():
