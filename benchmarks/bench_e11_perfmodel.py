@@ -2,13 +2,14 @@
 
 The static performance-bound analyzer (:mod:`repro.analysis.perf`)
 predicts every suite kernel's cycle count — and a sound lower bound —
-by abstract interpretation alone, with zero simulation.  This benchmark
-holds it to both contracts across every suite kernel x both modes at
-the standard small scale:
+by abstract interpretation alone, with no simulation backend.  This
+benchmark holds it to both contracts across every suite kernel x both
+modes at the standard small scale:
 
 - **accuracy** — mean absolute percentage error (MAPE) of the
-  prediction vs the reference simulator, gated at
-  :data:`MAPE_CEILING`;
+  prediction vs a run on the default ``batched`` backend, gated at
+  :data:`MAPE_CEILING`.  The walker runs the reference core's own
+  loop, so the lockstep core is what keeps this an independent check;
 - **soundness** — the static lower bound never exceeds measured
   cycles, anywhere.
 

@@ -1,16 +1,19 @@
 """Static performance-bound analyzer: predict cycles without simulating.
 
-``analyze_program`` runs a timing-only *abstract interpretation* of a
-compiled program against its statically known initial environment (the
-prepared memory image, the kernel arguments, zero-initialized register
-files).  The abstract domain is "concrete value or unknown".  The walk
-dispatches on the same per-pc table (:mod:`repro.cpu.rules`: sources,
-immediates, latencies, evaluators, LSU occupancy) as the in-order
-scoreboard model (:class:`repro.cpu.core.Core`) and inherits its cache
-hierarchy, but no simulator backend ever runs.  The walk degrades
-gracefully when a value cannot be resolved (a branch condition or
-address derived from data the analysis chose not to track), guessing
-control flow conservatively and flagging the prediction *inexact*.
+``analyze_program`` runs an *abstract interpretation* of a compiled
+program against its statically known initial environment (the prepared
+memory image, the kernel arguments, zero-initialized register files).
+The abstract domain is "concrete value or unknown", and the interpreter
+is the reference core's own loop: :class:`_Walker` is a
+:class:`repro.cpu.core.Core` whose values may be None (unknown), and it
+overrides only the core's hooks.  The walk degrades gracefully when a
+value cannot be resolved (a branch condition or address derived from
+data the analysis chose not to track), guessing control flow
+conservatively and flagging the prediction *inexact*.  When every value
+resolves, the walk is the reference run, so the prediction is exact by
+construction; the independent checks are the lockstep core
+(:mod:`repro.cpu.decode`), which E11 and the ``perfbound`` fuzz oracle
+measure against.
 
 Three results come out of one walk:
 
@@ -21,7 +24,7 @@ Three results come out of one walk:
   instruction graph (every instruction occupies >= 1 issue slot, taken
   branches and jumps pay the redirect penalty), which every execution
   must pay.  The ``perfbound`` fuzz oracle holds this bound against the
-  simulator on generated programs: bound <= measured, always;
+  lockstep core on generated programs: bound <= measured, always;
 - a **per-region bottleneck attribution** (:class:`RegionPerf`): each
   DySER configuration's invocations are decomposed into
   recurrence-serialization cycles (blocking ``drecv`` waits on a
@@ -36,9 +39,7 @@ The fabric is modelled by driving the *real* :class:`DyserDevice` /
 :class:`InvocationEngine` flow-control machinery with the walk's value
 stream — timing there is value-independent, and a wrapped evaluator
 propagates "unknown" through the DFG so a partially resolved region
-still fires at exact times.  Caches are modelled by real
-:class:`~repro.cpu.cache.Cache` instances fed the statically derived
-pc/address streams.
+still fires at exact times.
 
 ``estimate_job_cost`` packages the prediction as the engine/service
 pre-flight cost estimate: :func:`repro.engine.pool.run_jobs` orders
@@ -51,25 +52,22 @@ yet: observed cycles, recorded by :func:`record_job_cycles`, win.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.cpu.cache import Cache
-from repro.cpu.core import (
-    _INSN_BYTES, CacheHierarchy, CoreConfig, check_kernel_args)
-from repro.cpu.memory import WORD_BYTES, Memory
-from repro.cpu.regfile import wrap64
+from repro.cpu.core import _LSU_KINDS, Core, CoreConfig
+from repro.cpu.memory import Memory
 from repro.cpu.rules import (
-    FP_INT_DEST, K_BAD_IMM, K_BRANCH, K_DYSER, K_FLD, K_FLI, K_FMOV, K_FPU,
-    K_FST, K_HALT, K_JUMP, K_LD, K_LI, K_MOV, K_NOP, K_SEL, K_ST,
-    decode_table)
+    K_BAD_IMM, K_BRANCH, K_DYSER, K_FLD, K_FLI, K_FMOV, K_FPU, K_HALT, K_JUMP,
+    K_LI, K_MOV, K_NOP, K_SEL)
+from repro.cpu.statistics import StallCause
 from repro.dyser.config_cache import ConfigCacheParams
 from repro.dyser.fabric import Fabric
 from repro.dyser.functional import FunctionalEvaluator
 from repro.dyser.interface import DyserDevice
 from repro.dyser.timing import DyserTimingParams
-from repro.errors import ReproError
-from repro.isa.instruction import ARG_FP_REGS, ARG_INT_REGS
+from repro.errors import ReproError, SimulationError
 from repro.isa.opcodes import InsnClass, Opcode
 from repro.isa.program import Program
 
@@ -81,10 +79,6 @@ DEFAULT_STEP_LIMIT = 1_000_000
 #: the walk falls through (prevents unbounded loops over unknown trip
 #: counts; any guess marks the walk inexact).
 _BACKWARD_GUESSES = 2
-
-
-class _WalkAborted(Exception):
-    """The walk could not complete (budget, runaway, mirrored fault)."""
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +219,7 @@ def _structural_bound(program: Program, branch_taken_penalty: int) -> int:
 # unknown-tolerant DFG evaluation
 
 
-class _AbstractEvaluator:
+class _AbstractEvaluator(FunctionalEvaluator):
     """FunctionalEvaluator that propagates unknown (None) inputs.
 
     Timing in the invocation engine is value-independent, so firing
@@ -235,62 +229,97 @@ class _AbstractEvaluator:
     """
 
     def __init__(self, dfg, on_fault) -> None:
-        self._inner = FunctionalEvaluator(dfg)
-        self._out_ports = list(dfg.outputs)
+        super().__init__(dfg)
         self._on_fault = on_fault
 
     def __call__(self, inputs: dict) -> dict:
         if any(v is None for v in inputs.values()):
-            return {p: None for p in self._out_ports}
+            return dict.fromkeys(self.dfg.outputs)
         try:
-            return self._inner(inputs)
+            return super().__call__(inputs)
         except Exception:
             self._on_fault("DFG evaluation faulted")
-            return {p: None for p in self._out_ports}
+            return dict.fromkeys(self.dfg.outputs)
 
 
 # ---------------------------------------------------------------------------
 # the walker
 
 
-def _blank_acct() -> dict:
-    return {
-        "fires": 0,
-        "seg_cycles": 0,
-        "iface_slots": 0,
-        "addr_cycles": 0,
-        "send_wait": 0,
-        "recv_wait": 0,
-        "config_stall": 0,
-        "reload_stall": 0,
-    }
+#: What a configuration's account (:attr:`_Walker.acct`) adds up.
+_ACCT_KEYS = ("fires", "seg_cycles", "iface_slots", "addr_cycles",
+              "send_wait", "recv_wait", "reload_stall")
 
 
-class _Walker(CacheHierarchy):
-    """Timing-only abstract interpreter mirroring the scoreboard core.
+def _retire(icost: list, iorigin: list, forigin: list, srcs: tuple,
+            chained: bool, int_rd: int, fp_rd: int | None,
+            moved: int | None) -> None:
+    """Provenance and address chains of one host instruction: ``srcs``
+    end their chains, a ``chained`` result (integer ALU, ``li``,
+    ``mov``) starts one that sums them plus one, any other result
+    starts none, and only a move of register ``moved`` keeps its
+    source's provenance."""
+    cost = 1
+    for reg in srcs:
+        cost += icost[reg]
+        icost[reg] = 0
+    if int_rd:
+        icost[int_rd] = cost if chained else 0
+        iorigin[int_rd] = None if moved is None else iorigin[moved]
+    if fp_rd is not None:
+        forigin[fp_rd] = None if moved is None else forigin[moved]
 
-    Every timing arm of :meth:`repro.cpu.core.Core.run` is reproduced
-    over the value domain ``int | float | None`` (None = unknown), from
-    the same :func:`~repro.cpu.rules.decode_table`.  What stays here is
-    the unknown-value handling and the bottleneck attribution.  The walk
-    owns its memory image, caches and DySER device outright — it never
-    touches shared state.
+
+class _WalkMemory(Memory):
+    """The walk's view of a prepared memory image: it adopts the image's
+    words, a word holding None is unknown, and after :meth:`forget`
+    (a store to an unknown address) every load is."""
+
+    def __init__(self, image: Memory) -> None:
+        self.size_bytes = image.size_bytes
+        self._words = image._words
+        self._brk = image._brk
+        self._forgotten = False
+
+    def forget(self) -> None:
+        self._forgotten = True
+
+    def load_word(self, address: int):
+        value = self._words[self._index(address)]
+        return None if self._forgotten else value
+
+    def load_block(self, address: int, count: int) -> list:
+        values = super().load_block(address, count)
+        return [None] * count if self._forgotten else values
+
+
+class _Walker(Core):
+    """The reference core run over unknown values, with attribution.
+
+    :meth:`Core.run` executes the walk over the value domain
+    ``int | float | None`` (None = unknown).  This class adds only what
+    that needs, through the core's hooks:
+
+    - unknown-value handling: operators over an unknown operand yield
+      unknown, a fault in one flags the walk inexact, an unknown branch
+      condition is guessed and an unknown address skips its access;
+    - a private memory image in which words may be unknown;
+    - the bottleneck attribution: per-register provenance (recurrence
+      detection) and address-generation chains, and per-configuration
+      segments (:meth:`region_reports`).
+
+    The walk owns its memory image, caches and DySER device outright —
+    it never touches shared state.
     """
 
     def __init__(self, program: Program, memory: Memory,
                  config: CoreConfig, device: DyserDevice | None,
                  step_limit: int) -> None:
-        self.program = program
-        self.memory = memory
-        self.config = config
-        self.device = device
-        self.step_limit = min(step_limit, config.max_instructions)
-        self.icache = Cache(config.icache)
-        self.dcache = Cache(config.dcache)
-        self.l2 = Cache(config.l2) if config.l2 else None
-        self.ival: list = [0] * 32
-        self.fval: list = [0.0] * 32
-        # Provenance: ("recv", config_id) when a register still holds an
+        self._image = _WalkMemory(memory)
+        super().__init__(program, self._image, dyser=device,
+                         config=replace(config, max_instructions=min(
+                             step_limit, config.max_instructions)))
+        # Provenance: the config id when a register still holds an
         # unmodified drecv/dfrecv result — the recurrence detector.
         self.iorigin: list = [None] * 32
         self.forigin: list = [None] * 32
@@ -302,95 +331,22 @@ class _Walker(CacheHierarchy):
         self.icost: list = [0] * 32
         self.exact = True
         self.notes: list[str] = []
-        self.unknown_words: set[int] = set()
-        self.dirty_all = False
-        self.executed = 0
-        self.invocations = 0
-        self.cycles = 0
         self.recurrences: set[int] = set()
         self.acct: dict[int, dict] = {}
         self._guesses: dict[int, int] = {}
         self._loaded_once: set[int] = set()
+        #: The live configuration (None before any dinit), the cycle it
+        #: was loaded and the port waits charged by then.
+        self._live: int | None = None
         self._seg_open_t = 0
+        self._seg_waits = (0, 0)
 
-    # -- bookkeeping -----------------------------------------------------
+    # -- unknown values --------------------------------------------------
 
     def _inexact(self, why: str) -> None:
         self.exact = False
         if why not in self.notes:
             self.notes.append(why)
-
-    def _acct_for(self, cid: int) -> dict:
-        a = self.acct.get(cid)
-        if a is None:
-            a = self.acct[cid] = _blank_acct()
-        return a
-
-    def _close_segment(self, engine, t_now: int) -> None:
-        a = self._acct_for(engine.config.config_id)
-        a["fires"] += engine.invocations
-        a["seg_cycles"] += max(0, t_now - self._seg_open_t)
-
-    # -- value helpers ---------------------------------------------------
-
-    def _take_cost(self, *regs) -> int:
-        """Claim (and reset) the addressing-cost chains of registers."""
-        total = 0
-        for reg in regs:
-            if reg is not None:
-                total += self.icost[reg]
-                self.icost[reg] = 0
-        return total
-
-    def _write_int(self, rd: int, value, origin=None) -> None:
-        if rd != 0:
-            self.ival[rd] = None if value is None else wrap64(int(value))
-            self.iorigin[rd] = origin
-            self.icost[rd] = 0
-
-    def _write_fp(self, rd: int, value, origin=None) -> None:
-        self.fval[rd] = None if value is None else float(value)
-        self.forigin[rd] = origin
-
-    def set_args(self, int_args=(), fp_args=()) -> None:
-        check_kernel_args(int_args, fp_args)
-        for reg, value in zip(ARG_INT_REGS, int_args, strict=False):
-            self._write_int(reg, int(value))
-        for reg, value in zip(ARG_FP_REGS, fp_args, strict=False):
-            self._write_fp(reg, float(value))
-
-    # -- memory image ----------------------------------------------------
-
-    def _load_word(self, addr: int):
-        if self.dirty_all or addr in self.unknown_words:
-            self.memory._index(addr)
-            return None
-        return self.memory.load_word(addr)
-
-    def _store_word(self, addr: int, value) -> None:
-        if value is None:
-            self.memory._index(addr)
-            self.unknown_words.add(addr)
-        else:
-            self.memory.store_word(addr, value)
-            self.unknown_words.discard(addr)
-
-    def _load_block(self, base: int, count: int) -> list:
-        raw = self.memory.load_block(base, count)
-        if self.dirty_all:
-            return [None] * count
-        if self.unknown_words:
-            return [
-                None if (base + i * WORD_BYTES) in self.unknown_words else v
-                for i, v in enumerate(raw)
-            ]
-        return raw
-
-    def _store_block(self, base: int, values: list) -> None:
-        # Bounds-check the whole range first (mirrors store_block).
-        self.memory.load_block(base, len(values))
-        for i, value in enumerate(values):
-            self._store_word(base + i * WORD_BYTES, value)
 
     def _guess_branch(self, pc: int, insn) -> bool:
         self._inexact("unknown branch condition (control flow guessed)")
@@ -400,402 +356,128 @@ class _Walker(CacheHierarchy):
                     and insn.target_index <= pc)
         return backward and n < _BACKWARD_GUESSES
 
-    # -- the walk --------------------------------------------------------
+    def _op_fault(self, insn) -> None:
+        kind = ("fp" if insn.info.iclass in (InsnClass.FPU, InsnClass.FDIV)
+                else "integer")
+        self._inexact(f"{kind} op {insn.op.value} faulted")
 
-    def walk(self) -> None:
-        if self.program.spill_words:
-            spill_base = self.memory.alloc(self.program.spill_words)
-            self._write_int(28, spill_base)
-        cfg = self.config
-        program = self.program.instructions
-        kinds, isrcs, fsrcs, imms, lats, funcs, occs = decode_table(
-            program, cfg)
-        insns_per_line = max(1, cfg.icache.line_bytes // _INSN_BYTES)
-        icache_hit = cfg.icache.hit_latency
-        dcache_hit = cfg.dcache.hit_latency
-        penalty = cfg.branch_taken_penalty
-        fpu_pipelined = cfg.fpu_pipelined
-        step_limit = self.step_limit
-        ival, iorigin, icost = self.ival, self.iorigin, self.icost
-        fval, forigin = self.fval, self.forigin
+    def _limit_error(self) -> Exception:
+        return SimulationError(
+            f"step budget {self.config.max_instructions} exhausted")
 
-        int_ready = [0] * 32
-        fp_ready = [0] * 32
-
-        t = 0
-        pc = 0
-        fpu_free = 0
-        lsu_free = 0
-        fabric_ready = 0
-        store_queue_busy = 0
-        cur_fetch_line = -1
-        dev = self.device
-
-        while True:
-            if self.executed >= step_limit:
-                raise _WalkAborted(f"step budget {step_limit} exhausted")
-            try:
-                kind = kinds[pc]
-            except IndexError:
-                raise _WalkAborted(f"pc {pc} fell off the end") from None
-            insn = program[pc]
-
-            line = pc // insns_per_line
-            if line != cur_fetch_line:
-                lat = self._fetch_access(pc * _INSN_BYTES)
-                cur_fetch_line = line
-                if lat > icache_hit:
-                    t += lat
-            self.executed += 1
-            next_pc = pc + 1
-            issue = t
-            for reg in isrcs[pc]:
-                if int_ready[reg] > issue:
-                    issue = int_ready[reg]
-            for reg in fsrcs[pc]:
-                if fp_ready[reg] > issue:
-                    issue = fp_ready[reg]
-
-            if kind <= K_SEL:
-                srcs = isrcs[pc]
-                chain = 1
-                for reg in srcs:
-                    chain += icost[reg]
-                    icost[reg] = 0
-                a = ival[srcs[0]]
-                if a is None:
-                    value = None
-                elif kind == K_SEL:
-                    value = ival[srcs[1]] if a else ival[srcs[2]]
-                else:
-                    b = imms[pc]
-                    if b is None:
-                        b = ival[srcs[1]]
-                    if b is None:
-                        value = None
-                    else:
-                        try:
-                            value = funcs[pc](a, b)
-                        except Exception:
-                            self._inexact(
-                                f"integer op {insn.op.value} faulted")
-                            value = None
-                rd = insn.rd
-                if rd:
-                    ival[rd] = None if value is None else wrap64(value)
-                    iorigin[rd] = None
-                    icost[rd] = chain
-                    int_ready[rd] = issue + lats[pc]
-                t = issue + 1
-
-            elif kind == K_BRANCH:
-                a, b = ival[insn.rs1], ival[insn.rs2]
-                if a is None or b is None:
-                    taken = self._guess_branch(pc, insn)
-                else:
-                    taken = funcs[pc](a, b)
-                if taken:
-                    next_pc = insn.target_index
-                    t = issue + 1 + penalty
-                else:
-                    t = issue + 1
-
-            elif kind in (K_LD, K_FLD):
-                if lsu_free > issue:
-                    issue = lsu_free
-                icost[insn.rs1] = 0
-                base = ival[insn.rs1]
-                if base is None:
-                    self._inexact("load from unresolved address")
-                    lat = dcache_hit
-                    value = None
-                else:
-                    addr = base + imms[pc]
-                    lat = self._data_access(addr)
-                    value = self._load_word(addr)
-                if kind == K_FLD:
-                    self._write_fp(
-                        insn.rd, None if value is None else float(value))
-                    fp_ready[insn.rd] = issue + lat
-                else:
-                    self._write_int(
-                        insn.rd, None if value is None else int(value))
-                    if insn.rd != 0:
-                        int_ready[insn.rd] = issue + lat
-                lsu_free = issue + 1
-                t = issue + 1
-
-            elif kind == K_FPU:
-                if not fpu_pipelined and fpu_free > issue:
-                    issue = fpu_free
-                ready = fpu_free = issue + lats[pc]
-                op = insn.op
-                args = [ival[r] for r in isrcs[pc]]
-                args += [fval[r] for r in fsrcs[pc]]
-                # fsel needs only its condition; the arm it picks may be
-                # unknown.
-                if (args[0] is None) if op is Opcode.FSEL else (None in args):
-                    value = None
-                else:
-                    try:
-                        value = funcs[pc](*args)
-                    except Exception:
-                        self._inexact(f"fp op {op.value} faulted")
-                        value = None
-                if op in FP_INT_DEST:
-                    self._write_int(insn.rd, value)
-                    if insn.rd != 0:
-                        int_ready[insn.rd] = ready
-                else:
-                    self._write_fp(insn.rd, value)
-                    fp_ready[insn.rd] = ready
-                t = issue + 1
-
-            elif kind == K_DYSER:
-                if dev is None:
-                    raise _WalkAborted(
-                        f"{insn.op.value} on a core without DySER")
-                t, new_fabric_ready = self._step_dyser(
-                    insn, t, lsu_free, fabric_ready, int_ready, fp_ready)
-                if new_fabric_ready is not None:
-                    fabric_ready = new_fabric_ready
-                if occs[pc] is not None:
-                    lsu_free = t - 1 + occs[pc]
-                if self._sq_busy > store_queue_busy:
-                    store_queue_busy = self._sq_busy
-
-            elif kind == K_MOV:
-                chain = 1 + icost[insn.rs1]
-                icost[insn.rs1] = 0
-                self._write_int(insn.rd, ival[insn.rs1],
-                                origin=iorigin[insn.rs1])
-                if insn.rd != 0:
-                    int_ready[insn.rd] = issue + 1
-                    icost[insn.rd] = chain
-                t = issue + 1
-
-            elif kind == K_LI:
-                self._write_int(insn.rd, imms[pc])
-                if insn.rd != 0:
-                    int_ready[insn.rd] = t + 1
-                    icost[insn.rd] = 1
-                t += 1
-
-            elif kind in (K_ST, K_FST):
-                if lsu_free > issue:
-                    issue = lsu_free
-                for reg in isrcs[pc]:
-                    icost[reg] = 0
-                value = (ival if kind == K_ST else fval)[insn.rs2]
-                base = ival[insn.rs1]
-                if base is None:
-                    self.dirty_all = True
-                    self._inexact("store to unresolved address")
-                else:
-                    addr = base + imms[pc]
-                    self._data_access(addr, is_write=True)
-                    self._store_word(addr, value)
-                lsu_free = issue + 1
-                t = issue + 1
-
-            elif kind == K_JUMP:
-                next_pc = insn.target_index
-                t = t + 1 + penalty
-
-            elif kind == K_FLI:
-                self._write_fp(insn.rd, imms[pc])
-                fp_ready[insn.rd] = t + 1
-                t += 1
-
-            elif kind == K_FMOV:
-                self._write_fp(insn.rd, fval[insn.rs1],
-                               origin=forigin[insn.rs1])
-                fp_ready[insn.rd] = issue + 1
-                t = issue + 1
-
-            elif kind == K_NOP:
-                t += 1
-            elif kind == K_HALT:
-                t = max(t, store_queue_busy) + 1
-                break
-            elif kind == K_BAD_IMM:
-                raise funcs[pc]
-            else:
-                raise _WalkAborted(f"unhandled opcode {insn.op}")
-
-            pc = next_pc
-
-        if dev is not None and dev.engine is not None:
-            self._close_segment(dev.engine, t)
-            self.invocations = dev.finalize().invocations
-        self.cycles = t
-
-    _sq_busy = 0
-
-    def _step_dyser(self, insn, t, lsu_free, fabric_ready,
-                    int_ready, fp_ready):
-        """Mirror of ``Core._exec_dyser`` over the unknown-value domain.
-
-        Returns (new issue cursor, new fabric_ready or None); the store
-        queue high-water mark rides on ``self._sq_busy``.
-        """
-        O = Opcode
-        cfg = self.config
-        dev = self.device
-        op = insn.op
-
-        if op is O.DINIT:
-            cid = int(insn.imm)
-            engine = dev.engine
-            rearm = engine is not None and engine.config.config_id == cid
-            if engine is not None and not rearm:
-                self._close_segment(engine, t)
-            hits_before = dev.stats.config_hits
-            ready = dev.init_config(cid, t)
-            if not rearm:
-                hit = dev.stats.config_hits > hits_before
-                a = self._acct_for(cid)
-                a["config_stall"] += ready - t
-                if cid in self._loaded_once and not hit:
-                    a["reload_stall"] += ready - t
-                self._loaded_once.add(cid)
-                dev.engine.evaluator = _AbstractEvaluator(
-                    dev.engine.config.dfg, self._inexact)
-                self._seg_open_t = ready
-            return ready + 1, ready
-
-        a = self._acct_for(dev.engine.config.config_id) \
-            if dev.engine is not None else _blank_acct()
-
-        if op in (O.DSEND, O.DFSEND):
-            if op is O.DSEND:
-                issue = max(t, int_ready[insn.rs1])
-                self._take_cost(insn.rs1)
-                value = self.ival[insn.rs1]
-                origin = self.iorigin[insn.rs1]
-            else:
-                issue = max(t, fp_ready[insn.rs1])
-                value = self.fval[insn.rs1]
-                origin = self.forigin[insn.rs1]
-            if (dev.engine is not None
-                    and origin == ("recv", dev.engine.config.config_id)):
-                self.recurrences.add(dev.engine.config.config_id)
-            if fabric_ready > issue:
-                issue = fabric_ready
-            done = dev.send(insn.port, value, issue)
-            a["iface_slots"] += 1
-            a["send_wait"] += max(0, done - issue)
-            return max(issue, done) + 1, None
-
-        if op in (O.DRECV, O.DFRECV):
-            issue = max(t, fabric_ready)
-            value, done = dev.recv(insn.port, issue)
-            origin = ("recv", dev.engine.config.config_id)
-            if op is O.DRECV:
-                self._write_int(
-                    insn.rd, None if value is None else int(value),
-                    origin=origin)
-                if insn.rd != 0:
-                    int_ready[insn.rd] = done
-            else:
-                self._write_fp(
-                    insn.rd, None if value is None else float(value),
-                    origin=origin)
-                fp_ready[insn.rd] = done
-            a["iface_slots"] += 1
-            a["recv_wait"] += done - issue
-            return done + 1, None
-
-        rate = max(1, cfg.vector_port_words_per_cycle)
-
-        if op in (O.DLD, O.DFLD, O.DLDV, O.DFLDV, O.DLDW, O.DFLDW):
-            issue = max(max(t, lsu_free), int_ready[insn.rs1])
-            if fabric_ready > issue:
-                issue = fabric_ready
-            a["addr_cycles"] += self._take_cost(insn.rs1)
-            base = self.ival[insn.rs1]
-            if op in (O.DLD, O.DFLD):
-                if base is None:
-                    self._inexact("dyser load from unresolved address")
-                    lat = cfg.dcache.hit_latency
-                    value = None
-                else:
-                    addr = base + int(insn.imm)
-                    lat = self._data_access(addr)
-                    value = self._load_word(addr)
-                    if value is not None:
-                        value = (float(value) if op is O.DFLD
-                                 else int(value))
-                done = dev.send(insn.port, value, issue + lat)
-                a["iface_slots"] += 1
-                a["send_wait"] += max(0, done - (issue + lat))
-            else:
-                count = int(insn.imm)
-                wide = op in (O.DLDW, O.DFLDW)
-                fp = op in (O.DFLDV, O.DFLDW)
-                if base is None:
-                    self._inexact("dyser load from unresolved address")
-                    lat = cfg.dcache.hit_latency
-                    values = [None] * count
-                else:
-                    lat = self._vector_cache_access(base, count,
-                                                    is_write=False)
-                    values = self._load_block(base, count)
-                for i, value in enumerate(values):
-                    if value is not None:
-                        value = float(value) if fp else int(value)
-                    arrive = issue + lat + i // rate
-                    port = insn.port + i if wide else insn.port
-                    done = dev.send(port, value, arrive)
-                    a["send_wait"] += max(0, done - arrive)
-                a["iface_slots"] += max(1, count // rate)
-            return issue + 1, None
-
-        if op in (O.DST, O.DFST, O.DSTV, O.DFSTV, O.DSTW, O.DFSTW):
-            issue = max(max(t, lsu_free), int_ready[insn.rs1])
-            if fabric_ready > issue:
-                issue = fabric_ready
-            a["addr_cycles"] += self._take_cost(insn.rs1)
-            base = self.ival[insn.rs1]
-            if op in (O.DST, O.DFST):
-                value, done = dev.recv(insn.port, issue)
-                a["iface_slots"] += 1
-                if base is None:
-                    self.dirty_all = True
-                    self._inexact("dyser store to unresolved address")
-                else:
-                    addr = base + int(insn.imm)
-                    self._data_access(addr, is_write=True)
-                    if value is not None:
-                        value = (float(value) if op is O.DFST
-                                 else int(value))
-                    self._store_word(addr, value)
-                self._sq_busy = max(self._sq_busy, done)
-                return issue + 1, None
-            count = int(insn.imm)
-            wide = op in (O.DSTW, O.DFSTW)
-            done = issue
-            values = []
-            for i in range(count):
-                port = insn.port + i if wide else insn.port
-                value, done = dev.recv(port, done)
-                values.append(value)
-            a["iface_slots"] += max(1, count // rate)
-            if base is None:
-                self.dirty_all = True
-                self._inexact("dyser store to unresolved address")
-            else:
-                cast = float if op in (O.DFSTV, O.DFSTW) else int
-                self._vector_cache_access(base, count, is_write=True)
-                self._store_block(
-                    base,
-                    [None if v is None else cast(v) for v in values])
-            self._sq_busy = max(self._sq_busy, done)
-            return issue + 1, None
-
-        raise _WalkAborted(f"unhandled DySER op {op}")
+    def _unresolved(self, access: str) -> None:
+        if access.endswith("store"):
+            self._image.forget()
+            self._inexact(f"{access} to unresolved address")
+        else:
+            self._inexact(f"{access} from unresolved address")
 
     # -- attribution -----------------------------------------------------
+
+    def _issue_hooks(self, table: tuple) -> list | None:
+        kinds, isrcs, occs, int_dest = table[0], table[1], table[6], table[7]
+        if self.dyser is None or K_DYSER not in kinds:
+            return None     # no configuration to attribute cycles to
+        icost, iorigin, forigin = self.icost, self.iorigin, self.forigin
+        hooks: list = []
+        for insn, kind, srcs, occ, to_int in zip(
+                self.program.instructions, kinds, isrcs, occs, int_dest,
+                strict=True):
+            if kind == K_DYSER:
+                hook = (None if insn.op is Opcode.DINIT
+                        else partial(self._attribute_port, insn, occ))
+            elif kind in (K_BRANCH, K_JUMP, K_NOP, K_HALT, K_BAD_IMM):
+                hook = None
+            else:
+                chained = kind <= K_SEL or kind in (K_LI, K_MOV)
+                to_fp = kind in (K_FLD, K_FLI, K_FMOV) or (
+                    kind == K_FPU and not to_int)
+                hook = partial(
+                    _retire, icost, iorigin, forigin,
+                    srcs if chained or kind in _LSU_KINDS else (), chained,
+                    0 if to_fp else insn.rd, insn.rd if to_fp else None,
+                    insn.rs1 if kind in (K_MOV, K_FMOV) else None)
+            hooks.append(hook)
+        return hooks
+
+    def _attribute_port(self, insn, occupancy: int | None) -> None:
+        """Interface slots, recurrences, provenance and address chains
+        of a DySER op, charged to the live configuration."""
+        O = Opcode
+        op, rd, rs1 = insn.op, insn.rd, insn.rs1
+        cid = self._live
+        if op is O.DSEND or op is O.DFSEND:
+            if op is O.DSEND:
+                self.icost[rs1] = 0
+                origin = self.iorigin[rs1]
+            else:
+                origin = self.forigin[rs1]
+            if cid is not None:
+                if origin == cid:
+                    self.recurrences.add(cid)
+                self.acct[cid]["iface_slots"] += 1
+        elif op is O.DRECV or op is O.DFRECV:
+            if cid is not None:
+                if op is O.DFRECV:
+                    self.forigin[rd] = cid
+                elif rd:
+                    self.iorigin[rd] = cid
+                    self.icost[rd] = 0
+                self.acct[cid]["iface_slots"] += 1
+        else:
+            cost = self.icost[rs1]
+            self.icost[rs1] = 0
+            if cid is not None and occupancy is not None:
+                self.acct[cid]["addr_cycles"] += cost
+                self.acct[cid]["iface_slots"] += occupancy
+
+    def _init_config(self, config_id: int, t: int) -> int:
+        dev = self.dyser
+        assert dev is not None      # the core faults first without one
+        engine = dev.engine
+        rearm = engine is not None and engine.config.config_id == config_id
+        if engine is not None and not rearm:
+            self._close_segment(engine, t)
+        hits_before = dev.stats.config_hits
+        ready = super()._init_config(config_id, t)
+        engine = dev.engine
+        if engine is not None and not rearm:
+            seg = self.acct.setdefault(config_id,
+                                       dict.fromkeys(_ACCT_KEYS, 0))
+            if (config_id in self._loaded_once
+                    and dev.stats.config_hits == hits_before):
+                seg["reload_stall"] += ready - t
+            self._loaded_once.add(config_id)
+            engine.evaluator = _AbstractEvaluator(engine.config.dfg,
+                                                  self._inexact)
+            self._live, self._seg_open_t = config_id, ready
+            self._seg_waits = self._port_waits()
+        return ready
+
+    def _port_waits(self) -> tuple[int, int]:
+        """Send and recv waits charged so far.  Only port flow control
+        is charged ``DYSER_SEND``, and only drecv/dfrecv ``DYSER_RECV``:
+        a register they write is ready before the next issue slot, so
+        its stall-cause tag never stalls an instruction."""
+        stall = self.stats.stall_cycles
+        return stall[StallCause.DYSER_SEND], stall[StallCause.DYSER_RECV]
+
+    def _close_segment(self, engine, t_now: int) -> None:
+        """Charge the live configuration with its invocations, the
+        cycles since it was loaded and the port waits since then."""
+        seg = self.acct[engine.config.config_id]
+        seg["fires"] += engine.invocations
+        seg["seg_cycles"] += max(0, t_now - self._seg_open_t)
+        (send, recv), (send0, recv0) = self._port_waits(), self._seg_waits
+        seg["send_wait"] += send - send0
+        seg["recv_wait"] += recv - recv0
+
+    def _finalize_stats(self) -> None:
+        if self.dyser is not None and self.dyser.engine is not None:
+            self._close_segment(self.dyser.engine, self.stats.cycles)
+        super()._finalize_stats()
+
+    # -- reports ---------------------------------------------------------
 
     def region_reports(self, program: Program) -> list[RegionPerf]:
         reports = []
@@ -861,9 +543,6 @@ def analyze_program(program: Program, *, memory: Memory | None = None,
     (unlinkable program, invalid configuration) — everything after that
     degrades into an inexact prediction instead of raising.
     """
-    if not program.is_linked:
-        program.link()
-    program.validate()
     config = core_config or CoreConfig()
     device = None
     if config.has_dyser:
@@ -872,7 +551,6 @@ def analyze_program(program: Program, *, memory: Memory | None = None,
             timing=timing or DyserTimingParams(),
             cache_params=cache_params or ConfigCacheParams(),
         )
-        device.register_program(program)
     if memory is None:
         memory = Memory(1 << 16)
     walker = _Walker(program, memory, config, device, step_limit)
@@ -880,13 +558,13 @@ def analyze_program(program: Program, *, memory: Memory | None = None,
     walked = True
     notes: list[str] = []
     try:
-        walker.walk()
-    except (_WalkAborted, ReproError, OverflowError, ValueError,
-            TypeError, KeyError, ZeroDivisionError) as exc:
+        walker.run()
+    except (ReproError, OverflowError, ValueError, TypeError, KeyError,
+            ZeroDivisionError) as exc:
         walked = False
         notes.append(f"walk aborted: {exc}")
     exact = walked and walker.exact
-    predicted = walker.cycles if walked else None
+    predicted = walker.stats.cycles if walked else None
     bound = (predicted if exact else
              _structural_bound(program, config.branch_taken_penalty))
     mode = "dyser" if (device is not None
@@ -896,8 +574,8 @@ def analyze_program(program: Program, *, memory: Memory | None = None,
         mode=mode,
         predicted_cycles=predicted,
         lower_bound=bound,
-        invocations=walker.invocations if walked else 0,
-        instructions=walker.executed,
+        invocations=walker.stats.dyser_invocations if walked else 0,
+        instructions=walker.stats.instructions,
         exact=exact,
         walked=walked,
         work_items=work_items,
@@ -1078,13 +756,13 @@ _COST_MEMO: dict[str, int | None] = {}
 _COST_MEMO_LIMIT = 4096
 
 #: Walk budget for cost estimation, in instructions.  Within it an
-#: estimate walks every instruction the run will execute, mirroring the
-#: scoreboard, caches and DySER device, so it is not cheap next to the
-#: run: on the 16 ``tiny`` specs of the layer benchmark's
-#: ``service-mixed`` workload one estimate costs about 1.5x the core
-#: run of the job it prices (CPU time, 2-vCPU Xeon host).  Past the
-#: budget the estimate walks the tiny instance and scales by work
-#: items.
+#: estimate walks every instruction the run will execute through the
+#: reference core's loop, caches and DySER device, so it is not cheap
+#: next to the run: on the 16 ``tiny`` specs of the layer benchmark's
+#: ``service-mixed`` workload an estimate (input preparation included)
+#: costs about 1.7x the lockstep core run of the job it prices (CPU
+#: time, medians of 15 passes, 2-vCPU host).  Past the budget the
+#: estimate walks the tiny instance and scales by work items.
 _COST_STEP_LIMIT = 300_000
 
 

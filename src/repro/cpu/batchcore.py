@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from repro.errors import ReproError, SimulationError
 from repro.cpu.cache import Cache
-from repro.cpu.core import CacheHierarchy, Core, CoreConfig, _INSN_BYTES
+from repro.cpu.core import (
+    _INSN_BYTES, CacheHierarchy, Core, CoreConfig, _limit_error)
 from repro.cpu.decode import decode_program
 from repro.cpu.memory import Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile
@@ -139,13 +140,6 @@ class _BatchCtx:
         self.pa[:] = [i + f + t for i, f, t in zip(ints, fps, tails)]
         self.pdi[:] = [(p, self.devs[p]) + v for p, v in zip(ap, self.pi)]
         self.pdf[:] = [(p, self.devs[p]) + v for p, v in zip(ap, self.pf)]
-
-
-def _limit_error(limit: int, program: Program) -> SimulationError:
-    return SimulationError(
-        f"instruction limit {limit} exceeded "
-        f"(runaway loop in {program.name}?)"
-    )
 
 
 class _PointView:

@@ -64,21 +64,9 @@ class Cache:
         self.stats = CacheStats()
         # Per set: list of tags, most-recently-used last.
         self._sets: list[list[int]] = [[] for _ in range(self.config.num_sets)]
-
-    def _locate(self, address: int) -> tuple[list[int], int]:
-        line = address // self.config.line_bytes
-        set_index = line & (self.config.num_sets - 1)
-        tag = line >> self.config.num_sets.bit_length() - 1
-        return self._sets[set_index], tag
-
-    def _touch(self, ways: list[int], tag: int) -> bool:
-        """Move ``tag`` to MRU position; return True on hit."""
-        try:
-            ways.remove(tag)
-        except ValueError:
-            return False
-        ways.append(tag)
-        return True
+        self._line_bytes = self.config.line_bytes
+        self._set_mask = self.config.num_sets - 1
+        self._tag_shift = self.config.num_sets.bit_length() - 1
 
     def _fill(self, ways: list[int], tag: int) -> None:
         if len(ways) >= self.config.ways:
@@ -87,27 +75,31 @@ class Cache:
 
     def access(self, address: int, is_write: bool = False) -> int:
         """Simulate one access; return its latency in cycles."""
-        ways, tag = self._locate(address)
-        hit = self._touch(ways, tag)
-        if is_write:
-            if hit:
-                self.stats.write_hits += 1
-            else:
+        line = address // self._line_bytes
+        ways = self._sets[line & self._set_mask]
+        tag = line >> self._tag_shift
+        try:
+            ways.remove(tag)
+        except ValueError:
+            if is_write:
                 self.stats.write_misses += 1
                 if self.config.write_allocate:
                     self._fill(ways, tag)
-            return self.config.hit_latency
-        if hit:
+                return self.config.hit_latency
+            self.stats.misses += 1
+            self._fill(ways, tag)
+            return self.config.miss_latency
+        ways.append(tag)    # a hit becomes the most recently used
+        if is_write:
+            self.stats.write_hits += 1
+        else:
             self.stats.hits += 1
-            return self.config.hit_latency
-        self.stats.misses += 1
-        self._fill(ways, tag)
-        return self.config.miss_latency
+        return self.config.hit_latency
 
     def probe(self, address: int) -> bool:
         """Non-modifying hit check (used by tests)."""
-        ways, tag = self._locate(address)
-        return tag in ways
+        line = address // self._line_bytes
+        return line >> self._tag_shift in self._sets[line & self._set_mask]
 
     def flush(self) -> None:
         self._sets = [[] for _ in range(self.config.num_sets)]

@@ -36,9 +36,6 @@ class IntRegFile:
         if index != ZERO_REG:
             self._regs[index] = wrap64(int(value))
 
-    def snapshot(self) -> list[int]:
-        return list(self._regs)
-
 
 class FpRegFile:
     """32 double-precision registers."""
@@ -53,6 +50,3 @@ class FpRegFile:
 
     def write(self, index: int, value: float) -> None:
         self._regs[index] = float(value)
-
-    def snapshot(self) -> list[float]:
-        return list(self._regs)

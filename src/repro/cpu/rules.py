@@ -1,10 +1,11 @@
 """The instruction rules every timing model reads: one definition each.
 
-Three models execute the same in-order OpenSPARC-T1-flavoured
-pipeline: the reference core (:mod:`repro.cpu.core`), the lockstep
-handlers (:mod:`repro.cpu.decode`) and the static cost walker
-(:mod:`repro.analysis.perf`).  This module holds what they would
-otherwise each restate:
+Two implementations execute the same in-order OpenSPARC-T1-flavoured
+pipeline: the reference core's interpreter loop
+(:meth:`repro.cpu.core.Core.run`, which the static cost walker of
+:mod:`repro.analysis.perf` also runs, over unknown values) and the
+lockstep handlers (:mod:`repro.cpu.decode`).  This module holds what
+they would otherwise each restate:
 
 - the **source-register rules** — which registers an instruction waits
   on before it may issue (:func:`int_alu_srcs`, :func:`fp_insn_srcs`);
@@ -12,10 +13,10 @@ otherwise each restate:
   expression templates (``_INT_EXPR``, ``_FP_EXPR``) that compile both
   into the specialised zero-argument closures the handler makers bind
   and into plain functions (:func:`int_op`, :func:`fp_op`) the
-  reference core and the walker call with operand values;
+  reference loop calls with operand values;
 - the **per-pc static table** (:func:`decode_table`) the reference
-  core and the walker dispatch on: kind, sources, immediate, result
-  latency, evaluator and DySER LSU occupancy.
+  loop dispatches on: kind, sources, immediate, result latency,
+  evaluator, DySER LSU occupancy and FP-to-integer retirement.
 """
 
 from __future__ import annotations
@@ -157,13 +158,15 @@ def _fp_eval_binder(op, ir, fr, s1, s2, s3):
 
 
 def int_op(op_value: str):
-    """``(a, b) -> result`` function of an integer op (cached per op;
-    integer and FP mnemonics never collide)."""
+    """``(a, b) -> result`` function of an integer op, its result
+    wrapped to 64 bits (cached per op; integer and FP mnemonics never
+    collide)."""
     fn = _OPS.get(op_value)
     if fn is None:
         fn = _OPS[op_value] = _compile(
             f"def fn(a, b):\n"
-            f"    return {_INT_EXPR[op_value].format(a='a', b='b')}\n",
+            f"    v = {_INT_EXPR[op_value].format(a='a', b='b')}\n"
+            f"    return v if {-(1 << 63)} <= v < {1 << 63} else wrap64(v)\n",
             "fn")
     return fn
 
@@ -199,7 +202,9 @@ def clear_eval_caches() -> None:
 # The per-pc static table
 # ---------------------------------------------------------------------------
 
-#: Dispatch kinds; the integer ALU kinds come first (``<= K_SEL``).
+#: Dispatch kinds, in the order ``Core.run`` tests them: the integer
+#: ALU kinds come first (``<= K_SEL``), and the two load kinds and the
+#: two store kinds are adjacent, so it tells them apart by range.
 (K_ALU, K_SEL, K_BRANCH, K_LD, K_FLD, K_FPU, K_DYSER, K_MOV, K_LI, K_ST,
  K_FST, K_JUMP, K_FLI, K_FMOV, K_NOP, K_HALT, K_BAD_IMM,
  K_UNHANDLED) = range(18)
@@ -238,11 +243,13 @@ class _Unconvertible:
 def decode_table(instructions: list, config) -> tuple[list, ...]:
     """Static per-pc facts of a program under one ``CoreConfig``.
 
-    Seven lists indexed by pc: the dispatch kind; the integer and FP
+    Eight lists indexed by pc: the dispatch kind; the integer and FP
     source registers the instruction waits on; the immediate as an int
-    (a float for ``fli``); the result latency; the evaluator (an
-    :func:`int_op`, :func:`fp_op` or branch comparator); and, for DySER
-    memory ops, the issue slots the transfer holds the LSU for.  Any
+    (wrapped to 64 bits for ``li``, a float for ``fli``); the result
+    latency; the evaluator (an :func:`int_op`, :func:`fp_op` or branch
+    comparator); for DySER memory ops, the issue slots the transfer
+    holds the LSU for; and whether an FPU op retires into the integer
+    register file (:data:`FP_INT_DEST`).  Any
     other immediate ``int()`` or ``float()`` rejects gives kind
     ``K_BAD_IMM`` and its exception in place of the evaluator, raised
     when execution reaches it.
@@ -283,8 +290,10 @@ def decode_table(instructions: list, config) -> tuple[list, ...]:
                 # arm before this occupancy is used.
                 occ = (max(1, int(insn.imm) // rate)
                        if op in MULTI_OPS else 1)
-            if kind in (K_LD, K_FLD, K_ST, K_FST, K_LI):
+            if kind in (K_LD, K_FLD, K_ST, K_FST):
                 imm = int(insn.imm)
+            elif kind == K_LI:
+                imm = wrap64(int(insn.imm))
             elif kind == K_FLI:
                 imm = float(insn.imm)
         except (OverflowError, ValueError, TypeError) as exc:
@@ -293,5 +302,6 @@ def decode_table(instructions: list, config) -> tuple[list, ...]:
             elif kind != K_DYSER:
                 kind, func = K_BAD_IMM, exc
         rows.append((kind, int_srcs, fp_srcs, imm,
-                     config.latency_for(insn.info.iclass), func, occ))
+                     config.latency_for(insn.info.iclass), func, occ,
+                     kind == K_FPU and op in FP_INT_DEST))
     return tuple(list(column) for column in zip(*rows))

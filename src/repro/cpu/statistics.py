@@ -28,6 +28,10 @@ class StallCause(enum.Enum):
     DYSER_CONFIG = "dyser_config"        # configuration load
     LSU_BUSY = "lsu_busy"                # vector transfer occupying the LSU
 
+    # Members are singletons, so identity hashing is exact, and it runs
+    # in C: every stall charged keys a Counter by its cause.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class ExecStats:
@@ -72,26 +76,8 @@ class ExecStats:
         """Cycles spent actually issuing instructions."""
         return self.cycles - self.total_stalls
 
-    def count(self, iclass: InsnClass, n: int = 1) -> None:
-        self.insn_mix[iclass] += n
-        self.instructions += n
-
-    def stall(self, cause: StallCause, cycles: int) -> None:
-        if cycles > 0:
-            self.stall_cycles[cause] += cycles
-
     def class_count(self, iclass: InsnClass) -> int:
         return self.insn_mix.get(iclass, 0)
-
-    def dyser_instruction_count(self) -> int:
-        return sum(
-            self.insn_mix.get(c, 0)
-            for c in (
-                InsnClass.DYSER_INIT, InsnClass.DYSER_SEND,
-                InsnClass.DYSER_RECV, InsnClass.DYSER_LOAD,
-                InsnClass.DYSER_STORE,
-            )
-        )
 
     # -- (de)serialization -------------------------------------------
 

@@ -22,8 +22,8 @@ self-check:
   reference run exactly, evicted points included via the harness's
   lane-of-one fallback.
 - **perfbound** — the static performance analyzer's lower bound must
-  never exceed the reference run's measured cycles, and an ``exact``
-  walk must predict them exactly.
+  never exceed a lane of one's measured cycles, and an ``exact`` walk
+  must predict them exactly.
 - **dsl** — the kernel-DSL pipeline (``repro.lang``) must fail closed:
   validation never raises, every rejection carries stable ``RPR5xx``
   codes (planted mutants tripping their specific code), and anything
@@ -333,23 +333,24 @@ def ir_oracle(case: FuzzCase) -> Finding | None:
 
 
 def perfbound_oracle(case: FuzzCase) -> Finding | None:
-    """Static prediction vs reference run (scalar + dyser cases).
+    """Static prediction vs a lockstep run (scalar + dyser cases).
 
     Holds the perf analyzer to its two contracts on every generated
-    program whose reference run completes:
+    program whose run completes:
 
     - **soundness** — the static lower bound never exceeds the
       measured cycle count;
     - **exactness** — a walk that claims ``exact`` must predict the
-      measured cycles, well, exactly (the walker is a timing mirror of
-      the reference core; any drift here is a modelling bug).
+      measured cycles, well, exactly.
 
-    The analyzer crashing on a case the simulator accepts is a finding
-    too: static analysis must be total over valid programs.
+    The walk runs the reference core's own loop, so the measured side
+    is the independent implementation: a :class:`BatchCore` lane of
+    one.  The analyzer crashing on a case the simulator accepts is a
+    finding too: static analysis must be total over valid programs.
     """
     from repro.analysis.perf import analyze_program
 
-    outcome = run_case(case, Core)
+    outcome = run_case(case, BatchCore)
     if outcome[0] != "ok":
         return None
     measured = outcome[1]["stats"]["cycles"]

@@ -7,10 +7,11 @@ Three layers of coverage:
   saxpy's interface-port pressure (RPR400), and a hand-built
   two-config program thrashing a capacity-1 configuration cache
   (RPR402);
-- **contracts** — exactness parity against the reference simulator on
-  real kernels, plus a hypothesis property that the perfbound fuzz
-  oracle finds nothing on generated programs (soundness + exactness on
-  adversarial inputs);
+- **contracts** — exactness parity against the lockstep core (the
+  walk runs the reference core's own loop, so that is the independent
+  check) on real kernels, plus a hypothesis property that the
+  perfbound fuzz oracle finds nothing on generated programs (soundness
+  + exactness on adversarial inputs);
 - **plumbing** — CLI exit codes for ``repro lint [--perf]``, the
   diagnostics ordering guarantee, the engine cost pre-flight ordering,
   and the service scheduler's calibrated wait estimates.
@@ -175,9 +176,8 @@ class TestConfigThrash:
         assert "RPR402" in codes(report)
 
     def test_prediction_matches_simulator(self):
-        from repro.cpu import Core
+        from repro.cpu import LaneOfOne
         from repro.dyser import DyserDevice
-        from repro.dyser.config_cache import ConfigCache
 
         prediction = self.analyze(capacity=1)
 
@@ -187,7 +187,9 @@ class TestConfigThrash:
         dyser = DyserDevice(
             fabric=Fabric(FabricGeometry(4, 4)),
             cache_params=ConfigCacheParams(capacity=1))
-        core = Core(program, Memory(1 << 16), dyser=dyser)
+        # The walk runs the reference core's loop: measure on the
+        # lockstep core, the independent implementation.
+        core = LaneOfOne(program, Memory(1 << 16), dyser=dyser)
         core.set_args(fp_args=(3.0,))
         stats = core.run()
         assert prediction.predicted_cycles == stats.cycles
@@ -649,7 +651,7 @@ def inexact_walk_digest() -> str:
 
 
 def hazard_walk_digest() -> str:
-    from repro.cpu import Core
+    from repro.cpu import LaneOfOne
     from repro.dyser import DyserDevice
 
     def build():
@@ -660,7 +662,8 @@ def hazard_walk_digest() -> str:
     fabric = Fabric(FabricGeometry(4, 4))
     prediction = analyze_program(build(), memory=Memory(1 << 16),
                                  fabric=fabric, subject="hazards")
-    core = Core(build(), Memory(1 << 16), dyser=DyserDevice(fabric=fabric))
+    core = LaneOfOne(build(), Memory(1 << 16),
+                     dyser=DyserDevice(fabric=fabric))
     assert prediction.exact
     assert prediction.predicted_cycles == core.run().cycles
     return digest(prediction.to_dict())
@@ -1050,7 +1053,9 @@ again:
 ], ids=["hazards", "hazards-loop", "hazards-loop-unpipelined"])
 def test_hazard_walk_matches_core_under_non_default_timing(source, knobs,
                                                            cycles):
-    from repro.cpu import Core
+    # The walk runs the reference core's loop: measure on the lockstep
+    # core, the independent implementation.
+    from repro.cpu import LaneOfOne
     from repro.dyser import DyserDevice
 
     def build():
@@ -1062,13 +1067,13 @@ def test_hazard_walk_matches_core_under_non_default_timing(source, knobs,
     config = CoreConfig(**knobs)
     prediction = analyze_program(build(), memory=Memory(1 << 16),
                                  fabric=fabric, core_config=config)
-    core = Core(build(), Memory(1 << 16), dyser=DyserDevice(fabric=fabric),
-                config=config)
+    core = LaneOfOne(build(), Memory(1 << 16),
+                     dyser=DyserDevice(fabric=fabric), config=config)
     measured = core.run().cycles
     assert prediction.exact
     assert prediction.predicted_cycles == measured
-    default = Core(build(), Memory(1 << 16),
-                   dyser=DyserDevice(fabric=fabric)).run().cycles
+    default = LaneOfOne(build(), Memory(1 << 16),
+                        dyser=DyserDevice(fabric=fabric)).run().cycles
     assert measured != default
     assert measured == cycles
 
