@@ -40,7 +40,7 @@ from __future__ import annotations
 from repro.errors import ReproError, SimulationError
 from repro.cpu.cache import Cache
 from repro.cpu.core import (
-    _INSN_BYTES, CacheHierarchy, Core, CoreConfig, _limit_error)
+    _INSN_BYTES, CacheHierarchy, Core, CoreConfig, _runaway_error)
 from repro.cpu.decode import decode_program
 from repro.cpu.memory import Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile
@@ -261,7 +261,7 @@ class BatchCore(CacheHierarchy):
                 # the instruction limit before the fetch that faults).
                 if solo:
                     if executed >= min_limit:
-                        raise _limit_error(min_limit, self.program)
+                        raise _runaway_error(min_limit, self.program)
                     raise SimulationError(
                         f"pc {decoded.n} fell off the end of "
                         f"{self.program.name}"
@@ -278,7 +278,7 @@ class BatchCore(CacheHierarchy):
                     # first), then stop where the reference core does.
                     for h in handlers[:starts[min_limit - executed]]:
                         h()
-                    raise _limit_error(min_limit, self.program)
+                    raise _runaway_error(min_limit, self.program)
                 # Some point's instruction limit lands inside this
                 # block: split it out of lockstep.  Its replay as a
                 # lane of one gives exact semantics (stable error

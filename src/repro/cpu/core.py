@@ -102,7 +102,7 @@ class CoreConfig:
         return 1 if name is None else getattr(self, name)
 
 
-def _limit_error(limit: int, program: Program) -> SimulationError:
+def _runaway_error(limit: int, program: Program) -> SimulationError:
     return SimulationError(
         f"instruction limit {limit} exceeded "
         f"(runaway loop in {program.name}?)"
@@ -222,7 +222,7 @@ class Core(CacheHierarchy):
     def _limit_error(self) -> Exception:
         """Hook: the fault raised once ``config.max_instructions``
         instructions have executed."""
-        return _limit_error(self.config.max_instructions, self.program)
+        return _runaway_error(self.config.max_instructions, self.program)
 
     def _op_fault(self, insn) -> None:
         """Hook, called while ``insn``'s operator raises: re-raise it.

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cpu import BatchCore, Core, CoreConfig, Memory, StallCause
 from repro.errors import SimulationError
-from repro.isa import assemble
+from repro.isa import InsnClass, assemble
 
 
 def run(source, memory=None, int_args=(), fp_args=(), config=None):
@@ -277,6 +277,14 @@ class TestTiming:
     def test_ipc_below_one(self):
         _, stats = run("li r1, 2\nmul r2, r1, r1\nmul r3, r2, r2\nhalt")
         assert stats.ipc < 1.0
+
+    def test_insn_mix_in_first_execution_order(self):
+        # Program order would put mul and halt before add.
+        _, stats = run("j last\nback:\nmul r2, r1, r1\nhalt\n"
+                       "last:\nadd r1, r1, r1\nj back")
+        assert list(stats.insn_mix.items()) == [
+            (InsnClass.JUMP, 2), (InsnClass.ALU, 1), (InsnClass.MUL, 1),
+            (InsnClass.SYSTEM, 1)]
 
 
 # ---------------------------------------------------------------------------
