@@ -13,8 +13,9 @@ Four analyses over four stable code banks:
 - :mod:`repro.analysis.perf` — the static performance-bound analyzer
   (``RPR4xx``): predicted cycles, a sound lower bound, and per-region
   bottleneck attribution with zero simulation, surfaced through
-  :func:`perf_report` / ``repro lint --perf`` and reused as the
-  engine/service cost pre-flight (:func:`estimate_job_cost`);
+  :func:`perf_report` / ``repro lint --perf``; it also holds the
+  engine/service cost pre-flight (:func:`estimate_job_cost`), which
+  prices jobs from observed cycles, not walks;
 
 plus the ``RPR3xx`` control-flow shape advisories emitted by
 :func:`repro.compiler.shapes.region_advisories` and surfaced through

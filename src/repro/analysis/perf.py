@@ -41,12 +41,12 @@ stream — timing there is value-independent, and a wrapped evaluator
 propagates "unknown" through the DFG so a partially resolved region
 still fires at exact times.
 
-``estimate_job_cost`` packages the prediction as the engine/service
-pre-flight cost estimate: :func:`repro.engine.pool.run_jobs` orders
-lanes longest-first with it and the service scheduler turns it into
-queue-wait estimates and a cost-aware ``Retry-After``.  It walks only
-shapes (specs without their seed) that no finished run has priced
-yet: observed cycles, recorded by :func:`record_job_cycles`, win.
+``estimate_job_cost`` is the engine/service pre-flight cost: the
+cycles a finished run of the job's shape (the spec without its seed)
+took, recorded by :func:`record_job_cycles`.  It never walks;
+:func:`repro.engine.pool.run_jobs` orders lanes longest-first with it
+and the service scheduler turns it into queue-wait estimates and a
+cost-aware ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -458,7 +458,7 @@ class _Walker(Core):
         """Send and recv waits charged so far.  Only port flow control
         is charged ``DYSER_SEND``, and only drecv/dfrecv ``DYSER_RECV``:
         a register they write is ready before the next issue slot, so
-        its stall-cause tag never stalls an instruction."""
+        they tag it with no stall cause."""
         stall = self.stats.stall_cycles
         return stall[StallCause.DYSER_SEND], stall[StallCause.DYSER_RECV]
 
@@ -589,7 +589,6 @@ def analyze_workload(name: str, *, mode: str = "dyser",
                      options=None, core_config: CoreConfig | None = None,
                      timing: DyserTimingParams | None = None,
                      cache_params: ConfigCacheParams | None = None,
-                     memory_bytes: int = 1 << 22,
                      step_limit: int = DEFAULT_STEP_LIMIT) -> PerfPrediction:
     """Predict one suite workload's run without executing it.
 
@@ -613,7 +612,7 @@ def analyze_workload(name: str, *, mode: str = "dyser",
         fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
     compiled = _compile(name, source_hash(workload.source), mode,
                         _options_key(options))
-    memory = Memory(memory_bytes)
+    memory = Memory(1 << 22)   # RunConfig's default image
     instance = workload.prepare(memory, scale, seed)
     config = core_config or CoreConfig(has_dyser=(mode == "dyser"))
     return analyze_program(
@@ -747,96 +746,33 @@ def perf_report(name: str, *, mode: str = "dyser", scale: str = "small",
 #: Cost memo keyed by :attr:`~repro.engine.jobs.JobSpec.shape_hash`:
 #: the sha256 of ``JobSpec.canonical_dict()`` with the seed left out
 #: (scalar specs keep its dyser-only normalisation).  Cycles barely move
-#: with the seed, so one entry prices every seed of a shape.  A finished
-#: run's observed cycles (:func:`record_job_cycles`) always overwrite an
-#: entry; a walk only fills a slot that is empty or holds a failed
-#: walk's None.  Process-local, like the compile memo, and cleared once
-#: past :data:`_COST_MEMO_LIMIT` entries.
-_COST_MEMO: dict[str, int | None] = {}
+#: with the seed, so one entry prices every seed of a shape.  Filled
+#: only by finished runs (:func:`record_job_cycles`).  Process-local,
+#: like the compile memo, and cleared once past
+#: :data:`_COST_MEMO_LIMIT` entries.
+_COST_MEMO: dict[str, int] = {}
 _COST_MEMO_LIMIT = 4096
-
-#: Walk budget for cost estimation, in instructions.  Within it an
-#: estimate walks every instruction the run will execute through the
-#: reference core's loop, caches and DySER device, so it is not cheap
-#: next to the run: on the 16 ``tiny`` specs of the layer benchmark's
-#: ``service-mixed`` workload an estimate (input preparation included)
-#: costs about 1.7x the lockstep core run of the job it prices (CPU
-#: time, medians of 15 passes, 2-vCPU host).  Past the budget the
-#: estimate walks the tiny instance and scales by work items.
-_COST_STEP_LIMIT = 300_000
 
 
 def estimate_job_cost(spec) -> int | None:
-    """Predicted cycle cost of one :class:`~repro.engine.jobs.JobSpec`.
+    """Cycle cost of one :class:`~repro.engine.jobs.JobSpec`: the
+    cycles some finished run of its shape (the spec without its seed)
+    took, or None for a shape no run has finished yet.
 
-    Returns None when no defensible estimate exists (analysis failure,
-    budget exhausted at every scale).  Memoized per shape (the spec
-    without its seed): a shape some run has already finished is priced
-    by that run's cycles, and only a shape never seen is walked.  Safe
-    to call from the engine pre-flight and the service admission path.
+    A lookup: it never compiles or walks, so the engine pre-flight and
+    the service admission path can call it inline.
     """
-    try:
-        key = spec.shape_hash
-    except Exception:
-        return None
-    if key in _COST_MEMO:
-        return _COST_MEMO[key]
-    return _remember_walk(key, _estimate(spec))
+    return _COST_MEMO.get(spec.shape_hash)
 
 
 def record_job_cycles(spec, cycles: int) -> None:
     """Price ``spec``'s shape by the cycles a finished run of it took."""
-    _remember(spec.shape_hash, cycles)
-
-
-def _remember_walk(key: str, cost: int | None) -> int | None:
-    """Fill ``key``'s slot with a walked cost unless it holds a value;
-    returns what the slot holds then."""
-    if _COST_MEMO.get(key) is None:
-        _remember(key, cost)
-    # A run of the shape that finished during the walk wins.
-    return _COST_MEMO.get(key, cost)
-
-
-def _remember(key: str, cost: int | None) -> None:
+    key = spec.shape_hash
     if key not in _COST_MEMO and len(_COST_MEMO) > _COST_MEMO_LIMIT:
         _COST_MEMO.clear()
-    _COST_MEMO[key] = cost
-
-
-def _estimate(spec) -> int | None:
-    try:
-        prediction = analyze_workload(
-            spec.workload, mode=spec.mode, scale=spec.scale,
-            seed=spec.seed, options=spec.options(),
-            core_config=spec.core_config(), timing=spec.timing(),
-            cache_params=spec.cache_params(),
-            memory_bytes=spec.memory_bytes,
-            step_limit=_COST_STEP_LIMIT)
-    except ReproError:
-        return None
-    if prediction.walked and prediction.predicted_cycles:
-        return prediction.predicted_cycles
-    # Budget ran out at the requested scale: walk a tiny instance and
-    # scale the estimate by the work-item ratio.
-    try:
-        tiny = analyze_workload(
-            spec.workload, mode=spec.mode, scale="tiny", seed=spec.seed,
-            options=spec.options(), core_config=spec.core_config(),
-            timing=spec.timing(), cache_params=spec.cache_params(),
-            memory_bytes=spec.memory_bytes,
-            step_limit=_COST_STEP_LIMIT)
-    except ReproError:
-        return None
-    if not (tiny.walked and tiny.predicted_cycles and tiny.work_items):
-        return None
-    if not prediction.work_items:
-        return None
-    scaled = tiny.predicted_cycles * (prediction.work_items
-                                      / tiny.work_items)
-    return max(1, int(scaled))
+    _COST_MEMO[key] = cycles
 
 
 def clear_cost_memo() -> None:
-    """Drop memoized cost estimates (tests / engine cache resets)."""
+    """Drop memoized job costs (tests / engine cache resets)."""
     _COST_MEMO.clear()

@@ -582,12 +582,12 @@ class Core(CacheHierarchy):
                 if insn.rd:
                     self.iregs._regs[insn.rd] = value
                     int_ready[insn.rd] = done
-                    int_cause[insn.rd] = StallCause.DYSER_RECV
             else:
                 self.fregs._regs[insn.rd] = (None if value is None
                                              else float(value))
                 fp_ready[insn.rd] = done
-                fp_cause[insn.rd] = StallCause.DYSER_RECV
+            # rd is ready before the next issue slot, so it needs no
+            # stall-cause tag.
             return done + 1, fabric_ready
 
         # Memory transfers: wait for the LSU, then the base address.

@@ -600,7 +600,7 @@ def _make_drecv(insn):
 
         def h():
             value = None
-            for _, dev, rdy, cz, st, sc in view:
+            for _, dev, rdy, _cz, st, sc in view:
                 t = sc[4]
                 fab = sc[2]
                 issue = t if t >= fab else fab
@@ -612,8 +612,7 @@ def _make_drecv(insn):
                 if d > 0:
                     st[DYSER_RECV] += d
                 if wr:
-                    rdy[rd] = done
-                    cz[rd] = DYSER_RECV
+                    rdy[rd] = done   # before the next issue: no cause tag
                 sc[4] = done + 1
             # The received value is config-independent (same functional
             # stream per point); retire it into the shared registers.

@@ -170,8 +170,7 @@ class JobSpec:
 
         Specs that differ only in their seed share a shape; the cost
         pre-flight (:func:`repro.analysis.perf.estimate_job_cost`)
-        prices a shape once, from the cycles of a finished run when
-        there is one.
+        prices a shape by the cycles of a finished run of it.
         """
         data = self.canonical_dict()
         del data["seed"]

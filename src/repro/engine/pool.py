@@ -110,11 +110,11 @@ def _plan_lanes(specs, pending, costs=None, batching=True):
     configs, so engine batching can never group what the harness would
     refuse.  Every other index is a lane of one.
 
-    Wider lanes go first.  ``costs`` (index → predicted cycles, from
-    the static perf analyzer) orders each kind longest-first for
-    better pool utilization; a lockstep lane's wall time tracks its
-    slowest member.  With no (or incomplete) cost data the first-index
-    order is kept.
+    Wider lanes go first.  ``costs`` (index → cycles a finished run of
+    the job's shape took) orders each kind longest-first for better
+    pool utilization; a lockstep lane's wall time tracks its slowest
+    member.  With no (or incomplete) cost data the first-index order
+    is kept.
     """
     from repro.harness.batch import plan_batches
 
@@ -235,11 +235,10 @@ def run_jobs(
         pending.append(i)
 
     # Cost pre-flight: with real parallelism ahead, price each pending
-    # job's cycles (memoized per shape, i.e. per spec without its seed:
-    # a shape that has run before is priced by that run's cycles, a new
-    # one is walked statically, sharing the compile with the run via
-    # the harness memo) and dispatch longest-first — the classic LPT
-    # heuristic.  Serial runs skip it: ordering cannot change their
+    # job by the cycles a finished run of its shape (the spec without
+    # its seed) took, and dispatch longest-first — the classic LPT
+    # heuristic — once every pending job has a price.  A shape never
+    # run has none.  Serial runs skip it: ordering cannot change their
     # wall time.
     from repro.analysis.perf import estimate_job_cost, record_job_cycles
 

@@ -38,9 +38,9 @@ class JobRecord:
     #: Diagnostic`); populated for REJECTED jobs, and for jobs whose
     #: spec linted with warnings but still ran.
     diagnostics: list = field(default_factory=list)
-    #: Predicted cycle cost from the static perf analyzer; populated
-    #: by the pooled pre-flight (longest-first dispatch), None when the
-    #: estimate was skipped or unavailable.
+    #: Cycles a finished run of the job's shape took, as the pooled
+    #: pre-flight (longest-first dispatch) priced it; None when the
+    #: pre-flight was skipped or the shape had not run yet.
     cost: int | None = None
 
 

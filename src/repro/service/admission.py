@@ -21,17 +21,16 @@ before it can cost an engine slot, in strictly increasing price order:
 
 Only a request that clears all four gates reaches the scheduler's
 bounded queue, where backpressure (429) is the final gate.  On the way
-in, the static perf analyzer (:mod:`repro.analysis.perf`) annotates
-the job with its cycle cost, memoized per shape (the spec without its
-seed).  A shape that has been seen is priced by observed cycles: every
-run the scheduler's engine submissions finish and every cache hit
-answered here records its ``stats.cycles``, so a restarted daemon
-over a warm disk cache learns from its hits.  Only a shape never seen
-is walked, on an executor thread.  The scheduler calibrates
-cycles-per-second from completed jobs, turns queued cost into a
-queue-wait estimate and a cost-aware ``Retry-After``, and a deadline
-that the calibrated estimate already exceeds is answered 504 at
-admission instead of after the wait.
+in, the job is annotated with its cycle cost: the ``stats.cycles`` of
+a finished run of its shape (the spec without its seed), looked up in
+:func:`repro.analysis.perf.estimate_job_cost`.  Every run the
+scheduler's engine submissions finish and every cache hit answered
+here records its cycles, so a restarted daemon over a warm disk cache
+learns from its hits; a shape never seen queues without a cost.  The
+scheduler calibrates cycles-per-second from executed jobs, turns
+queued cost into a queue-wait estimate and a cost-aware
+``Retry-After``, and a deadline that the calibrated estimate already
+exceeds is answered 504 at admission instead of after the wait.
 """
 
 from __future__ import annotations
@@ -66,14 +65,6 @@ def probe_run(cache: ArtifactCache | None, spec: JobSpec) -> dict | None:
     except (KeyError, TypeError, ValueError):
         return None
     return payload
-
-
-def _estimate_cost(spec: JobSpec) -> int | None:
-    """Predicted cycle cost of a spec; never raises (daemon path)."""
-    try:
-        return perf.estimate_job_cost(spec)
-    except Exception:  # noqa: BLE001 — estimation must not kill admits
-        return None
 
 
 class AdmissionController:
@@ -156,12 +147,10 @@ class AdmissionController:
                 P.STATUS_DRAINING,
                 error="service is draining; resubmit elsewhere")
 
-        # Cost pre-flight (executor thread: the first estimate for a
-        # shape never run compiles and walks the program; a shape
-        # already run or walked is a memo hit).  The cost feeds the
-        # scheduler's queue-wait estimate and cost-aware Retry-After.
-        loop = asyncio.get_running_loop()
-        cost = await loop.run_in_executor(None, _estimate_cost, spec)
+        # Observed cycles of the shape, or None for a shape never run:
+        # they feed the scheduler's queue-wait estimate and cost-aware
+        # Retry-After.
+        cost = perf.estimate_job_cost(spec)
 
         deadline = None
         if timeout_s is not None:
@@ -179,7 +168,7 @@ class AdmissionController:
                     P.STATUS_EXPIRED,
                     error=f"predicted queue wait {wait:.3f}s exceeds "
                           f"deadline {timeout_s:.3f}s")
-            deadline = loop.time() + timeout_s
+            deadline = asyncio.get_running_loop().time() + timeout_s
         try:
             job = self.scheduler.submit(spec, priority=priority,
                                         deadline=deadline, cost=cost)

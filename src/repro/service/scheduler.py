@@ -78,8 +78,8 @@ class Job:
         self.deadline = deadline
         #: How many coalesced requests share this job's future.
         self.waiters = 1
-        #: Predicted cycle cost from the static perf analyzer (None
-        #: when unavailable); feeds queue-wait estimates.
+        #: Cycles a finished run of the job's shape took (None for a
+        #: shape never run); feeds queue-wait estimates.
         self.cost = cost
 
 
@@ -112,7 +112,7 @@ class Scheduler:
         self._draining = False
         self._task: asyncio.Task | None = None
         self._executing = 0
-        #: Throughput calibration from completed jobs: predicted
+        #: Throughput calibration from executed jobs: simulated
         #: cycles delivered vs wall seconds spent executing them.
         self._cycles_done = 0
         self._wall_done = 0.0
@@ -129,8 +129,8 @@ class Scheduler:
         return len(self._heap)
 
     def cycles_per_s(self) -> float | None:
-        """Calibrated simulation throughput, or None before any
-        completed job carried a cost estimate."""
+        """Calibrated simulation throughput, or None before any job
+        executed."""
         if self._cycles_done > 0 and self._wall_done > 0.0:
             return self._cycles_done / self._wall_done
         return None
@@ -293,9 +293,9 @@ class Scheduler:
             return
         for job, record, result in zip(batch, report.records,
                                        report.results, strict=True):
-            if record.status == EXECUTED and job.cost \
+            if record.status == EXECUTED and result is not None \
                     and record.wall_s > 0.0:
-                self._cycles_done += job.cost
+                self._cycles_done += result.stats.cycles
                 self._wall_done += record.wall_s
             if record.status in (EXECUTED, HIT, DUPLICATE) \
                     and result is not None:
