@@ -6,7 +6,9 @@ Grammar sketch (see :mod:`repro.compiler.parser` for the full grammar)::
         for (int i = 0; i < n; i = i + 1) { ... }
     }
 
-Every node carries its source line for diagnostics.
+Every node carries its source position (``line``, 1-based ``col``) for
+diagnostics.  The kernel DSL (:mod:`repro.lang`) parses its bodies into
+these same nodes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.compiler.types import Type
 @dataclass
 class Node:
     line: int = field(default=0, kw_only=True)
+    col: int = field(default=0, kw_only=True)
 
 
 # -- expressions -----------------------------------------------------------

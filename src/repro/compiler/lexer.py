@@ -1,4 +1,8 @@
-"""Tokenizer for the kernel language."""
+"""Tokenizer for the kernel language.
+
+The kernel DSL (:mod:`repro.lang`) tokenizes with it too and reserves
+a few more keywords on top.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ _OPERATORS = [
     "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^",
     "(", ")", "{", "}", "[", "]", ",", ";",
+    ":",  # only the kernel DSL's size tables use it
 ]
 
 

@@ -96,8 +96,7 @@ class Parser:
         return kernels
 
     def parse_kernel(self) -> ast.Kernel:
-        line = self.cur.line
-        self.expect("kernel")
+        tok = self.expect("kernel")
         name = self.expect_ident().text
         self.expect("(")
         params: list[ast.Param] = []
@@ -107,10 +106,11 @@ class Parser:
                 params.append(self.parse_param())
         self.expect(")")
         body = self.parse_block()
-        return ast.Kernel(name=name, params=params, body=body, line=line)
+        return ast.Kernel(name=name, params=params, body=body,
+                          line=tok.line, col=tok.column)
 
     def parse_param(self) -> ast.Param:
-        line = self.cur.line
+        tok = self.cur
         is_out = self.accept("out")
         base = self.parse_scalar_type()
         name = self.expect_ident().text
@@ -120,7 +120,7 @@ class Parser:
             is_array = True
         return ast.Param(
             type=Type(base.scalar, is_array=is_array),
-            name=name, is_out=is_out, line=line,
+            name=name, is_out=is_out, line=tok.line, col=tok.column,
         )
 
     def parse_scalar_type(self) -> Type:
@@ -153,43 +153,43 @@ class Parser:
         if self.check("while"):
             return self.parse_while()
         if self.check("break"):
-            line = self.advance().line
+            tok = self.advance()
             self.expect(";")
-            return ast.Break(line=line)
+            return ast.Break(line=tok.line, col=tok.column)
         if self.check("continue"):
-            line = self.advance().line
+            tok = self.advance()
             self.expect(";")
-            return ast.Continue(line=line)
+            return ast.Continue(line=tok.line, col=tok.column)
         stmt = self.parse_assign()
         self.expect(";")
         return stmt
 
     def parse_decl(self) -> ast.Decl:
-        line = self.cur.line
+        tok = self.cur
         base = self.parse_scalar_type()
         name = self.expect_ident().text
         self.expect("=")
         init = self.parse_expr()
         self.expect(";")
-        return ast.Decl(type=base, name=name, init=init, line=line)
+        return ast.Decl(type=base, name=name, init=init,
+                        line=tok.line, col=tok.column)
 
     def parse_assign(self) -> ast.Assign:
-        line = self.cur.line
-        name = self.expect_ident().text
+        tok = self.expect_ident()
         if self.accept("["):
             index = self.parse_expr()
             self.expect("]")
             target: ast.Name | ast.Index = ast.Index(
-                base=name, index=index, line=line)
+                base=tok.text, index=index, line=tok.line, col=tok.column)
         else:
-            target = ast.Name(ident=name, line=line)
+            target = ast.Name(ident=tok.text, line=tok.line, col=tok.column)
         self.expect("=")
         value = self.parse_expr()
-        return ast.Assign(target=target, value=value, line=line)
+        return ast.Assign(target=target, value=value,
+                          line=tok.line, col=tok.column)
 
     def parse_if(self) -> ast.If:
-        line = self.cur.line
-        self.expect("if")
+        tok = self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -199,11 +199,10 @@ class Parser:
             else_body = ([self.parse_if()] if self.check("if")
                          else self.parse_block())
         return ast.If(cond=cond, then_body=then_body, else_body=else_body,
-                      line=line)
+                      line=tok.line, col=tok.column)
 
     def parse_for(self) -> ast.For:
-        line = self.cur.line
-        self.expect("for")
+        tok = self.expect("for")
         self.expect("(")
         if self.check("int") or self.check("float"):
             init: ast.Decl | ast.Assign = self.parse_decl()  # eats ";"
@@ -215,16 +214,16 @@ class Parser:
         step = self.parse_assign()
         self.expect(")")
         body = self.parse_block()
-        return ast.For(init=init, cond=cond, step=step, body=body, line=line)
+        return ast.For(init=init, cond=cond, step=step, body=body,
+                       line=tok.line, col=tok.column)
 
     def parse_while(self) -> ast.While:
-        line = self.cur.line
-        self.expect("while")
+        tok = self.expect("while")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_block()
-        return ast.While(cond=cond, body=body, line=line)
+        return ast.While(cond=cond, body=body, line=tok.line, col=tok.column)
 
     # -- expressions -----------------------------------------------------------------
 
@@ -236,28 +235,26 @@ class Parser:
             op = self.advance()
             right = self.parse_expr(_PRECEDENCE[op.text] + 1)
             left = ast.Binary(op=op.text, left=left, right=right,
-                              line=op.line)
+                              line=op.line, col=op.column)
         return left
 
     def parse_unary(self) -> ast.Expr:
-        if self.check("-"):
+        if self.check("-") or self.check("!"):
             tok = self.advance()
-            return ast.Unary(op="-", operand=self.parse_unary(),
-                             line=tok.line)
-        if self.check("!"):
-            tok = self.advance()
-            return ast.Unary(op="!", operand=self.parse_unary(),
-                             line=tok.line)
+            return ast.Unary(op=tok.text, operand=self.parse_unary(),
+                             line=tok.line, col=tok.column)
         return self.parse_primary()
 
     def parse_primary(self) -> ast.Expr:
         tok = self.cur
         if tok.kind is TokKind.INT:
             self.advance()
-            return ast.IntLit(value=int(tok.text, 0), line=tok.line)
+            return ast.IntLit(value=self.int_value(tok),
+                              line=tok.line, col=tok.column)
         if tok.kind is TokKind.FLOAT:
             self.advance()
-            return ast.FloatLit(value=float(tok.text), line=tok.line)
+            return ast.FloatLit(value=float(tok.text),
+                                line=tok.line, col=tok.column)
         if self.accept("("):
             expr = self.parse_expr()
             self.expect(")")
@@ -268,28 +265,44 @@ class Parser:
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return ast.Call(func=tok.text, args=[arg], line=tok.line)
+            return ast.Call(func=tok.text, args=[arg],
+                            line=tok.line, col=tok.column)
         if tok.kind is TokKind.IDENT:
             self.advance()
             if self.accept("["):
                 index = self.parse_expr()
                 self.expect("]")
-                return ast.Index(base=tok.text, index=index, line=tok.line)
+                return ast.Index(base=tok.text, index=index,
+                                 line=tok.line, col=tok.column)
             if self.accept("("):
-                if tok.text not in INTRINSICS:
-                    raise ParseError(
-                        f"unknown function {tok.text!r} (intrinsics: "
-                        f"{sorted(INTRINSICS)})", tok.line, tok.column)
+                self.check_call(tok)
                 args = []
                 if not self.check(")"):
                     args.append(self.parse_expr())
                     while self.accept(","):
                         args.append(self.parse_expr())
                 self.expect(")")
-                return ast.Call(func=tok.text, args=args, line=tok.line)
-            return ast.Name(ident=tok.text, line=tok.line)
+                return ast.Call(func=tok.text, args=args,
+                                line=tok.line, col=tok.column)
+            return ast.Name(ident=tok.text, line=tok.line, col=tok.column)
         self.fail(f"expected expression, found {tok.text!r}")
         raise AssertionError  # pragma: no cover
+
+    def int_value(self, tok: Token) -> int:
+        """Value of an int token: hex with a ``0x`` prefix, else decimal
+        (leading zeros allowed: ``08`` is 8)."""
+        try:
+            return int(tok.text, 16 if tok.text[:2] in ("0x", "0X") else 10)
+        except ValueError:   # more digits than int() converts
+            raise ParseError(f"integer literal too long: {tok.text[:20]}...",
+                             tok.line, tok.column) from None
+
+    def check_call(self, tok: Token) -> None:
+        """Reject a call to ``tok``'s name unless it is an intrinsic."""
+        if tok.text not in INTRINSICS:
+            raise ParseError(
+                f"unknown function {tok.text!r} (intrinsics: "
+                f"{sorted(INTRINSICS)})", tok.line, tok.column)
 
 
 def parse_kernels(source: str) -> list[ast.Kernel]:

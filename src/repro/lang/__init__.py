@@ -1,10 +1,23 @@
 """``repro.lang`` — the validated kernel DSL.
 
 A small, safely-interpretable textual language for submitting custom
-kernels to the harness and the service without shipping Python code:
+kernels to the harness and the service without shipping Python code.
+The grammar is a header (sizes, ``in``/``out`` parameters, ``work``,
+``flops``) + ``dyser {}`` over kernel-language statements: the DSL
+parser (:mod:`repro.lang.parser`) extends the compiler's parser over
+the compiler's tokenizer and builds its nodes
+(:mod:`repro.compiler.ast_nodes`).  Where each subset rule is enforced:
 
-- :func:`parse_kernel_source` — recursive-descent parser producing a
-  frozen, content-hashable :class:`KernelSpec` AST;
+- the parser rejects the bit and shift operators (``RPR500``);
+- the validator rejects calls outside :data:`DSL_INTRINSICS`
+  (``RPR516``, ``int(e)`` included), integer ``/`` and ``%``
+  (``RPR514``), and everything else the type/shape check and the
+  fabric lint find (the rest of the ``RPR5xx`` bank).
+
+The entry points:
+
+- :func:`parse_kernel_source` — the header and body parser producing
+  a content-hashable :class:`KernelSpec`;
 - :func:`check_source` — the fail-closed validation pipeline (syntax →
   type/shape check → fabric resource lint) emitting stable ``RPR5xx``
   diagnostics; nothing that fails it ever reaches a worker;

@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from typing import Any
 
+from repro.compiler import ast_nodes as ast
 from repro.errors import WorkloadError
-from repro.lang import nodes
+from repro.lang.nodes import DyserBlock, KernelSpec
 from repro.lang.validate import INTERP_STEP_BUDGET
 
 
@@ -44,7 +45,7 @@ class Interpreter:
         self.budget = budget
         self.steps = 0
 
-    def run(self, spec: nodes.KernelSpec) -> None:
+    def run(self, spec: KernelSpec) -> None:
         for stmt in spec.body:
             self.stmt(stmt)
 
@@ -58,19 +59,24 @@ class Interpreter:
                 f"({self.budget}); data-dependent loops must terminate",
                 code="RPR540", steps=self.steps)
 
-    def stmt(self, stmt: nodes.Stmt) -> None:
+    # Dispatch on exact node types: the node classes are leaves, and
+    # ``type(x) is C`` is cheaper than an ``isinstance`` miss walking a
+    # compiler node's MRO (prepare runs this loop for every DSL run).
+
+    def stmt(self, stmt: ast.Stmt) -> None:
         self._tick()
-        if isinstance(stmt, nodes.Decl):
-            self.env[stmt.ident] = self.expr(stmt.expr)
-        elif isinstance(stmt, nodes.Assign):
+        if type(stmt) is ast.Decl:
+            self.env[stmt.name] = self.expr(stmt.init)
+        elif type(stmt) is ast.Assign:
             self.assign(stmt)
-        elif isinstance(stmt, nodes.If):
-            branch = stmt.then if self.expr(stmt.cond) else stmt.orelse
+        elif type(stmt) is ast.If:
+            branch = (stmt.then_body if self.expr(stmt.cond)
+                      else stmt.else_body)
             for s in branch:
                 self.stmt(s)
-        elif isinstance(stmt, nodes.For):
-            if isinstance(stmt.init, nodes.Decl):
-                self.env[stmt.init.ident] = self.expr(stmt.init.expr)
+        elif type(stmt) is ast.For:
+            if isinstance(stmt.init, ast.Decl):
+                self.env[stmt.init.name] = self.expr(stmt.init.init)
             else:
                 self.assign(stmt.init)
             while self.expr(stmt.cond):
@@ -83,7 +89,7 @@ class Interpreter:
                 except _BreakLoop:
                     break
                 self.assign(stmt.step)
-        elif isinstance(stmt, nodes.While):
+        elif type(stmt) is ast.While:
             while self.expr(stmt.cond):
                 self._tick()
                 try:
@@ -93,72 +99,74 @@ class Interpreter:
                     continue
                 except _BreakLoop:
                     break
-        elif isinstance(stmt, nodes.Break):
+        elif type(stmt) is ast.Break:
             raise _BreakLoop()
-        elif isinstance(stmt, nodes.Continue):
+        elif type(stmt) is ast.Continue:
             raise _ContinueLoop()
-        elif isinstance(stmt, nodes.DyserBlock):
+        elif type(stmt) is DyserBlock:
             for s in stmt.body:
                 self.stmt(s)
 
-    def assign(self, stmt: nodes.Assign) -> None:
-        value = self.expr(stmt.expr)
+    def assign(self, stmt: ast.Assign | None) -> None:
+        assert stmt is not None
+        value = self.expr(stmt.value)
         target = stmt.target
-        if isinstance(target, nodes.Index):
-            array = self.env[target.ident]
+        if isinstance(target, ast.Index):
+            array = self.env[target.base]
             index = self.expr(target.index)
             if not 0 <= index < len(array):
                 raise WorkloadError(
-                    f"{target.ident}[{index}] is out of bounds "
+                    f"{target.base}[{index}] is out of bounds "
                     f"(length {len(array)})",
                     code="RPR512", index=index, length=len(array))
             array[index] = value
         else:
+            assert target is not None
             self.env[target.ident] = value
 
     # -- expressions ----------------------------------------------------
 
-    def expr(self, expr: nodes.Expr) -> Any:
-        if isinstance(expr, nodes.Num):
+    def expr(self, expr: ast.Expr | None) -> Any:
+        if type(expr) is ast.IntLit or type(expr) is ast.FloatLit:
             return expr.value
-        if isinstance(expr, nodes.Name):
+        if type(expr) is ast.Name:
             return self.env[expr.ident]
-        if isinstance(expr, nodes.Index):
-            array = self.env[expr.ident]
+        if type(expr) is ast.Index:
+            array = self.env[expr.base]
             index = self.expr(expr.index)
             if not 0 <= index < len(array):
                 raise WorkloadError(
-                    f"{expr.ident}[{index}] is out of bounds "
+                    f"{expr.base}[{index}] is out of bounds "
                     f"(length {len(array)})",
                     code="RPR512", index=index, length=len(array))
             return array[index]
-        if isinstance(expr, nodes.Call):
+        if type(expr) is ast.Call:
             args = [self.expr(a) for a in expr.args]
-            if expr.fn == "sqrt":
+            if expr.func == "sqrt":
                 if args[0] < 0.0:
                     raise WorkloadError("sqrt of a negative value",
                                         code="RPR511", value=args[0])
                 return math.sqrt(args[0])
-            if expr.fn == "abs":
+            if expr.func == "abs":
                 return abs(args[0])
-            if expr.fn == "float":
+            if expr.func == "float":
                 return float(args[0])
-            if expr.fn == "min":
+            if expr.func == "min":
                 return min(args)
             return max(args)
-        if isinstance(expr, nodes.Unary):
+        if type(expr) is ast.Unary:
             value = self.expr(expr.operand)
             return -value if expr.op == "-" else int(not value)
-        assert isinstance(expr, nodes.Binary)
+        assert type(expr) is ast.Binary
         op = expr.op
         if op == "&&":
-            return int(bool(self.expr(expr.lhs))
-                       and bool(self.expr(expr.rhs)))
+            return int(bool(self.expr(expr.left))
+                       and bool(self.expr(expr.right)))
         if op == "||":
-            return int(bool(self.expr(expr.lhs))
-                       or bool(self.expr(expr.rhs)))
-        lhs = self.expr(expr.lhs)
-        rhs = self.expr(expr.rhs)
+            return int(bool(self.expr(expr.left))
+                       or bool(self.expr(expr.right)))
+        lhs = self.expr(expr.left)
+        rhs = self.expr(expr.right)
         if op == "+":
             return lhs + rhs
         if op == "-":

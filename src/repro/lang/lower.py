@@ -23,9 +23,10 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.compiler import ast_nodes as ast
 from repro.errors import WorkloadError
-from repro.lang import nodes
 from repro.lang.interp import Interpreter
+from repro.lang.nodes import DyserBlock, KernelSpec, ParamDecl
 from repro.lang.validate import eval_size, literal_value, size_env
 from repro.workloads.base import (
     IRREGULAR_DSL,
@@ -39,76 +40,72 @@ from repro.workloads.base import (
 # -- kernel-language pretty printer ---------------------------------------
 
 
-def _expr_text(expr: nodes.Expr) -> str:
-    if isinstance(expr, nodes.Num):
-        if expr.type == "int":
-            return str(int(expr.value))
-        return repr(float(expr.value))
-    if isinstance(expr, nodes.Name):
+def _expr_text(expr: ast.Expr | None) -> str:
+    if isinstance(expr, ast.IntLit):
+        return str(expr.value)
+    if isinstance(expr, ast.FloatLit):
+        return repr(expr.value)
+    if isinstance(expr, ast.Name):
         return expr.ident
-    if isinstance(expr, nodes.Index):
-        return f"{expr.ident}[{_expr_text(expr.index)}]"
-    if isinstance(expr, nodes.Call):
+    if isinstance(expr, ast.Index):
+        return f"{expr.base}[{_expr_text(expr.index)}]"
+    if isinstance(expr, ast.Call):
         args = ", ".join(_expr_text(a) for a in expr.args)
-        return f"{expr.fn}({args})"
-    if isinstance(expr, nodes.Unary):
+        return f"{expr.func}({args})"
+    if isinstance(expr, ast.Unary):
         return f"({expr.op}{_expr_text(expr.operand)})"
-    assert isinstance(expr, nodes.Binary)
-    return f"({_expr_text(expr.lhs)} {expr.op} {_expr_text(expr.rhs)})"
+    assert isinstance(expr, ast.Binary)
+    return f"({_expr_text(expr.left)} {expr.op} {_expr_text(expr.right)})"
 
 
-def _assign_text(stmt: nodes.Assign) -> str:
-    return f"{_expr_text(stmt.target)} = {_expr_text(stmt.expr)}"
+def _simple_text(stmt: ast.Decl | ast.Assign | None) -> str:
+    """A declaration or an assignment, without its ``;``."""
+    if isinstance(stmt, ast.Decl):
+        return f"{stmt.type} {stmt.name} = {_expr_text(stmt.init)}"
+    assert stmt is not None
+    return f"{_expr_text(stmt.target)} = {_expr_text(stmt.value)}"
 
 
-def _stmt_lines(stmt: nodes.Stmt, indent: int) -> list[str]:
+def _stmt_lines(stmt: ast.Stmt, indent: int) -> list[str]:
     pad = "    " * indent
-    if isinstance(stmt, nodes.Decl):
-        return [f"{pad}{stmt.type} {stmt.ident} = "
-                f"{_expr_text(stmt.expr)};"]
-    if isinstance(stmt, nodes.Assign):
-        return [f"{pad}{_assign_text(stmt)};"]
-    if isinstance(stmt, nodes.If):
+    if isinstance(stmt, (ast.Decl, ast.Assign)):
+        return [f"{pad}{_simple_text(stmt)};"]
+    if isinstance(stmt, ast.If):
         lines = [f"{pad}if ({_expr_text(stmt.cond)}) {{"]
-        for s in stmt.then:
+        for s in stmt.then_body:
             lines.extend(_stmt_lines(s, indent + 1))
-        if stmt.orelse:
+        if stmt.else_body:
             lines.append(f"{pad}}} else {{")
-            for s in stmt.orelse:
+            for s in stmt.else_body:
                 lines.extend(_stmt_lines(s, indent + 1))
         lines.append(f"{pad}}}")
         return lines
-    if isinstance(stmt, nodes.For):
-        if isinstance(stmt.init, nodes.Decl):
-            init = (f"{stmt.init.type} {stmt.init.ident} = "
-                    f"{_expr_text(stmt.init.expr)};")
-        else:
-            init = f"{_assign_text(stmt.init)};"
-        head = (f"{pad}for ({init} {_expr_text(stmt.cond)}; "
-                f"{_assign_text(stmt.step)}) {{")
+    if isinstance(stmt, ast.For):
+        head = (f"{pad}for ({_simple_text(stmt.init)}; "
+                f"{_expr_text(stmt.cond)}; {_simple_text(stmt.step)}) {{")
         lines = [head]
         for s in stmt.body:
             lines.extend(_stmt_lines(s, indent + 1))
         lines.append(f"{pad}}}")
         return lines
-    if isinstance(stmt, nodes.While):
+    if isinstance(stmt, ast.While):
         lines = [f"{pad}while ({_expr_text(stmt.cond)}) {{"]
         for s in stmt.body:
             lines.extend(_stmt_lines(s, indent + 1))
         lines.append(f"{pad}}}")
         return lines
-    if isinstance(stmt, nodes.Break):
+    if isinstance(stmt, ast.Break):
         return [f"{pad}break;"]
-    if isinstance(stmt, nodes.Continue):
+    if isinstance(stmt, ast.Continue):
         return [f"{pad}continue;"]
-    assert isinstance(stmt, nodes.DyserBlock)
+    assert isinstance(stmt, DyserBlock)
     lines = []
     for s in stmt.body:
         lines.extend(_stmt_lines(s, indent))
     return lines
 
 
-def lowered_source(spec: nodes.KernelSpec) -> str:
+def lowered_source(spec: KernelSpec) -> str:
     """Kernel-language source text for a validated spec."""
     params = []
     for p in spec.params:
@@ -125,7 +122,7 @@ def lowered_source(spec: nodes.KernelSpec) -> str:
 # -- input generation ------------------------------------------------------
 
 
-def _gen_array(param: nodes.ParamDecl, length: int,
+def _gen_array(param: ParamDecl, length: int,
                env: dict[str, int], rng: np.random.Generator) -> np.ndarray:
     init = param.init
     if param.is_out or init is None or init.fn == "zeros":
@@ -155,7 +152,7 @@ def _gen_array(param: nodes.ParamDecl, length: int,
     return rng.permutation(length).astype(np.int64)
 
 
-def _make_prepare(spec: nodes.KernelSpec) -> Callable:
+def _make_prepare(spec: KernelSpec) -> Callable:
     def prepare(memory, scale: str, seed: int) -> Instance:
         env = size_env(spec, scale)
         rng = np.random.default_rng(seed)
@@ -219,7 +216,7 @@ def _make_prepare(spec: nodes.KernelSpec) -> Callable:
     return prepare
 
 
-def lower_spec(spec: nodes.KernelSpec, *, name: str | None = None,
+def lower_spec(spec: KernelSpec, *, name: str | None = None,
                category: str = IRREGULAR_DSL,
                description: str | None = None) -> Workload:
     """Compile a validated spec into a standard :class:`Workload`.

@@ -1,19 +1,21 @@
-"""Frozen AST for the kernel DSL (:mod:`repro.lang`).
+"""The kernel DSL's own nodes and its content hash (:mod:`repro.lang`).
 
-A parsed kernel is a :class:`KernelSpec` — an immutable tree of plain
-dataclasses.  Two properties matter:
+A parsed kernel is a :class:`KernelSpec`: the DSL header (sizes,
+parameters, ``work``, ``flops``) around a body of kernel-language
+statements.  Body statements and every expression, header expressions
+included, are the compiler's nodes (:mod:`repro.compiler.ast_nodes`);
+this module adds only the header declarations and the ``dyser { }``
+statement (:class:`DyserBlock`).  Two properties matter:
 
-- **Content-hashable.**  :meth:`KernelSpec.to_dict` is a canonical,
-  JSON-safe view of the *semantics* of the kernel: source positions are
-  deliberately excluded, so reformatting a kernel (whitespace, comments,
-  line breaks) never changes :func:`kernel_hash`.  The hash keys the
-  kernel store, the service's ``kernel_hash`` handle and the derived
-  workload name.
-- **Frozen.**  Every node is a frozen dataclass built from tuples, so a
-  validated spec can be shared across threads and memoized safely.
-
-Positions (``line``/``col``) ride along on every node for diagnostics
-but use ``compare=False`` and are skipped by ``to_dict``.
+- **Content-hashable.**  :func:`canonical` is a canonical, JSON-safe
+  view of the *semantics* of a node: source positions are deliberately
+  excluded, so reformatting a kernel (whitespace, comments, line
+  breaks) never changes :attr:`KernelSpec.kernel_hash`.  The hash keys
+  the kernel store, the service's ``kernel_hash`` handle and the
+  derived workload name.
+- **Never mutated.**  Nothing changes a spec after parsing (lowering
+  prints it, the compiler parses that text afresh), so a validated spec
+  can be shared across threads and memoized safely.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Any, Callable
+
+from repro.compiler import ast_nodes as ast
 
 #: Scale names every DSL kernel must define sizes for (mirrors the
 #: harness' standard scales; extra scales are allowed on top).
@@ -35,181 +39,8 @@ INIT_FUNCTIONS = ("uniform", "randint", "monotone", "permutation", "zeros")
 DSL_INTRINSICS = ("abs", "min", "max", "sqrt", "float")
 
 
-# -- expressions --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    """Integer or float literal (``type`` is ``"int"`` or ``"float"``)."""
-
-    value: Union[int, float]
-    type: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "num", "value": self.value, "type": self.type}
-
-
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "name", "ident": self.ident}
-
-
-@dataclass(frozen=True)
-class Index:
-    """``array[expr]`` load (or store target, as an lvalue)."""
-
-    ident: str
-    index: "Expr"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "index", "ident": self.ident,
-                "index": self.index.to_dict()}
-
-
-@dataclass(frozen=True)
-class Call:
-    """Intrinsic call (``min``, ``max``, ``abs``, ``sqrt``, ``float``)."""
-
-    fn: str
-    args: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "call", "fn": self.fn,
-                "args": [a.to_dict() for a in self.args]}
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: "Expr"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "unary", "op": self.op,
-                "operand": self.operand.to_dict()}
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "binary", "op": self.op,
-                "lhs": self.lhs.to_dict(), "rhs": self.rhs.to_dict()}
-
-
-Expr = Union[Num, Name, Index, Call, Unary, Binary]
-
-
-# -- statements ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Decl:
-    """``int i = expr;`` — local variable declaration."""
-
-    type: str
-    ident: str
-    expr: Expr
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "decl", "type": self.type, "ident": self.ident,
-                "expr": self.expr.to_dict()}
-
-
-@dataclass(frozen=True)
-class Assign:
-    """``lvalue = expr;`` where lvalue is a Name or Index node."""
-
-    target: Union[Name, Index]
-    expr: Expr
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "assign", "target": self.target.to_dict(),
-                "expr": self.expr.to_dict()}
-
-
-@dataclass(frozen=True)
-class If:
-    cond: Expr
-    then: tuple
-    orelse: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "if", "cond": self.cond.to_dict(),
-                "then": [s.to_dict() for s in self.then],
-                "orelse": [s.to_dict() for s in self.orelse]}
-
-
-@dataclass(frozen=True)
-class For:
-    init: Union[Decl, Assign]
-    cond: Expr
-    step: Assign
-    body: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "for", "init": self.init.to_dict(),
-                "cond": self.cond.to_dict(), "step": self.step.to_dict(),
-                "body": [s.to_dict() for s in self.body]}
-
-
-@dataclass(frozen=True)
-class While:
-    cond: Expr
-    body: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "while", "cond": self.cond.to_dict(),
-                "body": [s.to_dict() for s in self.body]}
-
-
-@dataclass(frozen=True)
-class Break:
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "break"}
-
-
-@dataclass(frozen=True)
-class Continue:
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "continue"}
-
-
-@dataclass(frozen=True)
-class DyserBlock:
+@dataclass
+class DyserBlock(ast.Stmt):
     """``dyser { ... }`` — declared offload intent.
 
     Lowering inlines the body (the co-designed compiler picks regions
@@ -217,15 +48,7 @@ class DyserBlock:
     fabric's functional-unit and port budgets *before* any worker runs.
     """
 
-    body: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "dyser", "body": [s.to_dict() for s in self.body]}
-
-
-Stmt = Union[Decl, Assign, If, For, While, Break, Continue, DyserBlock]
+    body: list[ast.Stmt] = field(default_factory=list)
 
 
 # -- header declarations ------------------------------------------------
@@ -238,14 +61,9 @@ class SizeDecl:
 
     ident: str
     table: tuple = ()        # ((scale, int), ...) — empty when derived
-    expr: Expr | None = None
+    expr: ast.Expr | None = None
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"kind": "size", "ident": self.ident,
-                "table": [list(p) for p in self.table],
-                "expr": self.expr.to_dict() if self.expr else None}
 
 
 @dataclass(frozen=True)
@@ -262,10 +80,6 @@ class InitSpec:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
-    def to_dict(self) -> dict:
-        return {"kind": "init", "fn": self.fn,
-                "args": [a.to_dict() for a in self.args]}
-
 
 @dataclass(frozen=True)
 class ParamDecl:
@@ -276,20 +90,11 @@ class ParamDecl:
     type: str                      # "int" | "float"
     is_out: bool
     is_array: bool
-    length: Expr | None = None     # size expression (arrays only)
-    init: InitSpec | None = None   # arrays: generator; scalars: None
-    value: Expr | None = None      # scalar ints: size expression
+    length: ast.Expr | None = None  # size expression (arrays only)
+    init: InitSpec | None = None    # arrays: generator; scalars: None
+    value: ast.Expr | None = None   # scalar ints: size expression
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "param", "ident": self.ident, "type": self.type,
-            "out": self.is_out, "array": self.is_array,
-            "length": self.length.to_dict() if self.length else None,
-            "init": self.init.to_dict() if self.init else None,
-            "value": self.value.to_dict() if self.value else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -299,18 +104,18 @@ class KernelSpec:
     name: str
     sizes: tuple = ()    # SizeDecl...
     params: tuple = ()   # ParamDecl...
-    body: tuple = ()     # Stmt...
-    work: Expr | None = None     # work_items size expression
-    flops: float = 0.0           # flops per work item (reporting only)
+    body: tuple = ()     # ast.Stmt...
+    work: ast.Expr | None = None     # work_items size expression
+    flops: float = 0.0               # flops per work item (reporting only)
 
     def to_dict(self) -> dict:
         return {
             "format": "repro-kernel-dsl-v1",
             "name": self.name,
-            "sizes": [s.to_dict() for s in self.sizes],
-            "params": [p.to_dict() for p in self.params],
-            "body": [s.to_dict() for s in self.body],
-            "work": self.work.to_dict() if self.work else None,
+            "sizes": _all(self.sizes),
+            "params": _all(self.params),
+            "body": _all(self.body),
+            "work": canonical(self.work),
             "flops": self.flops,
         }
 
@@ -327,3 +132,61 @@ class KernelSpec:
     def workload_name(self) -> str:
         """The suite-registry name a submitted kernel runs under."""
         return f"dsl:{self.kernel_hash[:16]}"
+
+
+# -- the canonical form --------------------------------------------------
+
+
+def canonical(node: Any) -> dict | None:
+    """The position-free dict of one node (None stays None): a compiler
+    expression or statement, a :class:`DyserBlock` or a header
+    declaration.  :meth:`KernelSpec.to_dict` is built from it alone."""
+    if node is None:
+        return None
+    return _CANONICAL[type(node)](node)
+
+
+def _all(nodes) -> list:
+    return [canonical(n) for n in nodes]
+
+
+_CANONICAL: dict[type, Callable[[Any], dict]] = {
+    ast.IntLit: lambda n: {"kind": "num", "value": n.value, "type": "int"},
+    ast.FloatLit: lambda n: {"kind": "num", "value": n.value,
+                             "type": "float"},
+    ast.Name: lambda n: {"kind": "name", "ident": n.ident},
+    ast.Index: lambda n: {"kind": "index", "ident": n.base,
+                          "index": canonical(n.index)},
+    ast.Call: lambda n: {"kind": "call", "fn": n.func,
+                         "args": _all(n.args)},
+    ast.Unary: lambda n: {"kind": "unary", "op": n.op,
+                          "operand": canonical(n.operand)},
+    ast.Binary: lambda n: {"kind": "binary", "op": n.op,
+                           "lhs": canonical(n.left),
+                           "rhs": canonical(n.right)},
+    ast.Decl: lambda n: {"kind": "decl", "type": str(n.type),
+                         "ident": n.name, "expr": canonical(n.init)},
+    ast.Assign: lambda n: {"kind": "assign", "target": canonical(n.target),
+                           "expr": canonical(n.value)},
+    ast.If: lambda n: {"kind": "if", "cond": canonical(n.cond),
+                       "then": _all(n.then_body),
+                       "orelse": _all(n.else_body)},
+    ast.For: lambda n: {"kind": "for", "init": canonical(n.init),
+                        "cond": canonical(n.cond),
+                        "step": canonical(n.step), "body": _all(n.body)},
+    ast.While: lambda n: {"kind": "while", "cond": canonical(n.cond),
+                          "body": _all(n.body)},
+    ast.Break: lambda n: {"kind": "break"},
+    ast.Continue: lambda n: {"kind": "continue"},
+    DyserBlock: lambda n: {"kind": "dyser", "body": _all(n.body)},
+    SizeDecl: lambda n: {"kind": "size", "ident": n.ident,
+                         "table": [list(p) for p in n.table],
+                         "expr": canonical(n.expr)},
+    InitSpec: lambda n: {"kind": "init", "fn": n.fn, "args": _all(n.args)},
+    ParamDecl: lambda n: {"kind": "param", "ident": n.ident,
+                          "type": n.type, "out": n.is_out,
+                          "array": n.is_array,
+                          "length": canonical(n.length),
+                          "init": canonical(n.init),
+                          "value": canonical(n.value)},
+}

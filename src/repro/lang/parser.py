@@ -1,180 +1,88 @@
-"""Lexer + recursive-descent parser for the kernel DSL.
+"""Parser for the kernel DSL: a header + ``dyser {}`` over kernel-language
+statements.
 
 Grammar::
 
     kernel    := "kernel" IDENT "{" header* stmt* "}"
     header    := size | param | "work" "=" expr ";"
-               | "flops" "=" NUMBER ";"
+               | "flops" "=" "-"? NUMBER ";"
     size      := "size" IDENT "=" (table | expr) ";"
     table     := "{" IDENT ":" INT ("," IDENT ":" INT)* "}"
     param     := ("in" | "out") type IDENT
                  ( "[" expr "]" ("=" init)? | "=" expr )? ";"
-    init      := IDENT "(" numbers? ")"
-    type      := "int" | "float"
-    stmt      := decl | assign ";" | if | for | while | dyser
-               | "break" ";" | "continue" ";"
-    decl      := type IDENT "=" expr ";"
-    assign    := lvalue "=" expr
-    lvalue    := IDENT | IDENT "[" expr "]"
-    if        := "if" "(" expr ")" block ("else" (block | if))?
-    for       := "for" "(" (decl | assign ";") expr ";" assign ")" block
-    while     := "while" "(" expr ")" block
-    dyser     := "dyser" block
-    block     := "{" stmt* "}"
-    expr      := precedence climbing over
-                 ||  &&  (== !=)  (< <= > >=)  (+ -)  (* / %)
-                 unary (- !)  primary
-    primary   := NUMBER | IDENT | IDENT "[" expr "]"
-               | IDENT "(" args ")" | "(" expr ")"
+    init      := IDENT "(" (expr ("," expr)*)? ")"
+    stmt      := <kernel-language stmt> | "dyser" block
 
-Deliberately a *subset* of the kernel language (no bit ops, no shifts)
-plus the header forms and the ``dyser { }`` invoke-region construct.
-``//`` comments and whitespace are insignificant: the content hash is
-taken over the AST, so formatting never changes a kernel's identity.
+Everything else (tokens, literals, comments, statements, expressions)
+is the kernel language's: :class:`Parser` extends the compiler's
+:class:`repro.compiler.parser.Parser` over its tokenizer and builds its
+nodes (:mod:`repro.compiler.ast_nodes`).  The DSL is a *subset* of that
+language, and each subset rule is enforced in one place:
+
+- ``size``, ``in``, ``work``, ``flops`` and ``dyser`` are reserved
+  words here (turned into keywords after tokenizing);
+- ``&``, ``|``, ``^``, ``<<`` and ``>>`` are rejected here, right after
+  tokenizing, as ``RPR500`` at the operator (the interpreter has no
+  semantics for them);
+- a call parses whatever its name; the validator
+  (:mod:`repro.lang.validate`) rejects any name outside
+  :data:`~repro.lang.nodes.DSL_INTRINSICS`, ``int(e)`` included, as
+  ``RPR516``, and integer ``/`` and ``%`` as ``RPR514``.
+
+Whitespace and comments are insignificant: the content hash is taken
+over the AST, so formatting never changes a kernel's identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.compiler import ast_nodes as ast
+from repro.compiler import parser as kernel_parser
+from repro.compiler.lexer import TokKind, Token
+from repro.errors import LexerError
+from repro.lang.nodes import (
+    DyserBlock,
+    InitSpec,
+    KernelSpec,
+    ParamDecl,
+    SizeDecl,
+)
 
-from repro.errors import LexerError, ParseError
-from repro.lang import nodes
+#: Words the DSL reserves on top of the kernel language's keywords.
+_DSL_KEYWORDS = frozenset({"size", "in", "work", "flops", "dyser"})
 
-_KEYWORDS = frozenset({
-    "kernel", "size", "in", "out", "work", "flops", "int", "float",
-    "if", "else", "for", "while", "break", "continue", "dyser",
-})
-
-#: Multi-character operators, longest first.
-_OPS2 = ("||", "&&", "==", "!=", "<=", ">=")
-_OPS1 = "{}()[],;:=<>+-*/%!"
-
-_PRECEDENCE = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
+#: Kernel-language operators outside the DSL subset.
+_EXCLUDED_OPS = frozenset({"&", "|", "^", "<<", ">>"})
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str        # "ident" | "keyword" | "int" | "float" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i, n = 1, 1, 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "keyword" if text in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n
-                            and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            tokens.append(Token("float" if is_float else "int", text,
-                                start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in _OPS2:
-            tokens.append(Token("op", two, start_line, start_col))
-            i, col = i + 2, col + 2
-            continue
-        if ch in _OPS1:
-            tokens.append(Token("op", ch, start_line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        raise LexerError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-class Parser:
-    """Hand-rolled recursive descent over the token stream."""
+class Parser(kernel_parser.Parser):
+    """The kernel-language parser plus the DSL header and ``dyser {}``."""
 
     def __init__(self, source: str) -> None:
-        self.tokens = tokenize(source)
-        self.pos = 0
+        super().__init__(source)
+        for i, tok in enumerate(self.tokens):
+            if tok.kind is TokKind.OP and tok.text in _EXCLUDED_OPS:
+                raise LexerError(
+                    f"operator {tok.text!r} is outside the DSL subset",
+                    tok.line, tok.column)
+            if tok.kind is TokKind.IDENT and tok.text in _DSL_KEYWORDS:
+                self.tokens[i] = Token(TokKind.KEYWORD, tok.text,
+                                       tok.line, tok.column)
 
-    # -- token plumbing -------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def check(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in ("op", "keyword")
-
-    def accept(self, text: str) -> bool:
-        if self.check(text):
-            self.advance()
-            return True
-        return False
-
-    def expect(self, text: str) -> Token:
-        if not self.check(text):
-            self.fail(f"expected {text!r}, found {self.cur.text!r}")
-        return self.advance()
-
-    def expect_ident(self) -> Token:
-        if self.cur.kind != "ident":
-            self.fail(f"expected identifier, found {self.cur.text!r}")
-        return self.advance()
-
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.cur.line, self.cur.col)
+    def check_call(self, tok: Token) -> None:
+        """Any name parses as a call; the validator rejects the ones
+        outside the DSL intrinsics (``RPR516``)."""
 
     # -- kernel ---------------------------------------------------------
 
-    def parse_kernel(self) -> nodes.KernelSpec:
+    def parse_spec(self) -> KernelSpec:
         self.expect("kernel")
         name = self.expect_ident().text
         self.expect("{")
-        sizes: list[nodes.SizeDecl] = []
-        params: list[nodes.ParamDecl] = []
-        work: nodes.Expr | None = None
+        sizes: list[SizeDecl] = []
+        params: list[ParamDecl] = []
+        work: ast.Expr | None = None
         flops = 0.0
-        while self.cur.text in ("size", "in", "out", "work", "flops"):
+        while True:
             if self.accept("size"):
                 sizes.append(self._size_decl())
             elif self.check("in") or self.check("out"):
@@ -183,33 +91,38 @@ class Parser:
                 self.expect("=")
                 work = self.parse_expr()
                 self.expect(";")
-            else:
-                self.accept("flops")
+            elif self.accept("flops"):
                 self.expect("=")
-                flops = float(self._number())
+                flops = self._number()
                 self.expect(";")
+            else:
+                break
         body = []
         while not self.check("}"):
-            if self.cur.kind == "eof":
+            if self.cur.kind is TokKind.EOF:
                 self.fail("unterminated kernel body")
             body.append(self.parse_stmt())
         self.expect("}")
-        if self.cur.kind != "eof":
+        if self.cur.kind is not TokKind.EOF:
             self.fail(f"trailing input after kernel: {self.cur.text!r}")
-        return nodes.KernelSpec(name=name, sizes=tuple(sizes),
-                                params=tuple(params), body=tuple(body),
-                                work=work, flops=flops)
+        return KernelSpec(name=name, sizes=tuple(sizes),
+                          params=tuple(params), body=tuple(body),
+                          work=work, flops=flops)
 
     def _number(self) -> float:
         negate = self.accept("-")
         tok = self.cur
-        if tok.kind not in ("int", "float"):
+        if tok.kind not in (TokKind.INT, TokKind.FLOAT):
             self.fail(f"expected number, found {tok.text!r}")
+        try:
+            value = float(self.int_value(tok) if tok.kind is TokKind.INT
+                          else tok.text)
+        except OverflowError:
+            self.fail(f"number out of range: {tok.text[:20]}...")
         self.advance()
-        value = float(tok.text)
         return -value if negate else value
 
-    def _size_decl(self) -> nodes.SizeDecl:
+    def _size_decl(self) -> SizeDecl:
         tok = self.expect_ident()
         self.expect("=")
         if self.check("{"):
@@ -219,25 +132,24 @@ class Parser:
                 scale = self.expect_ident().text
                 self.expect(":")
                 num = self.cur
-                if num.kind != "int":
+                if num.kind is not TokKind.INT:
                     self.fail(f"scale sizes must be integer literals, "
                               f"found {num.text!r}")
                 self.advance()
-                table.append((scale, int(num.text)))
+                table.append((scale, self.int_value(num)))
                 if not self.accept(","):
                     break
             self.expect("}")
             self.expect(";")
-            return nodes.SizeDecl(ident=tok.text, table=tuple(table),
-                                  line=tok.line, col=tok.col)
+            return SizeDecl(ident=tok.text, table=tuple(table),
+                            line=tok.line, col=tok.column)
         expr = self.parse_expr()
         self.expect(";")
-        return nodes.SizeDecl(ident=tok.text, expr=expr,
-                              line=tok.line, col=tok.col)
+        return SizeDecl(ident=tok.text, expr=expr,
+                        line=tok.line, col=tok.column)
 
-    def _param_decl(self) -> nodes.ParamDecl:
-        is_out = self.cur.text == "out"
-        self.advance()                      # "in" or "out"
+    def _param_decl(self) -> ParamDecl:
+        is_out = self.advance().text == "out"     # "in" or "out"
         if not (self.check("int") or self.check("float")):
             self.fail(f"expected parameter type, found {self.cur.text!r}")
         ptype = self.advance().text
@@ -245,195 +157,43 @@ class Parser:
         if self.accept("["):
             length = self.parse_expr()
             self.expect("]")
-            init: nodes.InitSpec | None = None
+            init: InitSpec | None = None
             if self.accept("="):
                 init = self._init_spec()
             self.expect(";")
-            return nodes.ParamDecl(ident=tok.text, type=ptype,
-                                   is_out=is_out, is_array=True,
-                                   length=length, init=init,
-                                   line=tok.line, col=tok.col)
-        value: nodes.Expr | None = None
+            return ParamDecl(ident=tok.text, type=ptype, is_out=is_out,
+                             is_array=True, length=length, init=init,
+                             line=tok.line, col=tok.column)
+        value: ast.Expr | None = None
         if self.accept("="):
             value = self.parse_expr()
         self.expect(";")
-        return nodes.ParamDecl(ident=tok.text, type=ptype, is_out=is_out,
-                               is_array=False, value=value,
-                               line=tok.line, col=tok.col)
+        return ParamDecl(ident=tok.text, type=ptype, is_out=is_out,
+                         is_array=False, value=value,
+                         line=tok.line, col=tok.column)
 
-    def _init_spec(self) -> nodes.InitSpec:
+    def _init_spec(self) -> InitSpec:
         tok = self.expect_ident()
         self.expect("(")
-        args: list[nodes.Expr] = []
+        args: list[ast.Expr] = []
         if not self.check(")"):
             args.append(self.parse_expr())
             while self.accept(","):
                 args.append(self.parse_expr())
         self.expect(")")
-        return nodes.InitSpec(fn=tok.text, args=tuple(args),
-                              line=tok.line, col=tok.col)
+        return InitSpec(fn=tok.text, args=tuple(args),
+                        line=tok.line, col=tok.column)
 
     # -- statements -----------------------------------------------------
 
-    def parse_block(self) -> tuple:
-        self.expect("{")
-        stmts = []
-        while not self.check("}"):
-            if self.cur.kind == "eof":
-                self.fail("unterminated block")
-            stmts.append(self.parse_stmt())
-        self.expect("}")
-        return tuple(stmts)
-
-    def parse_stmt(self) -> nodes.Stmt:
-        tok = self.cur
-        if self.check("int") or self.check("float"):
-            return self._decl()
-        if self.accept("if"):
-            return self._if(tok)
-        if self.accept("for"):
-            return self._for(tok)
-        if self.accept("while"):
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            body = self.parse_block()
-            return nodes.While(cond=cond, body=body,
-                               line=tok.line, col=tok.col)
-        if self.accept("dyser"):
-            body = self.parse_block()
-            return nodes.DyserBlock(body=body, line=tok.line, col=tok.col)
-        if self.accept("break"):
-            self.expect(";")
-            return nodes.Break(line=tok.line, col=tok.col)
-        if self.accept("continue"):
-            self.expect(";")
-            return nodes.Continue(line=tok.line, col=tok.col)
-        stmt = self._assign()
-        self.expect(";")
-        return stmt
-
-    def _decl(self) -> nodes.Decl:
-        dtype = self.advance().text
-        tok = self.expect_ident()
-        self.expect("=")
-        expr = self.parse_expr()
-        self.expect(";")
-        return nodes.Decl(type=dtype, ident=tok.text, expr=expr,
-                          line=tok.line, col=tok.col)
-
-    def _assign(self) -> nodes.Assign:
-        tok = self.expect_ident()
-        target: nodes.Name | nodes.Index
-        if self.accept("["):
-            index = self.parse_expr()
-            self.expect("]")
-            target = nodes.Index(ident=tok.text, index=index,
-                                 line=tok.line, col=tok.col)
-        else:
-            target = nodes.Name(ident=tok.text, line=tok.line, col=tok.col)
-        self.expect("=")
-        expr = self.parse_expr()
-        return nodes.Assign(target=target, expr=expr,
-                            line=tok.line, col=tok.col)
-
-    def _if(self, tok: Token) -> nodes.If:
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        then = self.parse_block()
-        orelse: tuple = ()
-        if self.accept("else"):
-            if self.check("if"):
-                iftok = self.advance()
-                orelse = (self._if(iftok),)
-            else:
-                orelse = self.parse_block()
-        return nodes.If(cond=cond, then=then, orelse=orelse,
-                        line=tok.line, col=tok.col)
-
-    def _for(self, tok: Token) -> nodes.For:
-        self.expect("(")
-        init: nodes.Decl | nodes.Assign
-        if self.check("int") or self.check("float"):
-            init = self._decl()         # consumes the ";"
-        else:
-            init = self._assign()
-            self.expect(";")
-        cond = self.parse_expr()
-        self.expect(";")
-        step = self._assign()
-        self.expect(")")
-        body = self.parse_block()
-        return nodes.For(init=init, cond=cond, step=step, body=body,
-                         line=tok.line, col=tok.col)
-
-    # -- expressions ----------------------------------------------------
-
-    def parse_expr(self, min_prec: int = 1) -> nodes.Expr:
-        lhs = self._unary()
-        while True:
-            op = self.cur.text
-            prec = _PRECEDENCE.get(op) if self.cur.kind == "op" else None
-            if prec is None or prec < min_prec:
-                return lhs
+    def parse_stmt(self) -> ast.Stmt:
+        if self.check("dyser"):
             tok = self.advance()
-            rhs = self.parse_expr(prec + 1)
-            lhs = nodes.Binary(op=op, lhs=lhs, rhs=rhs,
-                               line=tok.line, col=tok.col)
-
-    def _unary(self) -> nodes.Expr:
-        tok = self.cur
-        if self.accept("-"):
-            return nodes.Unary(op="-", operand=self._unary(),
-                               line=tok.line, col=tok.col)
-        if self.accept("!"):
-            return nodes.Unary(op="!", operand=self._unary(),
-                               line=tok.line, col=tok.col)
-        return self._primary()
-
-    def _primary(self) -> nodes.Expr:
-        tok = self.cur
-        if tok.kind == "int":
-            self.advance()
-            return nodes.Num(value=int(tok.text), type="int",
-                             line=tok.line, col=tok.col)
-        if tok.kind == "float":
-            self.advance()
-            return nodes.Num(value=float(tok.text), type="float",
-                             line=tok.line, col=tok.col)
-        if self.accept("("):
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
-        if tok.kind == "keyword" and tok.text == "float":
-            # float(e) cast: the one keyword allowed in call position.
-            self.advance()
-            self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return nodes.Call(fn="float", args=(arg,),
-                              line=tok.line, col=tok.col)
-        if tok.kind != "ident":
-            self.fail(f"expected expression, found {tok.text!r}")
-        self.advance()
-        if self.accept("["):
-            index = self.parse_expr()
-            self.expect("]")
-            return nodes.Index(ident=tok.text, index=index,
-                               line=tok.line, col=tok.col)
-        if self.accept("("):
-            args = []
-            if not self.check(")"):
-                args.append(self.parse_expr())
-                while self.accept(","):
-                    args.append(self.parse_expr())
-            self.expect(")")
-            return nodes.Call(fn=tok.text, args=tuple(args),
-                              line=tok.line, col=tok.col)
-        return nodes.Name(ident=tok.text, line=tok.line, col=tok.col)
+            return DyserBlock(body=self.parse_block(),
+                              line=tok.line, col=tok.column)
+        return super().parse_stmt()
 
 
-def parse_kernel_source(source: str) -> nodes.KernelSpec:
+def parse_kernel_source(source: str) -> KernelSpec:
     """Parse one DSL kernel; raises LexerError/ParseError on bad input."""
-    return Parser(source).parse_kernel()
+    return Parser(source).parse_spec()
