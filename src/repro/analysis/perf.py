@@ -600,8 +600,7 @@ def analyze_workload(name: str, *, mode: str = "dyser",
     from repro.compiler.driver import CompilerOptions
     from repro.dyser.fabric import FabricGeometry
     from repro.errors import WorkloadError
-    from repro.harness.runner import (
-        DEFAULT_GEOMETRY, _compile, _options_key, source_hash)
+    from repro.harness.runner import DEFAULT_GEOMETRY, _compile
     from repro.workloads import suite as suite_mod
 
     if mode not in ("scalar", "dyser"):
@@ -610,8 +609,7 @@ def analyze_workload(name: str, *, mode: str = "dyser",
     workload = suite_mod.get(name)
     options = options or CompilerOptions(
         fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
-    compiled = _compile(name, source_hash(workload.source), mode,
-                        _options_key(options))
+    compiled = _compile(name, mode, options)
     memory = Memory(1 << 22)   # RunConfig's default image
     instance = workload.prepare(memory, scale, seed)
     config = core_config or CoreConfig(has_dyser=(mode == "dyser"))
@@ -683,8 +681,7 @@ def perf_report(name: str, *, mode: str = "dyser", scale: str = "small",
     from repro.analysis.diagnostics import Diagnostic
     from repro.compiler.driver import CompilerOptions
     from repro.dyser.fabric import FabricGeometry
-    from repro.harness.runner import (
-        DEFAULT_GEOMETRY, _compile, _options_key, source_hash)
+    from repro.harness.runner import DEFAULT_GEOMETRY, _compile
     from repro.workloads import SUITE
 
     report = DiagnosticReport(subject=f"{name}/{mode}:perf")
@@ -711,8 +708,7 @@ def perf_report(name: str, *, mode: str = "dyser", scale: str = "small",
     if mode == "dyser":
         workload = SUITE.get(name)
         if workload is not None:
-            compiled = _compile(name, source_hash(workload.source), mode,
-                                _options_key(options))
+            compiled = _compile(name, mode, options)
             for region in compiled.regions:
                 if region.accepted and 1 < region.unrolled < options.unroll:
                     report.emit(

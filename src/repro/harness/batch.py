@@ -53,7 +53,7 @@ from repro.harness.runner import (
     RunResult,
     _core_config,
     _default_options,
-    _options_key,
+    options_key,
     _RunSetup,
     execute,
 )
@@ -93,7 +93,7 @@ def lane_key(config: RunConfig) -> tuple:
     cc = _core_config(config)
     return (
         config.workload, config.mode, config.scale, config.seed,
-        config.memory_bytes, _options_key(_default_options(config)),
+        config.memory_bytes, options_key(_default_options(config)),
         tuple(repr(getattr(cc, name)) for name in _SHARED_FIELDS),
     )
 

@@ -111,16 +111,12 @@ class TestPlanBatches:
 
 class TestBatchCoreValidation:
     def test_rejects_disagreeing_shared_fields(self):
-        from repro.workloads import get as get_workload
-        from repro.harness.runner import (_compile, _options_key,
-                                          source_hash)
+        from repro.harness.runner import _compile
         from repro.harness.batch import _default_options
 
         base = _cfg()
-        workload = get_workload(base.workload)
-        compiled = _compile(base.workload,
-                            source_hash(workload.source), base.mode,
-                            _options_key(_default_options(base)))
+        compiled = _compile(base.workload, base.mode,
+                            _default_options(base))
         with pytest.raises(SimulationError, match="alu_latency"):
             BatchCore(compiled.program, Memory(base.memory_bytes),
                       [None, None],

@@ -464,10 +464,8 @@ def reference_cases() -> list[str]:
 
 def traced_run_digest(case: str) -> str:
     from repro import RunConfig
-    from repro.harness.runner import (
-        _compile, _default_options, _options_key, execute, source_hash)
+    from repro.harness.runner import _compile, _default_options, execute
     from repro.obs.events import CYCLES, TraceOptions
-    from repro.workloads import suite
 
     name, mode = case.split("/")
     config = RunConfig(workload=name, mode=mode, scale="tiny",
@@ -475,8 +473,7 @@ def traced_run_digest(case: str) -> str:
                        trace=TraceOptions(enabled=True, instructions=True))
     # The compile memo: a traced run compiles afresh otherwise, and its
     # compiler events are wall-clock ones this digest leaves out.
-    compiled = _compile(name, source_hash(suite.get(name).source), mode,
-                        _options_key(_default_options(config)))
+    compiled = _compile(name, mode, _default_options(config))
     result = execute(config, compiled)
     events = [[e.name, e.category, e.phase, e.ts, e.dur, e.args]
               for e in result.events if e.domain == CYCLES]

@@ -48,7 +48,7 @@ from repro.dyser.dfg import Dfg, PortRef
 from repro.dyser.ops import FuOp, capability_of
 from repro.errors import CompilerError, SchedulingError
 from repro.harness.fuzz.generator import _gen_dfg
-from repro.harness.runner import _compile, _options_key, source_hash
+from repro.harness.runner import _compile
 from repro.workloads import SUITE
 
 @pytest.mark.parametrize("width,height", [(1, 1), (2, 3), (8, 8)])
@@ -266,8 +266,7 @@ def compiled(name: str, width: int, height: int):
     # Goes through the harness compile memo, so kernels other tests
     # already compiled at the same options are not compiled again.
     options = CompilerOptions(fabric=Fabric(FabricGeometry(width, height)))
-    source = SUITE[name].source
-    return _compile(name, source_hash(source), "dyser", _options_key(options))
+    return _compile(name, "dyser", options)
 
 
 def compiled_digest(name: str, width: int, height: int) -> str:

@@ -149,6 +149,55 @@ class TestHarness:
         finally:
             gc.enable()
 
+    def test_compile_memo_keys_every_compiler_option(self):
+        # A build memoized without reassociation must not be served to
+        # a run that asks for it, or the other way round.
+        from repro.compiler import CompilerOptions, compile_dyser
+        from repro.dyser.serialize import config_to_dict
+
+        def configs(compiled):
+            return [config_to_dict(c) for _, c in
+                    sorted(compiled.program.dyser_configs.items())]
+
+        runner.clear_caches()
+        built = {}
+        for reassociate in (True, False):
+            options = CompilerOptions(reassociate=reassociate)
+            result = run_workload(RunConfig(
+                workload="dotprod", mode="dyser", scale="tiny",
+                options=options))
+            fresh = compile_dyser(get("dotprod").source, options)
+            assert configs(result.compile_result) == configs(fresh)
+            built[reassociate] = configs(fresh)
+        assert built[True] != built[False]
+
+    def test_options_key_covers_every_field_but_verify_passes(self):
+        from dataclasses import fields, replace
+
+        from repro.compiler import CompilerOptions
+        from repro.dyser import Fabric, FabricGeometry
+        from repro.dyser.fabric import uniform_capabilities
+
+        default = CompilerOptions()
+        base = runner.options_key(default)
+        changed = {
+            "fabric": Fabric(FabricGeometry(8, 8, ports_per_edge_switch=3)),
+            "min_region_ops": 3, "unroll": 4, "vectorize": False,
+            "reassociate": False, "pipeline_invocations": False,
+            "if_convert": False, "max_region_ops": 9,
+        }
+        assert set(changed) == {
+            f.name for f in fields(CompilerOptions)} - {"verify_passes"}
+        for name, value in changed.items():
+            key = runner.options_key(replace(default, **{name: value}))
+            assert key != base, name
+        capabilities = uniform_capabilities(FabricGeometry())
+        assert runner.options_key(replace(
+            default, fabric=Fabric(capabilities=capabilities))) != base
+        assert runner.options_key(replace(default, verify_passes=True)) \
+            == base
+        assert runner.options_key(CompilerOptions()) == base
+
     def test_geomean(self):
         assert geomean([1.0, 4.0]) == pytest.approx(2.0)
         assert geomean([]) == 0.0
