@@ -317,7 +317,9 @@ def _dispatch(specs, lanes, records, results, cache, jobs, timeout,
                                         retries, progress)
                 continue
             for i, payload in zip(lane, payloads, strict=True):
-                records[i].wall_s = wall_s
+                # Members share the lane's wall time, so per-record
+                # times add up to the time spent.
+                records[i].wall_s = wall_s / len(lane)
                 if len(lane) > 1:
                     # A lane is one attempt for each of its members.
                     records[i].attempts += 1

@@ -33,6 +33,7 @@ from repro.engine import (
 )
 from repro.errors import WorkloadError
 from repro.harness import RunConfig, clear_caches, run_workload
+from repro.obs.events import EventStream
 from repro.workloads import SUITE
 
 
@@ -407,6 +408,19 @@ class TestPool:
         [record] = report.records
         assert record.status == FAILED
         assert "timed out" in record.error
+
+    def test_lane_members_share_the_lane_wall_time(self):
+        # Three timing points of one kernel run as one lockstep lane;
+        # per-record wall times must add up to no more than the run's.
+        specs = [JobSpec("mm", scale="tiny", backend="batched",
+                         input_fifo_depth=depth) for depth in (2, 4, 8)]
+        events = EventStream()
+        report = run_jobs(specs, events=events)
+        assert [r.status for r in report.records] == [EXECUTED] * 3
+        assert [e.name for e in events.events
+                if e.category == "engine.batch"] == [
+            f"batch[3] {specs[0].describe()}"]
+        assert sum(r.wall_s for r in report.records) <= report.wall_s
 
     def test_dedup_identical_specs(self, tmp_path):
         spec = JobSpec("vecadd", scale="tiny")
