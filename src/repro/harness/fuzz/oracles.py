@@ -38,14 +38,13 @@ from repro.analysis import lint_config
 from repro.cpu import BatchCore, Core, CoreConfig, Memory
 from repro.dyser import ConfigCacheParams, DyserDevice, DyserTimingParams
 from repro.dyser.batch import BatchedDyserDevice
-from repro.dyser.serialize import config_to_dict
+from repro.dyser.serialize import config_from_dict, config_to_dict
 from repro.errors import ReproError, stable_error_string
 from repro.harness.fuzz.generator import (
     _BASE,
     DSL_MUTATIONS,
     FuzzCase,
     default_fabric,
-    payload_to_config,
 )
 from repro.harness.parity import diff_summaries
 from repro.isa import assemble
@@ -114,7 +113,7 @@ def build_program(case: FuzzCase):
     program = assemble(case.source, name=f"fuzz-{case.key}")
     for payload in case.configs:
         program.dyser_configs[payload["config_id"]] = (
-            payload_to_config(payload))
+            config_from_dict(payload, default_fabric(), validate=False))
     return program
 
 
@@ -269,7 +268,8 @@ def lint_case(case: FuzzCase) -> set[str]:
     """Error-severity diagnostic codes across the case's configs."""
     predicted: set[str] = set()
     for payload in case.configs:
-        report = lint_config(payload_to_config(payload))
+        report = lint_config(
+            config_from_dict(payload, default_fabric(), validate=False))
         predicted |= {d.code for d in report.errors}
     return predicted
 
