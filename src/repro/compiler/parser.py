@@ -253,7 +253,7 @@ class Parser:
                               line=tok.line, col=tok.column)
         if tok.kind is TokKind.FLOAT:
             self.advance()
-            return ast.FloatLit(value=float(tok.text),
+            return ast.FloatLit(value=self.float_value(tok),
                                 line=tok.line, col=tok.column)
         if self.accept("("):
             expr = self.parse_expr()
@@ -296,6 +296,10 @@ class Parser:
         except ValueError:   # more digits than int() converts
             raise ParseError(f"integer literal too long: {tok.text[:20]}...",
                              tok.line, tok.column) from None
+
+    def float_value(self, tok: Token) -> float:
+        """Value of a float token (``inf`` past the float range)."""
+        return float(tok.text)
 
     def check_call(self, tok: Token) -> None:
         """Reject a call to ``tok``'s name unless it is an intrinsic."""

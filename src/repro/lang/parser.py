@@ -24,6 +24,9 @@ language, and each subset rule is enforced in one place:
 - ``&``, ``|``, ``^``, ``<<`` and ``>>`` are rejected here, right after
   tokenizing, as ``RPR500`` at the operator (the interpreter has no
   semantics for them);
+- a float literal past the float range (``1e999``) is rejected here as
+  ``RPR501`` at the literal (it would lower to ``inf``, a name the
+  compiler does not know);
 - a call parses whatever its name; the validator
   (:mod:`repro.lang.validate`) rejects any name outside
   :data:`~repro.lang.nodes.DSL_INTRINSICS`, ``int(e)`` included, as
@@ -35,10 +38,12 @@ over the AST, so formatting never changes a kernel's identity.
 
 from __future__ import annotations
 
+import math
+
 from repro.compiler import ast_nodes as ast
 from repro.compiler import parser as kernel_parser
 from repro.compiler.lexer import TokKind, Token
-from repro.errors import LexerError
+from repro.errors import LexerError, ParseError
 from repro.lang.nodes import (
     DyserBlock,
     InitSpec,
@@ -71,6 +76,14 @@ class Parser(kernel_parser.Parser):
     def check_call(self, tok: Token) -> None:
         """Any name parses as a call; the validator rejects the ones
         outside the DSL intrinsics (``RPR516``)."""
+
+    def float_value(self, tok: Token) -> float:
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(
+                f"float literal out of range: {tok.text[:20]}...",
+                tok.line, tok.column)
+        return value
 
     # -- kernel ---------------------------------------------------------
 
@@ -115,8 +128,8 @@ class Parser(kernel_parser.Parser):
         if tok.kind not in (TokKind.INT, TokKind.FLOAT):
             self.fail(f"expected number, found {tok.text!r}")
         try:
-            value = float(self.int_value(tok) if tok.kind is TokKind.INT
-                          else tok.text)
+            value = (float(self.int_value(tok)) if tok.kind is TokKind.INT
+                     else self.float_value(tok))
         except OverflowError:
             self.fail(f"number out of range: {tok.text[:20]}...")
         self.advance()

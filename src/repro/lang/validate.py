@@ -62,7 +62,9 @@ def _fabric_budget() -> tuple[int, int, int]:
 
 
 def literal_value(expr: ast.Expr | None) -> float | None:
-    """Numeric literal value (allowing a leading unary minus), or None."""
+    """Numeric literal value (allowing a leading unary minus), or None.
+    Raises :class:`OverflowError` for an int literal past the float
+    range."""
     if isinstance(expr, (ast.IntLit, ast.FloatLit)):
         return float(expr.value)
     if isinstance(expr, ast.Unary) and expr.op == "-":
@@ -317,7 +319,15 @@ def _check_init(param: nodes.ParamDecl, sizes: set[str],
         return
     if init.fn == "uniform":
         for arg in init.args:
-            if literal_value(arg) is None:
+            try:
+                value = literal_value(arg)
+            except OverflowError:
+                report.emit("RPR519",
+                            "uniform() bound is past the float range",
+                            location=f"{arg.line}:{arg.col}",
+                            source=_SOURCE)
+                return
+            if value is None:
                 report.emit("RPR519",
                             "uniform() bounds must be numeric literals",
                             location=where, source=_SOURCE)

@@ -161,6 +161,11 @@ REJECTIONS = [
 ]
 
 
+#: An int ``uniform()`` bound past the float range.
+_HUGE_UNIFORM = MINIMAL.replace("uniform(0.0, 1.0)",
+                                "uniform(0.0, 1" + "0" * 400 + ")")
+
+
 class TestValidation:
     @pytest.mark.parametrize("code,source",
                              REJECTIONS, ids=[c for c, _ in REJECTIONS])
@@ -202,13 +207,29 @@ class TestValidation:
         assert spec is not None
         assert "RPR540" in {d.code for d in report.warnings}
 
+    def test_uniform_bound_past_float_range_is_rejected(self):
+        spec, report = check_source(_HUGE_UNIFORM)
+        assert spec is None
+        assert [(d.code, d.location) for d in report.errors] == [
+            ("RPR519", "4:35")]                    # at the literal
+
+    @pytest.mark.parametrize("literal", ["1e999", "1" + "0" * 400 + ".0"],
+                             ids=["exponent", "decimal"])
+    def test_float_literal_past_float_range_is_rejected(self, literal):
+        spec, report = check_source(_body(f"y[i] = a[i] * {literal};"))
+        assert spec is None
+        [diag] = report.errors
+        assert diag.code == "RPR501"
+        assert diag.message.startswith("8:23: ")   # at the literal
+
     def test_check_source_never_raises(self):
         for junk in ("", "@@@", "kernel", "kernel x {",
                      "kernel x { size n = {tiny: 1}; }", "\x00\x01",
                      _body("int z = 2\u00b2;"),          # not a digit
                      _body("int z = " + "9" * 5000 + ";"),  # too long
                      MINIMAL.replace("size n", "flops = 0x" + "f" * 300
-                                     + ";\n    size n")):
+                                     + ";\n    size n"),
+                     _HUGE_UNIFORM):
             spec, report = check_source(junk)
             assert spec is None
             assert not report.ok
