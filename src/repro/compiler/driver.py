@@ -90,10 +90,6 @@ class CompileResult:
     ir_dump: str = ""
     regions: list[RegionReport] = field(default_factory=list)
 
-    @property
-    def accepted_regions(self) -> int:
-        return sum(1 for r in self.regions if r.accepted)
-
 
 def _verify_after(func, pass_name: str, verify: bool) -> None:
     """Pass-sandwich verification: name the pass that broke the IR."""

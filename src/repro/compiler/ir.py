@@ -50,10 +50,6 @@ def const_int(v: int) -> Const:
     return Const(int(v), Scalar.INT)
 
 
-def const_float(v: float) -> Const:
-    return Const(float(v), Scalar.FLOAT)
-
-
 # -- instructions ------------------------------------------------------------
 
 

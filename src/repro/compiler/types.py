@@ -39,12 +39,3 @@ INT = Type(Scalar.INT)
 FLOAT = Type(Scalar.FLOAT)
 INT_ARRAY = Type(Scalar.INT, is_array=True)
 FLOAT_ARRAY = Type(Scalar.FLOAT, is_array=True)
-
-
-def unify(a: Type, b: Type) -> Type:
-    """Result type of a binary arithmetic op: float wins, arrays illegal."""
-    if a.is_array or b.is_array:
-        raise ValueError("arithmetic on array values")
-    if Scalar.FLOAT in (a.scalar, b.scalar):
-        return FLOAT
-    return INT

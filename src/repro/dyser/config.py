@@ -231,9 +231,6 @@ class DyserConfig:
         words += len(self.dfg.input_ports) + len(self.dfg.output_ports)
         return words
 
-    def used_fus(self) -> int:
-        return len(self.dfg.nodes)
-
     def used_switch_links(self) -> int:
         if self.routes is None:
             return 0

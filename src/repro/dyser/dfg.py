@@ -119,9 +119,6 @@ class Dfg:
     def output_ports(self) -> list[int]:
         return sorted(self.outputs)
 
-    def num_ops(self) -> int:
-        return len(self.nodes)
-
     def topo_order(self) -> list[DfgNode]:
         """Nodes in topological order; raises on cycles.
 

@@ -175,10 +175,6 @@ class DyserDevice:
             self.engine = None
         return self.stats
 
-    @property
-    def active_config_id(self) -> int | None:
-        return self.engine.config.config_id if self.engine else None
-
     def steady_state(self):
         """Analytic steady-state of the active configuration
         (:class:`~repro.dyser.timing.SteadyState`)."""

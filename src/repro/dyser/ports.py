@@ -47,9 +47,6 @@ class InputPortFifo:
         self.total_sent += 1
         return entry
 
-    def has_value(self) -> bool:
-        return bool(self.pending)
-
     def consume(self) -> tuple[int | float, int]:
         if not self.pending:
             raise DyserError(f"input port {self.port}: consume on empty FIFO")

@@ -174,9 +174,6 @@ class ArtifactCache:
             return None
         return data
 
-    #: Issue-facing alias: ``cache.get(kind, key)`` reads like a dict.
-    get = load
-
     def store(self, kind: str, key: str, data: dict) -> None:
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)

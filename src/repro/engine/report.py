@@ -59,12 +59,6 @@ class EngineReport:
         return sum(1 for r in self.records if r.status == HIT)
 
     @property
-    def cache_misses(self) -> int:
-        # Rejected jobs never probe the cache, so they are not misses.
-        return self.executed + sum(
-            1 for r in self.records if r.status == FAILED)
-
-    @property
     def executed(self) -> int:
         return sum(1 for r in self.records if r.status == EXECUTED)
 
@@ -81,15 +75,6 @@ class EngineReport:
     @property
     def rejected(self) -> list[JobRecord]:
         return [r for r in self.records if r.status == REJECTED]
-
-    def result_for(self, spec: JobSpec):
-        """The result of the first record matching ``spec``'s hash."""
-        want = spec.job_hash
-        for record, result in zip(self.records, self.results,
-                                  strict=True):
-            if record.spec.job_hash == want:
-                return result
-        raise KeyError(spec.describe())
 
     def summary(self) -> str:
         parts = [

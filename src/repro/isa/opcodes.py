@@ -154,10 +154,6 @@ class OpInfo:
     commutative: bool = False
 
     @property
-    def writes_int(self) -> bool:
-        return "rd" in self.signature
-
-    @property
     def writes_fp(self) -> bool:
         return "fd" in self.signature
 

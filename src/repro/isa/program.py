@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import IsaError
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import InsnClass, Opcode
+from repro.isa.opcodes import Opcode
 
 
 @dataclass
@@ -116,6 +116,3 @@ class Program:
                 )
         if not any(i.op is Opcode.HALT for i in self.instructions):
             raise IsaError("program has no HALT")
-
-    def count_class(self, iclass: InsnClass) -> int:
-        return sum(1 for i in self.instructions if i.info.iclass is iclass)

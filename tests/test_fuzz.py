@@ -357,10 +357,10 @@ class TestCacheCorruption:
         path.write_text(json.dumps(data))
         assert cache.load("run", "cafe") == {"v": 1}
 
-    def test_get_is_an_alias_for_load(self, tmp_path):
+    def test_load_returns_what_store_wrote(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cache.store("run", "feed", {"v": 2})
-        assert cache.get("run", "feed") == {"v": 2}
+        assert cache.load("run", "feed") == {"v": 2}
 
 
 # ---------------------------------------------------------------------
