@@ -44,9 +44,9 @@ def measure():
     unsound = []
     for name in sorted(SUITE):
         for mode in ("scalar", "dyser"):
-            prediction = analyze_workload(name, mode=mode, scale=SCALE)
-            result = run_workload(
-                RunConfig(workload=name, mode=mode, scale=SCALE))
+            config = RunConfig(workload=name, mode=mode, scale=SCALE)
+            prediction = analyze_workload(config)
+            result = run_workload(config)
             measured = result.stats.cycles
             predicted = prediction.predicted_cycles
             ape = (abs(predicted - measured) / measured

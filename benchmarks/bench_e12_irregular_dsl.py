@@ -20,7 +20,7 @@ raises — the acceptance bar is that the tier's shapes are visible
 from common import SCALE, emit, once
 
 from repro.analysis import lint_workload
-from repro.harness import compare, format_table
+from repro.harness import RunConfig, compare, format_table
 from repro.workloads import get
 from repro.workloads.dsl_kernels import DSL_SOURCES
 
@@ -31,7 +31,7 @@ def measure():
     rows = []
     stats = {}
     for name in CASES:
-        c = compare(name, scale=SCALE)
+        c = compare(RunConfig(workload=name, scale=SCALE))
         assert c.scalar.correct and c.dyser.correct, name
         region = c.dyser.compile_result.regions[0]
         advisories = sorted({

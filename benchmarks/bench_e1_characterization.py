@@ -8,14 +8,14 @@ instructions the DySER build eliminates relative to scalar.
 
 from common import SCALE, emit, once
 
-from repro.harness import compare, format_table
+from repro.harness import RunConfig, compare, format_table
 from repro.workloads import SUITE, get
 
 
 def characterize():
     rows = []
     for name in sorted(SUITE):
-        c = compare(name, scale=SCALE)
+        c = compare(RunConfig(workload=name, scale=SCALE))
         assert c.scalar.correct and c.dyser.correct, name
         regions = c.dyser.compile_result.regions
         accepted = [r for r in regions if r.accepted]

@@ -10,7 +10,7 @@ grows.
 
 from common import SCALE, emit, once
 
-from repro.harness import compare, format_table, geomean
+from repro.harness import RunConfig, compare, format_table, geomean
 from repro.workloads import REGULAR, SUITE, get
 
 
@@ -19,7 +19,7 @@ def sweep():
     offloaded_power = []
     energy_ratios = []
     for name in sorted(SUITE):
-        c = compare(name, scale=SCALE)
+        c = compare(RunConfig(workload=name, scale=SCALE))
         assert c.scalar.correct and c.dyser.correct, name
         dyser_mw = c.dyser.energy.dyser_power_mw
         accepted = any(

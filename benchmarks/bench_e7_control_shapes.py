@@ -20,7 +20,7 @@ from common import SCALE, emit, once
 
 import numpy as np
 
-from repro.harness import compare, format_table
+from repro.harness import RunConfig, compare, format_table
 from repro.workloads import get
 
 CASES = ("saxpy", "mriq", "kmeans", "newton_lcd", "collatz_diamonds",
@@ -44,7 +44,7 @@ def measure():
     rows = []
     stats = {}
     for name in CASES:
-        c = compare(name, scale=SCALE)
+        c = compare(RunConfig(workload=name, scale=SCALE))
         assert c.scalar.correct and c.dyser.correct, name
         region = c.dyser.compile_result.regions[0]
         fu_ops = c.dyser.stats.dyser_fu_ops

@@ -86,11 +86,11 @@ def _batched_configs(workloads, scale):
 
 
 def _time_backend(configs, backend: str) -> float:
-    from repro.harness import execute
+    from repro.harness import run_workload
 
     started = time.perf_counter()
     for config in configs:
-        result = execute(config.with_(backend=backend))
+        result = run_workload(config.with_(backend=backend))
         assert result.correct, config.describe()
     return time.perf_counter() - started
 
@@ -131,7 +131,7 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
     backends, with every batched payload asserted byte-identical to
     its solo reference run before any timing is trusted."""
     from repro import DEFAULT_BACKEND
-    from repro.harness import execute
+    from repro.harness import run_workload
     from repro.harness.batch import execute_batch
 
     workloads = tuple(workloads or BATCH_WORKLOADS)
@@ -139,11 +139,11 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
 
     # Warm the compile cache so the timings measure simulation only.
     for config in _batched_configs(workloads, "tiny"):
-        execute(config.with_(backend=DEFAULT_BACKEND))
+        run_workload(config.with_(backend=DEFAULT_BACKEND))
 
     def timed_solo(backend):
         started = time.perf_counter()
-        results = [execute(c.with_(backend=backend)) for c in configs]
+        results = [run_workload(c.with_(backend=backend)) for c in configs]
         return time.perf_counter() - started, results
 
     reference_s, reference = timed_solo("reference")

@@ -10,7 +10,7 @@ committing to a configuration.
 from repro.compiler import CompilerOptions
 from repro.dyser import Fabric, FabricGeometry
 from repro.fpga import dyser_resources
-from repro.harness import compare, format_table
+from repro.harness import RunConfig, compare, format_table
 
 
 def main() -> None:
@@ -18,7 +18,8 @@ def main() -> None:
     for width, height in ((2, 2), (4, 4), (6, 6), (8, 8)):
         fabric = Fabric(FabricGeometry(width, height))
         options = CompilerOptions(fabric=fabric)
-        comparison = compare("mriq", scale="small", options=options)
+        comparison = compare(RunConfig(workload="mriq", scale="small",
+                                       options=options))
         assert comparison.scalar.correct and comparison.dyser.correct
         block = dyser_resources(fabric)
         region = comparison.dyser.compile_result.regions[0]

@@ -35,10 +35,12 @@ This module is the **stable public facade**: everything in ``__all__``
 is importable as ``from repro import ...`` and the CLI goes through it
 exclusively.  The canonical entry points::
 
-    from repro import RunConfig, run_workload, compare, trace_workload
+    from repro import RunConfig, run_workload, compare
 
-    result = run_workload(RunConfig(workload="mm", mode="dyser"))
-    traced = trace_workload("mm", scale="tiny")     # result.events set
+    config = RunConfig(workload="mm", mode="dyser")
+    result = run_workload(config)
+    traced = run_workload(config.traced())     # result.events set
+    comparison = compare(config)               # scalar vs dyser
 """
 
 # NOTE: repro.cpu must be imported before repro.compiler/repro.dyser —
@@ -99,7 +101,6 @@ from repro.harness import (
     TraceOptions,
     backend_names,
     compare,
-    execute,
     format_series,
     format_table,
     geomean,
@@ -138,7 +139,6 @@ from repro.obs import (
     invocation_table,
     profile_workload,
     to_chrome_trace,
-    trace_workload,
     write_chrome_trace,
 )
 from repro.service import (
@@ -164,7 +164,6 @@ __all__ = [
     "Comparison",
     "TraceOptions",
     "run_workload",
-    "execute",
     "compare",
     # simulation backends
     "Backend",
@@ -191,7 +190,6 @@ __all__ = [
     "EventStream",
     "MetricsRegistry",
     "ProfileReport",
-    "trace_workload",
     "profile_workload",
     "invocation_table",
     "to_chrome_trace",

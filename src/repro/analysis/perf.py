@@ -553,6 +553,14 @@ def analyze_program(program: Program, *, memory: Memory | None = None,
         )
     if memory is None:
         memory = Memory(1 << 16)
+    return _walk(program, memory, int_args, fp_args, config, device,
+                 subject, step_limit, work_items)
+
+
+def _walk(program: Program, memory: Memory, int_args, fp_args,
+          config: CoreConfig, device: DyserDevice | None, subject: str,
+          step_limit: int, work_items: int | None) -> PerfPrediction:
+    """Walk ``program`` on a core built from ``config`` and ``device``."""
     walker = _Walker(program, memory, config, device, step_limit)
     walker.set_args(int_args, fp_args)
     walked = True
@@ -584,48 +592,32 @@ def analyze_program(program: Program, *, memory: Memory | None = None,
     )
 
 
-def analyze_workload(name: str, *, mode: str = "dyser",
-                     scale: str = "small", seed: int = 7,
-                     options=None, core_config: CoreConfig | None = None,
-                     timing: DyserTimingParams | None = None,
-                     cache_params: ConfigCacheParams | None = None,
+def _predict(run, config, step_limit: int) -> PerfPrediction:
+    """Walk ``config``'s run as ``run`` (its harness ``_RunSetup``)
+    prepared it."""
+    from repro.harness.runner import _core_config
+
+    return _walk(run.compiled.program, run.memory, run.instance.int_args,
+                 run.instance.fp_args, _core_config(config),
+                 run.device(config),
+                 f"{config.workload}/{config.mode}@{config.scale}",
+                 step_limit, run.instance.work_items)
+
+
+def analyze_workload(config, *,
                      step_limit: int = DEFAULT_STEP_LIMIT) -> PerfPrediction:
-    """Predict one suite workload's run without executing it.
+    """Predict one :class:`~repro.harness.RunConfig`'s run without
+    executing it.
 
-    Compiles through the shared harness memo (a later real run reuses
-    the compile), prepares the workload's input image the same way the
-    runner would, and walks.  Raises :class:`~repro.errors.ReproError`
-    for unknown workloads/modes or compile failures.
+    Sets up as :func:`~repro.harness.run_workload` does (the shared
+    compile memo, the config's memory image and inputs, core config and
+    DySER device), then walks.  Raises
+    :class:`~repro.errors.ReproError` for unknown workloads or compile
+    failures.
     """
-    from repro.compiler.driver import CompilerOptions
-    from repro.dyser.fabric import FabricGeometry
-    from repro.errors import WorkloadError
-    from repro.harness.runner import DEFAULT_GEOMETRY, _compile
-    from repro.workloads import suite as suite_mod
+    from repro.harness.runner import _RunSetup
 
-    if mode not in ("scalar", "dyser"):
-        raise WorkloadError(f"unknown mode {mode!r}")
-    # suite.get also resolves content-addressed ``dsl:`` kernels.
-    workload = suite_mod.get(name)
-    options = options or CompilerOptions(
-        fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
-    compiled = _compile(name, mode, options)
-    memory = Memory(1 << 22)   # RunConfig's default image
-    instance = workload.prepare(memory, scale, seed)
-    config = core_config or CoreConfig(has_dyser=(mode == "dyser"))
-    return analyze_program(
-        compiled.program,
-        memory=memory,
-        int_args=instance.int_args,
-        fp_args=instance.fp_args,
-        core_config=config,
-        fabric=options.fabric if mode == "dyser" else None,
-        timing=timing,
-        cache_params=cache_params,
-        subject=f"{name}/{mode}@{scale}",
-        step_limit=step_limit,
-        work_items=instance.work_items,
-    )
+    return _predict(_RunSetup(config), config, step_limit)
 
 
 def emit_region_diagnostics(report: DiagnosticReport, name: str,
@@ -667,29 +659,21 @@ def emit_region_diagnostics(report: DiagnosticReport, name: str,
                 location=where, source="perf", **region.to_dict())
 
 
-def perf_report(name: str, *, mode: str = "dyser", scale: str = "small",
-                seed: int = 7, options=None,
-                core_config: CoreConfig | None = None,
-                timing: DyserTimingParams | None = None,
-                cache_params: ConfigCacheParams | None = None,
-                ) -> DiagnosticReport:
-    """``repro lint --perf``: the prediction as RPR4xx diagnostics.
+def perf_report(config) -> DiagnosticReport:
+    """``repro lint --perf``: :func:`analyze_workload`'s prediction for
+    ``config`` as RPR4xx diagnostics.
 
     Never raises for workload/compile problems — they surface as
     diagnostics, exactly like :func:`repro.analysis.api.lint_workload`.
     """
     from repro.analysis.diagnostics import Diagnostic
-    from repro.compiler.driver import CompilerOptions
-    from repro.dyser.fabric import FabricGeometry
-    from repro.harness.runner import DEFAULT_GEOMETRY, _compile
-    from repro.workloads import SUITE
+    from repro.harness.runner import _RunSetup
 
-    report = DiagnosticReport(subject=f"{name}/{mode}:perf")
+    name = config.workload
+    report = DiagnosticReport(subject=f"{name}/{config.mode}:perf")
     try:
-        prediction = analyze_workload(
-            name, mode=mode, scale=scale, seed=seed, options=options,
-            core_config=core_config, timing=timing,
-            cache_params=cache_params)
+        run = _RunSetup(config)
+        prediction = _predict(run, config, DEFAULT_STEP_LIMIT)
     except ReproError as exc:
         code = getattr(exc, "code", None)
         if code:
@@ -703,23 +687,18 @@ def perf_report(name: str, *, mode: str = "dyser", scale: str = "small",
 
     # Capability-curtailed regions: the scheduler accepted the region
     # but could not unroll it as far as requested (fabric FU capacity).
-    options = options or CompilerOptions(
-        fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
-    if mode == "dyser":
-        workload = SUITE.get(name)
-        if workload is not None:
-            compiled = _compile(name, mode, options)
-            for region in compiled.regions:
-                if region.accepted and 1 < region.unrolled < options.unroll:
-                    report.emit(
-                        "RPR403",
-                        f"capability-bound: region unrolled "
-                        f"{region.unrolled}x of the requested "
-                        f"{options.unroll}x — fabric FU capacity limits "
-                        f"the spatial schedule",
-                        location=f"{name}.{region.loop_header}",
-                        source="perf", unrolled=region.unrolled,
-                        requested=options.unroll)
+    requested = run.options.unroll
+    for region in run.compiled.regions:
+        if region.accepted and 1 < region.unrolled < requested:
+            report.emit(
+                "RPR403",
+                f"capability-bound: region unrolled "
+                f"{region.unrolled}x of the requested "
+                f"{requested}x — fabric FU capacity limits "
+                f"the spatial schedule",
+                location=f"{name}.{region.loop_header}",
+                source="perf", unrolled=region.unrolled,
+                requested=requested)
 
     cpi = prediction.cycles_per_invocation
     report.emit(

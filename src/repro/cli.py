@@ -138,8 +138,9 @@ def _cmd_lint(args) -> int:
                for name in names]
     perf_reports = []
     if args.perf:
-        perf_reports = [perf_report(name, mode=args.mode,
-                                    options=options)
+        perf_reports = [perf_report(RunConfig(workload=name,
+                                              mode=args.mode,
+                                              options=options))
                         for name in names]
     ok = all(report.ok for report in reports + perf_reports)
     if args.json:

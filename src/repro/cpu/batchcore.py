@@ -63,7 +63,6 @@ _SHARED_FIELDS = (
     "alu_latency", "mul_latency", "div_latency", "fpu_latency",
     "fdiv_latency", "fpu_pipelined", "branch_taken_penalty",
     "icache", "dcache", "l2", "l1_to_l2_latency", "has_dyser",
-    "trace_limit",
 )
 
 
@@ -185,11 +184,6 @@ class BatchCore(CacheHierarchy):
             )
         base = configs[0]
         for cfg in configs:
-            if cfg.trace_limit:
-                raise SimulationError(
-                    "BatchCore does not support instruction traces "
-                    "(CoreConfig.trace_limit); use the reference backend"
-                )
             for name in _SHARED_FIELDS:
                 if getattr(cfg, name) != getattr(base, name):
                     raise SimulationError(

@@ -93,9 +93,6 @@ class CoreConfig:
     vector_port_words_per_cycle: int = 2   # port fill rate for dldv/dstv
     # Safety valve against runaway programs.
     max_instructions: int = 200_000_000
-    #: Record the first N executed instructions as (cycle, pc, text)
-    #: tuples on ``core.trace`` (0 disables; tracing is free when off).
-    trace_limit: int = 0
 
     def latency_for(self, iclass: InsnClass) -> int:
         name = _LATENCY_FIELD.get(iclass)
@@ -194,8 +191,6 @@ class Core(CacheHierarchy):
         self.dcache = Cache(self.config.dcache)
         self.l2 = Cache(self.config.l2) if self.config.l2 else None
         self.stats = ExecStats()
-        #: Execution trace (populated when config.trace_limit > 0).
-        self.trace: list[tuple[int, int, str]] = []
         #: Structured event stream (:mod:`repro.obs.events`) or None.
         #: Every emit site is guarded, so a None stream costs nothing.
         self.events = events
@@ -289,8 +284,6 @@ class Core(CacheHierarchy):
         ev = self.events
         ev_insn = ev if (ev is not None and self.trace_instructions) \
             else None
-        trace_limit = cfg.trace_limit
-        tracing = trace_limit > 0 or ev_insn is not None
 
         def charge(cause: StallCause, amount: int, ts: int, pc: int) -> None:
             stall[cause] += amount
@@ -324,10 +317,8 @@ class Core(CacheHierarchy):
                     first.append(pc)
                 counts[pc] = n + 1
                 executed += 1
-                if tracing:
+                if ev_insn is not None:
                     t_issue = t
-                    if len(self.trace) < trace_limit:
-                        self.trace.append((t, pc, insn.text()))
                 next_pc = pc + 1
                 rd = insn.rd
 

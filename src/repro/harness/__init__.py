@@ -34,7 +34,6 @@ from repro.harness.runner import (
     RunResult,
     clear_caches,
     compare,
-    execute,
     run_workload,
     source_hash,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "bundle_to_dict",
     "clear_caches",
     "compare",
-    "execute",
     "execute_batch",
     "format_series",
     "format_table",

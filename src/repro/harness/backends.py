@@ -3,7 +3,7 @@
 A *backend* is a core implementation with identical observable results:
 
 - ``"reference"`` — :class:`repro.cpu.Core`, the per-cycle interpreted
-  oracle.  Supports event tracing and instruction traces.
+  oracle.  Supports event tracing, per-instruction events included.
 - ``"batched"`` — :class:`repro.cpu.BatchCore`, the predecoded lockstep
   core.  A solo run is a lane of one (:class:`repro.cpu.LaneOfOne`);
   sweep points that differ only in timing knobs run as one wider lane
@@ -18,7 +18,7 @@ A *backend* is a core implementation with identical observable results:
 
 ``RunConfig.backend`` selects by name and is validated against this
 registry at construction.  Everything that executes a run —
-``execute``/``run_workload``/``compare``, ``profile_workload``, the
+``run_workload``/``compare``, ``profile_workload``, the
 engine's job workers, the CLI — goes through :func:`resolve_backend`,
 so there is exactly one place where the choice is made.
 """
@@ -111,19 +111,14 @@ def get_backend(name: str) -> Backend:
 def resolve_backend(config) -> Backend:
     """The backend that will actually run ``config``.
 
-    Falls back to the reference backend when the run requests any form
-    of tracing and the selected backend cannot emit it.  Because the
+    Falls back to the reference backend when the run requests tracing
+    and the selected backend cannot emit it.  Because the
     backends are cycle-exact-equal, this changes *how* the run is
     simulated, never *what* it reports — ``tests/test_fastcore.py``
     pins that with an explicit traced-vs-untraced cycle check.
     """
     backend = get_backend(config.backend)
-    if backend.supports_tracing:
-        return backend
-    wants_trace = config.trace.enabled or bool(
-        config.core_config is not None and config.core_config.trace_limit
-    )
-    if wants_trace:
+    if config.trace.enabled and not backend.supports_tracing:
         return get_backend("reference")
     return backend
 

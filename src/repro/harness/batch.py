@@ -17,14 +17,14 @@ questions:
    Traced configs and lanes of one are returned as singles.
 
 2. **How does a lane run?**  :func:`execute_batch_group` shares
-   :func:`repro.harness.runner.execute`'s run set-up and result
+   :func:`repro.harness.runner.run_workload`'s run set-up and result
    assembly (``_RunSetup``) — one compile (shared memo), one
    :class:`Memory` + ``prepare``, per-point
    :class:`BatchedDyserDevice` over one shared evaluation tape — then
    drives a :class:`BatchCore` and assembles a result per point (energy
    model, correctness checked once against the shared memory image).
    Points the core evicts (per-point instruction limits, shared
-   faults) are replayed solo via :func:`execute` as lanes of one,
+   faults) are replayed solo via :func:`run_workload` as lanes of one,
    which never evict and reproduce byte-identical results *including*
    stable error strings; a point's fault therefore never poisons its
    siblings.
@@ -55,7 +55,7 @@ from repro.harness.runner import (
     _default_options,
     options_key,
     _RunSetup,
-    execute,
+    run_workload,
 )
 
 
@@ -75,11 +75,6 @@ class BatchOutcome:
     result: RunResult | None = None
     error: ReproError | None = None
     batched: bool = False
-
-
-def _wants_trace(config: RunConfig) -> bool:
-    return config.trace.enabled or bool(
-        config.core_config is not None and config.core_config.trace_limit)
 
 
 def lane_key(config: RunConfig) -> tuple:
@@ -112,7 +107,7 @@ def plan_batches(
     lanes: dict[tuple, list[int]] = {}
     singles: list[int] = []
     for i, config in enumerate(configs):
-        if _wants_trace(config):
+        if config.trace.enabled:
             singles.append(i)
             continue
         lanes.setdefault(lane_key(config), []).append(i)
@@ -129,7 +124,7 @@ def plan_batches(
 
 def _solo(config: RunConfig) -> BatchOutcome:
     try:
-        return BatchOutcome(config=config, result=execute(config))
+        return BatchOutcome(config=config, result=run_workload(config))
     except ReproError as exc:
         return BatchOutcome(config=config, error=exc)
 
@@ -143,7 +138,7 @@ def execute_batch_group(
     All configs must share a :func:`lane_key` (the :class:`BatchCore`
     constructor re-validates the core-config side).  Evicted points —
     and the whole lane, if lockstep setup or execution faults — fall
-    back to solo :func:`execute` calls: lanes of one, which never
+    back to solo :func:`run_workload` calls: lanes of one, which never
     evict, so the fallback cannot recurse.
     """
     run = _RunSetup(configs[0], compiled)

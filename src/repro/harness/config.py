@@ -20,8 +20,10 @@ that seam with one frozen parameter object that:
   run's outcome (tracing by construction, the backend by the parity
   contract).
 
-``run_workload`` accepts exactly one form: a :class:`RunConfig`.  The
-historical kwargs shim was removed once every caller migrated.
+Every entry point that runs, compares, profiles or statically walks a
+workload — ``run_workload``, ``compare``, ``profile_workload``,
+``analyze_workload`` and ``perf_report`` — takes exactly one
+:class:`RunConfig`.
 """
 
 from __future__ import annotations

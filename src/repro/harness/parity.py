@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError, stable_error_string
 from repro.harness.config import RunConfig
-from repro.harness.runner import execute
+from repro.harness.runner import run_workload
 
 
 def _flatten(data: object, prefix: str = "") -> dict[str, object]:
@@ -102,7 +102,7 @@ def _outcome(config: RunConfig) -> dict:
     identical faults always compare equal.
     """
     try:
-        return execute(config).to_dict()
+        return run_workload(config).to_dict()
     except ReproError as exc:
         return {"error": stable_error_string(exc)}
 

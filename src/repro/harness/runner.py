@@ -3,17 +3,15 @@
 The single entry point the E-series benchmarks use::
 
     result = run_workload(RunConfig(workload="mm", mode="dyser"))
-    comparison = compare("mm", scale="small")
+    comparison = compare(RunConfig(workload="mm", scale="small"))
 
 A run is fully described by a :class:`~repro.harness.config.RunConfig`
 — workload, mode, scale, seed, every subsystem parameter object, the
 observability request (``trace=TraceOptions(...)``) and the simulation
-``backend``.  The historical ``run_workload("mm", mode=...)`` kwargs
-shim has been removed: ``run_workload`` takes a ``RunConfig``, full
-stop.  Backend selection happens in exactly one place —
+``backend``.  Backend selection happens in exactly one place —
 :func:`repro.harness.backends.resolve_backend`, called from
-:func:`execute` — so ``compare``, ``profile_workload``, the engine and
-the CLI all inherit it.
+:func:`run_workload` — so ``compare``, ``profile_workload``, the
+engine and the CLI all inherit it.
 
 Every run validates outputs against the workload's numpy reference;
 ``RunResult.correct`` is part of the result, and the benchmarks assert
@@ -34,7 +32,7 @@ from repro.dyser.config_cache import ConfigCacheParams
 from repro.energy import EnergyModel, EnergyParams, EnergyReport
 from repro.harness.backends import resolve_backend
 from repro.harness.config import RunConfig
-from repro.obs.events import EventStream, TraceOptions
+from repro.obs.events import EventStream
 from repro.workloads import Instance, get as get_workload
 
 #: The prototype's fabric: 8x8, heterogeneous.
@@ -193,10 +191,11 @@ _COMPILE_MEMO_LIMIT = 256
 
 def _compile(workload_name: str, mode: str,
              options: CompilerOptions) -> CompileResult:
-    """Compile a suite workload through the memo."""
+    """Compile a suite workload through the memo.  A scalar build reads
+    no compiler options, so its key leaves them out."""
     workload = get_workload(workload_name)
     key = (workload_name, source_hash(workload.source), mode,
-           options_key(options))
+           options_key(options) if mode == "dyser" else ())
     result = _COMPILE_MEMO.get(key)
     if result is None:
         result = (compile_scalar(workload.source) if mode == "scalar"
@@ -223,27 +222,6 @@ def clear_caches() -> None:
     clear_cost_memo()
 
 
-def run_workload(config: RunConfig, /,
-                 compiled: CompileResult | None = None) -> RunResult:
-    """Compile and run one workload; returns stats + energy + check.
-
-    ``config`` must be a :class:`RunConfig`::
-
-        run_workload(RunConfig(workload="mm", mode="dyser"))
-
-    (The pre-1.1 ``run_workload(name, **kwargs)`` form has been
-    removed.)  ``compiled`` lets callers (the engine's artifact cache)
-    supply a pre-built :class:`CompileResult` and skip compilation.
-    """
-    if not isinstance(config, RunConfig):
-        raise TypeError(
-            "run_workload() takes a RunConfig; the legacy "
-            "run_workload(name, **kwargs) form was removed — use "
-            "run_workload(RunConfig(workload=..., mode=...)) instead"
-        )
-    return execute(config, compiled=compiled)
-
-
 def _default_options(config: RunConfig) -> CompilerOptions:
     return config.options or CompilerOptions(
         fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
@@ -255,8 +233,9 @@ def _core_config(config: RunConfig) -> CoreConfig:
 
 
 class _RunSetup:
-    """Everything around the core that a solo run (:func:`execute`) and
+    """Everything around the core that a solo run (:func:`run_workload`),
     a lockstep lane (:func:`repro.harness.batch.execute_batch_group`)
+    and a static walk (:func:`repro.analysis.perf.analyze_workload`)
     share: compile (unless ``compiled`` is given), memory image and
     workload instance, and per config the DySER device and the result
     assembly."""
@@ -310,9 +289,19 @@ class _RunSetup:
         )
 
 
-def execute(config: RunConfig,
-            compiled: CompileResult | None = None) -> RunResult:
-    """Run one fully specified :class:`RunConfig`."""
+def run_workload(config: RunConfig, /,
+                 compiled: CompileResult | None = None) -> RunResult:
+    """Compile and run one workload; returns stats + energy + check.
+
+    ``compiled`` lets callers (the engine's artifact cache) supply a
+    pre-built :class:`CompileResult` and skip compilation.
+    """
+    if not isinstance(config, RunConfig):
+        raise TypeError(
+            "run_workload() takes a RunConfig; the legacy "
+            "run_workload(name, **kwargs) form was removed — use "
+            "run_workload(RunConfig(workload=..., mode=...)) instead"
+        )
     events = config.trace.stream()
     run = _RunSetup(config, compiled, events)
     device = run.device(config)
@@ -333,22 +322,10 @@ def execute(config: RunConfig,
     return run.result(config, stats, correct, events)
 
 
-def compare(name: str, scale: str = "small", seed: int = 7,
-            options: CompilerOptions | None = None,
-            core_config: CoreConfig | None = None,
-            trace: TraceOptions | None = None,
-            backend: str | None = None) -> Comparison:
-    """Run scalar and DySER builds of one workload on identical inputs.
-
-    ``backend`` overrides :class:`RunConfig`'s default for both runs;
-    dispatch itself still happens inside :func:`execute`.
-    """
-    trace = trace or TraceOptions()
-    extra = {} if backend is None else {"backend": backend}
-    scalar = execute(RunConfig(
-        workload=name, mode="scalar", scale=scale, seed=seed,
-        core_config=core_config, trace=trace, **extra))
-    dyser = execute(RunConfig(
-        workload=name, mode="dyser", scale=scale, seed=seed,
-        options=options, core_config=core_config, trace=trace, **extra))
-    return Comparison(workload=name, scalar=scalar, dyser=dyser)
+def compare(config: RunConfig) -> Comparison:
+    """Run scalar and DySER builds of ``config``'s workload on identical
+    inputs: ``config`` with its ``mode`` set to each in turn.  The
+    scalar build ignores ``config.options``."""
+    return Comparison(workload=config.workload,
+                      scalar=run_workload(config.with_(mode="scalar")),
+                      dyser=run_workload(config.with_(mode="dyser")))

@@ -17,8 +17,8 @@ The three pillars, all zero-cost when tracing is off:
   ``repro profile <workload>``.
 
 Tracing attaches at the run API: pass
-``RunConfig(..., trace=TraceOptions(enabled=True))`` to
-:func:`repro.run_workload`, or use :func:`repro.trace_workload`.
+``RunConfig(..., trace=TraceOptions(enabled=True))``, or
+``config.traced()``, to :func:`repro.run_workload`.
 """
 
 from repro.obs.events import (
@@ -39,7 +39,7 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
 )
-from repro.obs.profile import ProfileReport, profile_workload, trace_workload
+from repro.obs.profile import ProfileReport, profile_workload
 from repro.obs.timeline import (
     invocation_rows,
     invocation_table,
@@ -69,6 +69,5 @@ __all__ = [
     "phase_table",
     "profile_workload",
     "to_chrome_trace",
-    "trace_workload",
     "write_chrome_trace",
 ]

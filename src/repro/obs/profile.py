@@ -2,9 +2,9 @@
 
 ``repro profile <workload>`` is a thin CLI veneer over this module::
 
-    from repro import profile_workload
+    from repro import RunConfig, profile_workload
 
-    report = profile_workload("mm", scale="tiny")
+    report = profile_workload(RunConfig(workload="mm", scale="tiny"))
     print(report.summary())                  # tables on stdout
     report.export("trace.json")              # open in ui.perfetto.dev
 
@@ -20,34 +20,12 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, replace
 
-from repro.obs.events import EventStream, TraceOptions
+from repro.obs.events import EventStream
 from repro.obs.timeline import (
     invocation_table,
     phase_table,
-    to_chrome_trace,
     write_chrome_trace,
 )
-
-
-def trace_workload(config, /, **kwargs):
-    """Run one workload with tracing on; returns a ``RunResult`` whose
-    ``events`` attribute holds the recorded stream.
-
-    ``config`` is a workload name (with ``RunConfig`` fields as kwargs)
-    or a ready :class:`~repro.harness.RunConfig`; tracing is forced on
-    either way, preserving any other ``TraceOptions`` fields.
-    """
-    from repro.harness.config import RunConfig
-    from repro.harness.runner import execute
-
-    if not isinstance(config, RunConfig):
-        config = RunConfig(workload=config, **kwargs)
-    elif kwargs:
-        raise TypeError("trace_workload(RunConfig) accepts no extra "
-                        f"kwargs; got {sorted(kwargs)}")
-    if not config.trace.enabled:
-        config = config.with_(trace=replace(config.trace, enabled=True))
-    return execute(config)
 
 
 @dataclass
@@ -61,15 +39,6 @@ class ProfileReport:
         return self.result.events
 
     # -- exports -------------------------------------------------------
-
-    def chrome_trace(self) -> dict:
-        """The run as a Chrome/Perfetto ``trace_event`` JSON object."""
-        return to_chrome_trace(self.events, metadata={
-            "workload": self.result.workload,
-            "mode": self.result.mode,
-            "scale": self.result.scale,
-            "cycles": self.result.cycles,
-        })
 
     def export(self, path) -> pathlib.Path:
         """Write the Chrome trace JSON to ``path``; returns the path."""
@@ -110,16 +79,12 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def profile_workload(config, /, trace: TraceOptions | None = None,
-                     **kwargs) -> ProfileReport:
-    """Trace one workload and wrap the result for rendering/export.
+def profile_workload(config) -> ProfileReport:
+    """Trace one :class:`~repro.harness.RunConfig` and wrap the result
+    for rendering/export.  Tracing is forced on; the config's other
+    :class:`TraceOptions` fields (capacity, category filter,
+    per-instruction events) are kept."""
+    from repro.harness.runner import run_workload
 
-    Accepts the same arguments as :func:`trace_workload`; ``trace``
-    optionally supplies non-default :class:`TraceOptions` (capacity,
-    category filter, per-instruction events) for name-based calls.
-    """
-    from repro.harness.config import RunConfig
-
-    if not isinstance(config, RunConfig) and trace is not None:
-        kwargs["trace"] = trace
-    return ProfileReport(result=trace_workload(config, **kwargs))
+    traced = config.with_(trace=replace(config.trace, enabled=True))
+    return ProfileReport(result=run_workload(traced))

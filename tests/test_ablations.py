@@ -127,6 +127,7 @@ class TestUnrollFactorKnob:
         for unroll, expect in ((1, 1), (2, 2), (4, 4)):
             options = CompilerOptions(
                 fabric=Fabric(FabricGeometry(8, 8)), unroll=unroll)
-            c = compare("vecadd", scale="tiny", options=options)
+            c = compare(RunConfig(workload="vecadd", scale="tiny",
+                                  options=options))
             (region,) = c.dyser.compile_result.regions
             assert region.unrolled == expect

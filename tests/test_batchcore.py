@@ -22,17 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import RunConfig, SweepSpec
-from repro.cpu import BatchCore, CoreConfig, Memory
+from repro.cpu import BatchCore, CoreConfig, LaneOfOne, Memory
 from repro.dyser import DyserTimingParams
 from repro.engine import ArtifactCache, run_jobs
 from repro.engine.jobs import JobSpec
 from repro.errors import ReproError, SimulationError, stable_error_string
 from repro.harness import (
-    execute,
     execute_batch,
     get_backend,
     lane_key,
     plan_batches,
+    run_workload,
     verify_batch_parity,
 )
 from repro.harness.batch import execute_batch_group
@@ -127,9 +127,8 @@ class TestBatchCoreValidation:
         program = object()
         with pytest.raises(SimulationError):
             BatchCore(program, Memory(1 << 16), [], [])
-        with pytest.raises(SimulationError, match="trace"):
-            BatchCore(program, Memory(1 << 16), [None],
-                      [CoreConfig(trace_limit=10)])
+        with pytest.raises(SimulationError, match="trac"):
+            LaneOfOne(program, Memory(1 << 16), trace_instructions=True)
 
     def test_backend_registry_entry(self):
         backend = get_backend("batched")
@@ -190,13 +189,13 @@ class TestDivergence:
         assert outcomes[1].result is None
         assert isinstance(outcomes[1].error, ReproError)
         with pytest.raises(ReproError) as solo_exc:
-            execute(sick.with_(backend="reference"))
+            run_workload(sick.with_(backend="reference"))
         assert (stable_error_string(outcomes[1].error)
                 == stable_error_string(solo_exc.value))
 
         for cfg, outcome in zip(healthy, (outcomes[0], outcomes[2])):
             assert outcome.batched
-            solo = execute(cfg.with_(backend="reference"))
+            solo = run_workload(cfg.with_(backend="reference"))
             assert outcome.result.to_dict() == solo.to_dict()
 
     def test_all_points_faulting_fall_back_solo(self):
@@ -208,7 +207,7 @@ class TestDivergence:
         for cfg, outcome in zip(configs, outcomes):
             assert outcome.result is None
             with pytest.raises(ReproError) as solo_exc:
-                execute(cfg.with_(backend="reference"))
+                run_workload(cfg.with_(backend="reference"))
             assert (stable_error_string(outcome.error)
                     == stable_error_string(solo_exc.value))
 
@@ -223,7 +222,7 @@ class TestDivergence:
         outcomes = execute_batch_group(configs)
         assert outcomes[0].result is None and outcomes[1].result is None
         assert outcomes[2].result is not None
-        solo = execute(configs[2].with_(backend="reference"))
+        solo = run_workload(configs[2].with_(backend="reference"))
         assert outcomes[2].result.to_dict() == solo.to_dict()
 
 
@@ -252,7 +251,7 @@ class TestBatchedProperty:
         ]
         outcomes = execute_batch_group(configs)
         for cfg, outcome in zip(configs, outcomes):
-            solo = execute(cfg.with_(backend="reference"))
+            solo = run_workload(cfg.with_(backend="reference"))
             assert outcome.result.to_dict() == solo.to_dict()
 
 
@@ -349,7 +348,7 @@ class TestDecodeCache:
         from repro.cpu import decode_program
         from repro.harness import clear_caches
 
-        program = execute(_cfg()).compile_result.program
+        program = run_workload(_cfg()).compile_result.program
         decoded = decode_program(program)
         assert decode_program(program) is decoded
         clear_caches()

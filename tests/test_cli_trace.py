@@ -1,10 +1,11 @@
-"""Tests for the CLI and the core's execution tracing."""
+"""Tests for the CLI and the core's instruction trace."""
 
 import pytest
 
 from repro.cli import main
 from repro.compiler import compile_scalar
 from repro.cpu import Core, CoreConfig, Memory
+from repro.obs.events import EventStream
 
 
 class TestCli:
@@ -63,6 +64,9 @@ class TestCli:
 
 
 class TestTrace:
+    """The instruction trace: one ``cpu.issue`` event per issued
+    instruction, with its pc and issue cycle."""
+
     SRC = """
     kernel f(out int y[], int n) {
         int s = 0;
@@ -71,33 +75,31 @@ class TestTrace:
     }
     """
 
-    def run_traced(self, limit):
+    def run_traced(self, instructions=True):
         result = compile_scalar(self.SRC)
         memory = Memory(1 << 16)
         py = memory.alloc(1)
+        events = EventStream()
         core = Core(result.program, memory,
-                    config=CoreConfig(has_dyser=False, trace_limit=limit))
+                    config=CoreConfig(has_dyser=False), events=events,
+                    trace_instructions=instructions)
         core.set_args((py, 5))
         stats = core.run()
-        return core, stats
+        return result.program, events.by_category("cpu.issue"), stats
 
     def test_trace_disabled_by_default(self):
-        core, _ = self.run_traced(0)
-        assert core.trace == []
-
-    def test_trace_limit_respected(self):
-        core, stats = self.run_traced(10)
-        assert len(core.trace) == 10
-        assert stats.instructions > 10
+        _, issued, _ = self.run_traced(instructions=False)
+        assert issued == []
 
     def test_trace_entries_structured(self):
-        core, _ = self.run_traced(5)
-        cycles = [t for t, _pc, _text in core.trace]
+        program, issued, _ = self.run_traced()
+        cycles = [e.ts for e in issued]
         assert cycles == sorted(cycles)
-        assert all(isinstance(text, str) and text
-                   for _t, _pc, text in core.trace)
+        assert all(e.dur >= 1 for e in issued)
+        for e in issued:
+            assert e.name == program.instructions[e.args["pc"]].op.value
 
     def test_trace_covers_whole_run_when_large(self):
-        core, stats = self.run_traced(10_000)
-        assert len(core.trace) == stats.instructions
-        assert core.trace[-1][2] == "halt"
+        program, issued, stats = self.run_traced()
+        assert len(issued) == stats.instructions
+        assert program.instructions[issued[-1].args["pc"]].text() == "halt"

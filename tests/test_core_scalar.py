@@ -436,9 +436,9 @@ def test_opcode_value_semantics(backend, case):
 # ---------------------------------------------------------------------------
 # Golden digests of the reference core.  One sha256 per traced suite run
 # at ``tiny`` (its ``RunResult.to_dict()`` plus every cycle-domain event,
-# per-instruction events included), one over the outcomes of the first
-# generated fuzz cases (summaries and stable error strings), and one over
-# an instruction trace.  A change meant to move the reference core
+# per-instruction events included) and one over the outcomes of the
+# first generated fuzz cases (summaries and stable error strings).  A
+# change meant to move the reference core
 # regenerates the table with ``PYTHONPATH=src python
 # tests/test_core_scalar.py``.
 
@@ -464,7 +464,7 @@ def reference_cases() -> list[str]:
 
 def traced_run_digest(case: str) -> str:
     from repro import RunConfig
-    from repro.harness.runner import _compile, _default_options, execute
+    from repro.harness.runner import _compile, _default_options, run_workload
     from repro.obs.events import CYCLES, TraceOptions
 
     name, mode = case.split("/")
@@ -474,7 +474,7 @@ def traced_run_digest(case: str) -> str:
     # The compile memo: a traced run compiles afresh otherwise, and its
     # compiler events are wall-clock ones this digest leaves out.
     compiled = _compile(name, mode, _default_options(config))
-    result = execute(config, compiled)
+    result = run_workload(config, compiled)
     events = [[e.name, e.category, e.phase, e.ts, e.dur, e.args]
               for e in result.events if e.domain == CYCLES]
     return _digest({"result": result.to_dict(), "events": events})
@@ -487,26 +487,6 @@ def generated_outcomes_digest() -> str:
     return _digest([run_case(case, Core)
                     for case in CaseGenerator(seed=0).cases(
                         GENERATED_CASES)])
-
-
-def trace_limit_digest() -> str:
-    """The instruction trace of a loop that runs past ``trace_limit``."""
-    mem = Memory(1 << 16)
-    addr = mem.alloc_array(list(range(1, 33)))
-    core, stats = run(f"""
-        li  r1, {addr}
-        li  r2, {addr + 256}
-        li  r3, 0
-    loop:
-        ld  r4, r1, 0
-        mul r4, r4, r4
-        add r3, r3, r4
-        addi r1, r1, 8
-        blt r1, r2, loop
-        halt
-    """, memory=mem, config=CoreConfig(trace_limit=100))
-    assert len(core.trace) == 100 < stats.instructions
-    return _digest({"trace": core.trace, "stats": stats.to_dict()})
 
 
 #: Key -> sha256; see the comment above ``GENERATED_CASES``.
@@ -601,14 +581,12 @@ REFERENCE_DIGESTS: dict[str, str] = {
         '623dd3847e164a3dcacde1769184e848804d29d68571f96d244f8d02f8715e69',
     'generated':
         '5f1965183943fbcf38542aac170b226c4c3921b2509c1801d9fa7bb8f6dde9d5',
-    'trace_limit':
-        '21c1e2707a9a6877faaa72313162f5e22e8a256144f717efdd29dfc41a82ff48',
 }
 
 
 def test_reference_table_covers_cases():
     assert sorted(REFERENCE_DIGESTS) == sorted(
-        reference_cases() + ["generated", "trace_limit"])
+        reference_cases() + ["generated"])
 
 
 @pytest.mark.parametrize("case", reference_cases())
@@ -620,13 +598,8 @@ def test_generated_outcomes_are_pinned():
     assert generated_outcomes_digest() == REFERENCE_DIGESTS["generated"]
 
 
-def test_trace_limit_is_pinned():
-    assert trace_limit_digest() == REFERENCE_DIGESTS["trace_limit"]
-
-
 if __name__ == "__main__":
     table = {case: traced_run_digest(case) for case in reference_cases()}
     table["generated"] = generated_outcomes_digest()
-    table["trace_limit"] = trace_limit_digest()
     for key, value in table.items():
         print(f"    {key!r}:\n        {value!r},")

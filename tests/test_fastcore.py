@@ -44,9 +44,9 @@ from repro.harness import (
     RunConfig,
     TraceOptions,
     backend_names,
-    execute,
     get_backend,
     resolve_backend,
+    run_workload,
     verify_parity,
 )
 from repro.harness.parity import diff_summaries, suite_configs
@@ -318,9 +318,8 @@ class TestBackendDispatch:
         traced = base.traced()
         assert resolve_backend(traced).name == "reference"
         # An instruction trace request also forces the reference core.
-        tl = base.with_(core_config=CoreConfig(has_dyser=True,
-                                               trace_limit=16))
-        assert resolve_backend(tl).name == "reference"
+        instructions = base.traced(instructions=True)
+        assert resolve_backend(instructions).name == "reference"
 
     def test_tracing_never_changes_reported_cycles(self):
         """The satellite contract: enabling the event stream (which
@@ -329,8 +328,8 @@ class TestBackendDispatch:
         for mode in ("scalar", "dyser"):
             base = RunConfig(workload="fir", mode=mode, scale="tiny",
                              backend="batched")
-            plain = execute(base)
-            traced = execute(base.traced())
+            plain = run_workload(base)
+            traced = run_workload(base.traced())
             assert traced.events is not None and plain.events is None
             assert plain.cycles == traced.cycles
             assert plain.stats.to_dict() == traced.stats.to_dict()
@@ -344,7 +343,7 @@ class TestBackendDispatch:
             trace=TraceOptions(enabled=True)))
         assert report.result.correct
         assert report.result.events is not None
-        untraced = execute(RunConfig(workload="saxpy", scale="tiny",
+        untraced = run_workload(RunConfig(workload="saxpy", scale="tiny",
                                      backend="batched"))
         assert report.result.cycles == untraced.cycles
 
@@ -356,8 +355,7 @@ class TestBackendDispatch:
             LaneOfOne(program, Memory(1 << 16),
                       events=EventStream(capacity=8))
         with pytest.raises(SimulationError, match="trac"):
-            LaneOfOne(program, Memory(1 << 16),
-                      config=CoreConfig(trace_limit=4))
+            LaneOfOne(program, Memory(1 << 16), trace_instructions=True)
 
 
 # ---------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro import (
     profile_workload,
     run_workload,
     to_chrome_trace,
-    trace_workload,
     write_chrome_trace,
 )
 from repro.obs.events import COMPLETE, COUNTER, CYCLES, INSTANT, WALL, maybe_span
@@ -280,16 +279,13 @@ class TestTracingIsPureObservation:
     def test_traced_run_matches_untraced_cycles(self, mode):
         plain = run_workload(RunConfig(workload="saxpy", mode=mode,
                                        scale="tiny"))
-        traced = trace_workload("saxpy", mode=mode, scale="tiny")
+        traced = run_workload(
+            RunConfig(workload="saxpy", mode=mode, scale="tiny").traced())
         assert traced.events is not None and len(traced.events) > 0
         assert traced.cycles == plain.cycles
         assert traced.correct and plain.correct
         assert traced.stats.to_dict()["stall_cycles"] == \
             plain.stats.to_dict()["stall_cycles"]
-
-    def test_trace_workload_rejects_kwargs_with_config(self):
-        with pytest.raises(TypeError):
-            trace_workload(RunConfig(workload="saxpy"), scale="tiny")
 
 
 # ---------------------------------------------------------------------
@@ -315,7 +311,7 @@ def _valid_trace_event(entry: dict) -> bool:
 
 class TestChromeTrace:
     def test_export_schema_validates(self, tmp_path):
-        traced = trace_workload("mm", scale="tiny")
+        traced = run_workload(RunConfig(workload="mm", scale="tiny").traced())
         path = write_chrome_trace(traced.events, tmp_path / "trace.json",
                                   metadata={"workload": "mm"})
         doc = json.loads(path.read_text())
@@ -361,17 +357,20 @@ class TestAttributionTables:
         assert rows[1]["gap"] == 20
 
     def test_invocation_table_on_real_run(self):
-        traced = trace_workload("saxpy", scale="tiny")
+        traced = run_workload(
+            RunConfig(workload="saxpy", scale="tiny").traced())
         text = invocation_table(traced.events)
         assert "per-invocation cycle attribution" in text
         assert "fire@" in text
 
     def test_invocation_table_empty_for_scalar(self):
-        traced = trace_workload("saxpy", mode="scalar", scale="tiny")
+        traced = run_workload(
+            RunConfig(workload="saxpy", mode="scalar", scale="tiny").traced())
         assert "no DySER invocations" in invocation_table(traced.events)
 
     def test_phase_table_lists_compiler_passes(self):
-        traced = trace_workload("saxpy", scale="tiny")
+        traced = run_workload(
+            RunConfig(workload="saxpy", scale="tiny").traced())
         text = phase_table(traced.events)
         for phase in ("parse", "lower", "optimize", "codegen"):
             assert phase in text
@@ -384,7 +383,7 @@ class TestAttributionTables:
 
 class TestProfileReport:
     def test_summary_and_export(self, tmp_path):
-        report = profile_workload("saxpy", scale="tiny")
+        report = profile_workload(RunConfig(workload="saxpy", scale="tiny"))
         assert isinstance(report, ProfileReport)
         text = report.summary()
         assert "profile saxpy" in text and "OK" in text
@@ -394,14 +393,15 @@ class TestProfileReport:
         assert doc["otherData"]["workload"] == "saxpy"
 
     def test_profile_accepts_trace_options(self):
-        report = profile_workload(
-            "saxpy", scale="tiny",
-            trace=TraceOptions(capacity=64, categories=("cpu.stall",)))
+        report = profile_workload(RunConfig(
+            workload="saxpy", scale="tiny",
+            trace=TraceOptions(capacity=64, categories=("cpu.stall",))))
         assert report.events.capacity == 64
         assert all(e.category == "cpu.stall" for e in report.events)
 
     def test_dyser_metrics_registered_uniquely(self):
-        traced = trace_workload("saxpy", scale="tiny")
+        traced = run_workload(
+            RunConfig(workload="saxpy", scale="tiny").traced())
         metrics = traced.stats.metrics
         names = metrics.names()
         assert len(names) == len(set(names))

@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.perf import (
+    DEFAULT_STEP_LIMIT,
     analyze_program,
     analyze_workload,
     clear_cost_memo,
@@ -58,6 +59,7 @@ from repro.dyser import (
 from repro.dyser.config_cache import ConfigCacheParams
 from repro.dyser.timing import DyserTimingParams
 from repro.engine.jobs import JobSpec
+from repro.harness import RunConfig
 from repro.isa import assemble
 from repro.workloads import SUITE
 
@@ -77,31 +79,31 @@ class TestGoldenAttributions:
         # invocation waits on the previous result round-tripping the
         # fabric.  That is the E6 gap story, and the analyzer must name
         # it without simulating.
-        report = perf_report("dotprod", mode="dyser")
+        report = perf_report(RunConfig(workload="dotprod", mode="dyser"))
         assert "RPR401" in codes(report)
         assert "RPR404" in codes(report)
 
     def test_unvectorized_saxpy_is_port_bound(self):
         from repro.compiler import CompilerOptions
 
-        report = perf_report(
-            "saxpy", mode="dyser",
+        report = perf_report(RunConfig(
+            workload="saxpy", mode="dyser",
             options=CompilerOptions(fabric=Fabric(FabricGeometry(8, 8)),
-                                    vectorize=False))
+                                    vectorize=False)))
         assert "RPR400" in codes(report)
 
     def test_vectorized_saxpy_is_not_port_bound(self):
         # Wide vector transfers collapse both the per-element sends and
         # the address-generation chains; the residual host loop is the
         # limit, which has no dedicated RPR40x code.
-        report = perf_report("saxpy", mode="dyser")
+        report = perf_report(RunConfig(workload="saxpy", mode="dyser"))
         assert "RPR400" not in codes(report)
         assert "RPR401" not in codes(report)
         assert "RPR402" not in codes(report)
         assert "RPR404" in codes(report)
 
     def test_scalar_mode_has_no_region_diagnostics(self):
-        report = perf_report("dotprod", mode="scalar")
+        report = perf_report(RunConfig(workload="dotprod", mode="scalar"))
         assert codes(report) == ["RPR404"]
 
 
@@ -209,11 +211,11 @@ class TestExactnessParity:
         ("spmv", "scalar"),
     ])
     def test_prediction_matches_run(self, name, mode):
-        from repro import RunConfig, run_workload
+        from repro import run_workload
 
-        prediction = analyze_workload(name, mode=mode, scale="small")
-        result = run_workload(
-            RunConfig(workload=name, mode=mode, scale="small"))
+        config = RunConfig(workload=name, mode=mode, scale="small")
+        prediction = analyze_workload(config)
+        result = run_workload(config)
         assert prediction.exact
         assert prediction.predicted_cycles == result.stats.cycles
         assert prediction.lower_bound <= result.stats.cycles
@@ -222,7 +224,7 @@ class TestExactnessParity:
         from repro.errors import WorkloadError
 
         with pytest.raises(WorkloadError):
-            analyze_workload("nosuchkernel")
+            analyze_workload(RunConfig(workload="nosuchkernel"))
 
 
 class TestPerfboundOracleProperty:
@@ -283,6 +285,30 @@ class TestLintCli:
         assert perf
         codes_seen = {d["code"] for r in perf for d in r["diagnostics"]}
         assert "RPR404" in codes_seen
+
+    @pytest.mark.parametrize("geometry", [None, "4x4"])
+    def test_lint_perf_predicts_the_matching_config(self, geometry,
+                                                    capsys):
+        """One RPR404 whose cycles are the walk of the same config."""
+        import json
+
+        from repro.cli import main
+        from repro.compiler import CompilerOptions
+
+        argv = ["lint", "mm", "--perf", "--json"]
+        config = RunConfig(workload="mm")
+        if geometry is not None:
+            argv += ["--geometry", geometry]
+            config = config.with_(options=CompilerOptions(
+                fabric=Fabric(FabricGeometry(4, 4))))
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        (perf,) = [r for r in doc["reports"]
+                   if r["subject"] == "mm/dyser:perf"]
+        (found,) = [d for d in perf["diagnostics"] if d["code"] == "RPR404"]
+        predicted = analyze_workload(config).predicted_cycles
+        assert predicted is not None
+        assert found["context"]["predicted_cycles"] == predicted
 
 
 class TestDiagnosticOrdering:
@@ -504,7 +530,7 @@ class TestSchedulerEstimates:
     def run(self):
         """One real ``vecadd`` tiny run: its result and its payload."""
         from repro.engine.cache import result_to_dict
-        from repro.harness import RunConfig, run_workload
+        from repro.harness import run_workload
 
         result = run_workload(RunConfig(workload="vecadd", scale="tiny"))
         return result, result_to_dict(result)
@@ -654,10 +680,11 @@ skip:
 """
 
 
-def walk_kwargs(variant: str, mode: str) -> dict:
-    """``analyze_workload`` keywords of one golden walk variant."""
+def walk_fields(variant: str, mode: str) -> dict:
+    """The :class:`RunConfig` fields of one golden walk variant (the
+    ``budget`` variant's walk also gets ``step_limit=500``)."""
     if variant == "budget":
-        return {"step_limit": 500}
+        return {}
     core = {"has_dyser": mode == "dyser"}
     timing = {}
     if variant == "fifo2":
@@ -694,9 +721,10 @@ def digest(doc) -> str:
 
 def workload_walk_digest(case: str) -> str:
     name, mode, seed, variant = case.split("/")
-    prediction = analyze_workload(name, mode=mode, scale="tiny",
-                                  seed=int(seed),
-                                  **walk_kwargs(variant, mode))
+    config = RunConfig(workload=name, mode=mode, scale="tiny",
+                       seed=int(seed), **walk_fields(variant, mode))
+    step_limit = 500 if variant == "budget" else DEFAULT_STEP_LIMIT
+    prediction = analyze_workload(config, step_limit=step_limit)
     return digest(prediction.to_dict())
 
 

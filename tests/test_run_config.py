@@ -215,7 +215,7 @@ class TestRunSummarySerialization:
             RunResult.from_dict({"format": "something-else"})
 
     def test_comparison_round_trip(self):
-        comp = compare("saxpy", scale="tiny")
+        comp = compare(RunConfig(workload="saxpy", scale="tiny"))
         clone = Comparison.from_dict(comp.to_dict())
         assert clone.workload == "saxpy"
         assert clone.speedup == pytest.approx(comp.speedup)
@@ -229,6 +229,29 @@ class TestRunSummarySerialization:
         data = result.to_dict()
         assert "events" not in data
         assert RunResult.from_dict(data).events is None
+
+
+class TestCompare:
+    def test_runs_both_modes_of_one_config(self):
+        config = RunConfig(workload="saxpy", scale="tiny", seed=3,
+                           backend="reference")
+        comp = compare(config)
+        assert comp.workload == "saxpy"
+        assert comp.scalar.to_dict() == run_workload(
+            config.with_(mode="scalar")).to_dict()
+        assert comp.dyser.to_dict() == run_workload(config).to_dict()
+
+    def test_scalar_build_ignores_compiler_options(self):
+        from repro.harness import clear_caches
+
+        clear_caches()
+        plain = compare(RunConfig(workload="vecadd", scale="tiny"))
+        small = compare(RunConfig(
+            workload="vecadd", scale="tiny",
+            options=CompilerOptions(fabric=Fabric(FabricGeometry(4, 4)),
+                                    unroll=2)))
+        assert small.scalar.compile_result is plain.scalar.compile_result
+        assert small.dyser.compile_result is not plain.dyser.compile_result
 
 
 class TestFormatSeries:

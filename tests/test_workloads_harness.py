@@ -86,7 +86,7 @@ class TestExecutionAcrossSuite:
 
     def test_regular_kernels_speed_up(self):
         for name in names(REGULAR):
-            c = compare(name, scale="tiny")
+            c = compare(RunConfig(workload=name, scale="tiny"))
             assert c.speedup > 1.0, f"{name}: {c.speedup}"
 
     def test_curtailing_shapes_gain_little(self):
@@ -94,7 +94,7 @@ class TestExecutionAcrossSuite:
         compiler — speedups stay far below the regular kernels'."""
         curtailing = ("newton_lcd", "tpacf_bin")
         for name in curtailing:
-            c = compare(name, scale="tiny")
+            c = compare(RunConfig(workload=name, scale="tiny"))
             assert c.speedup < 2.0, f"{name}: {c.speedup}"
 
     def test_seed_changes_inputs_not_correctness(self):
@@ -107,7 +107,7 @@ class TestExecutionAcrossSuite:
 
 class TestHarness:
     def test_comparison_metrics(self):
-        c = compare("saxpy", scale="tiny")
+        c = compare(RunConfig(workload="saxpy", scale="tiny"))
         assert c.speedup == c.scalar.cycles / c.dyser.cycles
         assert c.energy_ratio > 0
         assert c.edp_ratio > c.energy_ratio / 2
@@ -125,7 +125,7 @@ class TestHarness:
 
     def test_finished_run_frees_its_memory(self, monkeypatch):
         # Reference counting alone must free a run's memory image: a
-        # reference cycle through a frame that ``execute`` called would
+        # reference cycle through a frame that ``run_workload`` called would
         # keep its locals alive until the next full collection.
         images = []
 
