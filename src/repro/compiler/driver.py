@@ -39,10 +39,6 @@ class CompilerOptions:
     #: Rebalance associative chains (reductions) into trees.  Changes FP
     #: rounding order, like -ffast-math reassociation.
     reassociate: bool = True
-    #: Software-pipeline invocations (recv a trip behind the send).
-    pipeline_invocations: bool = True
-    #: Allow if-conversion of region-internal control flow.
-    if_convert: bool = True
     #: Maximum region size in execute ops (fabric capacity guard).
     max_region_ops: int | None = None
     #: Run the IR verifier (:mod:`repro.analysis.verifier`) after every

@@ -205,7 +205,7 @@ class ArtifactCache:
             return None
         try:
             program = bundle_from_dict(data["bundle"],
-                                       spec.options().fabric)
+                                       spec.params("options").fabric)
         except Exception:
             # Unreadable bundle == miss-and-evict, recompile; keeping
             # the entry would re-fail deserialization on every probe.

@@ -8,6 +8,15 @@ frozen dataclass of plain values, so it pickles cleanly into worker
 processes and carries a stable content hash that keys the persistent
 artifact cache (:mod:`repro.engine.cache`).
 
+The field declarations are the knob table: each field but
+``energy_overrides`` is a :func:`_knob` naming where it lives in a
+:class:`~repro.harness.config.RunConfig` (``owner``, ``""`` for the
+config itself, and ``attr``: ``config_cache_capacity`` is
+``cache_params.capacity``), whether only DySER runs read it
+(``dyser_only``: a scalar spec hashes its default) and whether it
+shapes the compiled program (``compile``).  Type normalisation, the
+hashes and the ``RunConfig`` bridge all read that table.
+
 :class:`~repro.engine.sweeps.SweepSpec` expands cartesian grids over
 those knobs — the E9/E10 axes (geometry 2x2..8x8, unroll, vectorize,
 port width, FIFO depth, config-cache capacity) and anything else a
@@ -18,8 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from repro.compiler import CompilerOptions
 from repro.cpu import CoreConfig
@@ -32,82 +43,82 @@ from repro.errors import WorkloadError
 #: previously cached results even though field values look identical.
 SPEC_VERSION = "jobspec-v1"
 
-#: Fields that cannot affect a scalar-mode run.  They are normalized to
-#: their defaults in the canonical (hashed) form so the scalar baseline
-#: of a DySER knob sweep maps to one cache entry instead of many.
-_DYSER_ONLY_FIELDS = (
-    "geometry",
-    "min_region_ops",
-    "unroll",
-    "vectorize",
-    "reassociate",
-    "pipeline_invocations",
-    "if_convert",
-    "max_region_ops",
-    "input_fifo_depth",
-    "output_fifo_depth",
-    "initiation_interval",
-    "config_cache_capacity",
-    "vector_port_words_per_cycle",
-)
+#: Part of the hash format, not knobs: two compiler options that
+#: nothing ever read were deleted, and every canonical form still
+#: carries them at the only value a spec can now have, so job, shape
+#: and compile hashes stay those of earlier releases.
+RETIRED_KNOBS = {"pipeline_invocations": True, "if_convert": True}
 
-#: Fields that determine the compiled artifact (independent of the
-#: simulated run's scale/seed/timing knobs).
-_COMPILE_FIELDS = (
-    "workload",
-    "mode",
-    "geometry",
-    "min_region_ops",
-    "unroll",
-    "vectorize",
-    "reassociate",
-    "pipeline_invocations",
-    "if_convert",
-    "max_region_ops",
-)
+
+class _Knob(NamedTuple):
+    """One row of the knob table (see the module docstring); ``build``
+    maps the spec's value to the owner's and ``read`` maps it back."""
+
+    name: str
+    owner: str
+    attr: str
+    dyser_only: bool
+    compile: bool
+    build: Callable
+    read: Callable
+
+
+def _same(value):
+    return value
+
+
+def _knob(default=MISSING, owner: str = "", attr: str = "", *,
+          dyser_only: bool = False, compile: bool = False,
+          build: Callable = _same, read: Callable = _same):
+    return field(default=default, metadata={"knob": _Knob(
+        "", owner, attr, dyser_only, compile, build, read)})
 
 
 @dataclass(frozen=True)
 class JobSpec:
     """One fully specified experiment point."""
 
-    workload: str
-    mode: str = "dyser"
-    scale: str = "small"
-    seed: int = 7
+    workload: str = _knob(compile=True)
+    mode: str = _knob("dyser", compile=True)
+    scale: str = _knob("small")
+    seed: int = _knob(7)
 
-    # Compiler knobs (mirror repro.compiler.CompilerOptions defaults).
-    geometry: tuple = (8, 8)
-    min_region_ops: int = 2
-    unroll: int = 8
-    vectorize: bool = True
-    reassociate: bool = True
-    pipeline_invocations: bool = True
-    if_convert: bool = True
-    max_region_ops: int | None = None
+    # Compiler knobs (repro.compiler.CompilerOptions).
+    geometry: tuple = _knob(
+        (8, 8), "options", "fabric", dyser_only=True, compile=True,
+        build=lambda g: Fabric(FabricGeometry(*g)),
+        read=lambda fabric: (fabric.geometry.width, fabric.geometry.height))
+    min_region_ops: int = _knob(2, "options", dyser_only=True, compile=True)
+    unroll: int = _knob(8, "options", dyser_only=True, compile=True)
+    vectorize: bool = _knob(True, "options", dyser_only=True, compile=True)
+    reassociate: bool = _knob(True, "options", dyser_only=True, compile=True)
+    max_region_ops: int | None = _knob(None, "options", dyser_only=True,
+                                       compile=True)
 
     # Fabric timing knobs (repro.dyser.DyserTimingParams).
-    input_fifo_depth: int = 4
-    output_fifo_depth: int = 4
-    initiation_interval: int = 1
+    input_fifo_depth: int = _knob(4, "timing", dyser_only=True)
+    output_fifo_depth: int = _knob(4, "timing", dyser_only=True)
+    initiation_interval: int = _knob(1, "timing", dyser_only=True)
 
     # Configuration cache (repro.dyser.config_cache.ConfigCacheParams).
-    config_cache_capacity: int = 4
+    config_cache_capacity: int = _knob(4, "cache_params", "capacity",
+                                       dyser_only=True)
 
-    # Host-core integration knobs.
-    vector_port_words_per_cycle: int = 2
+    # Host-core integration knobs (repro.cpu.CoreConfig).
+    vector_port_words_per_cycle: int = _knob(2, "core_config",
+                                             dyser_only=True)
 
     # Energy model overrides, as a sorted tuple of (field, value).
     energy_overrides: tuple = ()
 
-    memory_bytes: int = 1 << 22
+    memory_bytes: int = _knob(1 << 22)
 
     #: Simulation backend (see :mod:`repro.harness.backends`).  By the
     #: parity contract the backend never changes a run's *outcome*, so
     #: it is deliberately excluded from :meth:`canonical_dict` and
     #: therefore from :attr:`job_hash` — results computed on either
     #: backend share one artifact-cache entry.
-    backend: str = "batched"
+    backend: str = _knob("batched")
 
     def __post_init__(self) -> None:
         if self.mode not in ("scalar", "dyser"):
@@ -121,14 +132,8 @@ class JobSpec:
         object.__setattr__(self, "geometry", geometry)
         # Normalize knob types so e.g. vectorize=1 and vectorize=True
         # produce the same canonical form and content hash.
-        for name in ("vectorize", "reassociate", "pipeline_invocations",
-                     "if_convert"):
-            object.__setattr__(self, name, bool(getattr(self, name)))
-        for name in ("seed", "min_region_ops", "unroll",
-                     "input_fifo_depth", "output_fifo_depth",
-                     "initiation_interval", "config_cache_capacity",
-                     "vector_port_words_per_cycle", "memory_bytes"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, kind in _NORMALISED:
+            object.__setattr__(self, name, kind(getattr(self, name)))
         overrides = tuple(sorted(
             (str(k), v) for k, v in tuple(self.energy_overrides)))
         object.__setattr__(self, "energy_overrides", overrides)
@@ -144,11 +149,10 @@ class JobSpec:
         """
         data = asdict(self)
         data.pop("backend")
+        data.update(RETIRED_KNOBS)
         data["version"] = SPEC_VERSION
         if self.mode == "scalar":
-            defaults = _FIELD_DEFAULTS
-            for name in _DYSER_ONLY_FIELDS:
-                data[name] = defaults[name]
+            data.update(_SCALAR_DEFAULTS)
         data["geometry"] = list(data["geometry"])
         data["energy_overrides"] = [list(p) for p in data["energy_overrides"]]
         return data
@@ -187,48 +191,22 @@ class JobSpec:
         from repro.workloads import get
 
         data = self.canonical_dict()
-        data = {k: data[k] for k in _COMPILE_FIELDS}
+        data = {k: data[k] for k in _COMPILE_KEYS}
         data["version"] = SPEC_VERSION
         data["source"] = source_hash(get(self.workload).source)
         return _sha256_json(data)
 
-    # -- parameter-object construction ---------------------------------
-
-    def options(self) -> CompilerOptions:
-        return CompilerOptions(
-            fabric=Fabric(FabricGeometry(*self.geometry)),
-            min_region_ops=self.min_region_ops,
-            unroll=self.unroll,
-            vectorize=self.vectorize,
-            reassociate=self.reassociate,
-            pipeline_invocations=self.pipeline_invocations,
-            if_convert=self.if_convert,
-            max_region_ops=self.max_region_ops,
-        )
-
-    def timing(self) -> DyserTimingParams:
-        return DyserTimingParams(
-            input_fifo_depth=self.input_fifo_depth,
-            output_fifo_depth=self.output_fifo_depth,
-            initiation_interval=self.initiation_interval,
-        )
-
-    def cache_params(self) -> ConfigCacheParams:
-        return ConfigCacheParams(capacity=self.config_cache_capacity)
-
-    def core_config(self) -> CoreConfig:
-        return CoreConfig(
-            has_dyser=(self.mode == "dyser"),
-            vector_port_words_per_cycle=self.vector_port_words_per_cycle,
-        )
-
-    def energy_params(self) -> EnergyParams:
-        params = EnergyParams(dyser_present=(self.mode == "dyser"))
-        if self.energy_overrides:
-            params = replace(params, **dict(self.energy_overrides))
-        return params
-
     # -- RunConfig bridge ----------------------------------------------
+
+    def params(self, owner: str):
+        """The ``owner`` parameter object of :meth:`to_run_config`
+        (``"options"``, ``"timing"``, ``"cache_params"`` or
+        ``"core_config"``)."""
+        kwargs = {k.attr: k.build(getattr(self, k.name))
+                  for k in _BY_OWNER[owner]}
+        if owner == "core_config":
+            kwargs["has_dyser"] = self.mode == "dyser"
+        return _OWNERS[owner](**kwargs)
 
     def to_run_config(self, trace=None):
         """The :class:`repro.harness.RunConfig` this spec describes.
@@ -242,79 +220,47 @@ class JobSpec:
         from repro.harness.config import RunConfig
         from repro.obs.events import TraceOptions
 
+        energy = EnergyParams(dyser_present=(self.mode == "dyser"))
+        if self.energy_overrides:
+            energy = replace(energy, **dict(self.energy_overrides))
         return RunConfig(
-            workload=self.workload,
-            mode=self.mode,
-            scale=self.scale,
-            seed=self.seed,
-            options=self.options(),
-            core_config=self.core_config(),
-            timing=self.timing(),
-            cache_params=self.cache_params(),
-            energy_params=self.energy_params(),
-            memory_bytes=self.memory_bytes,
-            trace=trace or TraceOptions(),
-            backend=self.backend,
-        )
+            **{k.attr: getattr(self, k.name) for k in _BY_OWNER[""]},
+            **{owner: self.params(owner) for owner in _OWNERS},
+            energy_params=energy, trace=trace or TraceOptions())
 
     @classmethod
     def from_run_config(cls, config) -> "JobSpec":
         """Recover the spec a :meth:`to_run_config` output came from.
 
-        Lossless for configs built by :meth:`to_run_config` (round-trip
-        preserves :attr:`job_hash`); configs with ``None`` parameter
-        objects map to the corresponding field defaults, mirroring how
-        the harness substitutes defaults at execution time.
+        The round trip preserves :attr:`job_hash`; a ``None`` parameter
+        object maps to the field defaults, as the harness substitutes
+        defaults at execution time.  A config that sets an attribute no
+        knob carries (a fabric port count or capability map, a core
+        latency) describes no spec: :class:`WorkloadError` names it.
         """
-        from repro.energy import EnergyParams
-        from dataclasses import fields as dc_fields
-
-        options = config.options
-        timing = config.timing
-        cache_params = config.cache_params
-        core_config = config.core_config
-        data: dict = {
-            "workload": config.workload,
-            "mode": config.mode,
-            "scale": config.scale,
-            "seed": config.seed,
-            "memory_bytes": config.memory_bytes,
-            "backend": config.backend,
-        }
-        if options is not None:
-            g = options.fabric.geometry
-            data.update(
-                geometry=(g.width, g.height),
-                min_region_ops=options.min_region_ops,
-                unroll=options.unroll,
-                vectorize=options.vectorize,
-                reassociate=options.reassociate,
-                pipeline_invocations=options.pipeline_invocations,
-                if_convert=options.if_convert,
-                max_region_ops=options.max_region_ops,
-            )
-        if timing is not None:
-            data.update(
-                input_fifo_depth=timing.input_fifo_depth,
-                output_fifo_depth=timing.output_fifo_depth,
-                initiation_interval=timing.initiation_interval,
-            )
-        if cache_params is not None:
-            data["config_cache_capacity"] = cache_params.capacity
-        if core_config is not None:
-            data["vector_port_words_per_cycle"] = (
-                core_config.vector_port_words_per_cycle)
+        data = {}
+        for k in _KNOBS:
+            owner = getattr(config, k.owner) if k.owner else config
+            if owner is not None:
+                data[k.name] = k.read(getattr(owner, k.attr))
         if config.energy_params is not None:
-            baseline = EnergyParams(
-                dyser_present=(config.mode == "dyser"))
-            overrides = tuple(
+            baseline = EnergyParams(dyser_present=(config.mode == "dyser"))
+            data["energy_overrides"] = tuple(
                 (f.name, getattr(config.energy_params, f.name))
-                for f in dc_fields(EnergyParams)
+                for f in fields(EnergyParams)
                 if f.name != "dyser_present"
                 and getattr(config.energy_params, f.name)
                 != getattr(baseline, f.name))
-            data["energy_overrides"] = overrides
-        return cls(**data)
+        spec = cls(**data)
+        for owner in _OWNERS:
+            given = getattr(config, owner)
+            if given is not None:
+                lost = _difference(given, spec.params(owner), owner)
+                if lost is not None:
+                    raise WorkloadError(
+                        f"no JobSpec knob carries {lost}, which this "
+                        f"RunConfig sets off its default")
+        return spec
 
     def describe(self) -> str:
         w, h = self.geometry
@@ -323,10 +269,43 @@ class JobSpec:
                 f"v{int(self.vectorize)} cc{self.config_cache_capacity}")
 
 
-_FIELD_DEFAULTS = {
-    f.name: f.default for f in fields(JobSpec) if f.default is not MISSING
-}
+#: The knob table, in field order.
+_KNOBS = tuple(
+    f.metadata["knob"]._replace(name=f.name,
+                                attr=f.metadata["knob"].attr or f.name)
+    for f in fields(JobSpec) if "knob" in f.metadata)
+#: ``RunConfig`` parameter objects by attribute name; ``""`` in a
+#: knob's owner means the ``RunConfig`` itself.
+_OWNERS = {"options": CompilerOptions, "timing": DyserTimingParams,
+           "cache_params": ConfigCacheParams, "core_config": CoreConfig}
+_BY_OWNER = {owner: tuple(k for k in _KNOBS if k.owner == owner)
+             for owner in ("", *_OWNERS)}
+#: Owner attributes no knob carries that :meth:`JobSpec.from_run_config`
+#: lets through: one is diagnostic only, the mode decides the other.
+_EXEMPT = frozenset({"options.verify_passes", "core_config.has_dyser"})
+_SCALAR_DEFAULTS = {k.name: getattr(JobSpec, k.name)
+                    for k in _KNOBS if k.dyser_only}
+_COMPILE_KEYS = tuple(k.name for k in _KNOBS if k.compile) \
+    + tuple(RETIRED_KNOBS)
+#: Fields normalised to the type of their default (bool or int).
+_NORMALISED = tuple((f.name, type(f.default)) for f in fields(JobSpec)
+                    if type(f.default) in (bool, int))
 _FIELD_NAMES = frozenset(f.name for f in fields(JobSpec))
+
+
+def _difference(given, built, path: str) -> str | None:
+    """Dotted path of the first non-exempt attribute where two
+    parameter objects differ, or None."""
+    if given == built or path in _EXEMPT:
+        return None
+    if is_dataclass(given) and type(given) is type(built):
+        for f in fields(given):
+            found = _difference(getattr(given, f.name),
+                                getattr(built, f.name), f"{path}.{f.name}")
+            if found is not None:
+                return found
+        return None
+    return path
 
 
 def _sha256_json(data: dict) -> str:

@@ -7,8 +7,9 @@ questions:
 1. **Which sweep points may share one functional execution?**
    :func:`plan_batches` groups :class:`RunConfig`\\ s into *lanes* keyed
    by everything that shapes architectural state: workload, mode,
-   scale, seed, memory size, compile options, and every
-   :class:`CoreConfig` field except the per-point timing knobs
+   scale, seed, memory size, the compiler options a build reads (none
+   for a scalar one), and every :class:`CoreConfig` field except the
+   per-point timing knobs
    (:data:`repro.cpu.batchcore.PER_POINT_FIELDS`).  Points in one lane
    provably execute the same instruction stream over the same values —
    the remaining knobs (DySER FIFO depths, initiation interval,
@@ -52,8 +53,7 @@ from repro.harness.parity import (
 from repro.harness.runner import (
     RunResult,
     _core_config,
-    _default_options,
-    options_key,
+    compile_key,
     _RunSetup,
     run_workload,
 )
@@ -88,7 +88,7 @@ def lane_key(config: RunConfig) -> tuple:
     cc = _core_config(config)
     return (
         config.workload, config.mode, config.scale, config.seed,
-        config.memory_bytes, options_key(_default_options(config)),
+        config.memory_bytes, compile_key(config.mode, config.options),
         tuple(repr(getattr(cc, name)) for name in _SHARED_FIELDS),
     )
 

@@ -13,12 +13,14 @@ that seam with one frozen parameter object that:
   harness, engine, benchmarks and CLI without a twelfth kwarg;
 - carries the simulation ``backend`` selection, validated against the
   registered-backend table (:mod:`repro.harness.backends`);
-- converts losslessly to/from :class:`~repro.engine.jobs.JobSpec`
-  (see ``JobSpec.to_run_config`` / ``JobSpec.from_run_config``) —
-  observability options and the backend deliberately do **not**
-  participate in the spec's content hash, because neither changes a
-  run's outcome (tracing by construction, the backend by the parity
-  contract).
+- converts to and from :class:`~repro.engine.jobs.JobSpec` (see
+  ``JobSpec.to_run_config`` / ``JobSpec.from_run_config``): a spec
+  round-trips with its hash, and a config that sets a parameter no
+  spec knob carries (a core latency, a non-uniform fabric) is refused
+  by name rather than mapped to another design point.  Observability
+  options and the backend deliberately do **not** participate in the
+  spec's content hash, because neither changes a run's outcome
+  (tracing by construction, the backend by the parity contract).
 
 Every entry point that runs, compares, profiles or statically walks a
 workload — ``run_workload``, ``compare``, ``profile_workload``,

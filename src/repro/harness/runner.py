@@ -27,16 +27,13 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from repro.compiler import CompileResult, CompilerOptions, RegionReport
 from repro.compiler import compile_dyser, compile_scalar
 from repro.cpu import CoreConfig, ExecStats, Memory, clear_decode_caches
-from repro.dyser import DyserDevice, DyserTimingParams, Fabric, FabricGeometry
+from repro.dyser import DyserDevice, DyserTimingParams
 from repro.dyser.config_cache import ConfigCacheParams
 from repro.energy import EnergyModel, EnergyParams, EnergyReport
 from repro.harness.backends import resolve_backend
 from repro.harness.config import RunConfig
 from repro.obs.events import EventStream
 from repro.workloads import Instance, get as get_workload
-
-#: The prototype's fabric: 8x8, heterogeneous.
-DEFAULT_GEOMETRY = (8, 8)
 
 #: Serialization format tag for run summaries (artifact cache entries).
 RESULT_FORMAT = "repro-run-v1"
@@ -166,6 +163,16 @@ def options_key(options: CompilerOptions) -> tuple:
                  if f.name != "verify_passes")
 
 
+def compile_key(mode: str, options: CompilerOptions | None) -> tuple:
+    """What a build reads of the compiler options, as a hashable value:
+    nothing for a scalar build, :func:`options_key` for a DySER one,
+    with ``None`` read as the default options (keyed once, at import).
+    The compile memo and the lockstep lanes key on it."""
+    if mode != "dyser":
+        return ()
+    return _DEFAULT_OPTIONS_KEY if options is None else options_key(options)
+
+
 def _hashable(value):
     """``value`` with sets and dicts as frozensets and dataclasses as
     tuples of their fields, so equal options key equal.  (Copying a set
@@ -181,6 +188,8 @@ def _hashable(value):
     return value
 
 
+_DEFAULT_OPTIONS_KEY = options_key(CompilerOptions())
+
 #: Process-local compile memo, cleared once past
 #: :data:`_COMPILE_MEMO_LIMIT` entries.  Keyed on the workload's *source
 #: text*, not just its name: re-registering or editing a kernel in a
@@ -191,11 +200,10 @@ _COMPILE_MEMO_LIMIT = 256
 
 def _compile(workload_name: str, mode: str,
              options: CompilerOptions) -> CompileResult:
-    """Compile a suite workload through the memo.  A scalar build reads
-    no compiler options, so its key leaves them out."""
+    """Compile a suite workload through the memo."""
     workload = get_workload(workload_name)
     key = (workload_name, source_hash(workload.source), mode,
-           options_key(options) if mode == "dyser" else ())
+           compile_key(mode, options))
     result = _COMPILE_MEMO.get(key)
     if result is None:
         result = (compile_scalar(workload.source) if mode == "scalar"
@@ -223,8 +231,7 @@ def clear_caches() -> None:
 
 
 def _default_options(config: RunConfig) -> CompilerOptions:
-    return config.options or CompilerOptions(
-        fabric=Fabric(FabricGeometry(*DEFAULT_GEOMETRY)))
+    return config.options or CompilerOptions()
 
 
 def _core_config(config: RunConfig) -> CoreConfig:

@@ -46,7 +46,7 @@ import json
 from dataclasses import fields as dataclass_fields
 
 from repro.errors import ReproError
-from repro.engine.jobs import JobSpec
+from repro.engine.jobs import RETIRED_KNOBS, JobSpec
 from repro.engine.sweeps import SweepSpec
 
 #: Protocol version tag carried in every response envelope.
@@ -138,21 +138,28 @@ def spec_from_payload(data: object) -> JobSpec:
 
     Unknown keys are rejected by name (a misspelled knob must never be
     silently dropped — the resulting spec would hash to a *different*
-    design point than the caller asked for).  Value errors surface as
-    :class:`ProtocolError` with the library's message.
+    design point than the caller asked for).  A retired knob
+    (:data:`repro.engine.jobs.RETIRED_KNOBS`) is accepted at its one
+    historic value only, so older payloads keep their hashes.  Value
+    errors surface as :class:`ProtocolError` with the library's message.
     """
     if not isinstance(data, dict):
         raise ProtocolError(
             f"spec must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - _SPEC_FIELDS)
+    kwargs = dict(data)
+    for name, historic in RETIRED_KNOBS.items():
+        if name in kwargs and kwargs.pop(name) is not historic:
+            raise ProtocolError(
+                f"spec.{name} was removed; only its historic value "
+                f"{json.dumps(historic)} is accepted", field=name)
+    unknown = sorted(set(kwargs) - _SPEC_FIELDS)
     if unknown:
         raise ProtocolError(
             f"unknown spec field(s) {unknown}; "
             f"known fields: {sorted(_SPEC_FIELDS)}",
             unknown=unknown)
-    if "workload" not in data:
+    if "workload" not in kwargs:
         raise ProtocolError("spec.workload is required")
-    kwargs = dict(data)
     if "geometry" in kwargs:
         geometry = kwargs["geometry"]
         if (not isinstance(geometry, (list, tuple)) or len(geometry) != 2):

@@ -80,6 +80,19 @@ class TestPlanBatches:
         assert groups == []
         assert singles == [0, 1, 2, 3]
 
+    def test_scalar_configs_ignore_compiler_options(self):
+        # A scalar build reads no compiler options.
+        from repro import CompilerOptions, Fabric, FabricGeometry
+
+        configs = [
+            _cfg(workload="mm", mode="scalar"),
+            _cfg(workload="mm", mode="scalar", options=CompilerOptions(
+                fabric=Fabric(FabricGeometry(4, 4)))),
+        ]
+        assert plan_batches(configs) == ([[0, 1]], [])
+        dyser = [_cfg(), _cfg(options=CompilerOptions())]
+        assert plan_batches(dyser) == ([[0, 1]], [])
+
     def test_traced_configs_never_batch(self):
         configs = [
             _cfg(timing=DyserTimingParams(input_fifo_depth=2)),
@@ -111,8 +124,7 @@ class TestPlanBatches:
 
 class TestBatchCoreValidation:
     def test_rejects_disagreeing_shared_fields(self):
-        from repro.harness.runner import _compile
-        from repro.harness.batch import _default_options
+        from repro.harness.runner import _compile, _default_options
 
         base = _cfg()
         compiled = _compile(base.workload, base.mode,

@@ -366,6 +366,27 @@ class TestV2Jobs:
         assert store.jobs[final.id].state == P.JOB_SUCCEEDED
         store.close()
 
+    def test_replayed_retired_knob_fails_the_job_by_name(
+            self, canned_payload, tmp_path):
+        # A journal written before the knob's removal may hold it at
+        # false, a build that no longer exists: the recovered job fails
+        # naming the field, and the daemon keeps serving.
+        journal = tmp_path / "jobs.jsonl"
+        store = JobStore(journal)
+        store.create(JobRecord(
+            job_id="j-retired-0001", tenant=P.DEFAULT_TENANT,
+            kind=P.JOB_KIND_RUN,
+            spec_payloads=[{**SPEC, "pipeline_invocations": False}]))
+        store.close()
+        with ServiceThread(cache=None, journal=journal,
+                           worker=_canned_worker(canned_payload)) as srv:
+            with Client(port=srv.port, retries=0) as client:
+                final = client.wait("j-retired-0001", timeout=30)
+                served = client.execute(SPEC)
+        assert final.state == P.JOB_FAILED
+        assert "pipeline_invocations" in final.error
+        assert _canonical(served["result"]) == _canonical(canned_payload)
+
     def test_sweep_job_expands_and_completes(self, canned_payload):
         with ServiceThread(cache=None,
                            worker=_canned_worker(canned_payload)) as srv:

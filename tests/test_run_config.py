@@ -1,11 +1,12 @@
 """Tests for the redesigned run API (RunConfig) and its bridges.
 
 Covers: RunConfig validation and derivation helpers (including the
-``backend`` field), the removal of the legacy kwargs shim, the lossless
-JobSpec <-> RunConfig conversion, content-hash stability (golden hashes
-pin that neither the RunConfig redesign nor the backend field
-invalidated warm caches), run-summary serialization round trips, and
-the format_series zero-bar fix.
+``backend`` field), the removal of the legacy kwargs shim, the
+JobSpec <-> RunConfig conversion (lossless for what a spec can
+express, refused by name otherwise), content-hash stability (golden
+hashes pin that neither the RunConfig redesign, the backend field nor
+the deleted compiler knobs invalidated warm caches), run-summary
+serialization round trips, and the format_series zero-bar fix.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from repro import (
     CompilerOptions,
+    CoreConfig,
     DyserTimingParams,
     Fabric,
     FabricGeometry,
@@ -26,6 +28,7 @@ from repro import (
     format_series,
     run_workload,
 )
+from repro.dyser.fabric import uniform_capabilities
 from repro.harness.runner import Comparison, RunResult, compare
 
 #: Golden job hashes, captured before the RunConfig redesign.  If these
@@ -36,6 +39,22 @@ GOLDEN_HASHES = {
         "2271a120c34146ac4994f5811385cf2d4952685436b3661ebc355595570c032e",
     ("mm", "scalar"):
         "9aef86fd98b80638c935fba8d73f5ece943ac549f9abbca9d2540322741511d9",
+}
+
+#: Golden compile and shape hashes of the same two specs, captured
+#: before the two compiler knobs nothing read were deleted: they key
+#: the compiled-artifact cache and the cost pre-flight memo.
+GOLDEN_COMPILE_HASHES = {
+    ("mm", "dyser"):
+        "48b44252fdff3f9b57594a84cf4f4be4b39e3f7fc164b2c6b89bafcaf2f0a877",
+    ("mm", "scalar"):
+        "da6970b9d482e1a33531bc7fe71c32c78a66cad1b856632aee016a9ff8da7fac",
+}
+GOLDEN_SHAPE_HASHES = {
+    ("mm", "dyser"):
+        "c01ecc7072188a49983f5ec59fa6d1342e8b74167dd728407671f71ad177d6ef",
+    ("mm", "scalar"):
+        "1d18f79c688ec5bbf3996d081cd83fccfb5b320b338a060acb10d34907da97e6",
 }
 
 
@@ -170,11 +189,40 @@ class TestJobSpecBridge:
         assert back.timing.input_fifo_depth == 16
 
 
+    @pytest.mark.parametrize("config, lost", [
+        (RunConfig(workload="mm", options=CompilerOptions(
+            fabric=Fabric(FabricGeometry(4, 4, ports_per_edge_switch=3)))),
+         "options.fabric.geometry.ports_per_edge_switch"),
+        (RunConfig(workload="mm", options=CompilerOptions(
+            fabric=Fabric(capabilities=uniform_capabilities(
+                FabricGeometry())))),
+         "options.fabric.capabilities"),
+        (RunConfig(workload="mm", core_config=CoreConfig(alu_latency=3)),
+         "core_config.alu_latency"),
+    ])
+    def test_inexpressible_config_refused_by_name(self, config, lost):
+        with pytest.raises(WorkloadError, match=lost):
+            JobSpec.from_run_config(config)
+
+    def test_diagnostic_and_mode_derived_fields_are_exempt(self):
+        config = RunConfig(
+            workload="mm", mode="scalar", core_config=CoreConfig(),
+            options=CompilerOptions(verify_passes=True))
+        assert JobSpec.from_run_config(config) == \
+            JobSpec(workload="mm", mode="scalar")
+
+
 class TestHashStability:
     @pytest.mark.parametrize("mode", ["dyser", "scalar"])
     def test_golden_job_hashes_unchanged(self, mode):
         assert JobSpec(workload="mm", mode=mode).job_hash == \
             GOLDEN_HASHES[("mm", mode)]
+
+    @pytest.mark.parametrize("mode", ["dyser", "scalar"])
+    def test_golden_compile_and_shape_hashes_unchanged(self, mode):
+        spec = JobSpec(workload="mm", mode=mode)
+        assert spec.compile_hash == GOLDEN_COMPILE_HASHES[("mm", mode)]
+        assert spec.shape_hash == GOLDEN_SHAPE_HASHES[("mm", mode)]
 
     def test_cached_hashes_stay_out_of_fields_and_pickles(self):
         import pickle

@@ -120,6 +120,16 @@ class TestProtocol:
             spec_from_payload({"workload": "mm", "unrol": 4})
         assert "unrol" in str(err.value)
 
+    def test_retired_knob_accepted_only_at_its_historic_value(self):
+        # Payloads from before the knob's removal echo it at true: the
+        # same design point, so test_run_config's golden job hash.
+        spec = spec_from_payload({"workload": "mm", "if_convert": True})
+        assert spec.job_hash == ("2271a120c34146ac4994f5811385cf2d"
+                                 "4952685436b3661ebc355595570c032e")
+        with pytest.raises(ProtocolError, match="if_convert") as err:
+            spec_from_payload({"workload": "mm", "if_convert": False})
+        assert err.value.error_code == P.ERR_BAD_REQUEST
+
     def test_workload_required(self):
         with pytest.raises(ProtocolError):
             spec_from_payload({"mode": "dyser"})

@@ -114,6 +114,13 @@ class TestValidation:
         with pytest.raises(WorkloadError, match="fifo_depht"):
             SweepSpec(workloads=("mm",), axes={"fifo_depht": (2,)})
 
+    @pytest.mark.parametrize("name", ["pipeline_invocations", "if_convert"])
+    def test_retired_knobs_are_unknown_fields(self, name):
+        with pytest.raises(WorkloadError, match=name):
+            SweepSpec(workloads=("mm",), axes={name: (True,)})
+        with pytest.raises(WorkloadError, match=name):
+            SweepSpec(workloads=("mm",), base={name: True})
+
     def test_empty_axis(self):
         with pytest.raises(WorkloadError, match="no values"):
             SweepSpec(workloads=("mm",),

@@ -183,8 +183,7 @@ class TestHarness:
         changed = {
             "fabric": Fabric(FabricGeometry(8, 8, ports_per_edge_switch=3)),
             "min_region_ops": 3, "unroll": 4, "vectorize": False,
-            "reassociate": False, "pipeline_invocations": False,
-            "if_convert": False, "max_region_ops": 9,
+            "reassociate": False, "max_region_ops": 9,
         }
         assert set(changed) == {
             f.name for f in fields(CompilerOptions)} - {"verify_passes"}
