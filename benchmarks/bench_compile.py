@@ -11,15 +11,21 @@ and ``_route`` run under wall-clock timers, so a pass reports the time
 spent placing (refinement included), routing (the cut check included)
 and compiling in total.  Each region attempt (one rung of the unroll
 ladder, ``region._attempt``) is counted and timed too: ``attempts``,
-``failed`` and ``failed_s``, the wall time of the failed ones; and
-``place_calls`` counts the calls of ``_place``.  The
-entry records the median of each over the passes and is appended to
+``failed`` and ``failed_s``, the wall time of the failed ones;
+``place_calls`` counts the calls of ``_place``.  ``congestion_s`` is
+the wall time of the ``_route`` calls that fail with ``RPR217``
+(negotiations abandoned as stalled or out of rounds), which
+``failed_s`` misses when a re-placement of the same attempt routes;
+``searches`` counts the router's tree searches
+(``_grow_tree_negotiated`` calls), a deterministic count.  The entry
+records the median of each over the passes and is appended to
 ``BENCH_compile.json``, the committed history.
 
 ``--check`` writes nothing.  It recomputes the schedule digest of every
 case in ``GOLDEN_DIGESTS`` (``tests/test_schedule.py``): the 8x8 ones
 from the first timed pass, the non-square ones from one more compile
-each.  It prints the attempt counts, and exits 1 when any digest
+each.  It prints the attempt and search counts and the congestion
+time, and exits 1 when any digest
 differs or when an attempt that a check reading no placement rejected
 (``PLACEMENT_FREE_CODES``) called ``_place``.  Wall time is never
 gated: it is recorded, and only the deterministic digests and counts
@@ -54,7 +60,7 @@ from repro.compiler import CompilerOptions, compile_dyser  # noqa: E402
 from repro.compiler import region  # noqa: E402
 from repro.compiler import schedule as sched  # noqa: E402
 from repro.dyser import Fabric, FabricGeometry  # noqa: E402
-from repro.errors import CompilerError  # noqa: E402
+from repro.errors import CompilerError, SchedulingError  # noqa: E402
 from repro.workloads import SUITE  # noqa: E402
 
 
@@ -66,6 +72,27 @@ def _timed(fn, totals: dict[str, float], key: str):
             return fn(*args, **kwargs)
         finally:
             totals[key] += time.perf_counter() - start
+    return wrapper
+
+
+def _congestion_timed(route, totals: dict[str, float]):
+    """``_route`` that adds the wall time of its ``RPR217`` failures to
+    ``congestion_s``."""
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return route(*args, **kwargs)
+        except SchedulingError as exc:
+            if exc.code == "RPR217":
+                totals["congestion_s"] += time.perf_counter() - start
+            raise
+    return wrapper
+
+
+def _counted(fn, totals: dict[str, float], key: str):
+    def wrapper(*args):
+        totals[key] += 1
+        return fn(*args)
     return wrapper
 
 
@@ -105,6 +132,7 @@ def measure(passes: int
     and every placement-free rejection that placed (each pass)."""
     kernels = sorted({name for name, _, _ in golden_cases()})
     place, route, attempt = sched._place, sched._route, region._attempt
+    search = sched._grow_tree_negotiated
     per_pass: list[dict[str, float]] = []
     digests: dict[tuple[str, int, int], str] = {}
     misplaced: list[str] = []
@@ -112,7 +140,10 @@ def measure(passes: int
         for _ in range(passes):
             totals: dict[str, float] = defaultdict(float)
             sched._place = _timed(place, totals, "place_s")
-            sched._route = _timed(route, totals, "route_s")
+            sched._route = _timed(_congestion_timed(route, totals), totals,
+                                  "route_s")
+            sched._grow_tree_negotiated = _counted(search, totals,
+                                                   "searches")
             region._attempt = _counted_attempt(attempt, totals, misplaced)
             start = time.perf_counter()
             for name in kernels:
@@ -122,6 +153,7 @@ def measure(passes: int
             per_pass.append(totals)
     finally:
         sched._place, sched._route = place, route
+        sched._grow_tree_negotiated = search
         region._attempt = attempt
     entry = {
         "date": _dt.date.today().isoformat(),
@@ -130,10 +162,12 @@ def measure(passes: int
         "kernels": len(kernels),
         "passes": passes,
     }
-    for key in ("place_s", "route_s", "total_s", "failed_s"):
+    for key in ("place_s", "route_s", "total_s", "failed_s",
+                "congestion_s"):
         entry[key] = round(statistics.median(p[key] for p in per_pass), 3)
     for key, counter in (("attempts", "attempts"), ("failed", "failed"),
-                         ("place_calls", "calls:place_s")):
+                         ("place_calls", "calls:place_s"),
+                         ("searches", "searches")):
         entry[key] = int(statistics.median(p[counter] for p in per_pass))
     return entry, digests, misplaced
 
@@ -159,6 +193,9 @@ def validate(document: dict) -> None:
             assert 0 <= entry["failed"] <= entry["attempts"], entry
             assert 0 <= entry["failed_s"] <= entry["total_s"], entry
             assert (entry["failed_s"] > 0) == (entry["failed"] > 0), entry
+        if "searches" in entry:  # entries before congestion accounting
+            assert entry["searches"] > 0, entry
+            assert 0 <= entry["congestion_s"] <= entry["route_s"], entry
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -189,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{entry['attempts']} region attempts, {entry['failed']} "
               f"failed, {entry['place_calls']} _place calls, "
               f"{len(misplaced)} placement-free rejections placed")
+        print(f"{entry['searches']} route searches, "
+              f"{entry['congestion_s']:.3f} s in RPR217 negotiations")
         return 1 if bad or misplaced else 0
     document = (json.loads(args.output.read_text())
                 if args.output.exists()

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import fields as dataclass_fields
 
 from repro.analysis.diagnostics import DiagnosticReport
+from repro.engine.jobs import _KNOBS, JobSpec
 
 _SOURCE = "speclint"
 
@@ -22,18 +23,16 @@ _SOURCE = "speclint"
 #: typo (workload-specific extra scales still run — this is a warning).
 STANDARD_SCALES = ("tiny", "small", "medium")
 
-#: Hardware/compiler integer knobs that must be >= 1.
-_POSITIVE_HW_KNOBS = (
-    "input_fifo_depth",
-    "output_fifo_depth",
-    "initiation_interval",
-    "config_cache_capacity",
-    "vector_port_words_per_cycle",
-)
-_POSITIVE_COMPILER_KNOBS = (
-    "unroll",
-    "min_region_ops",
-)
+#: The int-typed knobs of the ``JobSpec`` knob table that a ``RunConfig``
+#: parameter object owns, in field order: each counts something and
+#: must be >= 1.  Those of the compiler options are compiler knobs
+#: (RPR256), the others hardware knobs (RPR253).
+_POSITIVE_KNOBS = [k for k in _KNOBS
+                   if k.owner and type(getattr(JobSpec, k.name)) is int]
+_POSITIVE_HW_KNOBS = tuple(
+    k.name for k in _POSITIVE_KNOBS if k.owner != "options")
+_POSITIVE_COMPILER_KNOBS = tuple(
+    k.name for k in _POSITIVE_KNOBS if k.owner == "options")
 
 #: Smallest memory image the harness can stage inputs into.  Every
 #: suite workload places arrays above the 64 KiB line even at the tiny

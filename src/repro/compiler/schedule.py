@@ -27,10 +27,18 @@ mirroring the prototype toolchain:
    adjacency table (:func:`switch_adjacency`) with usage and history in
    flat per-link lists, and each round prices every link's unshared
    cost (1 + history) once; paths become ``Coord`` lists only when
-   returned.
+   returned.  Progress is the total overuse, the sum over shared links
+   of (users - 1).  A negotiation whose overuse has not fallen below
+   its best for :data:`_STALL_ROUNDS` rounds is abandoned as stalled
+   (``RPR217``, ``stalled=True``) rather than run to
+   :data:`_ROUTE_ROUNDS`: on the 8x8 suite no negotiation that
+   succeeds stalls for more than 8 rounds, and every one that fails
+   stalls for 42 or more.
 
 When the cut check or congestion fails, the DFG is placed again with a
-new seed (:data:`_PLACE_ATTEMPTS` times).
+new seed (:data:`_PLACE_ATTEMPTS` times).  Routing draws nothing from
+the placement RNG, so abandoning a stalled negotiation changes a
+result only where it would have converged after stalling that long.
 
 Raises :class:`SchedulingError` when the DFG cannot be mapped, which the
 region selector turns into a scalar fallback (exactly what the paper's
@@ -53,6 +61,9 @@ from repro.errors import SchedulingError
 _REFINE_ITERS = 300
 #: Negotiated-congestion routing iterations.
 _ROUTE_ROUNDS = 48
+#: Rounds a negotiation may run without lowering its total overuse
+#: below its best before it is abandoned as stalled.
+_STALL_ROUNDS = 20
 #: Placement attempts (fresh seed each) before giving up on routing.
 _PLACE_ATTEMPTS = 8
 
@@ -359,10 +370,13 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
 
     # PathFinder-style negotiated congestion routing: sharing a link is
     # allowed during search but priced; shared links accumulate history
-    # cost between iterations until every link has one owner.
+    # cost between iterations until every link has one owner.  A
+    # negotiation whose total overuse stops falling is abandoned early,
+    # so ``schedule`` re-places instead of running out the rounds.
     history = [0.0] * num_links
     present_penalty = 2.0
-    for _iteration in range(_ROUTE_ROUNDS):
+    progress = _Progress()
+    for rounds in range(1, _ROUTE_ROUNDS + 1):
         # A link's price without sharing: fixed for the whole round.
         base = [1.0 + h for h in history]
         usage: list[set[int]] = [set() for _ in range(num_links)]
@@ -392,16 +406,44 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
         if not shared:
             return {key: [divmod(sw, rows) for sw in reversed(path)]
                     for key, path in routes.items()}
+        if progress.stalled_out(sum(len(usage[link]) - 1 for link in shared)):
+            raise SchedulingError(
+                f"{dfg.name}: congestion stalled after {rounds} routing "
+                f"rounds: overuse stayed at or above {progress.best} for "
+                f"the last {_STALL_ROUNDS} ({len(shared)} links still "
+                f"shared)",
+                code="RPR217", dfg=dfg.name, rounds=rounds, stalled=True,
+                shared=len(shared))
         for link in shared:
             history[link] += history_increment
         # Uncapped: late iterations effectively forbid sharing, which is
         # what finally shakes the last contested link loose.
         present_penalty *= 1.6
     raise SchedulingError(
-        f"{dfg.name}: congestion did not resolve in {_ROUTE_ROUNDS} "
-        f"routing iterations ({len(shared)} links still shared)",
-        code="RPR217", dfg=dfg.name, rounds=_ROUTE_ROUNDS,
+        f"{dfg.name}: congestion did not resolve in {rounds} "
+        f"routing rounds ({len(shared)} links still shared)",
+        code="RPR217", dfg=dfg.name, rounds=rounds, stalled=False,
         shared=len(shared))
+
+
+class _Progress:
+    """Stall bookkeeping of one negotiation: ``best`` is the lowest
+    total overuse (sum over shared links of users - 1) seen so far and
+    ``stalled`` the rounds since it last fell."""
+
+    def __init__(self) -> None:
+        self.best = _INF
+        self.stalled = 0
+
+    def stalled_out(self, overuse: int) -> bool:
+        """Record one round's overuse; true once it has not fallen
+        below ``best`` for :data:`_STALL_ROUNDS` rounds."""
+        if overuse < self.best:
+            self.best = overuse
+            self.stalled = 0
+        else:
+            self.stalled += 1
+        return self.stalled >= _STALL_ROUNDS
 
 
 def _check_cuts(dfg: Dfg, geometry: FabricGeometry,

@@ -88,8 +88,8 @@ class JobSpec:
         (8, 8), "options", "fabric", dyser_only=True, compile=True,
         build=lambda g: Fabric(FabricGeometry(*g)),
         read=lambda fabric: (fabric.geometry.width, fabric.geometry.height))
-    min_region_ops: int = _knob(2, "options", dyser_only=True, compile=True)
     unroll: int = _knob(8, "options", dyser_only=True, compile=True)
+    min_region_ops: int = _knob(2, "options", dyser_only=True, compile=True)
     vectorize: bool = _knob(True, "options", dyser_only=True, compile=True)
     reassociate: bool = _knob(True, "options", dyser_only=True, compile=True)
     max_region_ops: int | None = _knob(None, "options", dyser_only=True,

@@ -419,6 +419,25 @@ class TestSpecLint:
         assert {"RPR251", "RPR252", "RPR253", "RPR254", "RPR255",
                 "RPR256"} <= report.codes()
 
+    def test_every_owned_int_knob_is_range_checked(self):
+        # The lists come from the JobSpec knob table; the codes,
+        # messages and order are those of the hand-written lists.
+        spec = JobSpec(workload="mm", input_fifo_depth=0,
+                       output_fifo_depth=0, initiation_interval=0,
+                       config_cache_capacity=0,
+                       vector_port_words_per_cycle=0, unroll=0,
+                       min_region_ops=0)
+        assert [(d.code, d.message) for d in lint_spec(spec)] == [
+            ("RPR253", "hardware knob input_fifo_depth=0 must be >= 1"),
+            ("RPR253", "hardware knob output_fifo_depth=0 must be >= 1"),
+            ("RPR253", "hardware knob initiation_interval=0 must be >= 1"),
+            ("RPR253", "hardware knob config_cache_capacity=0 must be >= 1"),
+            ("RPR253",
+             "hardware knob vector_port_words_per_cycle=0 must be >= 1"),
+            ("RPR256", "compiler knob unroll=0 must be >= 1"),
+            ("RPR256", "compiler knob min_region_ops=0 must be >= 1"),
+        ]
+
     def test_max_below_min_region_ops(self):
         spec = JobSpec(workload="mm", min_region_ops=4, max_region_ops=2)
         report = lint_spec(spec)

@@ -29,7 +29,10 @@ A region attempt that a check reading no placement rejects (a region
 rejection, too many ops or ports) must never reach the scheduler.
 
 The fabric-cut check must be sound: a placement it rejects with
-``RPR218`` must also fail the full negotiated router.
+``RPR218`` must also fail the full negotiated router, all
+``_ROUTE_ROUNDS`` rounds with no stall cutoff.  A stalled negotiation
+stops before ``_ROUTE_ROUNDS``, and no negotiation that succeeds on
+the 8x8 suite stalls for more than half of ``_STALL_ROUNDS``.
 """
 
 from __future__ import annotations
@@ -145,22 +148,32 @@ def test_cut_check_rejects_only_unroutable_placements(monkeypatch):
         if code != "RPR218":
             continue
         fired += 1
-        # The full negotiated router on the same placement fails too.
+        # The full negotiated router on the same placement fails too:
+        # without the cut check, and with no stall cutoff before all
+        # ``_ROUTE_ROUNDS`` rounds.
         with monkeypatch.context() as patch:
             patch.setattr(sched, "_check_cuts", lambda *args: None)
+            patch.setattr(sched, "_STALL_ROUNDS", sched._ROUTE_ROUNDS)
             assert _route_code(dfg, fabric, placement) == "RPR217", case
     assert fired >= 5 and routed >= 1500
 
 
-def test_overcut_dfg_fails_before_any_search(monkeypatch):
-    # On a 3x1 fabric two links cross each column line each way.  Input
-    # ports 0, 4 and 5 enter at switch column 0 and output ports 3, 4
-    # and 8 leave at switch column 3: three signals must cross.
-    fabric = Fabric(FabricGeometry(3, 1))
+def overcut() -> tuple[Dfg, Fabric]:
+    """A DFG that no router can map on its 3x1 fabric.
+
+    Two links cross each column line each way.  Input ports 0, 4 and 5
+    enter at switch column 0 and output ports 3, 4 and 8 leave at
+    switch column 3: three signals must cross.
+    """
     dfg = Dfg("overcut")
     dfg.set_output(0, dfg.add_node(FuOp.ADD, [PortRef(1), PortRef(2)]))
     for out, port in ((3, 0), (4, 4), (8, 5)):
         dfg.set_output(out, PortRef(port))
+    return dfg, Fabric(FabricGeometry(3, 1))
+
+
+def test_overcut_dfg_fails_before_any_search(monkeypatch):
+    dfg, fabric = overcut()
 
     def no_search(*args):
         raise AssertionError("negotiated routing entered")
@@ -172,12 +185,66 @@ def test_overcut_dfg_fails_before_any_search(monkeypatch):
     assert info.value.code == "RPR218"
     assert info.value.context == {"dfg": "overcut", "axis": "x", "line": 0,
                                   "signals": 3, "links": 2}
-    # Without the check the full router fails on it as well.
+    # Without the check the full router, all ``_ROUTE_ROUNDS`` rounds
+    # with no stall cutoff, fails on it as well.
     monkeypatch.setattr(sched, "_check_cuts", lambda *args: None)
+    monkeypatch.setattr(sched, "_STALL_ROUNDS", sched._ROUTE_ROUNDS)
     with pytest.raises(SchedulingError) as info:
         sched.schedule(0, dfg, fabric)
     assert info.value.code == "RPR217"
+    assert info.value.context["rounds"] == sched._ROUTE_ROUNDS
+    assert info.value.context["stalled"] is False
 
+
+def test_stalled_negotiation_stops_early(monkeypatch):
+    dfg, fabric = overcut()
+    monkeypatch.setattr(sched, "_check_cuts", lambda *args: None)
+    placement = sched._place(dfg, fabric, random.Random(0), refine=True)
+    with pytest.raises(SchedulingError) as info:
+        sched._route(dfg, fabric, placement)
+    assert info.value.code == "RPR217"
+    context = info.value.context
+    assert sched._STALL_ROUNDS < context["rounds"] < sched._ROUTE_ROUNDS
+    assert context["stalled"] is True
+    assert f"stalled after {context['rounds']} routing rounds" \
+        in str(info.value)
+
+
+def test_successful_negotiations_stay_far_from_the_stall_cutoff(
+        monkeypatch):
+    # A router change that lets a routable placement stall for longer
+    # fails here before the cutoff starts abandoning such placements
+    # and moving routes.  The longest such stall at 8x8 is 8 rounds.
+    made: list = []
+    succeeded: list = []
+    real_route = sched._route
+
+    class Observed(sched._Progress):
+        """Keeps every negotiation's longest stall."""
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.longest = 0
+            made.append(self)
+
+        def stalled_out(self, overuse: int) -> bool:
+            out = super().stalled_out(overuse)
+            self.longest = max(self.longest, self.stalled)
+            return out
+
+    def route(*args, **kwargs):
+        first = len(made)
+        routes = real_route(*args, **kwargs)
+        succeeded.extend(made[first:])
+        return routes
+
+    monkeypatch.setattr(sched, "_Progress", Observed)
+    monkeypatch.setattr(sched, "_route", route)
+    for kernel in shipped_suite():
+        compile_dyser(SUITE[kernel].source, CompilerOptions())
+    assert len(succeeded) >= 10
+    assert any(p.stalled >= sched._STALL_ROUNDS for p in made)
+    assert max(p.longest for p in succeeded) <= sched._STALL_ROUNDS // 2
 
 #: (workload, fabric width, fabric height) -> schedule digest.
 GOLDEN_DIGESTS: dict[tuple[str, int, int], str] = {
