@@ -23,7 +23,10 @@ Methodology: every (workload, mode) config is executed once per backend
 after a compile warm-up pass, so the numbers compare *simulation* time,
 not compilation.  Parity is asserted on the exact configs measured —
 a timing table for a backend that disagrees with the oracle would be
-meaningless.
+meaningless.  Entries also record ``dyser_fires``, the DySER invocations
+of the solo dyser-mode runs, and ``solo_ns_per_fire``, the wall time of
+those runs divided by their fires (whole runs, not the fabric alone;
+entries recorded before these keys existed lack them).
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ BENCH_PATH = REPO_ROOT / "BENCH_sim_speed.json"
 #: Serialization format tag for the benchmark history file.
 BENCH_FORMAT = "repro-bench-sim-speed-v1"
 
-#: CI smoke pair: one regular kernel, one with control flow.
-SMOKE_WORKLOADS = ("mm", "fir")
+#: CI smoke set: one regular kernel, one with control flow, and the
+#: other send-heavy wide-port kernel next to mm.
+SMOKE_WORKLOADS = ("mm", "fir", "nbody")
 
 #: The batched-sweep measurement: per workload, a lane of timing-knob
 #: points (FIFO depth x initiation interval x vector port rate) — the
@@ -85,14 +89,21 @@ def _batched_configs(workloads, scale):
     ]
 
 
-def _time_backend(configs, backend: str) -> float:
+def _time_backend(configs, backend: str) -> tuple[float, int, float]:
+    """Wall seconds over ``configs``, then the DySER fires of the
+    dyser-mode runs and the wall seconds those runs took."""
     from repro.harness import run_workload
 
+    fires, dyser_s = 0, 0.0
     started = time.perf_counter()
     for config in configs:
+        run_started = time.perf_counter()
         result = run_workload(config.with_(backend=backend))
         assert result.correct, config.describe()
-    return time.perf_counter() - started
+        if config.mode == "dyser":
+            dyser_s += time.perf_counter() - run_started
+            fires += result.stats.dyser_invocations
+    return time.perf_counter() - started, fires, dyser_s
 
 
 def measure(workloads=None, scale: str = "small") -> dict:
@@ -111,8 +122,8 @@ def measure(workloads=None, scale: str = "small") -> dict:
     # Warm the compile cache so both timings measure simulation only.
     _time_backend(_configs(workloads, "tiny"), DEFAULT_BACKEND)
 
-    reference_s = _time_backend(configs, "reference")
-    fast_s = _time_backend(configs, DEFAULT_BACKEND)
+    reference_s, _, _ = _time_backend(configs, "reference")
+    fast_s, fires, dyser_s = _time_backend(configs, DEFAULT_BACKEND)
     return {
         "date": _dt.date.today().isoformat(),
         "scale": scale,
@@ -122,6 +133,8 @@ def measure(workloads=None, scale: str = "small") -> dict:
         "reference_s": round(reference_s, 3),
         "fast_s": round(fast_s, 3),
         "speedup": round(reference_s / fast_s, 2),
+        "dyser_fires": fires,
+        "solo_ns_per_fire": round(dyser_s * 1e9 / max(fires, 1)),
         "python": platform.python_version(),
     }
 
@@ -185,6 +198,10 @@ def validate(document: dict) -> None:
         assert entry["parity_checked"] == entry["runs"]
         assert entry["speedup"] > 1.0, (
             f"solo runs slower than reference: {entry}")
+        # Entries before fires were counted carry neither key.
+        if "dyser_fires" in entry:
+            assert entry["dyser_fires"] >= 0
+            assert entry["solo_ns_per_fire"] >= 0
     for entry in document.get("batched_entries", ()):
         for key in ("date", "scale", "workloads", "runs",
                     "parity_checked", "reference_s", "fast_s",
@@ -220,7 +237,9 @@ def _render(entry: dict) -> str:
     return format_table(
         ["backend", "wall s", "speedup"], rows,
         title=(f"simulator speed @ {entry['scale']} "
-               f"({entry['runs']} runs, parity-checked)"))
+               f"({entry['runs']} runs, parity-checked)")) + (
+        f"\nsolo dyser-mode runs: {entry['dyser_fires']} DySER fires, "
+        f"{entry['solo_ns_per_fire']} host ns per fire")
 
 
 def _render_batched(entry: dict) -> str:
@@ -258,7 +277,7 @@ def main(argv=None) -> int:
                         help="run the parity harnesses only (no "
                              "timing): solo-vs-reference plus a "
                              "batched sweep; defaults to the CI smoke "
-                             "pair")
+                             "set")
     parser.add_argument("--batched", action="store_true",
                         help="measure the batched-sweep entry instead "
                              "of the solo backend comparison")

@@ -230,16 +230,19 @@ class _AbstractEvaluator(FunctionalEvaluator):
 
     def __init__(self, dfg, on_fault) -> None:
         super().__init__(dfg)
-        self._on_fault = on_fault
+        plan = self.run
+        unknown = (None,) * len(self.output_ports)
 
-    def __call__(self, inputs: dict) -> dict:
-        if any(v is None for v in inputs.values()):
-            return dict.fromkeys(self.dfg.outputs)
-        try:
-            return super().__call__(inputs)
-        except Exception:
-            self._on_fault("DFG evaluation faulted")
-            return dict.fromkeys(self.dfg.outputs)
+        def run(*values):
+            if None in values:
+                return unknown
+            try:
+                return plan(*values)
+            except Exception:
+                on_fault("DFG evaluation faulted")
+                return unknown
+
+        self.run = run
 
 
 # ---------------------------------------------------------------------------

@@ -689,6 +689,8 @@ def _make_dld(insn):
         # Per-point arrival offsets (i // rate) are data-independent;
         # compute them once so the hot loop only adds t0.
         offsets = [[i // r for i in range(count)] for r in rates]
+        # Value i goes to port ``port + i`` (wide) or to ``port``.
+        ports = range(port, port + count) if wide else (port,) * count
 
         def h():
             base = ir[s1]
@@ -713,19 +715,8 @@ def _make_dld(insn):
                     st[DYSER_CONFIG] += fab - issue
                     issue = fab
                 t0 = issue + lat
-                offs = offsets[p]
-                if wide:
-                    # Value i goes to port ``port + i``, one send each.
-                    send = dev.send
-                    stall = 0
-                    for i, value in enumerate(vals):
-                        arrive = t0 + offs[i]
-                        done = send(port + i, value, arrive)
-                        if done > arrive:
-                            stall += done - arrive
-                else:
-                    stall = dev.send_stream(port, vals,
-                                            [t0 + o for o in offs])
+                stall = dev.send_many(ports, vals,
+                                      [t0 + o for o in offsets[p]])
                 if stall:
                     st[DYSER_SEND] += stall
                 sc[1] = issue + holds[p]

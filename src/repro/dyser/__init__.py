@@ -11,7 +11,7 @@ from repro.dyser.fabric import (
 )
 from repro.dyser.functional import FunctionalEvaluator
 from repro.dyser.interface import DyserDevice, DyserStats
-from repro.dyser.ops import FU_OP_INFO, FuCapability, FuOp, evaluate
+from repro.dyser.ops import FU_OP_INFO, FuCapability, FuOp
 from repro.dyser.timing import (
     DyserTimingParams,
     InvocationEngine,
@@ -39,6 +39,5 @@ __all__ = [
     "PortRef",
     "SteadyState",
     "default_capabilities",
-    "evaluate",
     "uniform_capabilities",
 ]

@@ -8,14 +8,12 @@ flowing through the fabric are identical for every point: all devices
 see the same send sequence (shared architectural registers and memory)
 and the :class:`~repro.dyser.functional.FunctionalEvaluator` is a pure
 function of the input vector.  Per-point evaluation would therefore
-walk the same DFG N times per fire — the dominant cost of a DySER-mode
-batch.
+run the same plan N times per fire.
 
 :class:`TapedEvaluator` removes that redundancy: the first device to
-reach fire *k* of a configuration computes it and appends the output
-dict to a shared per-config *tape*; every later device replays the
-tape entry.  Output dicts are served as-is — consumers only iterate
-them (``.items()``), never mutate.
+reach fire *k* of a configuration runs the plan and appends its output
+tuple to a shared per-config *tape*; every later device replays the
+tape entry.  It subclasses the evaluator and replaces only ``run``.
 
 :class:`BatchedDyserDevice` wires the tape in: it wraps the engine's
 evaluator after every (re)configuration and saves the per-config fire
@@ -36,36 +34,33 @@ from repro.dyser.functional import FunctionalEvaluator
 from repro.dyser.interface import DyserDevice
 
 
-class TapedEvaluator:
+class TapedEvaluator(FunctionalEvaluator):
     """Record/replay wrapper around a :class:`FunctionalEvaluator`.
 
-    ``tape`` is the shared per-config list of output dicts; ``index``
+    ``tape`` is the shared per-config list of output tuples; ``index``
     is this device's private cursor into it (fires already consumed by
     this device for this config).
     """
 
-    __slots__ = ("inner", "tape", "index")
-
     def __init__(self, inner: FunctionalEvaluator,
                  tape: list, index: int = 0) -> None:
+        self.dfg = inner.dfg
+        self.input_ports = inner.input_ports
+        self.output_ports = inner.output_ports
         self.inner = inner
         self.tape = tape
         self.index = index
 
-    def __call__(self, inputs: dict) -> dict:
+    def run(self, *values) -> tuple:
         i = self.index
         tape = self.tape
         if i < len(tape):
             outputs = tape[i]
         else:
-            outputs = self.inner(inputs)
+            outputs = self.inner.run(*values)
             tape.append(outputs)
         self.index = i + 1
         return outputs
-
-    # Parity with FunctionalEvaluator's public surface.
-    def required_ports(self) -> list[int]:
-        return self.inner.required_ports()
 
 
 @dataclass
@@ -73,8 +68,8 @@ class BatchedDyserDevice(DyserDevice):
     """A :class:`DyserDevice` whose invocations replay a shared tape.
 
     Every device of one lane is constructed with the *same* ``tape``
-    dict (config id -> list of output dicts).  Timing behaviour is
-    untouched — only the DFG walk is deduplicated.
+    dict (config id -> list of output tuples).  Timing behaviour is
+    untouched — only the plan runs are deduplicated.
     """
 
     tape: dict = field(default_factory=dict)

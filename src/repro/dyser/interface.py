@@ -4,11 +4,17 @@ Owns the registered configurations, the configuration cache, and the
 active :class:`InvocationEngine`.  The host core calls:
 
 - :meth:`init_config` on ``dinit``,
-- :meth:`send` on ``dsend``/``dfsend``/``dld``/``dldv`` (data path),
+- :meth:`send` on ``dsend``/``dfsend``/``dld`` (data path), and
+  :meth:`send_many` once per ``dldv``/``dfldv``/``dldw``/``dfldw``
+  transfer (the reference core sends each of its values through
+  :meth:`send` instead, so its trace holds one stall event per value),
 - :meth:`recv` on ``drecv``/``dfrecv``/``dst``/``dstv``.
 
 All methods take and return *cycle timestamps* so the in-order scoreboard
-core can account stalls precisely.
+core can account stalls precisely.  Both send methods call the engine's
+one deposit (:meth:`InvocationEngine.send`) per value and add only the
+device's counters: values sent, per-port stall cycles and, when traced,
+one ``send_stall`` event per stalled value.
 """
 
 from __future__ import annotations
@@ -105,7 +111,9 @@ class DyserDevice:
         return ready
 
     def send(self, port: int, value: int | float, t_ready: int) -> int:
-        engine = self._require_engine("send")
+        engine = self.engine
+        if engine is None:
+            raise DyserError("send with no configuration loaded")
         done = engine.send(port, value, t_ready)
         self.stats.values_sent += 1
         if done > t_ready:
@@ -115,30 +123,40 @@ class DyserDevice:
                                      t_ready, done - t_ready, port=port)
         return done
 
-    def send_stream(self, port: int, values, arrivals) -> int:
-        """Batched sends to one port (``dldv``/``dfldv`` streams).
+    def send_many(self, ports, values, arrivals) -> int:
+        """One multi-value transfer: ``values[i]`` goes to ``ports[i]``
+        at cycle ``arrivals[i]``, in order (a ``dldv``/``dfldv`` stream
+        repeats one port, a ``dldw``/``dfldw`` spreads over consecutive
+        ports).
 
-        Cycle-exact with calling :meth:`send` per element; returns the
-        total send-stall cycles so the core can charge them in one go.
-        Traced devices take the per-send path so the event stream is
-        unchanged.
+        Cycle-exact with calling :meth:`send` per value (a deposit that
+        fills the last empty FIFO fires mid-transfer, and later deposits
+        wait on that fire); returns the total send-stall cycles so the
+        core can charge them in one go.
         """
-        if self.events is not None:
-            total = 0
-            for value, arrive in zip(values, arrivals, strict=True):
-                done = self.send(port, value, arrive)
-                if done > arrive:
-                    total += done - arrive
-            return total
-        engine = self._require_engine("send")
-        total = engine.send_stream(port, values, arrivals)
+        engine = self.engine
+        if engine is None:
+            raise DyserError("send with no configuration loaded")
+        send = engine.send
+        stalls = self.send_stall_cycles
+        events = self.events
+        total = 0
+        for port, value, arrive in zip(ports, values, arrivals,
+                                       strict=True):
+            done = send(port, value, arrive)
+            if done > arrive:
+                total += done - arrive
+                stalls[port] += done - arrive
+                if events is not None:
+                    events.complete("send_stall", "dyser.port", arrive,
+                                    done - arrive, port=port)
         self.stats.values_sent += len(values)
-        if total:
-            self.send_stall_cycles[port] += total
         return total
 
     def recv(self, port: int, t_try: int) -> tuple[int | float, int]:
-        engine = self._require_engine("recv")
+        engine = self.engine
+        if engine is None:
+            raise DyserError("recv with no configuration loaded")
         value, done = engine.recv(port, t_try)
         self.stats.values_received += 1
         if done > t_try:
@@ -149,11 +167,6 @@ class DyserDevice:
         return value, done
 
     # -- bookkeeping -------------------------------------------------------------
-
-    def _require_engine(self, what: str) -> InvocationEngine:
-        if self.engine is None:
-            raise DyserError(f"{what} with no configuration loaded")
-        return self.engine
 
     def _fold_engine_stats(self) -> None:
         assert self.engine is not None
@@ -178,4 +191,6 @@ class DyserDevice:
     def steady_state(self):
         """Analytic steady-state of the active configuration
         (:class:`~repro.dyser.timing.SteadyState`)."""
-        return self._require_engine("steady_state").steady_state()
+        if self.engine is None:
+            raise DyserError("steady_state with no configuration loaded")
+        return self.engine.steady_state()

@@ -14,6 +14,10 @@ When the freeing event is genuinely unknown (hand-written code violating
 the ordering), the FIFO optimistically accepts without a stall rather than
 guessing; :class:`~repro.dyser.interface.DyserDevice` counts these cases so
 tests can assert they never happen for generated code.
+
+Deposits into an input FIFO are made by
+:meth:`~repro.dyser.timing.InvocationEngine.send`, which holds the
+invocation fire times the wait is read from.
 """
 
 from __future__ import annotations
@@ -33,24 +37,6 @@ class InputPortFifo:
     pending: deque = field(default_factory=deque)   # (value, entry_time)
     total_sent: int = 0
     unresolved_stalls: int = 0
-
-    def send(self, value, t_ready: int, fire_times: list[int]) -> int:
-        """Deposit ``value``; return the cycle the send completes."""
-        freeing_invocation = self.total_sent - self.depth
-        entry = t_ready
-        if freeing_invocation >= 0:
-            if freeing_invocation < len(fire_times):
-                entry = max(t_ready, fire_times[freeing_invocation])
-            else:
-                self.unresolved_stalls += 1
-        self.pending.append((value, entry))
-        self.total_sent += 1
-        return entry
-
-    def consume(self) -> tuple[int | float, int]:
-        if not self.pending:
-            raise DyserError(f"input port {self.port}: consume on empty FIFO")
-        return self.pending.popleft()
 
     def reset(self) -> None:
         if self.pending:

@@ -5,12 +5,20 @@ The fabric is fully pipelined: one invocation can fire per ``ii`` cycles
 configured input port holds a value; its outputs become visible after the
 configuration's per-output path delay.  Output FIFO backpressure delays
 firing when results pile up unread.
+
+:meth:`InvocationEngine.send` is the one deposit into an input FIFO:
+every value the host sends, one at a time or as part of a
+:meth:`~repro.dyser.interface.DyserDevice.send_many` transfer, passes
+through it, and readiness is checked after each deposit.  A fire pops
+one value per input port and hands them, positionally, to the
+evaluator's flat plan (:mod:`repro.dyser.functional`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import DyserError
 from repro.dyser.config import DyserConfig
 from repro.dyser.functional import FunctionalEvaluator
 from repro.dyser.ports import InputPortFifo, OutputPortFifo
@@ -32,8 +40,7 @@ class SteadyState:
     At saturation (inputs always available, outputs always drained) the
     fabric fires one invocation every ``interval`` cycles and each
     invocation's last output appears ``latency`` cycles after it fires.
-    The event-driven engine converges to exactly this behaviour — the
-    batched backend leans on it to reason about streamed transfers, and
+    The event-driven engine converges to exactly this behaviour;
     ``tests/test_dyser_timing.py`` asserts the two models agree.
     """
 
@@ -81,11 +88,14 @@ class InvocationEngine:
         # holding at least one value.  A firing is possible exactly
         # when every FIFO is non-empty, so `send` compares this count
         # against the port count instead of scanning all FIFOs.
-        # `_fire_ready` recomputes it on exit; any code that enqueues
-        # without going through `send` must call `_fire_ready` after.
+        # `_fire_ready` recomputes it on exit.
         self._filled = 0
-        self._in_items = list(self.in_fifos.items())
-        self._out_list = list(self.out_fifos.values())
+        # Input FIFOs in the evaluator's argument order; output FIFOs
+        # and path delays in its result order.
+        self._in_list = [self.in_fifos[p]
+                         for p in self.evaluator.input_ports]
+        self._outs = [(self.out_fifos[p], self.delays[p])
+                      for p in self.evaluator.output_ports]
         # Activity factors for the energy model.
         self.ops_per_fire = len(config.dfg.nodes)
         self.hops_per_fire = config.used_switch_links()
@@ -93,104 +103,44 @@ class InvocationEngine:
     # -- host-visible operations -------------------------------------------
 
     def send(self, port: int, value: int | float, t_ready: int) -> int:
-        """Deposit one value; fire any enabled invocations; return
-        completion cycle of the send."""
-        fifo = self.in_fifos.get(port)
-        if fifo is None:
-            from repro.errors import DyserError
+        """Deposit one value, fire any enabled invocations, and return
+        the cycle the send completes.
 
-            raise DyserError(
-                f"send to port {port}, which config "
-                f"{self.config.config_id} does not use"
-            )
-        was_empty = not fifo.pending
-        done = fifo.send(value, t_ready, self.fire_times)
-        # Invariant: after every fire loop at least one input FIFO is
-        # empty, so a send that lands on a non-empty FIFO cannot enable
-        # a firing; one that fills the last empty FIFO always does.
-        if was_empty:
-            self._filled += 1
-            if self._filled == len(self._in_items):
-                self._fire_ready()
-        return done
-
-    def send_stream(self, port: int, values, arrivals) -> int:
-        """Batched equivalent of ``send(port, v, a)`` per element.
-
-        For single-input-port configurations (the temporal-vector case
-        the compiler emits ``dldv`` for) this fast-forwards the pipeline
-        arithmetically: each value fires its invocation immediately, so
-        the deque traffic and readiness scans of the per-send path
-        collapse into one pass over ``fire_times``.  Behaviour is
-        cycle-exact with the per-send path; multi-port configurations,
-        traced engines and non-empty FIFOs fall back to it.
-
-        Returns the total send-stall cycles (sum over elements of
-        ``done - arrival`` where positive).
+        A value sent to a full FIFO waits for the invocation that frees
+        its slot.  When that invocation has not fired yet (hand-written
+        code sending out of invocation order) the value is accepted at
+        ``t_ready`` and the wait is counted as unresolved.
         """
         fifo = self.in_fifos.get(port)
         if fifo is None:
-            from repro.errors import DyserError
-
             raise DyserError(
                 f"send to port {port}, which config "
                 f"{self.config.config_id} does not use"
             )
-        if (self.events is not None or len(self.in_fifos) != 1
-                or fifo.pending):
-            total = 0
-            for value, arrive in zip(values, arrivals, strict=True):
-                done = self.send(port, value, arrive)
-                if done > arrive:
-                    total += done - arrive
-            return total
-        ft = self.fire_times
-        depth = fifo.depth
-        ii = self.params.initiation_interval
-        out = list(self.out_fifos.values())
-        evaluator = self.evaluator
-        delays = self.delays
-        out_fifos = self.out_fifos
-        sent = fifo.total_sent
-        total = 0
-        for value, arrive in zip(values, arrivals, strict=True):
-            # InputPortFifo.send: wait for the freeing invocation.
-            entry = arrive
-            free = sent - depth
-            if free >= 0:
-                if free < len(ft):
-                    f = ft[free]
-                    if f > entry:
-                        entry = f
-                else:  # pragma: no cover - unreachable when depth >= 1
-                    fifo.unresolved_stalls += 1
-            sent += 1
-            if entry > arrive:
-                total += entry - arrive
-            # Single input port and an empty FIFO: the invocation fires
-            # as soon as this value is in (plus ii and output-space
-            # constraints), exactly as _fire_ready would compute.
-            fire_at = entry
-            if ft:
-                floor = ft[-1] + ii
-                if floor > fire_at:
-                    fire_at = floor
-            for fo in out:
-                space = fo.space_time()
-                if space is not None and space > fire_at:
-                    fire_at = space
-            ft.append(fire_at)
-            outputs = evaluator({port: value})
-            for p, v in outputs.items():
-                out_fifos[p].produce(v, fire_at + delays[p])
-        fifo.total_sent = sent
-        return total
+        done = t_ready
+        freeing = fifo.total_sent - fifo.depth
+        if freeing >= 0:
+            ft = self.fire_times
+            if freeing < len(ft):
+                if ft[freeing] > done:
+                    done = ft[freeing]
+            else:
+                fifo.unresolved_stalls += 1
+        pending = fifo.pending
+        pending.append((value, done))
+        fifo.total_sent += 1
+        # Invariant: after every fire loop at least one input FIFO is
+        # empty, so a send that lands on a non-empty FIFO cannot enable
+        # a firing; one that fills the last empty FIFO always does.
+        if len(pending) == 1:
+            self._filled += 1
+            if self._filled == len(self._in_list):
+                self._fire_ready()
+        return done
 
     def recv(self, port: int, t_try: int) -> tuple[int | float, int]:
         fifo = self.out_fifos.get(port)
         if fifo is None:
-            from repro.errors import DyserError
-
             raise DyserError(
                 f"recv from port {port}, which config "
                 f"{self.config.config_id} does not drive"
@@ -200,34 +150,27 @@ class InvocationEngine:
     # -- firing --------------------------------------------------------------
 
     def _fire_ready(self) -> None:
-        in_items = self._in_items
-        out_list = self._out_list
+        """Fire invocations while every input FIFO holds a value (true
+        on entry: `send` calls this when it fills the last empty one)."""
+        in_list = self._in_list
+        outs = self._outs
         ft = self.fire_times
         ii = self.params.initiation_interval
-        delays = self.delays
-        out_fifos = self.out_fifos
+        run = self.evaluator.run
         while True:
-            for _port, fifo in in_items:
-                if not fifo.pending:
-                    filled = 0
-                    for _p, f in in_items:
-                        if f.pending:
-                            filled += 1
-                    self._filled = filled
-                    return
-            inputs: dict[int, int | float] = {}
+            values = []
             fire_at = 0
-            for port, fifo in in_items:
+            for fifo in in_list:
                 value, entry = fifo.pending.popleft()
-                inputs[port] = value
+                values.append(value)
                 if entry > fire_at:
                     fire_at = entry
             if ft:
                 floor = ft[-1] + ii
                 if floor > fire_at:
                     fire_at = floor
-            for fifo in out_list:
-                space = fifo.space_time()
+            for fo, _delay in outs:
+                space = fo.space_time()
                 if space is not None and space > fire_at:
                     fire_at = space
             ft.append(fire_at)
@@ -237,9 +180,12 @@ class InvocationEngine:
                     self._max_delay,
                     config=self.config.config_id,
                     index=len(ft) - 1)
-            outputs = self.evaluator(inputs)
-            for port, value in outputs.items():
-                out_fifos[port].produce(value, fire_at + delays[port])
+            for (fo, delay), v in zip(outs, run(*values)):
+                fo.produce(v, fire_at + delay)
+            for fifo in in_list:
+                if not fifo.pending:
+                    self._filled = sum(1 for f in in_list if f.pending)
+                    return
 
     def steady_state(self) -> SteadyState:
         """Analytic steady-state interval/latency of this configuration."""

@@ -13,10 +13,9 @@ from repro.dyser import (
     FunctionalEvaluator,
     PortRef,
     default_capabilities,
-    evaluate,
     uniform_capabilities,
 )
-from repro.dyser.ops import FU_OP_INFO, capability_of, latency_of
+from repro.dyser.ops import FU_OP_INFO, capability_of, evaluate, latency_of
 from repro.errors import ConfigurationError, DyserError
 
 

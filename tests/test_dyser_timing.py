@@ -287,45 +287,138 @@ class TestSteadyState:
         assert dev.steady_state().interval == 1
 
 
+def make_device(depth=4, ii=1, dfg=None) -> tuple[DyserDevice, int]:
+    """A device with config 0 loaded, and the cycle it is ready."""
+    dev = DyserDevice(
+        fabric=Fabric(FabricGeometry(4, 4)),
+        timing=DyserTimingParams(
+            input_fifo_depth=depth, output_fifo_depth=depth,
+            initiation_interval=ii))
+    dev.register_config(make_config(dfg=dfg))
+    return dev, dev.init_config(0, 0)
+
+
 class TestSendStream:
-    def _drain(self, eng, count):
-        return [eng.recv(0, t_try=0) for _ in range(count)]
+    """``send_many`` (one call per ``dldv``/``dldw`` transfer) against
+    one ``send`` per value."""
+
+    def _drain(self, dev, count):
+        return [dev.recv(0, t_try=0) for _ in range(count)]
+
+    def _per_send(self, dev, ports, values, arrivals):
+        total = 0
+        for port, v, t in zip(ports, values, arrivals):
+            total += max(0, dev.send(port, v, t) - t)
+        return total
 
     def test_stream_is_cycle_exact_with_per_send_path(self):
         values = [float(v) for v in range(40)]
         arrivals = [2 * i for i in range(40)]
         for depth, ii in ((1, 1), (2, 3), (4, 1), (8, 2)):
-            a = make_engine(depth=depth, ii=ii, dfg=single_input_dfg())
-            b = make_engine(depth=depth, ii=ii, dfg=single_input_dfg())
-            slow_total = 0
-            for v, t in zip(values, arrivals):
-                done = a.send(0, v, t)
-                if done > t:
-                    slow_total += done - t
-            fast_total = b.send_stream(0, values, arrivals)
-            assert a.fire_times == b.fire_times
+            a, _ = make_device(depth, ii, single_input_dfg())
+            b, _ = make_device(depth, ii, single_input_dfg())
+            ports = (0,) * 40
+            slow_total = self._per_send(a, ports, values, arrivals)
+            fast_total = b.send_many(ports, values, arrivals)
+            assert a.engine.fire_times == b.engine.fire_times
             assert slow_total == fast_total
+            assert a.send_stall_cycles == b.send_stall_cycles
             assert self._drain(a, 40) == self._drain(b, 40)
+            assert a.finalize() == b.finalize()
 
     def test_stream_with_backpressure(self):
-        """All values arrive at once: the stream path must reproduce
+        """All values arrive at once: the one-call path must reproduce
         the FIFO-full stalls of the per-send path."""
         values = list(range(20))
         arrivals = [0] * 20
-        a = make_engine(depth=2, ii=3, dfg=single_input_dfg())
-        b = make_engine(depth=2, ii=3, dfg=single_input_dfg())
-        slow_total = 0
-        for v, t in zip(values, arrivals):
-            done = a.send(0, v, t)
-            slow_total += max(0, done - t)
-        fast_total = b.send_stream(0, values, arrivals)
+        a, _ = make_device(2, 3, single_input_dfg())
+        b, _ = make_device(2, 3, single_input_dfg())
+        slow_total = self._per_send(a, (0,) * 20, values, arrivals)
+        fast_total = b.send_many((0,) * 20, values, arrivals)
         assert slow_total == fast_total > 0
-        assert a.fire_times == b.fire_times
+        assert a.engine.fire_times == b.engine.fire_times
         assert self._drain(a, 20) == self._drain(b, 20)
 
     def test_stream_falls_back_on_multi_port_configs(self):
-        eng = make_engine()   # two input ports
-        eng.send(1, 5, t_ready=0)
-        total = eng.send_stream(0, [1, 2], [0, 1])
-        assert eng.invocations == 1   # second value still waits on port 1
-        assert total >= 0
+        dev, _ = make_device()   # two input ports
+        dev.send(1, 5, t_ready=0)
+        total = dev.send_many((0, 0), [1, 2], [0, 1])
+        assert dev.engine.invocations == 1   # second value waits on port 1
+        assert total == 0
+
+
+def add4_dfg() -> Dfg:
+    dfg = Dfg("add4")
+    a = dfg.add_node(FuOp.ADD, [PortRef(0), PortRef(1)])
+    b = dfg.add_node(FuOp.ADD, [PortRef(2), PortRef(3)])
+    dfg.set_output(0, dfg.add_node(FuOp.ADD, [a, b]))
+    return dfg
+
+
+def _accounting(dev, dones, recvs) -> dict:
+    fire_times = list(dev.engine.fire_times)
+    stats = dev.finalize()
+    return {"dones": dones, "recvs": recvs, "fire_times": fire_times,
+            "values_sent": stats.values_sent,
+            "invocations": stats.invocations,
+            "unresolved_flow_stalls": stats.unresolved_flow_stalls,
+            "send_stall_cycles": dict(dev.send_stall_cycles),
+            "recv_stall_cycles": dict(dev.recv_stall_cycles)}
+
+
+class TestSendAccounting:
+    """Flow-control accounting of hand-ordered send sequences, pinned
+    value by value: every counter a send or a fire moves."""
+
+    def test_unresolved_stall_sequence(self):
+        # Depth 2: the third send to port 0 needs invocation 0's slot
+        # before port 1 has sent anything, so its wait is unresolved;
+        # the third fire finds its output slot's receive unresolved too.
+        dev, t = make_device(2, 1)
+        dones = [dev.send(0, v, t + v) for v in range(3)]
+        dones += [dev.send(1, 10 * v, t + 5 + v) for v in range(3)]
+        recvs = [dev.recv(0, t) for _ in range(3)]
+        dones += [dev.send(0, 7, t + 1), dev.send(1, 8, t + 2)]
+        recvs.append(dev.recv(0, t))
+        assert _accounting(dev, dones, recvs) == {
+            "dones": [6, 7, 8, 11, 12, 13, 12, 12],
+            "recvs": [(0, 14), (11, 15), (22, 16), (15, 18)],
+            "fire_times": [11, 12, 13, 15],
+            "values_sent": 8, "invocations": 4,
+            "unresolved_flow_stalls": 2,
+            "send_stall_cycles": {0: 5, 1: 4},
+            "recv_stall_cycles": {0: 39},
+        }
+
+    @pytest.mark.parametrize("one_call", [True, False],
+                             ids=["send_many", "per_send"])
+    def test_wide_send_fills_last_fifo_mid_transfer(self, one_call):
+        # Ports 1-3 hold two values each (full at depth 2) and port 0
+        # none.  The wide transfer's first deposit fires invocation 0;
+        # its next three deposits wait for that fire to free a slot.
+        dev, t = make_device(2, 1, add4_dfg())
+        dones = [dev.send(port, 100 * port + k, t + 50 + k)
+                 for k in range(2) for port in (1, 2, 3)]
+
+        def wide(values, arrivals):
+            if one_call:
+                return dev.send_many(range(4), values, arrivals)
+            return sum(max(0, dev.send(i, v, a) - a)
+                       for i, (v, a) in enumerate(zip(values, arrivals)))
+
+        stalls = [wide([1, 2, 3, 4], [t + 10 + i for i in range(4)])]
+        recvs = [dev.recv(0, t + 55)]
+        stalls.append(wide([5, 6, 7, 8], [t + 60 + i for i in range(4)]))
+        recvs.append(dev.recv(0, t))
+        stalls.append(wide([9, 10, 11, 12], [t + 70] * 4))
+        recvs.append(dev.recv(0, t))
+        assert stalls == [114, 0, 0]
+        assert _accounting(dev, dones, recvs) == {
+            "dones": [63, 63, 63, 64, 64, 64],
+            "recvs": [(601, 68), (608, 78), (18, 88)],
+            "fire_times": [63, 73, 83],
+            "values_sent": 18, "invocations": 3,
+            "unresolved_flow_stalls": 0,
+            "send_stall_cycles": {1: 39, 2: 38, 3: 37},
+            "recv_stall_cycles": {0: 140},
+        }

@@ -28,10 +28,9 @@ from repro.dyser import (
     FunctionalEvaluator,
     NodeRef,
     PortRef,
-    evaluate,
     uniform_capabilities,
 )
-from repro.dyser.ops import FU_OP_INFO, FuCapability, latency_of
+from repro.dyser.ops import FU_OP_INFO, FuCapability, evaluate, latency_of
 from repro.isa import Instruction, Opcode, Program, assemble
 
 ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
