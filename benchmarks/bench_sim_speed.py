@@ -12,21 +12,28 @@ Two entry points:
   batched, recorded under ``batched_entries`` and gated at
   :data:`BATCHED_MIN_SPEEDUP` by :func:`validate_batched_gate`);
   ``--check`` runs the differential parity harnesses instead — solo
-  and batched — with no timing (CI's bench-smoke gate).
+  and batched — with no timing (CI's bench-smoke gate).  It prints how
+  many blocks ran as fused functions (:func:`repro.cpu.
+  fused_block_count`) and fails when none did, so the smoke covers the
+  fused code as well as the per-instruction handlers.
 
 Solo runs go to the default backend (``repro.DEFAULT_BACKEND``, where a
 solo run is a lane of one).  Entries keep the ``fast_s`` key for that time: entries
 recorded before solo runs moved there timed the fast core, which has
 since been removed.
 
-Methodology: every (workload, mode) config is executed once per backend
-after a compile warm-up pass, so the numbers compare *simulation* time,
-not compilation.  Parity is asserted on the exact configs measured —
-a timing table for a backend that disagrees with the oracle would be
-meaningless.  Entries also record ``dyser_fires``, the DySER invocations
-of the solo dyser-mode runs, and ``solo_ns_per_fire``, the wall time of
-those runs divided by their fires (whole runs, not the fabric alone;
-entries recorded before these keys existed lack them).
+Methodology: every (workload, mode) config is executed once per pass
+and backend after a compile warm-up pass, so the numbers compare
+*simulation* time, not compilation; each backend's time is the median of
+:data:`PASSES` passes (entries recorded before that are single passes,
+which spread by about 8% on one host).  Parity is asserted on the exact
+configs measured — a timing table for a backend that disagrees with the
+oracle would be meaningless.  Entries also record ``dyser_fires``, the
+DySER invocations of the solo dyser-mode runs, and ``solo_ns_per_fire``,
+the wall time of those runs divided by their fires (whole runs, not the
+fabric alone), and ``solo_ns_per_insn``, the solo wall time divided by
+the simulated instructions; entries recorded before these keys existed
+lack them.
 """
 
 from __future__ import annotations
@@ -61,6 +68,9 @@ BATCH_RATES = (1, 2, 4)
 #: Acceptance floor for the committed batched entry (vs reference).
 BATCHED_MIN_SPEEDUP = 10.0
 
+#: Timed passes per backend; an entry records the median.
+PASSES = 3
+
 
 def _configs(workloads, scale):
     from repro.harness import RunConfig
@@ -89,21 +99,33 @@ def _batched_configs(workloads, scale):
     ]
 
 
-def _time_backend(configs, backend: str) -> tuple[float, int, float]:
-    """Wall seconds over ``configs``, then the DySER fires of the
-    dyser-mode runs and the wall seconds those runs took."""
+def _solo_pass(configs, backend: str) -> tuple[float, int, int]:
+    """Run ``configs`` once: the wall seconds of the dyser-mode runs,
+    their DySER fires, and the simulated instructions of every run."""
     from repro.harness import run_workload
 
-    fires, dyser_s = 0, 0.0
-    started = time.perf_counter()
+    fires, dyser_s, insns = 0, 0.0, 0
     for config in configs:
         run_started = time.perf_counter()
         result = run_workload(config.with_(backend=backend))
         assert result.correct, config.describe()
+        insns += result.stats.instructions
         if config.mode == "dyser":
             dyser_s += time.perf_counter() - run_started
             fires += result.stats.dyser_invocations
-    return time.perf_counter() - started, fires, dyser_s
+    return dyser_s, fires, insns
+
+
+def _median_pass(run) -> tuple[float, object]:
+    """Call ``run()`` :data:`PASSES` times; the wall seconds and the
+    outcome of the median pass by wall time."""
+    passes = []
+    for _ in range(PASSES):
+        started = time.perf_counter()
+        outcome = run()
+        passes.append((time.perf_counter() - started, outcome))
+    passes.sort(key=lambda p: p[0])
+    return passes[len(passes) // 2]
 
 
 def measure(workloads=None, scale: str = "small") -> dict:
@@ -120,10 +142,11 @@ def measure(workloads=None, scale: str = "small") -> dict:
         raise AssertionError(report.summary())
 
     # Warm the compile cache so both timings measure simulation only.
-    _time_backend(_configs(workloads, "tiny"), DEFAULT_BACKEND)
+    _solo_pass(_configs(workloads, "tiny"), DEFAULT_BACKEND)
 
-    reference_s, _, _ = _time_backend(configs, "reference")
-    fast_s, fires, dyser_s = _time_backend(configs, DEFAULT_BACKEND)
+    reference_s, _ = _median_pass(lambda: _solo_pass(configs, "reference"))
+    fast_s, (dyser_s, fires, insns) = _median_pass(
+        lambda: _solo_pass(configs, DEFAULT_BACKEND))
     return {
         "date": _dt.date.today().isoformat(),
         "scale": scale,
@@ -135,6 +158,9 @@ def measure(workloads=None, scale: str = "small") -> dict:
         "speedup": round(reference_s / fast_s, 2),
         "dyser_fires": fires,
         "solo_ns_per_fire": round(dyser_s * 1e9 / max(fires, 1)),
+        "instructions": insns,
+        "solo_ns_per_insn": round(fast_s * 1e9 / max(insns, 1), 1),
+        "passes": PASSES,
         "python": platform.python_version(),
     }
 
@@ -154,16 +180,13 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
     for config in _batched_configs(workloads, "tiny"):
         run_workload(config.with_(backend=DEFAULT_BACKEND))
 
-    def timed_solo(backend):
-        started = time.perf_counter()
-        results = [run_workload(c.with_(backend=backend)) for c in configs]
-        return time.perf_counter() - started, results
+    def solo(backend):
+        return lambda: [run_workload(c.with_(backend=backend))
+                        for c in configs]
 
-    reference_s, reference = timed_solo("reference")
-    fast_s, _ = timed_solo(DEFAULT_BACKEND)
-    started = time.perf_counter()
-    outcomes = execute_batch(configs)
-    batched_s = time.perf_counter() - started
+    reference_s, reference = _median_pass(solo("reference"))
+    fast_s, _ = _median_pass(solo(DEFAULT_BACKEND))
+    batched_s, outcomes = _median_pass(lambda: execute_batch(configs))
 
     for config, ref, outcome in zip(configs, reference, outcomes):
         assert outcome.result is not None, config.describe()
@@ -181,6 +204,7 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
         "batched_s": round(batched_s, 3),
         "speedup_vs_reference": round(reference_s / batched_s, 2),
         "speedup_vs_fast": round(fast_s / batched_s, 2),
+        "passes": PASSES,
         "python": platform.python_version(),
     }
 
@@ -202,6 +226,11 @@ def validate(document: dict) -> None:
         if "dyser_fires" in entry:
             assert entry["dyser_fires"] >= 0
             assert entry["solo_ns_per_fire"] >= 0
+        # Entries before median-of-passes timing carry none of these.
+        if "solo_ns_per_insn" in entry:
+            assert entry["instructions"] > 0
+            assert entry["solo_ns_per_insn"] > 0
+            assert entry["passes"] >= 1
     for entry in document.get("batched_entries", ()):
         for key in ("date", "scale", "workloads", "runs",
                     "parity_checked", "reference_s", "fast_s",
@@ -239,7 +268,10 @@ def _render(entry: dict) -> str:
         title=(f"simulator speed @ {entry['scale']} "
                f"({entry['runs']} runs, parity-checked)")) + (
         f"\nsolo dyser-mode runs: {entry['dyser_fires']} DySER fires, "
-        f"{entry['solo_ns_per_fire']} host ns per fire")
+        f"{entry['solo_ns_per_fire']} host ns per fire"
+        f"\nsolo runs: {entry['instructions']} instructions, "
+        f"{entry['solo_ns_per_insn']} host ns per instruction "
+        f"(median of {entry['passes']} passes)")
 
 
 def _render_batched(entry: dict) -> str:
@@ -286,6 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.check:
+        from repro.cpu import fused_block_count
         from repro.harness import verify_batch_parity, verify_parity
 
         workloads = tuple(args.workloads) or SMOKE_WORKLOADS
@@ -294,7 +327,10 @@ def main(argv=None) -> int:
         batch_report = verify_batch_parity(
             _batched_configs(workloads, args.scale))
         print(batch_report.summary())
-        return 0 if report.ok and batch_report.ok else 1
+        fused = fused_block_count()
+        print(f"fused blocks: {fused}"
+              + ("" if fused else " (the smoke never reached fused code)"))
+        return 0 if report.ok and batch_report.ok and fused else 1
 
     if args.batched:
         entry = measure_batched(args.workloads or None,

@@ -250,7 +250,7 @@ class Function:
         self.params: list[Param] = []
         self.blocks: dict[str, Block] = {}
         self.entry = "entry"
-        # Plain ints (not itertools.count) so Functions deep-copy cleanly;
+        # Plain ints (not itertools.count) so Functions pickle cleanly;
         # the region selector clones the function per offload attempt.
         self._next_value_id = 0
         self._next_block_id = 0

@@ -9,7 +9,10 @@ selector:
    halving ladder of unroll factors (8 -> 4 -> 2 -> 1 by default): a
    rejected rung falls to the next (e.g. cross-iteration memory
    dependences surface as load-after-store hazards only once unrolled,
-   and a big unrolled region may not fit or route);
+   and a big unrolled region may not fit or route).  If-conversion and
+   unrolling rewrite the clone before the checks can run, so every rung
+   needs its own; they are materialized from one pickled snapshot of the
+   function per loop, which costs a fraction of a ``copy.deepcopy``;
 3. adopts the clone on success, or leaves the loop as scalar code on
    failure, recording the rejection reason of the last rung.
 
@@ -23,7 +26,7 @@ offloaded, everything else silently stays on the OpenSPARC side.
 
 from __future__ import annotations
 
-import copy
+import pickle
 
 from repro.compiler.aepdg import Partition, offload_body
 from repro.compiler.affine import AffineAnalysis, induction_step
@@ -80,8 +83,9 @@ def offload_regions(func: Function, options):
         # nothing; skip unrolling there (the invocations serialize anyway).
         if shape_report.shape is Shape.LOOP_CARRIED_CONTROL:
             factors = [1]
+        snapshot = pickle.dumps(func, pickle.HIGHEST_PROTOCOL)
         for factor in factors:
-            work = copy.deepcopy(func)
+            work = pickle.loads(snapshot)
             try:
                 partition = _attempt(work, loop.header, options,
                                      next_config, factor)

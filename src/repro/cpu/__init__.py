@@ -8,6 +8,7 @@ from repro.cpu.decode import (
     clear_decode_caches,
     decode_cache_size,
     decode_program,
+    fused_block_count,
 )
 from repro.cpu.memory import WORD_BYTES, Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile, wrap64
@@ -25,6 +26,7 @@ __all__ = [
     "clear_decode_caches",
     "decode_cache_size",
     "decode_program",
+    "fused_block_count",
     "FpRegFile",
     "IntRegFile",
     "LaneOfOne",

@@ -11,9 +11,15 @@ architectural values, so functional work is shared and done once).
 Around the core, solo runs and wider lanes share one lane planner
 (:func:`repro.harness.batch.plan_batches`), one run set-up
 (:mod:`repro.harness.runner`) and one engine dispatch loop
-(:func:`repro.engine.pool.run_jobs`).  ``BatchCore.run()`` binds the
-handlers to a batch context and walks the block graph once for the
-whole lane.
+(:func:`repro.engine.pool.run_jobs`).  ``BatchCore.run()`` walks the
+block graph once for the whole lane against one batch context.  A
+block runs on its per-instruction handlers, bound on its first run,
+until it has run :data:`_HOT_BLOCK_RUNS` times; from then on it runs
+as one fused function rendered from the same instruction templates
+(:meth:`repro.cpu.decode.DecodedBlock.fuse`), compiled once per source
+text and cached until :func:`repro.cpu.decode.clear_decode_caches`.
+A lane of one's fused blocks keep its scoreboards in locals; a wider
+lane's fused blocks loop over its points inside each instruction.
 
 Divergence model: within a lane, control flow is *shared by
 construction* (branches read shared registers), so points can only
@@ -52,6 +58,12 @@ from repro.isa.program import Program
 #: StallCause by handler integer ID (declaration order).
 _CAUSES = tuple(StallCause)
 
+#: Runs after which a block is rendered as one fused function
+#: (:meth:`repro.cpu.decode.DecodedBlock.fuse`).  Rendering and
+#: compiling cost about as much as a few hundred executions of the
+#: per-instruction handlers save, so cold code stays on them.
+_HOT_BLOCK_RUNS = 256
+
 #: CoreConfig fields allowed to differ across the points of one lane.
 #: Everything else shapes the shared functional execution (latencies
 #: feed the shared handler tables; cache geometry shapes the shared
@@ -84,14 +96,18 @@ class _BatchCtx:
     tuple: ``pi`` = ``(irdy, icz, st, sc)``, ``pf`` = ``(frdy, fcz, st,
     sc)``, ``pa`` = ``(irdy, icz, frdy, fcz, st, sc)``, ``pdi`` = ``(p,
     dev) + pi`` and ``pdf`` = ``(p, dev) + pf``.  :meth:`keep` shrinks
-    them all on eviction.
+    them all on eviction.  ``solo`` is point 0's ``pdi`` plus ``(frdy,
+    fcz)``, which a lane of one's fused blocks bind as locals.
+
+    Where no L2 sits behind the L1s and the core keeps the stock
+    accessors, ``fa`` and ``da`` are the caches' own ``access``.
     """
 
     __slots__ = (
         "ir", "fr", "irdys", "frdys", "iczs", "fczs", "sts", "scs",
         "ap", "pi", "pf", "pa", "pdi", "pdf", "fl", "misc", "mem", "devs",
         "da", "fa", "vca", "lats", "pipelined", "penalty", "ihit", "dhit",
-        "rates",
+        "rates", "solo",
     )
 
     def __init__(self, core: "BatchCore") -> None:
@@ -101,16 +117,19 @@ class _BatchCtx:
         self.fr = core.fregs._regs
         self.irdys = [[0] * 32 for _ in range(n)]
         self.frdys = [[0] * 32 for _ in range(n)]
-        self.iczs: list = [[None] * 32 for _ in range(n)]
-        self.fczs: list = [[None] * 32 for _ in range(n)]
+        self.iczs = [[0] * 32 for _ in range(n)]
+        self.fczs = [[0] * 32 for _ in range(n)]
         self.sts = [[0] * len(_CAUSES) for _ in range(n)]
         self.scs = [[0, 0, 0, 0, 0] for _ in range(n)]
         self.fl = [-1]
         self.misc = [0]
         self.mem = core.memory
         self.devs = list(core.dysers)
-        self.da = core._data_access
-        self.fa = core._fetch_access
+        plain = core.l2 is None
+        self.da = (core.dcache.access if plain and type(core)._data_access
+                   is CacheHierarchy._data_access else core._data_access)
+        self.fa = (core.icache.access if plain and type(core)._fetch_access
+                   is CacheHierarchy._fetch_access else core._fetch_access)
         self.vca = core._vector_cache_access
         self.lats = {c: cfg.latency_for(c) for c in InsnClass}
         self.pipelined = cfg.fpu_pipelined
@@ -126,6 +145,7 @@ class _BatchCtx:
         self.pdi: list[tuple] = []
         self.pdf: list[tuple] = []
         self.keep(range(n))
+        self.solo = self.pdi[0] + (self.frdys[0], self.fczs[0])
 
     def keep(self, points) -> None:
         """Make ``points`` (ascending ids) the active point list."""
@@ -235,14 +255,20 @@ class BatchCore(CacheHierarchy):
         insns_per_line = max(1, cfg.icache.line_bytes // _INSN_BYTES)
         decoded = decode_program(self.program, insns_per_line)
         ctx = _BatchCtx(self)
-        bound = decoded.bind(ctx)
+        blocks = decoded.blocks
+        lengths = [b.length for b in blocks]
+        # Per block: its per-instruction handlers ``(handlers, term)``,
+        # bound on its first run, and its fused function once hot.
+        bound: list = [None] * len(blocks)
+        fused: list = [None] * len(blocks)
+        hot = _HOT_BLOCK_RUNS
 
         limits = [c.max_instructions for c in self.configs]
         # A lane of one never evicts: every fault is the run's own.
         solo = len(limits) == 1
         ap = ctx.ap
         evicted = self.evicted
-        counts = [0] * len(bound)
+        counts = [0] * len(blocks)
         executed = 0
         min_limit = min(limits)
         bi = 0
@@ -263,14 +289,15 @@ class BatchCore(CacheHierarchy):
                 evicted.update(ap)
                 ctx.keep(())
                 break
-            handlers, term, length, starts = bound[bi]
-            ne = executed + length
+            ne = executed + lengths[bi]
             if ne > min_limit:
                 if solo:
                     # The limit lands inside this block: run the
                     # instructions before it (a fault there comes
                     # first), then stop where the reference core does.
-                    for h in handlers[:starts[min_limit - executed]]:
+                    block = blocks[bi]
+                    handlers, _ = bound[bi] or block.bind(ctx)
+                    for h in handlers[:block.starts[min_limit - executed]]:
                         h()
                     raise _runaway_error(min_limit, self.program)
                 # Some point's instruction limit lands inside this
@@ -283,11 +310,21 @@ class BatchCore(CacheHierarchy):
                     break
                 min_limit = min(limits[p] for p in ap)
             executed = ne
-            counts[bi] += 1
+            runs = counts[bi] = counts[bi] + 1
             try:
-                for h in handlers:
-                    h()
-                bi = term()
+                run = fused[bi]
+                if run is None:
+                    if runs <= hot:
+                        cold = bound[bi]
+                        if cold is None:
+                            cold = bound[bi] = blocks[bi].bind(ctx)
+                        handlers, term = cold
+                        for h in handlers:
+                            h()
+                        bi = term()
+                        continue
+                    run = fused[bi] = blocks[bi].fuse(ctx, solo)
+                bi = run()
             except ReproError:
                 if solo:
                     raise
@@ -309,7 +346,6 @@ class BatchCore(CacheHierarchy):
         # branches are computed once and copied per point.
         mix_totals: dict = {}
         total = 0
-        blocks = decoded.blocks
         for idx, cnt in enumerate(counts):
             if not cnt:
                 continue

@@ -1,957 +1,734 @@
-"""Predecode: programs -> basic blocks of lockstep handler closures.
+"""Predecode: programs -> basic blocks of lockstep instruction templates.
 
 This is the static half of every untraced run (:mod:`repro.cpu.
 batchcore`).  At load time each program is decoded **once** into basic
-blocks; every instruction becomes a *handler maker* — a closure factory
-specialized on the instruction's static operands (register indices,
-immediates, ports, branch targets).  At run time the batch core binds
-the makers to its context (shared register files, memory and cache
-models; per-point scoreboards and DySER devices), producing a flat
-tuple of handlers per block; executing a block is then just
-``for h in handlers: h()``.
+blocks, and every instruction into an *op*: the source template of its
+kind plus its static operands (register indices, immediates, ports,
+branch targets).  Each instruction kind's lockstep semantics is written
+once, as a template with two parts:
 
-Each handler serves a *lane*: one or more sweep points that share one
-functional execution.
-
-- **Functional work happens once per lane.**  Register values, memory
-  traffic, cache latencies, branch outcomes and DySER operand values are
-  identical across points whose configs differ only in timing knobs
-  (FIFO depths, initiation interval, config-cache capacity, vector port
-  rate, instruction limits) — timing cannot change a value in this
-  machine, so the evaluator, the memory image and the cache hierarchy
-  are shared and touched exactly once per dynamic instruction.
-- **Timing work happens per point.**  Scoreboards (register ready
+- the **lane-wide functional statements** — register values, memory
+  traffic, cache latencies, branch outcomes and DySER operand values.
+  They are identical across points whose configs differ only in timing
+  knobs (FIFO depths, initiation interval, config-cache capacity,
+  vector port rate, instruction limits) — timing cannot change a value
+  in this machine, so the evaluator, the memory image and the cache
+  hierarchy are shared and touched exactly once per dynamic
+  instruction;
+- the **per-point timing statements** — scoreboards (register ready
   cycles + stall-cause attribution), structural units (FPU/LSU/fabric/
-  store-queue), the per-point cycle cursor and the per-point DySER
-  device live on the batch context; a handler's inner loop walks one of
-  its point views and replays exactly the reference core's issue rules
-  for each point.  A solo run is a lane of one.
+  store-queue) and the point's DySER device, over the point's cycle
+  cursor ``t``.  An ``@points`` line in the functional part places
+  them; they replay exactly the reference core's issue rules for each
+  point.
 
-Handler signature: ``maker(ctx) -> handler()``.  Terminator makers
-return ``term() -> next_block_index`` — control flow is *shared* across
-the lane by construction, which is why no handler ever needs a
-per-point branch target.  Divergence therefore only ever means "a point
-faults" (e.g. a per-point instruction limit), and the batch core
-handles that, never a handler.
+Every runnable form is rendered from these templates:
+
+- **Per-instruction handlers** (``h()``; a terminator returns the next
+  block index).  Their source is rendered and compiled once per
+  template, with operands as bound arguments, and the timing statements
+  inside a loop over the lane's points.  They run cold blocks, and the
+  prefix a lane of one runs when its instruction limit lands inside a
+  block.
+- **Fused block functions** (:meth:`DecodedBlock.fuse`).  Once a block
+  is hot (:data:`repro.cpu.batchcore._HOT_BLOCK_RUNS`), the batch core
+  renders its fetch checks, instructions and terminator as one function
+  that returns the next block index.  Operands and the context's
+  latencies are literals; a lane of one binds its point's scoreboards as
+  locals and keeps its cycle cursor in one, wider lanes loop over their
+  points inside each instruction.
+
+Control flow is *shared* across the lane by construction, which is why
+no template ever needs a per-point branch target.  Divergence therefore
+only ever means "a point faults" (e.g. a per-point instruction limit),
+and the batch core handles that, never a template.
 
 The decode result is **config-independent**: microarchitectural numbers
 (latencies, penalties, cache hit latencies, the vector port rates) are
-read from the context at *bind* time, so one decode serves every
-:class:`~repro.cpu.core.CoreConfig` with the same I$ line geometry.
+read from the context when an op is bound or fused, so one decode serves
+every :class:`~repro.cpu.core.CoreConfig` with the same I$ line
+geometry.
 
-Cycle-exactness contract: for every point, every handler replicates the
-corresponding case of :meth:`repro.cpu.core.Core.run` — same
+Cycle-exactness contract: for every point, every template replicates
+the corresponding case of :meth:`repro.cpu.core.Core.run` — same
 issue-floor rules, same stall-cause attribution (including the ``cause
 or DATA_HAZARD`` default and the LSU_BUSY refinement on DySER memory
 ops), same functional semantics (64-bit wrapping, r0 discipline,
 division conventions).  The source-register rules and the value
-semantics are not restated: the makers take them from
-:mod:`repro.cpu.rules`, whose templates compile into specialised
-closures here and into the plain functions the reference core calls.
-The differential harnesses in :mod:`repro.harness.parity` and
-:mod:`repro.harness.batch` enforce the rest.
+semantics are not restated: the templates take them from
+:mod:`repro.cpu.rules`, whose expression templates also compile into
+the plain functions the reference core calls.  The differential
+harnesses in :mod:`repro.harness.parity` and :mod:`repro.harness.batch`
+enforce the rest.
 
-The decode cache is keyed by program *identity* (``id()`` plus a
-liveness check through a weak reference — :class:`~repro.isa.program.
-Program` is a mutable dataclass and therefore unhashable) and by the I$
-line geometry, and is evicted when the program is collected.
-``clear_decode_caches()`` drops everything, for test isolation and
-:func:`repro.harness.runner.clear_caches`.
+Two caches, both dropped by ``clear_decode_caches()`` (and so by
+:func:`repro.harness.runner.clear_caches`):
+
+- the decode cache, keyed by program *identity* (``id()`` plus a
+  liveness check through a weak reference — :class:`~repro.isa.program.
+  Program` is a mutable dataclass and therefore unhashable) and by the
+  I$ line geometry, evicted when the program is collected;
+- the code cache: compiled handler and block binders keyed by their
+  source text, least recently used first and bounded at
+  :data:`_CODE_CACHE_SIZE` entries.
 """
 
 from __future__ import annotations
 
+import re
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, lru_cache
+from string import Formatter
 
 from repro.errors import SimulationError
 from repro.cpu.regfile import wrap64
 from repro.cpu.rules import (
-    _BRANCH_TAKEN, FP_INT_DEST, _fp_eval_binder, _int_eval_binder,
-    clear_eval_caches, fp_insn_srcs, int_alu_srcs)
+    _FP_INT_SRC, _NS, FP_INT_DEST, branch_expr, fp_expr, fp_insn_srcs,
+    int_alu_srcs, int_expr)
+from repro.cpu.statistics import StallCause
 from repro.isa.opcodes import InsnClass, Opcode, WIDE_OPS
 from repro.isa.program import Program
 
 _INSN_BYTES = 4
-_M64 = (1 << 64) - 1
-_H64 = 1 << 63
-_W64 = 1 << 64
 
-#: StallCause IDs, by declaration order of :class:`repro.cpu.statistics.
-#: StallCause` (handlers accumulate into a flat int array per point; the
-#: batch core converts back to the enum-keyed Counter when the run
-#: finishes).
-DATA_HAZARD = 0
-LOAD_MISS = 1
-FETCH_MISS = 2
-BRANCH = 3
-STRUCTURAL_FPU = 4
-DYSER_SEND = 5
-DYSER_RECV = 6
-DYSER_CONFIG = 7
-LSU_BUSY = 8
+#: Template field -> StallCause ID, by declaration order of
+#: :class:`repro.cpu.statistics.StallCause` (templates accumulate into a
+#: flat int array per point; the batch core converts back to the
+#: enum-keyed Counter when the run finishes).  A cause map holds 0
+#: (DATA_HAZARD) where the reference core holds None, so ``cause or
+#: DATA_HAZARD`` is just the map entry.
+_CAUSE_FIELDS = {cause.name: str(i) for i, cause in enumerate(StallCause)}
+
+#: Compiled binders kept by source text.
+_CODE_CACHE_SIZE = 512
 
 
 # ---------------------------------------------------------------------------
-# Handler makers.  maker(ctx) -> handler(); handlers advance each active
-# point's cycle cursor ``sc[4]`` in place.  Loops walk one of the
-# context's point views (see ``_BatchCtx``), which bind each point's
-# scoreboards as one tuple.
+# Templates
 # ---------------------------------------------------------------------------
 
-def _make_fetch(pc: int, line: int, conditional: bool):
-    addr = pc * _INSN_BYTES
+#: The names a timing loop binds for one point of each view of the
+#: batch context (see ``batchcore._BatchCtx``).
+_VIEWS = {
+    "pi": "irdy, icz, st, sc",
+    "pf": "frdy, fcz, st, sc",
+    "pa": "irdy, icz, frdy, fcz, st, sc",
+    "pdi": "p, dev, irdy, icz, st, sc",
+    "pdf": "p, dev, frdy, fcz, st, sc",
+}
+
+#: Context names templates read; a binder binds those its source uses.
+_CTX = {
+    "ir": "ctx.ir", "fr": "ctx.fr", "fa": "ctx.fa", "da": "ctx.da",
+    "vca": "ctx.vca", "lw": "ctx.mem.load_word",
+    "sw": "ctx.mem.store_word", "lb": "ctx.mem.load_block",
+    "sb": "ctx.mem.store_block", "fl": "ctx.fl", "misc": "ctx.misc",
+    "penalty": "ctx.penalty", "ihit": "ctx.ihit", "dhit": "ctx.dhit",
+    "pipelined": "ctx.pipelined",
+    **{view: f"ctx.{view}" for view in _VIEWS},
+}
+
+#: Context numbers a template reads as fields: names in a handler,
+#: literals in a fused block.
+_CTX_FIELDS = ("penalty", "ihit", "dhit", "pipelined")
+
+_POINTS = "@points"
+_FORMATTER = Formatter()
+
+
+class _Tpl:
+    """One instruction kind's lockstep semantics.
+
+    ``body`` holds the lane-wide functional statements; its ``@points``
+    line places ``timing``, the per-point statements, which read and
+    advance the point's cycle cursor ``t`` and the names ``view`` binds.
+    ``params`` are the operand fields (``{name}``) an op supplies.
+    """
+
+    __slots__ = ("view", "body", "timing", "params")
+
+    def __init__(self, view: str, body: list[str],
+                 timing: list[str] = ()) -> None:
+        self.view = view
+        self.body = "\n".join(body)
+        self.timing = "\n".join(timing)
+        fields = {name for text in (self.body, self.timing)
+                  for _, name, _, _ in _FORMATTER.parse(text) if name}
+        self.params = tuple(sorted(
+            fields - set(_CTX_FIELDS) - set(_CAUSE_FIELDS)))
+
+    def expand(self, fields: dict, solo: bool, last: bool) -> list[str]:
+        """Source lines with ``fields`` substituted.  ``@points`` becomes
+        a loop over the view, or, for a lane of one (``solo``), the
+        timing statements themselves; the ``last`` op of a solo block
+        also stores the cycle cursor back."""
+        timing = self.timing.format_map(fields).splitlines()
+        if solo:
+            points = timing + (["sc[4] = t"] if last else [])
+        elif timing:
+            points = [f"for {_VIEWS[self.view]} in {self.view}:",
+                      "    t = sc[4]",
+                      *("    " + line for line in timing),
+                      "    sc[4] = t"]
+        else:
+            points = []
+        lines = []
+        for line in self.body.format_map(fields).splitlines():
+            text = line.lstrip()
+            if text == _POINTS:
+                pad = line[:len(line) - len(text)]
+                lines += [pad + point for point in points]
+            else:
+                lines.append(line)
+        return lines
+
+
+def _waits(regs, rdy: str, cz: str, cause: str = "c") -> list[str]:
+    """Raise the issue floor to each source's ready cycle, taking the
+    cause of the last wait that raised it."""
+    lines = []
+    for reg in regs:
+        lines += [f"r = {rdy}[{{{reg}}}]", "if r > issue:",
+                  "    issue = r", f"    {cause} = {cz}[{{{reg}}}]"]
+    return lines
+
+
+_WAIT = ["issue = t", "c = 0"]
+_LSU_WAIT = ["lsu = sc[1]", "issue = t if t >= lsu else lsu", "c = 0"]
+_CHARGE = ["if issue > t:", "    st[c] += issue - t"]
+_FABRIC = ["fab = sc[2]", "if fab > issue:",
+           "    st[{DYSER_CONFIG}] += fab - issue", "    issue = fab"]
+_WRAP = ["if not -9223372036854775808 <= v < 9223372036854775808:",
+         "    v = wrap64(v)"]
+_SRCS = ("s1", "s2", "s3")
+
+
+@cache
+def _fetch_tpl(conditional: bool) -> _Tpl:
+    body = ["mlat = fa({faddr})", "fl[0] = {line}",
+            "if mlat > {ihit}:", f"    {_POINTS}"]
     if conditional:
-        def maker(ctx):
-            fa, fl, ihit, pi = ctx.fa, ctx.fl, ctx.ihit, ctx.pi
-
-            def h():
-                if fl[0] != line:
-                    lat = fa(addr)
-                    fl[0] = line
-                    if lat > ihit:
-                        for _, _, st, sc in pi:
-                            st[FETCH_MISS] += lat
-                            sc[4] += lat
-            return h
-        return maker
-
-    def maker(ctx):
-        fa, fl, ihit, pi = ctx.fa, ctx.fl, ctx.ihit, ctx.pi
-
-        def h():
-            lat = fa(addr)
-            fl[0] = line
-            if lat > ihit:
-                for _, _, st, sc in pi:
-                    st[FETCH_MISS] += lat
-                    sc[4] += lat
-        return h
-    return maker
+        body = ["if fl[0] != {line}:", *("    " + line for line in body)]
+    return _Tpl("pi", body, ["st[{FETCH_MISS}] += mlat", "t += mlat"])
 
 
-def _make_int_alu(insn, iclass):
-    op = insn.op
-    rd = insn.rd
-    if op is Opcode.SEL:
-        s1, s2, s3 = insn.rs1, insn.rs2, insn.rs3
+@cache
+def _alu_tpl(op_value: str, a: str, b: str, nsrcs: int, rd: bool) -> _Tpl:
+    timing = [*_WAIT, *_waits(_SRCS[:nsrcs], "irdy", "icz"), *_CHARGE]
+    if rd:
+        timing += ["irdy[{rd}] = issue + {lat}", "icz[{rd}] = 0"]
+    timing.append("t = issue + 1")
+    body = [_POINTS]
+    if op_value == "sel":
+        if rd:
+            body.append("ir[{rd}] = ir[{s2}] if ir[{s1}] else ir[{s3}]")
+    else:
+        body.append(f"v = {int_expr(op_value, a, b)}")
+        if rd:
+            body += [*_WRAP, "ir[{rd}] = v"]
+    return _Tpl("pi", body, timing)
 
-        def maker(ctx):
-            ir, pi = ctx.ir, ctx.pi
-            lat = ctx.lats[iclass]
 
-            def h():
-                for irdy, icz, st, sc in pi:
-                    t = sc[4]
-                    issue = t
-                    c = None
-                    r = irdy[s1]
-                    if r > issue:
-                        issue = r
-                        c = icz[s1]
-                    r = irdy[s2]
-                    if r > issue:
-                        issue = r
-                        c = icz[s2]
-                    r = irdy[s3]
-                    if r > issue:
-                        issue = r
-                        c = icz[s3]
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                    if rd:
-                        irdy[rd] = issue + lat
-                        icz[rd] = None
-                    sc[4] = issue + 1
-                if rd:
-                    ir[rd] = ir[s2] if ir[s1] else ir[s3]
-            return h
-        return maker
+@cache
+def _move_tpl(fp: bool, copy: bool, wr: bool) -> _Tpl:
+    regs, rdy, cz, view = (("fr", "frdy", "fcz", "pf") if fp
+                           else ("ir", "irdy", "icz", "pi"))
+    if copy:
+        timing = [*_WAIT, *_waits(("s1",), rdy, cz), *_CHARGE,
+                  "t = issue + 1"]
+        value = f"{regs}[{{s1}}]"
+    else:
+        timing = ["t += 1"]
+        value = "{imm}"
+    body = [_POINTS]
+    if wr:
+        timing += [f"{rdy}[{{rd}}] = t", f"{cz}[{{rd}}] = 0"]
+        body.append(f"{regs}[{{rd}}] = {value}")
+    return _Tpl(view, body, timing)
 
+
+@cache
+def _fp_tpl(op_value: str, int_src: bool, nsrcs: int, int_dest: bool,
+            rd: bool) -> _Tpl:
+    regs = _SRCS[:nsrcs]
+    isrcs, fsrcs = (regs[:1], regs[1:]) if int_src else ((), regs)
+    a = "ir[{s1}]" if int_src else "fr[{s1}]"
+    body = [f"v = {fp_expr(op_value, a, 'fr[{s2}]', 'fr[{s3}]')}"]
+    if not int_dest:
+        body.append("fr[{rd}] = float(v)")
+    elif rd:
+        body += [*_WRAP, "ir[{rd}] = v"]
+    body.append(_POINTS)
+    timing = [*_WAIT, *_waits(isrcs, "irdy", "icz")]
+    if fsrcs:
+        # An FP source's stall cause outranks an integer one's.
+        timing += ["cf = 0", *_waits(fsrcs, "frdy", "fcz", "cf"),
+                   "c = cf or c"]
+    timing += [
+        "fpu = sc[0]",
+        "if not {pipelined} and fpu > issue:",
+        "    st[{STRUCTURAL_FPU}] += fpu - issue",
+        "    if issue > t:",
+        "        st[c] += issue - t",
+        "    issue = fpu",
+        "elif issue > t:",
+        "    st[c] += issue - t",
+        "ready = issue + {lat}",
+        "sc[0] = ready",
+    ]
+    if not int_dest:
+        timing += ["frdy[{rd}] = ready", "fcz[{rd}] = 0"]
+    elif rd:
+        timing += ["irdy[{rd}] = ready", "icz[{rd}] = 0"]
+    timing.append("t = issue + 1")
+    return _Tpl("pa", body, timing)
+
+
+@cache
+def _load_tpl(fp: bool, rd: bool) -> _Tpl:
+    body = ["ea = ir[{s1}] + {imm}", "mlat = da(ea)"]
+    if fp:
+        body.append("fr[{rd}] = float(lw(ea))")
+    else:
+        # Converted (and faulting) even when rd is r0.
+        body.append("v = int(lw(ea))")
+        if rd:
+            body += [*_WRAP, "ir[{rd}] = v"]
+    body += ["mcz = {LOAD_MISS} if mlat > {dhit} else 0", _POINTS]
+    timing = [*_LSU_WAIT, *_waits(("s1",), "irdy", "icz"), *_CHARGE]
+    if fp:
+        timing += ["frdy[{rd}] = issue + mlat", "fcz[{rd}] = mcz"]
+    elif rd:
+        timing += ["irdy[{rd}] = issue + mlat", "icz[{rd}] = mcz"]
+    timing += ["t = issue + 1", "sc[1] = t"]
+    return _Tpl("pa" if fp else "pi", body, timing)
+
+
+@cache
+def _store_tpl(fp: bool) -> _Tpl:
+    body = ["ea = ir[{s1}] + {imm}", "da(ea, True)",
+            f"sw(ea, {'fr' if fp else 'ir'}[{{s2}}])", _POINTS]
+    timing = [*_LSU_WAIT, *_waits(("s1",), "irdy", "icz")]
+    if fp:
+        timing += ["cf = 0", *_waits(("s2",), "frdy", "fcz", "cf"),
+                   "c = cf or c"]
+    else:
+        timing += _waits(("s2",), "irdy", "icz")
+    timing += [*_CHARGE, "t = issue + 1", "sc[1] = t"]
+    return _Tpl("pa" if fp else "pi", body, timing)
+
+
+_NOP = _Tpl("pi", [_POINTS], ["t += 1"])
+
+_DINIT = _Tpl("pdi", [_POINTS], [
+    "ready = dev.init_config({imm}, t)",
+    "if ready > t:",
+    "    st[{DYSER_CONFIG}] += ready - t",
+    "sc[2] = ready",
+    "t = ready + 1",
+])
+
+
+@cache
+def _dsend_tpl(fp: bool) -> _Tpl:
+    regs, rdy, cz, view = (("fr", "frdy", "fcz", "pdf") if fp
+                           else ("ir", "irdy", "icz", "pdi"))
+    return _Tpl(view, [f"value = {regs}[{{s1}}]", _POINTS], [
+        *_WAIT, *_waits(("s1",), rdy, cz), *_CHARGE, *_FABRIC,
+        "done = dev.send({port}, value, issue)",
+        "if done > issue:",
+        "    st[{DYSER_SEND}] += done - issue",
+        "    t = done + 1",
+        "else:",
+        "    t = issue + 1",
+    ])
+
+
+@cache
+def _drecv_tpl(fp: bool, rd: bool) -> _Tpl:
+    body = ["value = None", _POINTS]
+    if fp:
+        body.append("fr[{rd}] = float(value)")
+    else:
+        # The received value is config-independent (same functional
+        # stream per point); retire it into the shared registers.
+        body.append("v = int(value)")
+        if rd:
+            body += [*_WRAP, "ir[{rd}] = v"]
+    timing = [
+        "fab = sc[2]",
+        "issue = t if t >= fab else fab",
+        "if issue > t:",
+        "    st[{DYSER_CONFIG}] += issue - t",
+        "value, done = dev.recv({port}, issue)",
+        "if done > issue:",
+        "    st[{DYSER_RECV}] += done - issue",
+    ]
+    if fp or rd:
+        # Ready before the next issue slot: no cause tag.
+        timing.append(f"{'frdy' if fp else 'irdy'}[{{rd}}] = done")
+    timing.append("t = done + 1")
+    return _Tpl("pdf" if fp else "pdi", body, timing)
+
+
+#: A DySER memory op's issue: the LSU, then the base register (an LSU
+#: wait with no other cause is charged as LSU_BUSY), then the fabric.
+_DYSER_MEM_WAIT = [
+    *_LSU_WAIT, *_waits(("s1",), "irdy", "icz"),
+    "if lsu > t and issue == lsu and not c:",
+    "    c = {LSU_BUSY}",
+    *_CHARGE, *_FABRIC,
+]
+
+
+@cache
+def _dld_tpl(fp: bool, vector: bool) -> _Tpl:
+    cast = "float" if fp else "int"
+    if not vector:
+        return _Tpl("pdi", [
+            "ea = ir[{s1}] + {imm}", "mlat = da(ea)",
+            f"value = {cast}(lw(ea))", _POINTS,
+        ], [
+            *_DYSER_MEM_WAIT,
+            "arrive = issue + mlat",
+            "done = dev.send({port}, value, arrive)",
+            "if done > arrive:",
+            "    st[{DYSER_SEND}] += done - arrive",
+            "t = issue + 1",
+            "sc[1] = t",
+        ])
+    return _Tpl("pdi", [
+        "base = ir[{s1}]", "mlat = vca(base, {count}, False)",
+        f"vals = [{cast}(v) for v in lb(base, {{count}})]", _POINTS,
+    ], [
+        *_DYSER_MEM_WAIT,
+        "t0 = issue + mlat",
+        "stall = dev.send_many({ports}, vals, [t0 + o for o in {offs}[p]])",
+        "if stall:",
+        "    st[{DYSER_SEND}] += stall",
+        "sc[1] = issue + {holds}[p]",
+        "t = issue + 1",
+    ])
+
+
+@cache
+def _dst_tpl(fp: bool, vector: bool, wide: bool) -> _Tpl:
+    cast = "float" if fp else "int"
+    if not vector:
+        # Store once: the value stream is point-independent.
+        return _Tpl("pdi", [
+            "value = None", _POINTS, "ea = ir[{s1}] + {imm}",
+            "da(ea, True)", f"sw(ea, {cast}(value))",
+        ], [
+            *_DYSER_MEM_WAIT,
+            "value, done = dev.recv({port}, issue)",
+            "if done > sc[3]:",
+            "    sc[3] = done",
+            "t = issue + 1",
+            "sc[1] = t",
+        ])
+    return _Tpl("pdi", [
+        "values = None", "base = ir[{s1}]", _POINTS,
+        "vca(base, {count}, True)", f"sb(base, [{cast}(v) for v in values])",
+    ], [
+        *_DYSER_MEM_WAIT,
+        "done = issue",
+        "values = []",
+        "for i in range({count}):",
+        f"    value, done = dev.recv({'{port} + i' if wide else '{port}'}, "
+        "done)",
+        "    values.append(value)",
+        "if done > sc[3]:",
+        "    sc[3] = done",
+        "sc[1] = issue + {holds}[p]",
+        "t = issue + 1",
+    ])
+
+
+@cache
+def _branch_tpl(op) -> _Tpl:
+    return _Tpl("pi", [
+        f"taken = {branch_expr(op, 'ir[{s1}]', 'ir[{s2}]')}",
+        _POINTS,
+        "if taken:",
+        "    misc[0] += 1",
+        "    return {tbi}",
+        "return {fbi}",
+    ], [
+        *_WAIT, *_waits(("s1", "s2"), "irdy", "icz"), *_CHARGE,
+        "if taken:",
+        "    if {penalty} > 0:",
+        "        st[{BRANCH}] += {penalty}",
+        "    t = issue + 1 + {penalty}",
+        "else:",
+        "    t = issue + 1",
+    ])
+
+
+_JUMP = _Tpl("pi", ["misc[0] += 1", _POINTS, "return {tbi}"], [
+    "if {penalty} > 0:",
+    "    st[{BRANCH}] += {penalty}",
+    "t += 1 + {penalty}",
+])
+
+# Drain the decoupled DySER store queue before retiring.
+_HALT = _Tpl("pi", [_POINTS, "return -1"],
+             ["q = sc[3]", "t = (t if t >= q else q) + 1"])
+
+_FALL = _Tpl("pi", [_POINTS, "return {fbi}"])
+
+_NO_DYSER = _Tpl("", ["raise SimulationError({msg})"])
+
+
+# ---------------------------------------------------------------------------
+# Ops: a template and its static operands
+# ---------------------------------------------------------------------------
+
+class _Late:
+    """An operand read from the batch context when the op is bound."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+
+_LAT = {c: _Late(lambda ctx, c=c: ctx.lats[c]) for c in InsnClass}
+
+
+class _Op:
+    """One instruction (or fetch check, or terminator) of a block."""
+
+    __slots__ = ("tpl", "vals", "name", "late")
+
+    def __init__(self, tpl: _Tpl, name: str = "", **operands) -> None:
+        self.tpl = tpl
+        self.name = name
+        self.vals = tuple(operands[p] for p in tpl.params)
+        self.late = any(type(v) is _Late for v in self.vals)
+
+    def resolve(self, ctx) -> tuple[_Tpl, tuple]:
+        """The template and operand values this op runs in ``ctx``."""
+        if self.tpl.view in ("pdi", "pdf") and ctx.devs[0] is None:
+            return _NO_DYSER, (
+                f"{self.name} executed on a core without DySER",)
+        if not self.late:
+            return self.tpl, self.vals
+        return self.tpl, tuple(v.fn(ctx) if type(v) is _Late else v
+                               for v in self.vals)
+
+    def bind(self, ctx):
+        """This op's per-instruction handler, bound to ``ctx``."""
+        tpl, vals = self.resolve(ctx)
+        return _handler_binder(tpl)(ctx, *vals)
+
+
+def _alu_op(insn, iclass) -> _Op:
     srcs = int_alu_srcs(insn)
-    s1, s2 = insn.rs1, insn.rs2
-    imm_i = int(insn.imm) if insn.imm is not None else None
-    akind = "reg" if s1 is not None else "zero"
-    bkind = "imm" if imm_i is not None else (
-        "reg" if s2 is not None else "zero")
-    binder = _int_eval_binder(op.value, akind, bkind)
-
-    if len(srcs) == 1:
-        w1 = srcs[0]
-
-        def maker(ctx):
-            ir, pi = ctx.ir, ctx.pi
-            lat = ctx.lats[iclass]
-            ev = binder(ir, s1, s2, imm_i)
-
-            def h():
-                for irdy, icz, st, sc in pi:
-                    t = sc[4]
-                    issue = t
-                    c = None
-                    r = irdy[w1]
-                    if r > issue:
-                        issue = r
-                        c = icz[w1]
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                    if rd:
-                        irdy[rd] = issue + lat
-                        icz[rd] = None
-                    sc[4] = issue + 1
-                v = ev()
-                if rd:
-                    v &= _M64
-                    if v >= _H64:
-                        v -= _W64
-                    ir[rd] = v
-            return h
-        return maker
-
-    w1, w2 = srcs
-
-    def maker(ctx):
-        ir, pi = ctx.ir, ctx.pi
-        lat = ctx.lats[iclass]
-        ev = binder(ir, s1, s2, imm_i)
-
-        def h():
-            for irdy, icz, st, sc in pi:
-                t = sc[4]
-                issue = t
-                c = None
-                r = irdy[w1]
-                if r > issue:
-                    issue = r
-                    c = icz[w1]
-                r = irdy[w2]
-                if r > issue:
-                    issue = r
-                    c = icz[w2]
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                if rd:
-                    irdy[rd] = issue + lat
-                    icz[rd] = None
-                sc[4] = issue + 1
-            v = ev()
-            if rd:
-                v &= _M64
-                if v >= _H64:
-                    v -= _W64
-                ir[rd] = v
-        return h
-    return maker
+    imm = int(insn.imm) if insn.imm is not None else None
+    a = "ir[{s1}]" if insn.rs1 is not None else "0"
+    b = ("{imm}" if imm is not None
+         else "ir[{s2}]" if insn.rs2 is not None else "0")
+    return _Op(_alu_tpl(insn.op.value, a, b, len(srcs), bool(insn.rd)),
+               s1=insn.rs1, s2=insn.rs2, s3=insn.rs3, rd=insn.rd, imm=imm,
+               lat=_LAT[iclass])
 
 
-def _make_move(insn):
+def _move_op(insn) -> _Op:
     op = insn.op
-    rd = insn.rd
     fp = op in (Opcode.FLI, Opcode.FMOV)
+    copy = op in (Opcode.MOV, Opcode.FMOV)
+    imm = None
+    if not copy:
+        imm = float(insn.imm) if fp else wrap64(int(insn.imm))
     # r0 stays zero and ready; an FP destination is always written.
-    wr = fp or bool(rd)
-    if op in (Opcode.LI, Opcode.FLI):
-        val = float(insn.imm) if fp else wrap64(int(insn.imm))
-
-        def maker(ctx):
-            regs, view = (ctx.fr, ctx.pf) if fp else (ctx.ir, ctx.pi)
-
-            def h():
-                for rdy, cz, _, sc in view:
-                    t = sc[4] + 1
-                    if wr:
-                        rdy[rd] = t
-                        cz[rd] = None
-                    sc[4] = t
-                if wr:
-                    regs[rd] = val
-            return h
-        return maker
-
-    # MOV / FMOV
-    s1 = insn.rs1
-
-    def maker(ctx):
-        regs, view = (ctx.fr, ctx.pf) if fp else (ctx.ir, ctx.pi)
-
-        def h():
-            for rdy, cz, st, sc in view:
-                t = sc[4]
-                issue = t
-                c = None
-                r = rdy[s1]
-                if r > issue:
-                    issue = r
-                    c = cz[s1]
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                if wr:
-                    rdy[rd] = issue + 1
-                    cz[rd] = None
-                sc[4] = issue + 1
-            if wr:
-                regs[rd] = regs[s1]
-        return h
-    return maker
+    return _Op(_move_tpl(fp, copy, fp or bool(insn.rd)),
+               s1=insn.rs1, rd=insn.rd, imm=imm)
 
 
-def _make_fp(insn, iclass):
+def _fp_op(insn, iclass) -> _Op:
     op = insn.op
-    rd = insn.rd
-    s1, s2, s3 = insn.rs1, insn.rs2, insn.rs3
     int_srcs, fp_srcs = fp_insn_srcs(insn)
-    int_dest = op in FP_INT_DEST
-
-    def maker(ctx):
-        ir, fr, pa = ctx.ir, ctx.fr, ctx.pa
-        lat = ctx.lats[iclass]
-        pipelined = ctx.pipelined
-        ev = _fp_eval_binder(op, ir, fr, s1, s2, s3)
-
-        def h():
-            v = ev()
-            if int_dest:
-                if rd:
-                    w = v & _M64
-                    if w >= _H64:
-                        w -= _W64
-                    ir[rd] = w
-            else:
-                fr[rd] = float(v)
-            for irdy, icz, frdy, fcz, st, sc in pa:
-                t = sc[4]
-                issue = t
-                c1 = None
-                for s in int_srcs:
-                    r = irdy[s]
-                    if r > issue:
-                        issue = r
-                        c1 = icz[s]
-                c2 = None
-                for s in fp_srcs:
-                    r = frdy[s]
-                    if r > issue:
-                        issue = r
-                        c2 = fcz[s]
-                c = c2 if c2 is not None else c1
-                fpu = sc[0]
-                if not pipelined and fpu > issue:
-                    st[STRUCTURAL_FPU] += fpu - issue
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                    issue = fpu
-                else:
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                ready = issue + lat
-                sc[0] = ready
-                if int_dest:
-                    if rd:
-                        irdy[rd] = ready
-                        icz[rd] = None
-                else:
-                    frdy[rd] = ready
-                    fcz[rd] = None
-                sc[4] = issue + 1
-        return h
-    return maker
+    tpl = _fp_tpl(op.value, op in _FP_INT_SRC, len(int_srcs) + len(fp_srcs),
+                  op in FP_INT_DEST, bool(insn.rd))
+    return _Op(tpl, s1=insn.rs1, s2=insn.rs2, s3=insn.rs3, rd=insn.rd,
+               lat=_LAT[iclass])
 
 
-def _make_load(insn):
-    rd = insn.rd
-    s1 = insn.rs1
-    imm_i = int(insn.imm)
-
-    if insn.op is Opcode.FLD:
-        def maker(ctx):
-            ir, fr, pa = ctx.ir, ctx.fr, ctx.pa
-            da, dhit = ctx.da, ctx.dhit
-            lw = ctx.mem.load_word
-
-            def h():
-                addr = ir[s1] + imm_i
-                lat = da(addr)
-                fr[rd] = float(lw(addr))
-                mcz = LOAD_MISS if lat > dhit else None
-                for irdy, icz, frdy, fcz, st, sc in pa:
-                    t = sc[4]
-                    lsu = sc[1]
-                    issue = t if t >= lsu else lsu
-                    c = None
-                    r = irdy[s1]
-                    if r > issue:
-                        issue = r
-                        c = icz[s1]
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                    frdy[rd] = issue + lat
-                    fcz[rd] = mcz
-                    nt = issue + 1
-                    sc[1] = nt
-                    sc[4] = nt
-            return h
-        return maker
-
-    def maker(ctx):
-        ir, pi = ctx.ir, ctx.pi
-        da, dhit = ctx.da, ctx.dhit
-        lw = ctx.mem.load_word
-
-        def h():
-            addr = ir[s1] + imm_i
-            lat = da(addr)
-            v = int(lw(addr))
-            if rd:
-                v &= _M64
-                if v >= _H64:
-                    v -= _W64
-                ir[rd] = v
-            mcz = LOAD_MISS if lat > dhit else None
-            for irdy, icz, st, sc in pi:
-                t = sc[4]
-                lsu = sc[1]
-                issue = t if t >= lsu else lsu
-                c = None
-                r = irdy[s1]
-                if r > issue:
-                    issue = r
-                    c = icz[s1]
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                if rd:
-                    irdy[rd] = issue + lat
-                    icz[rd] = mcz
-                nt = issue + 1
-                sc[1] = nt
-                sc[4] = nt
-        return h
-    return maker
+def _holds(count: int) -> _Late:
+    """Issue slots a ``count``-word transfer holds the LSU, per point."""
+    return _Late(lambda ctx: [max(1, count // r) for r in ctx.rates])
 
 
-def _make_store(insn):
-    s1, s2 = insn.rs1, insn.rs2
-    imm_i = int(insn.imm)
-
-    if insn.op is Opcode.FST:
-        def maker(ctx):
-            ir, fr, pa = ctx.ir, ctx.fr, ctx.pa
-            da = ctx.da
-            sw = ctx.mem.store_word
-
-            def h():
-                addr = ir[s1] + imm_i
-                da(addr, True)
-                sw(addr, fr[s2])
-                for irdy, icz, frdy, fcz, st, sc in pa:
-                    t = sc[4]
-                    lsu = sc[1]
-                    issue = t if t >= lsu else lsu
-                    c = None
-                    r = irdy[s1]
-                    if r > issue:
-                        issue = r
-                        c = icz[s1]
-                    c2 = None
-                    r = frdy[s2]
-                    if r > issue:
-                        issue = r
-                        c2 = fcz[s2]
-                    if c2 is not None:
-                        c = c2
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                    nt = issue + 1
-                    sc[1] = nt
-                    sc[4] = nt
-            return h
-        return maker
-
-    def maker(ctx):
-        ir, pi = ctx.ir, ctx.pi
-        da = ctx.da
-        sw = ctx.mem.store_word
-
-        def h():
-            addr = ir[s1] + imm_i
-            da(addr, True)
-            sw(addr, ir[s2])
-            for irdy, icz, st, sc in pi:
-                t = sc[4]
-                lsu = sc[1]
-                issue = t if t >= lsu else lsu
-                c = None
-                r = irdy[s1]
-                if r > issue:
-                    issue = r
-                    c = icz[s1]
-                r = irdy[s2]
-                if r > issue:
-                    issue = r
-                    c = icz[s2]
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                nt = issue + 1
-                sc[1] = nt
-                sc[4] = nt
-        return h
-    return maker
+def _offsets(count: int) -> _Late:
+    """Per point, value i's arrival offset (i // rate): data-independent,
+    so a transfer only adds its first arrival cycle."""
+    return _Late(lambda ctx: [[i // r for i in range(count)]
+                              for r in ctx.rates])
 
 
-def _make_nop():
-    def maker(ctx):
-        pi = ctx.pi
-
-        def h():
-            for _, _, _, sc in pi:
-                sc[4] += 1
-        return h
-    return maker
-
-
-# -- DySER extension handlers ------------------------------------------------
-
-def _no_dyser(op_value: str):
-    def h():
-        raise SimulationError(
-            f"{op_value} executed on a core without DySER"
-        )
-    return h
-
-
-def _make_dinit(insn):
-    imm_i = int(insn.imm)
-
-    def maker(ctx):
-        if ctx.devs[0] is None:
-            return _no_dyser(insn.op.value)
-        pdi = ctx.pdi
-
-        def h():
-            for _, dev, _, _, st, sc in pdi:
-                t = sc[4]
-                ready = dev.init_config(imm_i, t)
-                d = ready - t
-                if d > 0:
-                    st[DYSER_CONFIG] += d
-                sc[2] = ready
-                sc[4] = ready + 1
-        return h
-    return maker
-
-
-def _make_dsend(insn):
-    port = insn.port
-    s1 = insn.rs1
-    is_fp = insn.op is Opcode.DFSEND
-
-    def maker(ctx):
-        if ctx.devs[0] is None:
-            return _no_dyser(insn.op.value)
-        regs, view = (ctx.fr, ctx.pdf) if is_fp else (ctx.ir, ctx.pdi)
-
-        def h():
-            value = regs[s1]
-            for _, dev, rdy, cz, st, sc in view:
-                t = sc[4]
-                issue = t
-                c = None
-                r = rdy[s1]
-                if r > issue:
-                    issue = r
-                    c = cz[s1]
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                fab = sc[2]
-                if fab > issue:
-                    st[DYSER_CONFIG] += fab - issue
-                    issue = fab
-                done = dev.send(port, value, issue)
-                d = done - issue
-                if d > 0:
-                    st[DYSER_SEND] += d
-                sc[4] = (issue if issue >= done else done) + 1
-        return h
-    return maker
-
-
-def _make_drecv(insn):
-    port = insn.port
-    rd = insn.rd
-    is_fp = insn.op is Opcode.DFRECV
-    wr = is_fp or bool(rd)
-
-    def maker(ctx):
-        if ctx.devs[0] is None:
-            return _no_dyser(insn.op.value)
-        ir, fr = ctx.ir, ctx.fr
-        view = ctx.pdf if is_fp else ctx.pdi
-
-        def h():
-            value = None
-            for _, dev, rdy, _cz, st, sc in view:
-                t = sc[4]
-                fab = sc[2]
-                issue = t if t >= fab else fab
-                d = issue - t
-                if d > 0:
-                    st[DYSER_CONFIG] += d
-                value, done = dev.recv(port, issue)
-                d = done - issue
-                if d > 0:
-                    st[DYSER_RECV] += d
-                if wr:
-                    rdy[rd] = done   # before the next issue: no cause tag
-                sc[4] = done + 1
-            # The received value is config-independent (same functional
-            # stream per point); retire it into the shared registers.
-            if is_fp:
-                fr[rd] = float(value)
-            else:
-                v = int(value)
-                if rd:
-                    v &= _M64
-                    if v >= _H64:
-                        v -= _W64
-                    ir[rd] = v
-        return h
-    return maker
-
-
-def _make_dld(insn):
-    """Scalar and vector/wide DySER loads (memory -> input ports)."""
+def _dyser_op(insn, iclass) -> _Op:
     op = insn.op
-    port = insn.port
-    s1 = insn.rs1
-    imm_i = int(insn.imm)
-    scalar = op in (Opcode.DLD, Opcode.DFLD)
+    name = op.value
+    if iclass is InsnClass.DYSER_INIT:
+        return _Op(_DINIT, name, imm=int(insn.imm))
+    if iclass is InsnClass.DYSER_SEND:
+        return _Op(_dsend_tpl(op is Opcode.DFSEND), name, s1=insn.rs1,
+                   port=insn.port)
+    if iclass is InsnClass.DYSER_RECV:
+        return _Op(_drecv_tpl(op is Opcode.DFRECV, bool(insn.rd)), name,
+                   rd=insn.rd, port=insn.port)
+    imm = int(insn.imm)
     wide = op in WIDE_OPS
-    is_fp = op in (Opcode.DFLD, Opcode.DFLDV, Opcode.DFLDW)
-
-    def maker(ctx):
-        if ctx.devs[0] is None:
-            return _no_dyser(op.value)
-        ir, pdi = ctx.ir, ctx.pdi
-        da, vca = ctx.da, ctx.vca
-        mem = ctx.mem
-        rates = ctx.rates
-        cast = float if is_fp else int
-
-        if scalar:
-            lw = mem.load_word
-
-            def h():
-                addr = ir[s1] + imm_i
-                lat = da(addr)
-                value = cast(lw(addr))
-                for _, dev, irdy, icz, st, sc in pdi:
-                    t = sc[4]
-                    lsu = sc[1]
-                    issue = t if t >= lsu else lsu
-                    c = None
-                    r = irdy[s1]
-                    if r > issue:
-                        issue = r
-                        c = icz[s1]
-                    if lsu > t and issue == lsu and c is None:
-                        c = LSU_BUSY
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                    fab = sc[2]
-                    if fab > issue:
-                        st[DYSER_CONFIG] += fab - issue
-                        issue = fab
-                    arrive = issue + lat
-                    done = dev.send(port, value, arrive)
-                    d = done - arrive
-                    if d > 0:
-                        st[DYSER_SEND] += d
-                    nt = issue + 1
-                    sc[1] = nt
-                    sc[4] = nt
-            return h
-
-        count = imm_i
-        lb = mem.load_block
-        holds = [max(1, count // r) for r in rates]
-        # Per-point arrival offsets (i // rate) are data-independent;
-        # compute them once so the hot loop only adds t0.
-        offsets = [[i // r for i in range(count)] for r in rates]
+    operands = dict(s1=insn.rs1, imm=imm, port=insn.port, count=imm,
+                    holds=_holds(imm))
+    if iclass is InsnClass.DYSER_LOAD:
+        vector = op not in (Opcode.DLD, Opcode.DFLD)
+        fp = op in (Opcode.DFLD, Opcode.DFLDV, Opcode.DFLDW)
         # Value i goes to port ``port + i`` (wide) or to ``port``.
-        ports = range(port, port + count) if wide else (port,) * count
-
-        def h():
-            base = ir[s1]
-            lat = vca(base, count, False)
-            vals = [cast(v) for v in lb(base, count)]
-            for p, dev, irdy, icz, st, sc in pdi:
-                t = sc[4]
-                lsu = sc[1]
-                issue = t if t >= lsu else lsu
-                c = None
-                r = irdy[s1]
-                if r > issue:
-                    issue = r
-                    c = icz[s1]
-                if lsu > t and issue == lsu and c is None:
-                    c = LSU_BUSY
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                fab = sc[2]
-                if fab > issue:
-                    st[DYSER_CONFIG] += fab - issue
-                    issue = fab
-                t0 = issue + lat
-                stall = dev.send_many(ports, vals,
-                                      [t0 + o for o in offsets[p]])
-                if stall:
-                    st[DYSER_SEND] += stall
-                sc[1] = issue + holds[p]
-                sc[4] = issue + 1
-        return h
-    return maker
+        ports = (range(insn.port, insn.port + imm) if wide
+                 else (insn.port,) * imm)
+        return _Op(_dld_tpl(fp, vector), name, ports=ports,
+                   offs=_offsets(imm), **operands)
+    vector = op not in (Opcode.DST, Opcode.DFST)
+    fp = op in (Opcode.DFST, Opcode.DFSTV, Opcode.DFSTW)
+    return _Op(_dst_tpl(fp, vector, wide), name, **operands)
 
 
-def _make_dst(insn):
-    """Scalar and vector/wide DySER stores (output ports -> memory)."""
-    op = insn.op
-    port = insn.port
-    s1 = insn.rs1
-    imm_i = int(insn.imm)
-    scalar = op in (Opcode.DST, Opcode.DFST)
-    wide = op in WIDE_OPS
-    is_fp = op in (Opcode.DFST, Opcode.DFSTV, Opcode.DFSTW)
-    cast = float if is_fp else int
-
-    def maker(ctx):
-        if ctx.devs[0] is None:
-            return _no_dyser(op.value)
-        ir, pdi = ctx.ir, ctx.pdi
-        da, vca = ctx.da, ctx.vca
-        mem = ctx.mem
-        rates = ctx.rates
-
-        if scalar:
-            sw = mem.store_word
-
-            def h():
-                value = None
-                for _, dev, irdy, icz, st, sc in pdi:
-                    t = sc[4]
-                    lsu = sc[1]
-                    issue = t if t >= lsu else lsu
-                    c = None
-                    r = irdy[s1]
-                    if r > issue:
-                        issue = r
-                        c = icz[s1]
-                    if lsu > t and issue == lsu and c is None:
-                        c = LSU_BUSY
-                    d = issue - t
-                    if d > 0:
-                        st[DATA_HAZARD if c is None else c] += d
-                    fab = sc[2]
-                    if fab > issue:
-                        st[DYSER_CONFIG] += fab - issue
-                        issue = fab
-                    value, done = dev.recv(port, issue)
-                    if done > sc[3]:
-                        sc[3] = done
-                    nt = issue + 1
-                    sc[1] = nt
-                    sc[4] = nt
-                # Store once: the value stream is point-independent.
-                addr = ir[s1] + imm_i
-                da(addr, True)
-                sw(addr, cast(value))
-            return h
-
-        count = imm_i
-        sb = mem.store_block
-        holds = [max(1, count // r) for r in rates]
-
-        def h():
-            values = None
-            base = ir[s1]
-            for p, dev, irdy, icz, st, sc in pdi:
-                recv = dev.recv
-                t = sc[4]
-                lsu = sc[1]
-                issue = t if t >= lsu else lsu
-                c = None
-                r = irdy[s1]
-                if r > issue:
-                    issue = r
-                    c = icz[s1]
-                if lsu > t and issue == lsu and c is None:
-                    c = LSU_BUSY
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                fab = sc[2]
-                if fab > issue:
-                    st[DYSER_CONFIG] += fab - issue
-                    issue = fab
-                done = issue
-                values = []
-                append = values.append
-                for i in range(count):
-                    value, done = recv(port + i if wide else port, done)
-                    append(value)
-                if done > sc[3]:
-                    sc[3] = done
-                sc[1] = issue + holds[p]
-                sc[4] = issue + 1
-            vca(base, count, True)
-            sb(base, [cast(v) for v in values])
-        return h
-    return maker
-
-
-# -- terminators -------------------------------------------------------------
-
-def _make_branch(insn, tbi: int, fbi: int):
-    s1, s2 = insn.rs1, insn.rs2
-    cmp = _BRANCH_TAKEN[insn.op]
-
-    def maker(ctx):
-        ir, pi = ctx.ir, ctx.pi
-        misc = ctx.misc
-        penalty = ctx.penalty
-
-        def term():
-            taken = cmp(ir[s1], ir[s2])
-            for irdy, icz, st, sc in pi:
-                t = sc[4]
-                issue = t
-                c = None
-                r = irdy[s1]
-                if r > issue:
-                    issue = r
-                    c = icz[s1]
-                r = irdy[s2]
-                if r > issue:
-                    issue = r
-                    c = icz[s2]
-                d = issue - t
-                if d > 0:
-                    st[DATA_HAZARD if c is None else c] += d
-                if taken:
-                    if penalty > 0:
-                        st[BRANCH] += penalty
-                    sc[4] = issue + 1 + penalty
-                else:
-                    sc[4] = issue + 1
-            if taken:
-                misc[0] += 1
-                return tbi
-            return fbi
-        return term
-    return maker
-
-
-def _make_jump(tbi: int):
-    def maker(ctx):
-        misc, pi = ctx.misc, ctx.pi
-        penalty = ctx.penalty
-
-        def term():
-            misc[0] += 1
-            for _, _, st, sc in pi:
-                if penalty > 0:
-                    st[BRANCH] += penalty
-                sc[4] += 1 + penalty
-            return tbi
-        return term
-    return maker
-
-
-def _make_halt():
-    def maker(ctx):
-        pi = ctx.pi
-
-        def term():
-            for _, _, _, sc in pi:
-                t = sc[4]
-                q = sc[3]
-                sc[4] = (t if t >= q else q) + 1
-            return -1
-        return term
-    return maker
-
-
-def _make_fall(fbi: int):
-    def maker(ctx):
-        def term():
-            return fbi
-        return term
-    return maker
-
-
-def _make_exec(insn):
+def _exec_op(insn) -> _Op:
     iclass = insn.info.iclass
     C = InsnClass
     if iclass in (C.ALU, C.MUL, C.DIV):
-        return _make_int_alu(insn, iclass)
+        return _alu_op(insn, iclass)
     if iclass is C.MOVE:
-        return _make_move(insn)
+        return _move_op(insn)
     if iclass in (C.FPU, C.FDIV):
-        return _make_fp(insn, iclass)
+        return _fp_op(insn, iclass)
     if iclass is C.LOAD:
-        return _make_load(insn)
+        return _Op(_load_tpl(insn.op is Opcode.FLD, bool(insn.rd)),
+                   s1=insn.rs1, rd=insn.rd, imm=int(insn.imm))
     if iclass is C.STORE:
-        return _make_store(insn)
-    if iclass is C.DYSER_INIT:
-        return _make_dinit(insn)
-    if iclass is C.DYSER_SEND:
-        return _make_dsend(insn)
-    if iclass is C.DYSER_RECV:
-        return _make_drecv(insn)
-    if iclass is C.DYSER_LOAD:
-        return _make_dld(insn)
-    if iclass is C.DYSER_STORE:
-        return _make_dst(insn)
+        return _Op(_store_tpl(insn.op is Opcode.FST), s1=insn.rs1,
+                   s2=insn.rs2, imm=int(insn.imm))
+    if insn.info.is_dyser:
+        return _dyser_op(insn, iclass)
     if insn.op is Opcode.NOP:
-        return _make_nop()
+        return _Op(_NOP)
     raise SimulationError(f"unhandled opcode {insn.op}")
+
+
+# ---------------------------------------------------------------------------
+# Rendering and the code cache
+# ---------------------------------------------------------------------------
+
+_GLOBALS = {**_NS, "SimulationError": SimulationError}
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _compiled(source: str):
+    """The ``_bind`` function ``source`` defines (compiled once per
+    source text)."""
+    ns = dict(_GLOBALS)
+    exec(source, ns)  # noqa: S102 - rendered from the templates above
+    return ns["_bind"]
+
+
+def _binder_source(params, lines: list[str], fn: str, head=()) -> str:
+    """``_bind(ctx, *params)``: binds the context names ``lines`` use,
+    then ``head``, and returns the function ``fn`` running ``lines``."""
+    words = set(_WORD.findall("\n".join(lines)))
+    return "\n".join([
+        f"def _bind({', '.join(('ctx', *params))}):",
+        *(f"    {name} = {expr}" for name, expr in _CTX.items()
+          if name in words),
+        *("    " + line for line in head),
+        f"    def {fn}():",
+        *("        " + line for line in lines),
+        f"    return {fn}",
+        "",
+    ])
+
+
+@lru_cache(maxsize=None)
+def _handler_binder(tpl: _Tpl):
+    """The per-instruction handler binder of ``tpl``: operands are its
+    arguments, the timing a loop over the lane's points."""
+    fields = {**_CAUSE_FIELDS, **{name: name for name in _CTX_FIELDS},
+              **{name: name for name in tpl.params}}
+    return _compiled(_binder_source(
+        tpl.params, tpl.expand(fields, solo=False, last=False), "h"))
+
+
+def _literal(value, consts: list) -> str:
+    """Source for ``value`` in a fused block: a literal, or the name of
+    a bound constant."""
+    if value is None or type(value) in (bool, str):
+        return repr(value)
+    if type(value) is int:
+        return f"({value})" if value < 0 else str(value)
+    consts.append(value)
+    return f"k{len(consts) - 1}"
 
 
 # ---------------------------------------------------------------------------
 # Basic-block construction
 # ---------------------------------------------------------------------------
 
+_fused_blocks = 0
+
+
 @dataclass(frozen=True)
 class DecodedBlock:
-    """One basic block as a static handler template.
+    """One basic block as ops.
 
-    ``makers`` covers every non-terminating instruction (fetch handlers
+    ``ops`` covers every non-terminating instruction (fetch checks
     interleaved in front of their instruction); the block's control
-    transfer lives in ``term_maker``.  ``starts[k]`` is the offset of
-    instruction *k*'s first handler, used when an instruction limit
-    lands inside the block of a lane of one.  ``mix`` is the per-class instruction
+    transfer is ``term``.  ``starts[k]`` is the offset of instruction
+    *k*'s first op, used when an instruction limit lands inside the
+    block of a lane of one.  ``mix`` is the per-class instruction
     histogram, folded into :class:`~repro.cpu.statistics.ExecStats`
     once per block execution rather than once per instruction.
     """
 
     start: int
     length: int
-    makers: tuple
-    term_maker: object
+    ops: tuple
+    term: _Op
     starts: tuple[int, ...]
     mix: tuple
+
+    def bind(self, ctx) -> tuple[tuple, object]:
+        """``(handlers, term)``: per-instruction handlers bound to
+        ``ctx``; ``term()`` returns the next block index."""
+        return tuple(op.bind(ctx) for op in self.ops), self.term.bind(ctx)
+
+    def fuse(self, ctx, solo: bool):
+        """The whole block as one function bound to ``ctx``: it returns
+        the next block index.  ``solo`` renders it for a lane of one."""
+        global _fused_blocks
+        consts: list = []
+        fields = dict(_CAUSE_FIELDS)
+        fields.update((name, _literal(getattr(ctx, name), consts))
+                      for name in _CTX_FIELDS)
+        lines = ["t = sc[4]"] if solo else []
+        for op in (*self.ops, self.term):
+            tpl, vals = op.resolve(ctx)
+            fields.update(zip(tpl.params,
+                              [_literal(v, consts) for v in vals],
+                              strict=True))
+            lines += tpl.expand(fields, solo, op is self.term)
+        head = []
+        if solo:
+            head.append(f"{_VIEWS['pdi']}, frdy, fcz = ctx.solo")
+        if consts:
+            head.append(f"{', '.join(f'k{i}' for i in range(len(consts)))},"
+                        " = consts")
+        binder = _compiled(_binder_source(("consts",), lines, "block", head))
+        _fused_blocks += 1
+        return binder(ctx, tuple(consts))
 
 
 @dataclass(frozen=True)
@@ -962,19 +739,6 @@ class DecodedProgram:
     n: int
     name: str
     insns_per_line: int
-
-    def bind(self, ctx) -> list:
-        """Bind every maker to ``ctx``; returns per-block
-        ``(handlers, term, length, starts)`` tuples."""
-        return [
-            (
-                tuple(m(ctx) for m in b.makers),
-                b.term_maker(ctx),
-                b.length,
-                b.starts,
-            )
-            for b in self.blocks
-        ]
 
 
 def _build(program: Program, insns_per_line: int) -> DecodedProgram:
@@ -997,39 +761,38 @@ def _build(program: Program, insns_per_line: int) -> DecodedProgram:
     blocks = []
     for bi, start in enumerate(ordered):
         end = bounds[bi + 1]
-        makers: list = []
+        ops: list[_Op] = []
         starts: list[int] = []
         mix: Counter = Counter()
-        term_maker = None
+        term = None
         for pc in range(start, end):
             insn = insns[pc]
-            starts.append(len(makers))
+            starts.append(len(ops))
             mix[insn.info.iclass] += 1
             line = pc // insns_per_line
-            if pc == start:
-                makers.append(_make_fetch(pc, line, conditional=True))
-            elif pc % insns_per_line == 0:
-                makers.append(_make_fetch(pc, line, conditional=False))
+            if pc == start or pc % insns_per_line == 0:
+                ops.append(_Op(_fetch_tpl(pc == start),
+                               faddr=pc * _INSN_BYTES, line=line))
             iclass = insn.info.iclass
             if iclass is InsnClass.BRANCH:
                 ti = insn.target_index
-                tbi = block_of[ti] if ti < n else -2
-                fbi = block_of.get(pc + 1, -2)
-                term_maker = _make_branch(insn, tbi, fbi)
+                term = _Op(_branch_tpl(insn.op), s1=insn.rs1, s2=insn.rs2,
+                           tbi=block_of[ti] if ti < n else -2,
+                           fbi=block_of.get(pc + 1, -2))
             elif iclass is InsnClass.JUMP:
                 ti = insn.target_index
-                term_maker = _make_jump(block_of[ti] if ti < n else -2)
+                term = _Op(_JUMP, tbi=block_of[ti] if ti < n else -2)
             elif insn.op is Opcode.HALT:
-                term_maker = _make_halt()
+                term = _Op(_HALT)
             else:
-                makers.append(_make_exec(insn))
-        if term_maker is None:
-            term_maker = _make_fall(block_of.get(end, -2))
+                ops.append(_exec_op(insn))
+        if term is None:
+            term = _Op(_FALL, fbi=block_of.get(end, -2))
         blocks.append(DecodedBlock(
             start=start,
             length=end - start,
-            makers=tuple(makers),
-            term_maker=term_maker,
+            ops=tuple(ops),
+            term=term,
             starts=tuple(starts),
             mix=tuple(mix.items()),
         ))
@@ -1080,7 +843,17 @@ def decode_cache_size() -> int:
     return len(_DECODE_CACHE)
 
 
+def fused_block_count() -> int:
+    """Blocks rendered as fused functions since the caches were last
+    cleared (for tests and the parity smoke)."""
+    return _fused_blocks
+
+
 def clear_decode_caches() -> None:
-    """Drop all decoded programs and compiled evaluator patterns."""
+    """Drop all decoded programs, all compiled handler and block code,
+    and the fused-block count."""
+    global _fused_blocks
     _DECODE_CACHE.clear()
-    clear_eval_caches()
+    _handler_binder.cache_clear()
+    _compiled.cache_clear()
+    _fused_blocks = 0

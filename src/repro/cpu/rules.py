@@ -10,10 +10,11 @@ they would otherwise each restate:
 - the **source-register rules** — which registers an instruction waits
   on before it may issue (:func:`int_alu_srcs`, :func:`fp_insn_srcs`);
 - the **value semantics** of every integer, FP and branch opcode, as
-  expression templates (``_INT_EXPR``, ``_FP_EXPR``) that compile both
-  into the specialised zero-argument closures the handler makers bind
-  and into plain functions (:func:`int_op`, :func:`fp_op`) the
-  reference loop calls with operand values;
+  expression templates (``_INT_EXPR``, ``_FP_EXPR``, ``_BRANCH_EXPR``)
+  that the lockstep templates inline over register reads
+  (:func:`int_expr`, :func:`fp_expr`, :func:`branch_expr`) and that
+  compile into plain functions (:func:`int_op`, :func:`fp_op`, the
+  branch comparators) the reference loop calls with operand values;
 - the **per-pc static table** (:func:`decode_table`) the reference
   loop dispatches on: kind, sources, immediate, result latency,
   evaluator, DySER LSU occupancy and FP-to-integer retirement.
@@ -117,10 +118,6 @@ _NS = {"int_div": int_div, "int_rem": int_rem, "min": min, "max": max,
        "abs": abs, "float": float, "int": int, "wrap64": wrap64,
        "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
 
-_A_SLOT = {"reg": "ir[s1]", "zero": "0"}
-_B_SLOT = {"imm": "imm", "reg": "ir[s2]", "zero": "0"}
-
-_EVAL_BINDERS: dict[object, object] = {}
 _OPS: dict[str, object] = {}
 
 
@@ -130,31 +127,16 @@ def _compile(source: str, name: str):
     return ns[name]
 
 
-def _int_eval_binder(op_value: str, akind: str, bkind: str):
-    """Compile (once per pattern) a binder producing a zero-argument
-    evaluator closure for an integer op."""
-    key = (op_value, akind, bkind)
-    binder = _EVAL_BINDERS.get(key)
-    if binder is None:
-        expr = _INT_EXPR[op_value].format(
-            a=_A_SLOT[akind], b=_B_SLOT[bkind])
-        binder = _EVAL_BINDERS[key] = _compile(
-            f"def _bind(ir, s1, s2, imm):\n    return lambda: {expr}\n",
-            "_bind")
-    return binder
+def int_expr(op_value: str, a: str, b: str) -> str:
+    """Source of an integer op over operand expressions ``a`` and
+    ``b``, before the 64-bit wrap."""
+    return _INT_EXPR[op_value].format(a=a, b=b)
 
 
-def _fp_eval_binder(op, ir, fr, s1, s2, s3):
-    """Zero-argument evaluator for an FP-class op, reading its operands
-    from the register files at call time."""
-    binder = _EVAL_BINDERS.get(op)
-    if binder is None:
-        a = "ir[s1]" if op in _FP_INT_SRC else "fr[s1]"
-        expr = _FP_EXPR[op.value].format(a=a, b="fr[s2]", c="fr[s3]")
-        binder = _EVAL_BINDERS[op] = _compile(
-            f"def _bind(ir, fr, s1, s2, s3):\n    return lambda: {expr}\n",
-            "_bind")
-    return binder(ir, fr, s1, s2, s3)
+def fp_expr(op_value: str, a: str, b: str, c: str) -> str:
+    """Source of an FP-class op over operand expressions in
+    :func:`fp_insn_srcs` order (``_v`` is a scratch name)."""
+    return _FP_EXPR[op_value].format(a=a, b=b, c=c)
 
 
 def int_op(op_value: str):
@@ -165,7 +147,7 @@ def int_op(op_value: str):
     if fn is None:
         fn = _OPS[op_value] = _compile(
             f"def fn(a, b):\n"
-            f"    v = {_INT_EXPR[op_value].format(a='a', b='b')}\n"
+            f"    v = {int_expr(op_value, 'a', 'b')}\n"
             f"    return v if {-(1 << 63)} <= v < {1 << 63} else wrap64(v)\n",
             "fn")
     return fn
@@ -177,25 +159,33 @@ def fp_op(op_value: str):
     fn = _OPS.get(op_value)
     if fn is None:
         params = "abc"[:_FP_ARITY[op_value]]
-        expr = _FP_EXPR[op_value].format(a="a", b="b", c="c")
         fn = _OPS[op_value] = _compile(
-            f"def fn({', '.join(params)}):\n    return {expr}\n", "fn")
+            f"def fn({', '.join(params)}):\n"
+            f"    return {fp_expr(op_value, 'a', 'b', 'c')}\n", "fn")
     return fn
 
 
-_BRANCH_TAKEN = {
-    Opcode.BEQ: (lambda a, b: a == b),
-    Opcode.BNE: (lambda a, b: a != b),
-    Opcode.BLT: (lambda a, b: a < b),
-    Opcode.BGE: (lambda a, b: a >= b),
-    Opcode.BLE: (lambda a, b: a <= b),
-    Opcode.BGT: (lambda a, b: a > b),
+#: Condition of each branch opcode over its two register operands.
+_BRANCH_EXPR = {
+    Opcode.BEQ: "{a} == {b}",
+    Opcode.BNE: "{a} != {b}",
+    Opcode.BLT: "{a} < {b}",
+    Opcode.BGE: "{a} >= {b}",
+    Opcode.BLE: "{a} <= {b}",
+    Opcode.BGT: "{a} > {b}",
 }
 
 
-def clear_eval_caches() -> None:
-    """Drop the compiled evaluator patterns."""
-    _EVAL_BINDERS.clear()
+def branch_expr(op, a: str, b: str) -> str:
+    """Source of a branch condition over operand expressions."""
+    return _BRANCH_EXPR[op].format(a=a, b=b)
+
+
+_BRANCH_TAKEN = {
+    op: _compile(f"def fn(a, b):\n    return {branch_expr(op, 'a', 'b')}\n",
+                 "fn")
+    for op in _BRANCH_EXPR
+}
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.errors import DyserError
 from repro.dyser.config import DyserConfig
 from repro.dyser.config_cache import ConfigCache, ConfigCacheParams
 from repro.dyser.fabric import Fabric
+from repro.dyser.functional import FunctionalEvaluator
 from repro.dyser.timing import DyserTimingParams, InvocationEngine
 
 
@@ -53,6 +54,9 @@ class DyserDevice:
 
     def __post_init__(self) -> None:
         self.configs: dict[int, DyserConfig] = {}
+        #: Evaluator plan per registered config, built on its first
+        #: activation and handed to every engine that runs it.
+        self._plans: dict[int, FunctionalEvaluator] = {}
         self.config_cache = ConfigCache(self.cache_params)
         self.engine: InvocationEngine | None = None
         self.stats = DyserStats()
@@ -106,8 +110,11 @@ class DyserDevice:
                 "config_load", "dyser.config", t, ready - t,
                 config=config_id, hit=hit,
                 words=config.config_words())
+        plan = self._plans.get(config_id)
+        if plan is None:
+            plan = self._plans[config_id] = FunctionalEvaluator(config.dfg)
         self.engine = InvocationEngine(config, self.timing,
-                                       events=self.events)
+                                       events=self.events, evaluator=plan)
         return ready
 
     def send(self, port: int, value: int | float, t_ready: int) -> int:

@@ -63,16 +63,25 @@ class SteadyState:
 
 
 class InvocationEngine:
-    """Functional + timing state for one active configuration."""
+    """Functional + timing state for one active configuration.
+
+    ``evaluator`` is the configuration's plan, built once for a config
+    the caller has already validated
+    (:meth:`~repro.dyser.interface.DyserDevice.register_config`); without
+    one the engine validates ``config`` and builds the plan itself.
+    """
 
     def __init__(self, config: DyserConfig, params: DyserTimingParams,
-                 events=None) -> None:
-        config.validate()
+                 events=None,
+                 evaluator: FunctionalEvaluator | None = None) -> None:
+        if evaluator is None:
+            config.validate()
+            evaluator = FunctionalEvaluator(config.dfg)
         self.config = config
         self.params = params
         #: Structured event stream (:mod:`repro.obs.events`) or None.
         self.events = events
-        self.evaluator = FunctionalEvaluator(config.dfg)
+        self.evaluator = evaluator
         self.delays = config.path_delays()
         self._max_delay = max(self.delays.values(), default=0)
         self.in_fifos = {

@@ -15,7 +15,9 @@ from repro.dyser import (
     PortRef,
 )
 from repro.dyser.config_cache import ConfigCache, ConfigCacheParams
-from repro.errors import DyserError
+from repro.dyser.dfg import NodeRef
+from repro.dyser.functional import FunctionalEvaluator
+from repro.errors import ConfigurationError, DyserError
 
 
 def add_dfg() -> Dfg:
@@ -243,6 +245,50 @@ class TestDyserDevice:
         dev = self.make_device()
         with pytest.raises(DyserError, match="duplicate"):
             dev.register_config(make_config(0))
+
+    def test_each_config_validated_and_planned_once(self, monkeypatch):
+        """Registration validates a config; switching back and forth
+        re-validates nothing and reuses one evaluator plan per config."""
+        dev = self.make_device()
+        calls = []
+        monkeypatch.setattr(DyserConfig, "validate",
+                            lambda self: calls.append(self.config_id))
+        t = 0
+        engines = []
+        for cid in (0, 1, 0, 1, 0):
+            t = dev.init_config(cid, t)
+            engines.append(dev.engine)
+            dev.send(0, 2, t)
+            dev.send(1, 3, t)
+            _value, t = dev.recv(0, t)
+        assert calls == []
+        assert len({id(e) for e in engines}) == 5
+        assert engines[0].evaluator is engines[2].evaluator \
+            is engines[4].evaluator
+        assert engines[1].evaluator is engines[3].evaluator
+        assert engines[0].evaluator is not engines[1].evaluator
+
+
+class TestDirectConstruction:
+    """An engine or evaluator built without a device still checks what
+    it is given."""
+
+    def bad_port_config(self) -> DyserConfig:
+        dfg = Dfg("far")
+        n = dfg.add_node(FuOp.ADD, [PortRef(0), PortRef(99)])
+        dfg.set_output(0, n)
+        return make_config(dfg=dfg)
+
+    def test_engine_rejects_invalid_config(self):
+        with pytest.raises(ConfigurationError, match="input port 99"):
+            InvocationEngine(self.bad_port_config(), DyserTimingParams())
+
+    def test_evaluator_rejects_invalid_dfg(self):
+        dfg = Dfg("dangling")
+        n = dfg.add_node(FuOp.ADD, [PortRef(0), NodeRef(7)])
+        dfg.set_output(0, n)
+        with pytest.raises(ConfigurationError, match="undefined node 7"):
+            FunctionalEvaluator(dfg)
 
 
 def single_input_dfg() -> Dfg:
