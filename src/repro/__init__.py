@@ -70,7 +70,6 @@ from repro.dyser import (
     DyserTimingParams,
     Fabric,
     FabricGeometry,
-    SteadyState,
 )
 from repro.compiler import (
     CompileResult,
@@ -224,7 +223,6 @@ __all__ = [
     "CoreConfig",
     "ExecStats",
     "Memory",
-    "SteadyState",
     "Dfg",
     "DyserConfig",
     "DyserDevice",

@@ -338,6 +338,9 @@ class _Walker(Core):
         self.acct: dict[int, dict] = {}
         self._guesses: dict[int, int] = {}
         self._loaded_once: set[int] = set()
+        if device is not None:
+            # Fire every configuration over unknown values.
+            device.evaluator_for = self._abstract_evaluator
         #: The live configuration (None before any dinit), the cycle it
         #: was loaded and the port waits charged by then.
         self._live: int | None = None
@@ -345,6 +348,9 @@ class _Walker(Core):
         self._seg_waits = (0, 0)
 
     # -- unknown values --------------------------------------------------
+
+    def _abstract_evaluator(self, config) -> _AbstractEvaluator:
+        return _AbstractEvaluator(config.dfg, self._inexact)
 
     def _inexact(self, why: str) -> None:
         self.exact = False
@@ -451,8 +457,6 @@ class _Walker(Core):
                     and dev.stats.config_hits == hits_before):
                 seg["reload_stall"] += ready - t
             self._loaded_once.add(config_id)
-            engine.evaluator = _AbstractEvaluator(engine.config.dfg,
-                                                  self._inexact)
             self._live, self._seg_open_t = config_id, ready
             self._seg_waits = self._port_waits()
         return ready

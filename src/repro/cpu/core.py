@@ -139,18 +139,17 @@ class CacheHierarchy:
                 + self.l2.access(addr))
 
     def _vector_cache_access(self, base: int, count: int, is_write: bool) -> int:
-        """Access every line a vector transfer touches; return max latency."""
+        """Access every line a vector transfer touches, at the transfer's
+        first word in that line; return max latency."""
         line = self.config.dcache.line_bytes
         lat = self.config.dcache.hit_latency
         addr = base
-        end = base + count * WORD_BYTES
-        seen = set()
-        while addr < end:
-            key = addr // line
-            if key not in seen:
-                seen.add(key)
-                lat = max(lat, self._data_access(addr, is_write=is_write))
-            addr += WORD_BYTES
+        last = base + (count - 1) * WORD_BYTES
+        while addr <= last:
+            lat = max(lat, self._data_access(addr, is_write=is_write))
+            # The first word at or past the next line's start.
+            gap = (addr // line + 1) * line - addr
+            addr += ((gap - 1) // WORD_BYTES + 1) * WORD_BYTES
         return lat
 
 

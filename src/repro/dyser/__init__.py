@@ -12,11 +12,7 @@ from repro.dyser.fabric import (
 from repro.dyser.functional import FunctionalEvaluator
 from repro.dyser.interface import DyserDevice, DyserStats
 from repro.dyser.ops import FU_OP_INFO, FuCapability, FuOp
-from repro.dyser.timing import (
-    DyserTimingParams,
-    InvocationEngine,
-    SteadyState,
-)
+from repro.dyser.timing import DyserTimingParams, InvocationEngine
 
 __all__ = [
     "ConfigCache",
@@ -37,7 +33,6 @@ __all__ = [
     "InvocationEngine",
     "NodeRef",
     "PortRef",
-    "SteadyState",
     "default_capabilities",
     "uniform_capabilities",
 ]

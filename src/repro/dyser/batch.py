@@ -15,9 +15,10 @@ reach fire *k* of a configuration runs the plan and appends its output
 tuple to a shared per-config *tape*; every later device replays the
 tape entry.  It subclasses the evaluator and replaces only ``run``.
 
-:class:`BatchedDyserDevice` wires the tape in: it wraps the engine's
-evaluator after every (re)configuration and saves the per-config fire
-cursor when an engine retires, so a config that is re-activated later
+:class:`BatchedDyserDevice` wires the tape in: the evaluator it builds
+for a config (once per device, :meth:`DyserDevice.evaluator_for`) is a
+:class:`TapedEvaluator` over that config's tape, and every engine that
+runs the config fires through it, so a config that is re-activated later
 (config-cache round trips) resumes its tape where it left off.
 
 Soundness: the tape is only valid while the lane's devices all observe
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dyser.config import DyserConfig
 from repro.dyser.functional import FunctionalEvaluator
 from repro.dyser.interface import DyserDevice
 
@@ -42,14 +44,13 @@ class TapedEvaluator(FunctionalEvaluator):
     this device for this config).
     """
 
-    def __init__(self, inner: FunctionalEvaluator,
-                 tape: list, index: int = 0) -> None:
+    def __init__(self, inner: FunctionalEvaluator, tape: list) -> None:
         self.dfg = inner.dfg
         self.input_ports = inner.input_ports
         self.output_ports = inner.output_ports
         self.inner = inner
         self.tape = tape
-        self.index = index
+        self.index = 0
 
     def run(self, *values) -> tuple:
         i = self.index
@@ -74,29 +75,6 @@ class BatchedDyserDevice(DyserDevice):
 
     tape: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        #: Fire cursor per config id, saved when an engine retires so
-        #: a re-activated config resumes its tape position.
-        self._fire_base: dict[int, int] = {}
-
-    def init_config(self, config_id: int, t: int) -> int:
-        ready = super().init_config(config_id, t)
-        engine = self.engine
-        if engine is not None and not isinstance(engine.evaluator,
-                                                 TapedEvaluator):
-            cid = engine.config.config_id
-            engine.evaluator = TapedEvaluator(
-                engine.evaluator,
-                self.tape.setdefault(cid, []),
-                self._fire_base.get(cid, 0),
-            )
-        return ready
-
-    def _fold_engine_stats(self) -> None:
-        engine = self.engine
-        if engine is not None and isinstance(engine.evaluator,
-                                             TapedEvaluator):
-            cid = engine.config.config_id
-            self._fire_base[cid] = engine.evaluator.index
-        super()._fold_engine_stats()
+    def evaluator_for(self, config: DyserConfig) -> TapedEvaluator:
+        return TapedEvaluator(super().evaluator_for(config),
+                              self.tape.setdefault(config.config_id, []))

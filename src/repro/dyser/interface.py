@@ -54,8 +54,7 @@ class DyserDevice:
 
     def __post_init__(self) -> None:
         self.configs: dict[int, DyserConfig] = {}
-        #: Evaluator plan per registered config, built on its first
-        #: activation and handed to every engine that runs it.
+        #: Evaluator per registered config (:meth:`evaluator_for`).
         self._plans: dict[int, FunctionalEvaluator] = {}
         self.config_cache = ConfigCache(self.cache_params)
         self.engine: InvocationEngine | None = None
@@ -90,11 +89,13 @@ class DyserDevice:
         if config is None:
             raise DyserError(f"dinit of unregistered config {config_id}")
         start = t
-        if self.engine is not None:
-            if self.engine.config.config_id == config_id:
+        engine = self.engine
+        if engine is not None:
+            if engine.config.config_id == config_id:
                 return t  # already active: dinit is a no-op re-arm
-            start = max(t, self.engine.drained_time())
-            self._retire_engine()
+            start = max(t, engine.drained_time())
+            self.finalize()
+            engine.quiesce()
         cycles, hit = self.config_cache.load_cycles(
             config_id, config.config_words()
         )
@@ -112,10 +113,16 @@ class DyserDevice:
                 words=config.config_words())
         plan = self._plans.get(config_id)
         if plan is None:
-            plan = self._plans[config_id] = FunctionalEvaluator(config.dfg)
+            plan = self._plans[config_id] = self.evaluator_for(config)
         self.engine = InvocationEngine(config, self.timing,
                                        events=self.events, evaluator=plan)
         return ready
+
+    def evaluator_for(self, config: DyserConfig) -> FunctionalEvaluator:
+        """Build ``config``'s evaluator.  Called once per config, on its
+        first activation; every engine that runs the config is handed
+        the same evaluator.  What a fire does is chosen here."""
+        return FunctionalEvaluator(config.dfg)
 
     def send(self, port: int, value: int | float, t_ready: int) -> int:
         engine = self.engine
@@ -175,29 +182,16 @@ class DyserDevice:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _fold_engine_stats(self) -> None:
-        assert self.engine is not None
-        self.stats.invocations += self.engine.invocations
-        self.stats.unresolved_flow_stalls += self.engine.unresolved_stalls
-        self.stats.fu_ops += self.engine.invocations * self.engine.ops_per_fire
-        self.stats.switch_hops += (
-            self.engine.invocations * self.engine.hops_per_fire)
-
-    def _retire_engine(self) -> None:
-        self._fold_engine_stats()
-        self.engine.quiesce()
-        self.engine = None
-
     def finalize(self) -> DyserStats:
-        """Fold the active engine's counters in; call at end of run."""
-        if self.engine is not None:
-            self._fold_engine_stats()
+        """Fold the active engine's counters in and drop it; called on
+        every reconfiguration and at the end of a run."""
+        engine = self.engine
+        if engine is not None:
             self.engine = None
+            stats = self.stats
+            fires = engine.invocations
+            stats.invocations += fires
+            stats.unresolved_flow_stalls += engine.unresolved_stalls
+            stats.fu_ops += fires * engine.ops_per_fire
+            stats.switch_hops += fires * engine.hops_per_fire
         return self.stats
-
-    def steady_state(self):
-        """Analytic steady-state of the active configuration
-        (:class:`~repro.dyser.timing.SteadyState`)."""
-        if self.engine is None:
-            raise DyserError("steady_state with no configuration loaded")
-        return self.engine.steady_state()

@@ -149,12 +149,11 @@ class ArtifactCache:
 
         A missing file is a plain miss.  Anything else that cannot be
         served faithfully — truncated/garbled JSON, a non-object
-        payload, a payload whose stored checksum no longer matches its
-        content (bit rot, partial overwrite, a hostile filesystem) — is
-        deleted on the spot and reported as a miss, so a corrupt entry
-        can never be returned *or* poison every later probe of its key.
-        Entries written before checksumming carry no checksum and are
-        served as-is.
+        payload, a payload with no stored checksum or one that no
+        longer matches its content (bit rot, partial overwrite, a
+        hostile filesystem) — is deleted on the spot and reported as a
+        miss, so a corrupt entry can never be returned *or* poison
+        every later probe of its key.
         """
         path = self._path(kind, key)
         try:
@@ -169,8 +168,8 @@ class ArtifactCache:
             self._evict(path)   # truncated/garbled == miss-and-evict
             return None
         expected = data.pop(_CHECKSUM_KEY, None)
-        if expected is not None and _payload_checksum(data) != expected:
-            self._evict(path)   # wrong bytes == miss-and-evict
+        if expected is None or _payload_checksum(data) != expected:
+            self._evict(path)   # unchecked or wrong bytes == miss-and-evict
             return None
         return data
 

@@ -16,8 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.perf import _AbstractEvaluator
-from repro.dyser import ConstRef, Dfg, FuOp, FunctionalEvaluator, PortRef
-from repro.dyser.batch import TapedEvaluator
+from repro.dyser import (
+    ConstRef,
+    Dfg,
+    DyserConfig,
+    DyserDevice,
+    Fabric,
+    FabricGeometry,
+    FuOp,
+    FunctionalEvaluator,
+    PortRef,
+)
+from repro.dyser.batch import BatchedDyserDevice, TapedEvaluator
 from repro.dyser.ops import FU_OP_INFO, evaluate
 from repro.errors import DyserError
 from repro.harness.fuzz.generator import _gen_dfg
@@ -197,6 +207,12 @@ def _two_out_dfg() -> Dfg:
     return dfg
 
 
+def _add_dfg() -> Dfg:
+    dfg = Dfg("add")
+    dfg.set_output(0, dfg.add_node(FuOp.ADD, [PortRef(0), PortRef(1)]))
+    return dfg
+
+
 class TestAbstractEvaluator:
     def test_unknown_inputs_give_unknown_outputs(self):
         faults = []
@@ -225,13 +241,61 @@ class TestTapedEvaluator:
         assert first.run(2.5, 2) == (4, 2)
         assert first.index == 2 and len(calls) == 2
         # A sibling replays the tape whatever it is handed, then
-        # extends it past the end; a resumed cursor starts mid-tape.
+        # extends it past the end.
         second = TapedEvaluator(inner, tape)
         assert second.run(None, None) == (3, 2)
         assert second({0: None, 1: None}) == {0: 4, 1: 2}
         assert second.run(0.5, 1) == (1, 1)
         assert len(calls) == 3 and len(tape) == 3
-        resumed = TapedEvaluator(inner, tape, index=2)
-        assert resumed.run(None, None) == (1, 1)
-        assert resumed.index == 3 and len(calls) == 3
+        assert second.index == 3
         assert (first.input_ports, first.output_ports) == ((0, 1), (0, 1))
+
+
+class TestBatchedDyserDevice:
+    def test_cursor_resumes_across_reactivation(self, monkeypatch):
+        """Two devices of one lane alternate configs A, B, A: the second
+        activation of A resumes A's tape where the first stopped, so
+        every fire's outputs match a plain device's, and each config's
+        plan runs once per fire index."""
+        mul = Dfg("mul")
+        mul.set_output(0, mul.add_node(FuOp.MUL, [PortRef(0), PortRef(1)]))
+        fabric = Fabric(FabricGeometry(4, 4))
+        configs = [DyserConfig(0, _add_dfg(), fabric),
+                   DyserConfig(1, mul, fabric)]
+        phases = [(0, range(0, 3)), (1, range(3, 5)), (0, range(5, 8))]
+
+        def drive(devices):
+            outputs = [[] for _ in devices]
+            ts = [0] * len(devices)
+            for cid, fires in phases:
+                for d, dev in enumerate(devices):
+                    ts[d] = dev.init_config(cid, ts[d])
+                for k in fires:
+                    for d, dev in enumerate(devices):
+                        dev.send(0, k, ts[d])
+                        dev.send(1, 10 + k, ts[d])
+                        value, ts[d] = dev.recv(0, ts[d])
+                        outputs[d].append(value)
+            return outputs
+
+        def device(cls, **extra):
+            dev = cls(fabric=fabric, **extra)
+            for config in configs:
+                dev.register_config(config)
+            return dev
+
+        [expected] = drive([device(DyserDevice)])
+        calls = []
+
+        def counted(self, config):
+            evaluator = FunctionalEvaluator(config.dfg)
+            plan = evaluator.run
+            evaluator.run = lambda *v: calls.append(config.config_id) \
+                or plan(*v)
+            return evaluator
+
+        monkeypatch.setattr(DyserDevice, "evaluator_for", counted)
+        tape: dict = {}
+        lane = [device(BatchedDyserDevice, tape=tape) for _ in range(2)]
+        assert drive(lane) == [expected, expected]
+        assert calls == [0, 0, 0, 1, 1, 0, 0, 0]

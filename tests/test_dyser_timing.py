@@ -106,7 +106,7 @@ class TestInvocationEngine:
 
     def test_output_backpressure_unresolved_is_counted(self):
         # Receiving *after* the burst violates invocation ordering; the
-        # model optimistically accepts but counts it (see ports.py).
+        # model optimistically accepts but counts it (see timing.py).
         eng = make_engine(depth=2)
         for i in range(3):
             eng.send(0, i, t_ready=0)
@@ -132,14 +132,24 @@ class TestInvocationEngine:
     def test_quiesce_rejects_inflight_inputs(self):
         eng = make_engine()
         eng.send(0, 1, t_ready=0)
-        with pytest.raises(DyserError, match="still pending"):
+        with pytest.raises(DyserError, match="input port 0: .* 1 values "
+                                             "still pending"):
             eng.quiesce()
 
     def test_quiesce_rejects_unread_outputs(self):
-        eng = make_engine()
-        eng.send(0, 1, t_ready=0)
-        eng.send(1, 1, t_ready=0)
-        with pytest.raises(DyserError, match="unread"):
+        # Outputs declared port 1 first: the check still names the
+        # lowest unread port.
+        dfg = Dfg("two-out")
+        n = dfg.add_node(FuOp.ADD, [PortRef(0), PortRef(1)])
+        dfg.set_output(1, n)
+        dfg.set_output(0, n)
+        eng = make_engine(dfg=dfg)
+        for v in (1, 2):
+            eng.send(0, v, t_ready=0)
+            eng.send(1, v, t_ready=0)
+        eng.recv(1, t_try=0)
+        with pytest.raises(DyserError,
+                           match="output port 0: .* 2 values unread"):
             eng.quiesce()
 
     def test_quiesce_after_drain(self):
@@ -148,7 +158,20 @@ class TestInvocationEngine:
         eng.send(1, 1, t_ready=0)
         eng.recv(0, t_try=0)
         eng.quiesce()
-        assert eng.invocations == 0
+
+    def test_saturated_engine_fires_every_ii(self):
+        """With inputs always available and outputs never full, the
+        engine fires every ``ii`` cycles, and the last of 16 outputs
+        lands at 15 * ii plus the path delay (3 cycles)."""
+        for ii, last_ready in ((1, 18), (2, 33), (5, 78)):
+            eng = make_engine(depth=64, ii=ii)
+            assert eng.delays == {0: 3}
+            for i in range(16):
+                eng.send(0, i, t_ready=0)
+                eng.send(1, 1, t_ready=0)
+            assert eng.fire_times == [i * ii for i in range(16)]
+            ready = [eng.recv(0, t_try=0)[1] for _ in range(16)]
+            assert max(ready) == last_ready
 
 
 class TestConfigCache:
@@ -297,40 +320,6 @@ def single_input_dfg() -> Dfg:
     n = dfg.add_node(FuOp.MUL, [PortRef(0), ConstRef(3)])
     dfg.set_output(0, n)
     return dfg
-
-
-class TestSteadyState:
-    def test_analytic_matches_saturated_engine(self):
-        """At saturation the event-driven engine fires exactly on the
-        analytic interval, and the last output lands at makespan(n)."""
-        for ii in (1, 2, 5):
-            eng = make_engine(depth=64, ii=ii)
-            ss = eng.steady_state()
-            assert ss.interval == ii
-            n = 16
-            for i in range(n):
-                eng.send(0, i, t_ready=0)
-                eng.send(1, 1, t_ready=0)
-            assert eng.fire_times == [i * ss.interval for i in range(n)]
-            last_ready = max(eng.recv(0, t_try=0)[1] for _ in range(n))
-            assert last_ready == ss.makespan(n)
-
-    def test_throughput_and_edges(self):
-        eng = make_engine(ii=4)
-        ss = eng.steady_state()
-        assert ss.throughput == 0.25
-        assert ss.makespan(0) == 0
-        assert ss.makespan(1) == ss.latency
-
-    def test_device_steady_state_requires_config(self):
-        params = DyserTimingParams()
-        dev = DyserDevice(fabric=Fabric(FabricGeometry(4, 4)),
-                          timing=params)
-        dev.register_config(make_config(0))
-        with pytest.raises(DyserError):
-            dev.steady_state()
-        dev.init_config(0, 0)
-        assert dev.steady_state().interval == 1
 
 
 def make_device(depth=4, ii=1, dfg=None) -> tuple[DyserDevice, int]:

@@ -348,14 +348,20 @@ class TestCacheCorruption:
         assert cache.load("run", "deadbeef") is None
         assert not path.exists()
 
-    def test_legacy_entry_without_checksum_still_served(self, tmp_path):
+    def test_entry_without_checksum_is_evicted(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.store("run", "cafe", {"v": 1})
         path = cache._path("run", "cafe")
-        data = json.loads(path.read_text())
-        data.pop("_sha256")
-        path.write_text(json.dumps(data))
-        assert cache.load("run", "cafe") == {"v": 1}
+        stored = {"stats": {"cycles": 123}}
+        for strip in (True, False):
+            cache.store("run", "cafe", stored)
+            data = json.loads(path.read_text())
+            digest = data.pop("_sha256")
+            if not strip:   # renamed key, and the payload edited
+                data["_sha257"] = digest
+                data["stats"]["cycles"] = 124
+            path.write_text(json.dumps(data))
+            assert cache.load("run", "cafe") is None
+            assert not path.exists()
 
     def test_load_returns_what_store_wrote(self, tmp_path):
         cache = ArtifactCache(tmp_path)
