@@ -1,13 +1,17 @@
 """Structured diagnostics: stable codes, severities, text+JSON rendering.
 
 Every static-analysis finding in this repo is a :class:`Diagnostic` with
-a stable code from one of three banks:
+a stable code from one of these banks:
 
 - ``RPR1xx`` — compiler-IR verifier (:mod:`repro.analysis.verifier`);
 - ``RPR2xx`` — DFG/configuration/job-spec linter
   (:mod:`repro.analysis.lint`, :mod:`repro.analysis.speclint`);
 - ``RPR3xx`` — control-flow shape advisories
-  (:mod:`repro.compiler.shapes`), the paper's E7 finding as tool output.
+  (:mod:`repro.compiler.shapes`), the paper's E7 finding as tool output;
+- ``RPR4xx`` — static performance attribution (:mod:`repro.analysis.perf`);
+- ``RPR5xx`` — kernel source checks: tokenize, parse and the type check
+  of both kernel languages (:mod:`repro.compiler.typecheck`), and the
+  DSL's header and region checks (:mod:`repro.lang.validate`).
 
 Codes are *stable*: once shipped, a code keeps its meaning so scripts,
 CI greps and suppression lists never rot.  The registry below is the
@@ -125,10 +129,14 @@ CODES: dict[str, CodeInfo] = {
             "RPR403": "region is capability-bound",
             "RPR404": "static performance prediction",
         }),
-        # -- RPR5xx: kernel DSL validation (repro.lang) -----------------
+        # -- RPR5xx: kernel source checks ------------------------------
+        # Tokenize/parse (RPR500/501) and the type check (RPR510-514,
+        # 516, 518, 526, 540; repro.compiler.typecheck) cover both
+        # kernel languages; the rest is the DSL's header and region
+        # validation (repro.lang.validate).
         *_bank(Severity.ERROR, {
-            "RPR500": "DSL source failed to tokenize",
-            "RPR501": "DSL source failed to parse",
+            "RPR500": "source failed to tokenize",
+            "RPR501": "source failed to parse",
             "RPR510": "use of undefined name",
             "RPR511": "type mismatch",
             "RPR512": "array/scalar shape misuse",

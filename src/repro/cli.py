@@ -97,14 +97,19 @@ def _cmd_profile(args) -> int:
 
 def _cmd_compile(args) -> int:
     from repro import compile_dyser, compile_scalar
+    from repro.errors import SourceError
 
     if args.file:
         with open(args.file) as handle:
             source = handle.read()
     else:
         source = get_workload(args.name).source
-    result = (compile_scalar(source) if args.scalar
-              else compile_dyser(source))
+    try:
+        result = (compile_scalar(source) if args.scalar
+                  else compile_dyser(source))
+    except SourceError as exc:   # a lexer, parse or type error
+        print(f"{exc.code} {exc}", file=sys.stderr)
+        return 1
     if args.dump_ir:
         print(result.ir_dump)
         print()

@@ -29,8 +29,7 @@ class Node:
 
 @dataclass
 class Expr(Node):
-    #: Filled in by the type checker during IR generation.
-    type: Type | None = field(default=None, kw_only=True)
+    """An expression; its type is the type checker's to work out."""
 
 
 @dataclass

@@ -5,9 +5,9 @@ per-block definition table; reads recurse through predecessors, creating
 phis lazily and removing the trivial ones.  This avoids a separate
 dominance-frontier pass and produces minimal-ish SSA directly.
 
-Type rules: int and float scalars; mixed arithmetic promotes to float;
-assigning float to an int variable requires an explicit ``int()`` cast;
-array indices must be int; conditions are int (floats must be compared).
+The input is well typed: :func:`lower_kernel` runs the type checker
+(:mod:`repro.compiler.typecheck`) first, so lowering only inserts the
+int-to-float conversions its type rules imply.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ from repro.compiler.ir import (
     Value,
     const_int,
 )
+from repro.compiler.typecheck import check_kernel
 from repro.compiler.types import Scalar
 from repro.dyser.ops import FuOp
-from repro.errors import TypeCheckError
+from repro.errors import CompilerError
 
 _WORD_SHIFT = 3  # 8-byte words
 
@@ -42,7 +43,6 @@ _WORD_SHIFT = 3  # 8-byte words
 class VarInfo:
     key: str                    # unique key into the SSA definition table
     scalar: Scalar
-    is_array: bool = False
     base: Value | None = None   # array base address (arrays only)
 
 
@@ -65,22 +65,17 @@ class IrGen:
 
     # ---------------- scoping -------------------------------------------
 
-    def declare(self, name: str, scalar: Scalar, line: int,
-                is_array: bool = False, base: Value | None = None) -> VarInfo:
-        if name in self.scopes[-1]:
-            raise TypeCheckError(
-                f"line {line}: redeclaration of {name!r} in the same scope")
+    def declare(self, name: str, scalar: Scalar,
+                base: Value | None = None) -> VarInfo:
         self._unique += 1
-        info = VarInfo(f"{name}${self._unique}", scalar, is_array, base)
+        info = VarInfo(f"{name}${self._unique}", scalar, base)
         self.scopes[-1][name] = info
         self.var_scalars[info.key] = scalar
         return info
 
-    def lookup(self, name: str, line: int) -> VarInfo:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        raise TypeCheckError(f"line {line}: undefined variable {name!r}")
+    def lookup(self, name: str) -> VarInfo:
+        return next(scope[name] for scope in reversed(self.scopes)
+                    if name in scope)
 
     # ---------------- SSA definition table (Braun et al.) -----------------
 
@@ -193,16 +188,11 @@ class IrGen:
         if isinstance(expr, ast.FloatLit):
             return Const(expr.value, Scalar.FLOAT)
         if isinstance(expr, ast.Name):
-            info = self.lookup(expr.ident, expr.line)
-            if info.is_array:
-                raise TypeCheckError(
-                    f"line {expr.line}: array {expr.ident!r} used as a "
-                    f"scalar")
-            return self.read_var(info.key, block.name)
+            return self.read_var(self.lookup(expr.ident).key, block.name)
         if isinstance(expr, ast.Index):
             addr = self.gen_address(block, expr)
-            info = self.lookup(expr.base, expr.line)
-            result = self.func.new_value(info.scalar, expr.base)
+            result = self.func.new_value(self.lookup(expr.base).scalar,
+                                         expr.base)
             self.emit(block, Load(result=result, addr=addr))
             return result
         if isinstance(expr, ast.Unary):
@@ -211,17 +201,11 @@ class IrGen:
             return self.gen_binary(block, expr)
         if isinstance(expr, ast.Call):
             return self.gen_call(block, expr)
-        raise TypeCheckError(f"line {expr.line}: cannot lower {expr!r}")
+        raise CompilerError(f"line {expr.line}: cannot lower {expr!r}")
 
     def gen_address(self, block: Block, expr: ast.Index) -> Operand:
-        info = self.lookup(expr.base, expr.line)
-        if not info.is_array:
-            raise TypeCheckError(
-                f"line {expr.line}: {expr.base!r} is not an array")
+        info = self.lookup(expr.base)
         index = self.gen_expr(block, expr.index)
-        if index.scalar is not Scalar.INT:
-            raise TypeCheckError(
-                f"line {expr.line}: array index must be int")
         offset = self.compute(
             block, FuOp.SLL, [index, const_int(_WORD_SHIFT)], Scalar.INT)
         return self.compute(
@@ -238,16 +222,8 @@ class IrGen:
             return self.compute(block, FuOp.SUB, [const_int(0), operand],
                                 Scalar.INT)
         # "!" — logical negation of an int condition.
-        operand = self._as_bool(block, operand, expr.line)
         return self.compute(block, FuOp.SEQ, [operand, const_int(0)],
                             Scalar.INT)
-
-    def _as_bool(self, block: Block, op: Operand, line: int) -> Operand:
-        if op.scalar is Scalar.FLOAT:
-            raise TypeCheckError(
-                f"line {line}: float used as a condition; compare it "
-                f"explicitly")
-        return op
 
     def gen_binary(self, block: Block, expr: ast.Binary) -> Operand:
         op = expr.op
@@ -255,8 +231,8 @@ class IrGen:
         right = self.gen_expr(block, expr.right)
 
         if op in ("&&", "||"):
-            left = self._normalize_bool(block, left, expr.line)
-            right = self._normalize_bool(block, right, expr.line)
+            left = self._normalize_bool(block, left)
+            right = self._normalize_bool(block, right)
             fu = FuOp.AND if op == "&&" else FuOp.OR
             return self.compute(block, fu, [left, right], Scalar.INT)
 
@@ -264,9 +240,6 @@ class IrGen:
             return self.gen_compare(block, op, left, right)
 
         if op in ("<<", ">>", "&", "|", "^", "%"):
-            if Scalar.FLOAT in (left.scalar, right.scalar):
-                raise TypeCheckError(
-                    f"line {expr.line}: {op!r} requires int operands")
             return self.compute(block, self._INT_ARITH[op], [left, right],
                                 Scalar.INT)
 
@@ -300,9 +273,7 @@ class IrGen:
             return eq
         return self.compute(block, FuOp.XOR, [eq, const_int(1)], Scalar.INT)
 
-    def _normalize_bool(self, block: Block, op: Operand, line: int
-                        ) -> Operand:
-        op = self._as_bool(block, op, line)
+    def _normalize_bool(self, block: Block, op: Operand) -> Operand:
         # Normalize to 0/1: x != 0.
         ne = self.compute(block, FuOp.SEQ, [op, const_int(0)], Scalar.INT)
         return self.compute(block, FuOp.XOR, [ne, const_int(1)], Scalar.INT)
@@ -310,27 +281,17 @@ class IrGen:
     def gen_call(self, block: Block, expr: ast.Call) -> Operand:
         name = expr.func
         args = [self.gen_expr(block, a) for a in expr.args]
-
-        def need(n: int) -> None:
-            if len(args) != n:
-                raise TypeCheckError(
-                    f"line {expr.line}: {name} takes {n} argument(s)")
-
         if name == "sqrt":
-            need(1)
             return self.compute(block, FuOp.FSQRT,
                                 [self.to_float(block, args[0])],
                                 Scalar.FLOAT)
         if name == "float":
-            need(1)
             return self.to_float(block, args[0])
         if name == "int":
-            need(1)
             if args[0].scalar is Scalar.INT:
                 return args[0]
             return self.compute(block, FuOp.F2I, [args[0]], Scalar.INT)
         if name == "abs":
-            need(1)
             (a,) = args
             if a.scalar is Scalar.FLOAT:
                 return self.compute(block, FuOp.FABS, [a], Scalar.FLOAT)
@@ -340,19 +301,15 @@ class IrGen:
                                   Scalar.INT)
             return self.compute(block, FuOp.SEL, [is_neg, neg, a],
                                 Scalar.INT)
-        if name in ("min", "max"):
-            need(2)
-            a, b, scalar = self.coerce_pair(block, args[0], args[1])
-            table = {
-                ("min", Scalar.INT): FuOp.MIN,
-                ("max", Scalar.INT): FuOp.MAX,
-                ("min", Scalar.FLOAT): FuOp.FMIN,
-                ("max", Scalar.FLOAT): FuOp.FMAX,
-            }
-            return self.compute(block, table[(name, scalar)], [a, b],
-                                scalar)
-        raise TypeCheckError(
-            f"line {expr.line}: unknown intrinsic {name!r}")
+        # min, max
+        a, b, scalar = self.coerce_pair(block, args[0], args[1])
+        table = {
+            ("min", Scalar.INT): FuOp.MIN,
+            ("max", Scalar.INT): FuOp.MAX,
+            ("min", Scalar.FLOAT): FuOp.FMIN,
+            ("max", Scalar.FLOAT): FuOp.FMAX,
+        }
+        return self.compute(block, table[(name, scalar)], [a, b], scalar)
 
     # ---------------- statement lowering -----------------------------------
 
@@ -362,8 +319,8 @@ class IrGen:
         current: Block | None = block
         for stmt in stmts:
             if current is None:
-                # Unreachable code after break/continue: skip silently,
-                # matching C compilers' permissiveness.
+                # Unreachable code after break/continue: type-checked
+                # like the rest, never lowered.
                 break
             current = self.gen_stmt(current, stmt)
         return current
@@ -371,9 +328,8 @@ class IrGen:
     def gen_stmt(self, block: Block, stmt: ast.Stmt) -> Block | None:
         if isinstance(stmt, ast.Decl):
             value = self.gen_expr(block, stmt.init)
-            value = self._coerce_assign(block, value, stmt.type.scalar,
-                                        stmt.line)
-            info = self.declare(stmt.name, stmt.type.scalar, stmt.line)
+            value = self._coerce_assign(block, value, stmt.type.scalar)
+            info = self.declare(stmt.name, stmt.type.scalar)
             self.write_var(info.key, block.name, value)
             return block
         if isinstance(stmt, ast.Assign):
@@ -385,49 +341,35 @@ class IrGen:
         if isinstance(stmt, ast.While):
             return self.gen_while(block, stmt)
         if isinstance(stmt, ast.Break):
-            if not self.loop_stack:
-                raise TypeCheckError(
-                    f"line {stmt.line}: break outside a loop")
             block.terminator = Jump(self.loop_stack[-1][1])
             return None
         if isinstance(stmt, ast.Continue):
-            if not self.loop_stack:
-                raise TypeCheckError(
-                    f"line {stmt.line}: continue outside a loop")
             block.terminator = Jump(self.loop_stack[-1][0])
             return None
-        raise TypeCheckError(f"line {stmt.line}: cannot lower {stmt!r}")
+        raise CompilerError(f"line {stmt.line}: cannot lower {stmt!r}")
 
-    def _coerce_assign(self, block: Block, value: Operand, target: Scalar,
-                       line: int) -> Operand:
+    def _coerce_assign(self, block: Block, value: Operand, target: Scalar
+                       ) -> Operand:
+        """Widen an int value assigned to a float variable."""
         if value.scalar is target:
             return value
-        if target is Scalar.FLOAT:
-            return self.to_float(block, value)
-        raise TypeCheckError(
-            f"line {line}: cannot assign float to int without int()")
+        return self.to_float(block, value)
 
     def gen_assign(self, block: Block, stmt: ast.Assign) -> Block:
         value = self.gen_expr(block, stmt.value)
         if isinstance(stmt.target, ast.Name):
-            info = self.lookup(stmt.target.ident, stmt.line)
-            if info.is_array:
-                raise TypeCheckError(
-                    f"line {stmt.line}: cannot assign to array "
-                    f"{stmt.target.ident!r}")
-            value = self._coerce_assign(block, value, info.scalar,
-                                        stmt.line)
+            info = self.lookup(stmt.target.ident)
+            value = self._coerce_assign(block, value, info.scalar)
             self.write_var(info.key, block.name, value)
             return block
-        info = self.lookup(stmt.target.base, stmt.line)
-        value = self._coerce_assign(block, value, info.scalar, stmt.line)
+        info = self.lookup(stmt.target.base)
+        value = self._coerce_assign(block, value, info.scalar)
         addr = self.gen_address(block, stmt.target)
         self.emit(block, Store(addr=addr, value=value))
         return block
 
     def gen_if(self, block: Block, stmt: ast.If) -> Block | None:
-        cond = self._as_bool(block, self.gen_expr(block, stmt.cond),
-                             stmt.line)
+        cond = self.gen_expr(block, stmt.cond)
         then_block = self.func.new_block("then")
         merge_block = self.func.new_block("endif")
         if stmt.else_body:
@@ -470,8 +412,7 @@ class IrGen:
         exit_block = self.func.new_block("endfor")
         block.terminator = Jump(header.name)
         # Header gains a back edge later; leave it unsealed.
-        cond = self._as_bool(header, self.gen_expr(header, stmt.cond),
-                             stmt.line)
+        cond = self.gen_expr(header, stmt.cond)
         header.terminator = CondBr(cond, body.name, exit_block.name)
         self.seal(body.name)
         self.loop_stack.append((step.name, exit_block.name))
@@ -498,8 +439,7 @@ class IrGen:
         body = self.func.new_block("body")
         exit_block = self.func.new_block("endwhile")
         block.terminator = Jump(header.name)
-        cond = self._as_bool(header, self.gen_expr(header, stmt.cond),
-                             stmt.line)
+        cond = self.gen_expr(header, stmt.cond)
         header.terminator = CondBr(cond, body.name, exit_block.name)
         self.seal(body.name)
         self.loop_stack.append((header.name, exit_block.name))
@@ -526,16 +466,15 @@ class IrGen:
                           value)
             self.func.params.append(param)
             if p.type.is_array:
-                self.declare(p.name, scalar, p.line, is_array=True,
-                             base=value)
+                self.declare(p.name, scalar, base=value)
             else:
-                info = self.declare(p.name, scalar, p.line)
+                info = self.declare(p.name, scalar)
                 self.write_var(info.key, entry.name, value)
         exit_block = self.gen_stmts(entry, self.kernel.body)
         if exit_block is not None:
             exit_block.terminator = Ret()
         if self.incomplete:
-            raise TypeCheckError(
+            raise CompilerError(
                 f"internal: unsealed blocks remain: "
                 f"{sorted(self.incomplete)}")
         self.func.verify()
@@ -543,5 +482,6 @@ class IrGen:
 
 
 def lower_kernel(kernel: ast.Kernel) -> Function:
-    """Lower a parsed kernel to verified SSA."""
+    """Type-check a parsed kernel and lower it to verified SSA."""
+    check_kernel(kernel)
     return IrGen(kernel).build()

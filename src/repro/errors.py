@@ -136,24 +136,29 @@ class CompilerError(ReproError):
     """Base class for compiler failures."""
 
 
-class LexerError(CompilerError):
-    def __init__(self, message: str, line: int, column: int) -> None:
+class SourceError(CompilerError):
+    """A kernel source is ill-formed at ``line``:``column``."""
+
+    code: str   # every subclass has a default code or is given one
+
+    def __init__(self, message: str, line: int, column: int, *,
+                 code: str | None = None) -> None:
         self.line = line
         self.column = column
-        super().__init__(f"{line}:{column}: {message}",
+        super().__init__(f"{line}:{column}: {message}", code=code,
                          line=line, column=column)
 
 
-class ParseError(CompilerError):
-    def __init__(self, message: str, line: int, column: int) -> None:
-        self.line = line
-        self.column = column
-        super().__init__(f"{line}:{column}: {message}",
-                         line=line, column=column)
+class LexerError(SourceError):
+    default_code = "RPR500"
 
 
-class TypeCheckError(CompilerError):
-    """Semantic analysis failure (undefined name, type mismatch, ...)."""
+class ParseError(SourceError):
+    default_code = "RPR501"
+
+
+class TypeCheckError(SourceError):
+    """The type check's first error; ``code`` is its ``RPR5xx`` code."""
 
 
 class RegionRejected(CompilerError):

@@ -9,10 +9,14 @@ the compiler's tokenizer and builds its nodes
 (:mod:`repro.compiler.ast_nodes`).  Where each subset rule is enforced:
 
 - the parser rejects the bit and shift operators (``RPR500``);
-- the validator rejects calls outside :data:`DSL_INTRINSICS`
-  (``RPR516``, ``int(e)`` included), integer ``/`` and ``%``
-  (``RPR514``), and everything else the type/shape check and the
-  fabric lint find (the rest of the ``RPR5xx`` bank).
+- the kernel language's type checker (:mod:`repro.compiler.typecheck`),
+  run by the validator under the DSL's policy, rejects calls outside
+  :data:`DSL_INTRINSICS` (``RPR516``, ``int(e)`` included), integer
+  ``/`` and ``%`` (``RPR514``), int/float mixing (``RPR511``), a name
+  declared twice in the one flat scope (``RPR518``) and writes to
+  inputs (``RPR513``);
+- the validator rejects the rest: header errors, outputs never written
+  and what the fabric lint finds (the rest of the ``RPR5xx`` bank).
 
 The entry points:
 

@@ -27,10 +27,10 @@ language, and each subset rule is enforced in one place:
 - a float literal past the float range (``1e999``) is rejected here as
   ``RPR501`` at the literal (it would lower to ``inf``, a name the
   compiler does not know);
-- a call parses whatever its name; the validator
-  (:mod:`repro.lang.validate`) rejects any name outside
-  :data:`~repro.lang.nodes.DSL_INTRINSICS`, ``int(e)`` included, as
-  ``RPR516``, and integer ``/`` and ``%`` as ``RPR514``.
+- a call parses whatever its name; the type checker
+  (:mod:`repro.compiler.typecheck`, under the DSL policy) rejects any
+  name outside :data:`~repro.lang.nodes.DSL_INTRINSICS`, ``int(e)``
+  included, as ``RPR516``, and integer ``/`` and ``%`` as ``RPR514``.
 
 Whitespace and comments are insignificant: the content hash is taken
 over the AST, so formatting never changes a kernel's identity.

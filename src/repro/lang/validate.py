@@ -8,30 +8,13 @@ input: every rejection is a structured RPR5xx diagnostic in the returned
 ever burned on an ill-formed kernel and rejections render identically in
 text, JSON and the service's 422 envelope.
 
-The RPR5xx code bank (registered in :mod:`repro.analysis.diagnostics`):
-
-===========  ==========================================================
-``RPR500``   source failed to tokenize, or uses a bit or shift operator
-``RPR501``   source failed to parse
-``RPR510``   use of undefined name
-``RPR511``   type mismatch
-``RPR512``   array/scalar shape misuse
-``RPR513``   write to read-only input
-``RPR514``   integer division/modulo outside the validated subset
-``RPR515``   output parameter never written
-``RPR516``   unknown intrinsic or bad arity
-``RPR517``   invalid size or parameter declaration
-``RPR518``   duplicate declaration
-``RPR519``   invalid input initializer
-``RPR520``   dyser region exceeds fabric compute capacity
-``RPR521``   dyser region live values exceed port capacity
-``RPR522``   size table missing standard scales
-``RPR523``   size expression not positive at some scale
-``RPR524``   kernel declares no output parameter
-``RPR525``   invalid dyser region structure
-``RPR526``   break or continue outside a loop
-``RPR540``   while loop trip count is data-dependent (warning)
-===========  ==========================================================
+The stages: parse (``RPR500``/``RPR501``); the header (sizes, parameters
+and initializers: ``RPR517``–``RPR519``, ``RPR522``–``RPR524``); the
+body, checked by the kernel language's type checker
+(:mod:`repro.compiler.typecheck`) under :data:`DSL_POLICY`, then every
+output checked to be written (``RPR515``); and the resource lint of the
+``dyser { }`` regions (``RPR520``, ``RPR521``, ``RPR525``).  The codes
+are registered in :mod:`repro.analysis.diagnostics`.
 """
 
 from __future__ import annotations
@@ -40,14 +23,26 @@ from typing import Optional
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.compiler import ast_nodes as ast
-from repro.errors import LexerError, ParseError, WorkloadError
+from repro.compiler.typecheck import Sym, TypeChecker, TypePolicy
+from repro.errors import SourceError, WorkloadError
 from repro.lang import nodes
+from repro.lang.parser import parse_kernel_source
 
 _SOURCE = "lang"
 
 #: Interpreter statement budget (see :mod:`repro.lang.interp`): part of
 #: the trust model, documented here next to the static gates.
 INTERP_STEP_BUDGET = 2_000_000
+
+#: The DSL's type policy (see :mod:`repro.compiler.typecheck`): one flat
+#: scope, no int/float mixing, no ``%`` or integer ``/``, only
+#: :data:`~repro.lang.nodes.DSL_INTRINSICS`, and a warning per ``while``.
+DSL_POLICY = TypePolicy(
+    source=_SOURCE, lexical_scopes=False, promote=False,
+    int_division=False, intrinsics=nodes.DSL_INTRINSICS,
+    while_warning="while loop trip count is data-dependent; the "
+                  f"interpreter budget ({INTERP_STEP_BUDGET} steps) "
+                  "applies")
 
 
 def _fabric_budget() -> tuple[int, int, int]:
@@ -147,13 +142,9 @@ def check_source(source: str, *, report: DiagnosticReport | None = None,
     report = report if report is not None else DiagnosticReport(
         subject="kernel-dsl")
     try:
-        spec = parse_source(source)
-    except LexerError as exc:
-        report.emit("RPR500", str(exc), source=_SOURCE,
-                    line=exc.line, column=exc.column)
-        return None, report
-    except ParseError as exc:
-        report.emit("RPR501", str(exc), source=_SOURCE,
+        spec = parse_kernel_source(source)
+    except SourceError as exc:   # RPR500 (tokenize) or RPR501 (parse)
+        report.emit(exc.code, str(exc), source=_SOURCE,
                     line=exc.line, column=exc.column)
         return None, report
     report.subject = spec.name
@@ -161,29 +152,38 @@ def check_source(source: str, *, report: DiagnosticReport | None = None,
     return (spec if report.ok else None), report
 
 
-def parse_source(source: str) -> nodes.KernelSpec:
-    from repro.lang.parser import parse_kernel_source
-
-    return parse_kernel_source(source)
-
-
 def validate_spec(spec: nodes.KernelSpec,
                   report: DiagnosticReport) -> DiagnosticReport:
     """Type/shape check + resource lint; diagnostics into ``report``."""
-    sizes = _check_header(spec, report)
+    _check_header(spec, report)
     if not report.ok:
         return report
-    _TypeChecker(spec, sizes, report).run()
+    _check_body(spec, report)
     if report.ok:
         _lint_regions(spec, report)
     return report
 
 
+def _check_body(spec: nodes.KernelSpec, report: DiagnosticReport) -> None:
+    """The shared type check under :data:`DSL_POLICY`.  The body sees
+    the parameters only (sizes reach it as ``in int`` scalars, as in the
+    lowered kernel); input arrays and scalars are read-only, and every
+    output array must be written somewhere (``RPR515``)."""
+    checker = TypeChecker(DSL_POLICY, report)
+    for p in spec.params:
+        checker.scope[p.ident] = Sym(p.type, p.is_array,
+                                     writable=p.is_out and p.is_array)
+    checker.stmts(spec.body)
+    for p in spec.params:
+        if p.is_out and p.is_array and p.ident not in checker.written:
+            report.emit("RPR515", f"output {p.ident!r} is never written",
+                        location=f"param {p.ident}", source=_SOURCE)
+
+
 # -- header --------------------------------------------------------------
 
 
-def _check_header(spec: nodes.KernelSpec,
-                  report: DiagnosticReport) -> set[str]:
+def _check_header(spec: nodes.KernelSpec, report: DiagnosticReport) -> None:
     known: set[str] = set()
     for decl in spec.sizes:
         where = f"size {decl.ident}"
@@ -230,7 +230,6 @@ def _check_header(spec: nodes.KernelSpec,
     if spec.work is not None and not _is_size_expr(spec.work, known):
         report.emit("RPR517", "work must be a size expression",
                     location="work", source=_SOURCE)
-    return known
 
 
 _INIT_ARITY = {"uniform": 2, "randint": 2, "monotone": 1,
@@ -342,252 +341,6 @@ def _check_init(param: nodes.ParamDecl, sizes: set[str],
                 return
 
 
-# -- body type checking ---------------------------------------------------
-
-
-class _Sym:
-    __slots__ = ("type", "is_array", "writable")
-
-    def __init__(self, type_: str, *, is_array: bool = False,
-                 writable: bool = False) -> None:
-        self.type = type_
-        self.is_array = is_array
-        self.writable = writable
-
-
-class _TypeChecker:
-    """One pass over the body; poisoned types stop error cascades."""
-
-    def __init__(self, spec: nodes.KernelSpec, sizes: set[str],
-                 report: DiagnosticReport) -> None:
-        self.spec = spec
-        self.report = report
-        self.scope: dict[str, _Sym] = {s: _Sym("int") for s in sizes}
-        for p in spec.params:
-            self.scope[p.ident] = _Sym(
-                p.type, is_array=p.is_array,
-                writable=bool(p.is_out and p.is_array))
-        self.loop_depth = 0
-        self.written_outs: set[str] = set()
-
-    def run(self) -> None:
-        for stmt in self.spec.body:
-            self.stmt(stmt)
-        for p in self.spec.params:
-            if p.is_out and p.is_array and p.ident not in self.written_outs:
-                self.report.emit(
-                    "RPR515",
-                    f"output {p.ident!r} is never written",
-                    location=f"param {p.ident}", source=_SOURCE)
-
-    def _at(self, node) -> str:
-        return f"{node.line}:{node.col}"
-
-    def fail(self, code: str, node, message: str) -> None:
-        self.report.emit(code, message, location=self._at(node),
-                         source=_SOURCE)
-
-    # -- statements ---------------------------------------------------
-
-    def stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Decl):
-            self.decl(stmt)
-        elif isinstance(stmt, ast.Assign):
-            self.assign(stmt)
-        elif isinstance(stmt, ast.If):
-            self.cond(stmt.cond)
-            for s in stmt.then_body:
-                self.stmt(s)
-            for s in stmt.else_body:
-                self.stmt(s)
-        elif isinstance(stmt, ast.For):
-            if isinstance(stmt.init, ast.Decl):
-                self.decl(stmt.init)
-            elif stmt.init is not None:
-                self.assign(stmt.init)
-            self.cond(stmt.cond)
-            if stmt.step is not None:
-                self.assign(stmt.step)
-            self.loop_depth += 1
-            for s in stmt.body:
-                self.stmt(s)
-            self.loop_depth -= 1
-        elif isinstance(stmt, ast.While):
-            self.report.emit(
-                "RPR540",
-                "while loop trip count is data-dependent; the "
-                f"interpreter budget ({INTERP_STEP_BUDGET} steps) "
-                "applies",
-                location=self._at(stmt), source=_SOURCE)
-            self.cond(stmt.cond)
-            self.loop_depth += 1
-            for s in stmt.body:
-                self.stmt(s)
-            self.loop_depth -= 1
-        elif isinstance(stmt, (ast.Break, ast.Continue)):
-            if self.loop_depth == 0:
-                self.fail("RPR526", stmt,
-                          "break/continue outside a loop")
-        elif isinstance(stmt, nodes.DyserBlock):
-            for s in stmt.body:
-                self.stmt(s)
-
-    def decl(self, stmt: ast.Decl) -> None:
-        dtype = str(stmt.type)
-        if stmt.name in self.scope:
-            self.fail("RPR518", stmt, f"{stmt.name!r} declared twice")
-        got = self.expr(stmt.init)
-        if got is not None and got != dtype:
-            self.fail("RPR511", stmt,
-                      f"cannot initialize {dtype} {stmt.name!r} from {got}")
-        self.scope[stmt.name] = _Sym(dtype, writable=True)
-
-    def assign(self, stmt: ast.Assign) -> None:
-        got = self.expr(stmt.value)
-        target = stmt.target
-        assert target is not None
-        name = target.base if isinstance(target, ast.Index) else target.ident
-        sym = self.scope.get(name)
-        if sym is None:
-            self.fail("RPR510", target,
-                      f"assignment to undefined name {name!r}")
-            return
-        if isinstance(target, ast.Index):
-            if not sym.is_array:
-                self.fail("RPR512", target, f"{name!r} is not an array")
-                return
-            idx = self.expr(target.index)
-            if idx is not None and idx != "int":
-                self.fail("RPR511", target, "array index must be int")
-            if not sym.writable:
-                self.fail("RPR513", target,
-                          f"cannot write to input array {name!r}")
-                return
-            self.written_outs.add(name)
-        else:
-            if sym.is_array:
-                self.fail("RPR512", target,
-                          f"array {name!r} needs an index")
-                return
-            if not sym.writable:
-                self.fail("RPR513", target,
-                          f"cannot write to read-only {name!r}")
-                return
-        if got is not None and got != sym.type:
-            self.fail("RPR511", stmt,
-                      f"cannot assign {got} to {sym.type} {name!r}")
-
-    def cond(self, expr: ast.Expr | None) -> None:
-        got = self.expr(expr)
-        if got is not None and got != "int":
-            self.fail("RPR511", expr, "condition must be int")
-
-    # -- expressions ---------------------------------------------------
-
-    def expr(self, expr: ast.Expr | None) -> str | None:
-        """Returns "int"/"float", or None when already diagnosed."""
-        if isinstance(expr, ast.IntLit):
-            return "int"
-        if isinstance(expr, ast.FloatLit):
-            return "float"
-        if isinstance(expr, ast.Name):
-            sym = self.scope.get(expr.ident)
-            if sym is None:
-                self.fail("RPR510", expr,
-                          f"undefined name {expr.ident!r}")
-                return None
-            if sym.is_array:
-                self.fail("RPR512", expr,
-                          f"array {expr.ident!r} needs an index")
-                return None
-            return sym.type
-        if isinstance(expr, ast.Index):
-            sym = self.scope.get(expr.base)
-            if sym is None:
-                self.fail("RPR510", expr,
-                          f"undefined name {expr.base!r}")
-                return None
-            if not sym.is_array:
-                self.fail("RPR512", expr,
-                          f"{expr.base!r} is not an array")
-                return None
-            idx = self.expr(expr.index)
-            if idx is not None and idx != "int":
-                self.fail("RPR511", expr, "array index must be int")
-            return sym.type
-        if isinstance(expr, ast.Call):
-            return self.call(expr)
-        if isinstance(expr, ast.Unary):
-            got = self.expr(expr.operand)
-            if got is None:
-                return None
-            if expr.op == "!" and got != "int":
-                self.fail("RPR511", expr, "! needs an int operand")
-                return None
-            return got
-        if isinstance(expr, ast.Binary):
-            return self.binary(expr)
-        raise AssertionError(f"unhandled expr {expr!r}")
-
-    def call(self, expr: ast.Call) -> str | None:
-        arity = {"sqrt": 1, "abs": 1, "float": 1, "min": 2, "max": 2}
-        if expr.func not in nodes.DSL_INTRINSICS:
-            self.fail("RPR516", expr,
-                      f"unknown intrinsic {expr.func!r}; have "
-                      f"{', '.join(nodes.DSL_INTRINSICS)}")
-            return None
-        if len(expr.args) != arity[expr.func]:
-            self.fail("RPR516", expr,
-                      f"{expr.func}() takes {arity[expr.func]} "
-                      f"argument(s), got {len(expr.args)}")
-            return None
-        types = [self.expr(a) for a in expr.args]
-        if any(t is None for t in types):
-            return None
-        if expr.func == "sqrt":
-            if types[0] != "float":
-                self.fail("RPR511", expr, "sqrt() needs a float")
-                return None
-            return "float"
-        if expr.func == "float":
-            return "float"
-        if expr.func in ("min", "max") and types[0] != types[1]:
-            self.fail("RPR511", expr,
-                      f"{expr.func}() operands must share a type")
-            return None
-        return types[0]
-
-    def binary(self, expr: ast.Binary) -> str | None:
-        lhs, rhs = self.expr(expr.left), self.expr(expr.right)
-        if lhs is None or rhs is None:
-            return None
-        op = expr.op
-        if op == "%":
-            self.fail("RPR514", expr,
-                      "modulo is outside the validated DSL subset")
-            return None
-        if lhs != rhs:
-            self.fail("RPR511", expr,
-                      f"operands of {op!r} must share a type "
-                      f"({lhs} vs {rhs}); use float() to convert")
-            return None
-        if op in ("&&", "||"):
-            if lhs != "int":
-                self.fail("RPR511", expr, f"{op!r} needs int operands")
-                return None
-            return "int"
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return "int"
-        if op == "/":
-            if lhs == "int":
-                self.fail("RPR514", expr,
-                          "integer division is outside the validated "
-                          "DSL subset; use float() first")
-                return None
-            return "float"
-        return lhs   # + - *
-
-
 # -- dyser region resource lint -------------------------------------------
 
 
@@ -649,56 +402,54 @@ def _collect_regions(stmts, report: DiagnosticReport,
             _collect_regions(stmt.body, report, regions, inside=inside)
 
 
-def _has_loop(stmts) -> bool:
+def _flat(stmts):
+    """Every statement under ``stmts``, each before its sub-statements."""
     for stmt in stmts:
-        if isinstance(stmt, (ast.For, ast.While)):
-            return True
+        yield stmt
         if isinstance(stmt, ast.If):
-            if _has_loop(stmt.then_body) or _has_loop(stmt.else_body):
-                return True
-        if isinstance(stmt, nodes.DyserBlock) and _has_loop(stmt.body):
-            return True
-    return False
+            yield from _flat(stmt.then_body)
+            yield from _flat(stmt.else_body)
+        elif isinstance(stmt, (ast.For, ast.While, nodes.DyserBlock)):
+            yield from _flat(stmt.body)
+
+
+def _exprs(stmt: ast.Stmt):
+    """Every expression a statement evaluates itself (a loop's ``cond``
+    only), each before its operands."""
+    roots: list[ast.Expr | None] = []
+    if isinstance(stmt, ast.Decl):
+        roots = [stmt.init]
+    elif isinstance(stmt, ast.Assign):
+        roots = [stmt.value]
+        if isinstance(stmt.target, ast.Index):
+            roots.append(stmt.target.index)
+    elif isinstance(stmt, (ast.If, ast.For, ast.While)):
+        roots = [stmt.cond]
+    for root in roots:
+        yield from _tree(root)
+
+
+def _tree(expr: ast.Expr | None):
+    yield expr
+    if isinstance(expr, ast.Binary):
+        yield from _tree(expr.left)
+        yield from _tree(expr.right)
+    elif isinstance(expr, ast.Unary):
+        yield from _tree(expr.operand)
+    elif isinstance(expr, ast.Call):
+        for arg in expr.args:
+            yield from _tree(arg)
+    elif isinstance(expr, ast.Index):
+        yield from _tree(expr.index)
+
+
+def _has_loop(stmts) -> bool:
+    return any(isinstance(s, (ast.For, ast.While)) for s in _flat(stmts))
 
 
 def _count_ops(stmts) -> int:
-    count = 0
-
-    def walk_expr(expr: ast.Expr | None) -> None:
-        nonlocal count
-        if isinstance(expr, (ast.Binary, ast.Unary, ast.Call)):
-            count += 1
-        if isinstance(expr, ast.Binary):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ast.Unary):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.Call):
-            for a in expr.args:
-                walk_expr(a)
-        elif isinstance(expr, ast.Index):
-            walk_expr(expr.index)
-
-    def walk(stmts) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Decl):
-                walk_expr(stmt.init)
-            elif isinstance(stmt, ast.Assign):
-                walk_expr(stmt.value)
-                if isinstance(stmt.target, ast.Index):
-                    walk_expr(stmt.target.index)
-            elif isinstance(stmt, ast.If):
-                walk_expr(stmt.cond)
-                walk(stmt.then_body)
-                walk(stmt.else_body)
-            elif isinstance(stmt, (ast.For, ast.While)):
-                walk_expr(stmt.cond)
-                walk(stmt.body)
-            elif isinstance(stmt, nodes.DyserBlock):
-                walk(stmt.body)
-
-    walk(stmts)
-    return count
+    return sum(isinstance(e, (ast.Binary, ast.Unary, ast.Call))
+               for s in _flat(stmts) for e in _exprs(s))
 
 
 def _live_values(stmts) -> tuple[int, int]:
@@ -711,48 +462,17 @@ def _live_values(stmts) -> tuple[int, int]:
     local: set[str] = set()
     reads: set[str] = set()
     writes: set[str] = set()
-    loads = 0
-    stores = 0
-
-    def walk_expr(expr: ast.Expr | None) -> None:
-        nonlocal loads
-        if isinstance(expr, ast.Name):
-            if expr.ident not in local:
+    loads = stores = 0
+    for stmt in _flat(stmts):
+        for expr in _exprs(stmt):
+            if isinstance(expr, ast.Name) and expr.ident not in local:
                 reads.add(expr.ident)
-        elif isinstance(expr, ast.Index):
-            loads += 1
-            walk_expr(expr.index)
-        elif isinstance(expr, ast.Binary):
-            walk_expr(expr.left)
-            walk_expr(expr.right)
-        elif isinstance(expr, ast.Unary):
-            walk_expr(expr.operand)
-        elif isinstance(expr, ast.Call):
-            for a in expr.args:
-                walk_expr(a)
-
-    def walk(stmts) -> None:
-        nonlocal stores
-        for stmt in stmts:
-            if isinstance(stmt, ast.Decl):
-                walk_expr(stmt.init)
-                local.add(stmt.name)
-            elif isinstance(stmt, ast.Assign):
-                walk_expr(stmt.value)
-                if isinstance(stmt.target, ast.Index):
-                    walk_expr(stmt.target.index)
-                    stores += 1
-                elif stmt.target is not None:
-                    writes.add(stmt.target.ident)
-            elif isinstance(stmt, ast.If):
-                walk_expr(stmt.cond)
-                walk(stmt.then_body)
-                walk(stmt.else_body)
-            elif isinstance(stmt, (ast.For, ast.While)):
-                walk_expr(stmt.cond)
-                walk(stmt.body)
-            elif isinstance(stmt, nodes.DyserBlock):
-                walk(stmt.body)
-
-    walk(stmts)
+            loads += isinstance(expr, ast.Index)
+        if isinstance(stmt, ast.Decl):
+            local.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            if isinstance(stmt.target, ast.Index):
+                stores += 1
+            elif stmt.target is not None:
+                writes.add(stmt.target.ident)
     return len(reads) + loads, len(writes - local) + stores

@@ -50,6 +50,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "k.entry" in out
 
+    @pytest.mark.parametrize("body,line", [
+        ("y[0] = a;", "RPR511 1:34: cannot assign float to int 'y'"),
+        ("y[0] = a @ 1;", "RPR500 1:43: "),
+        ("y[0] = ;", "RPR501 1:41: "),
+    ], ids=["type", "lexer", "parse"])
+    def test_compile_from_file_rejects_bad_source(self, tmp_path, capsys,
+                                                  body, line):
+        src = tmp_path / "bad.dy"
+        src.write_text(f"kernel f(out int y[], float a) {{ {body} }}")
+        assert main(["compile", "--file", str(src)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(line) and err.count("\n") == 1
+
     def test_fpga(self, capsys):
         assert main(["fpga", "--width", "2", "--height", "2"]) == 0
         assert "dyser_2x2" in capsys.readouterr().out

@@ -152,6 +152,11 @@ class TestIrGen:
         func.verify()
         return func
 
+    def rejects(self, src, code, match):
+        with pytest.raises(TypeCheckError, match=match) as err:
+            self.lower(src)
+        assert err.value.code == code
+
     def test_mm_lowers_and_verifies(self):
         func = self.lower(MM)
         assert len(func.blocks) > 5
@@ -190,9 +195,8 @@ class TestIrGen:
         assert "i2f" in func.dump()
 
     def test_float_to_int_requires_cast(self):
-        with pytest.raises(TypeCheckError, match="int\\(\\)"):
-            self.lower(
-                "kernel f(out int y[], float a) { y[0] = a; }")
+        self.rejects("kernel f(out int y[], float a) { y[0] = a; }",
+                     "RPR511", "cannot assign float to int")
 
     def test_explicit_cast_allowed(self):
         func = self.lower(
@@ -200,13 +204,13 @@ class TestIrGen:
         assert "f2i" in func.dump()
 
     def test_undefined_variable(self):
-        with pytest.raises(TypeCheckError, match="undefined"):
-            self.lower("kernel f(out int y[]) { y[0] = z; }")
+        self.rejects("kernel f(out int y[]) { y[0] = z; }",
+                     "RPR510", "undefined")
 
     def test_redeclaration_rejected(self):
-        with pytest.raises(TypeCheckError, match="redeclaration"):
-            self.lower(
-                "kernel f(out int y[]) { int a = 1; int a = 2; y[0] = a; }")
+        self.rejects(
+            "kernel f(out int y[]) { int a = 1; int a = 2; y[0] = a; }",
+            "RPR518", "declared twice")
 
     def test_scoped_redeclaration_allowed(self):
         func = self.lower("""
@@ -218,21 +222,43 @@ class TestIrGen:
         assert func
 
     def test_array_used_as_scalar_rejected(self):
-        with pytest.raises(TypeCheckError, match="used as a scalar"):
-            self.lower("kernel f(out int y[], int a) { y[0] = y + a; }")
+        self.rejects("kernel f(out int y[], int a) { y[0] = y + a; }",
+                     "RPR512", "needs an index")
 
     def test_scalar_indexed_rejected(self):
-        with pytest.raises(TypeCheckError, match="not an array"):
-            self.lower("kernel f(out int y[], int a) { y[0] = a[1]; }")
+        self.rejects("kernel f(out int y[], int a) { y[0] = a[1]; }",
+                     "RPR512", "not an array")
 
     def test_break_outside_loop(self):
-        with pytest.raises(TypeCheckError, match="break outside"):
-            self.lower("kernel f(out int y[]) { break; }")
+        self.rejects("kernel f(out int y[]) { break; }",
+                     "RPR526", "outside a loop")
 
     def test_float_condition_rejected(self):
-        with pytest.raises(TypeCheckError, match="condition"):
-            self.lower(
-                "kernel f(out int y[], float a) { if (a) { y[0] = 1; } }")
+        self.rejects(
+            "kernel f(out int y[], float a) { if (a) { y[0] = 1; } }",
+            "RPR511", "condition")
+
+    # Code after a ``break`` and a ``for`` step no iteration reaches are
+    # never lowered, but they are type-checked.
+    def test_code_after_break_is_checked(self):
+        self.rejects("""
+            kernel f(out int y[], int n) {
+                for (int i = 0; i < n; i = i + 1) { break; y[0] = zz; }
+            }
+        """, "RPR510", "undefined name 'zz'")
+
+    def test_unreachable_for_step_is_checked(self):
+        self.rejects("""
+            kernel f(out int y[], int n) {
+                for (int i = 0; i < n; i = q) { break; }
+            }
+        """, "RPR510", "undefined name 'q'")
+
+    def test_error_carries_position(self):
+        with pytest.raises(TypeCheckError) as err:
+            self.lower("kernel f(out int y[]) {\n  y[0] = zz; }")
+        assert (err.value.line, err.value.column) == (2, 10)
+        assert str(err.value).startswith("2:10: ")
 
 
 class TestPasses:

@@ -28,8 +28,10 @@ from repro import (
     run_workload,
     verify_parity,
 )
+from repro.compiler.parser import parse_kernel
+from repro.compiler.typecheck import check_kernel
 from repro.dyser import DyserTimingParams
-from repro.errors import ParseError
+from repro.errors import ParseError, TypeCheckError
 from repro.harness import verify_batch_parity
 from repro.harness.fuzz import CaseGenerator, save_entry, replay_entry
 from repro.harness.fuzz.generator import DSL_MUTATIONS
@@ -233,6 +235,81 @@ class TestValidation:
             spec, report = check_source(junk)
             assert spec is None
             assert not report.ok
+
+
+# ---------------------------------------------------------------------
+# One type checker, two policies
+# ---------------------------------------------------------------------
+
+
+def _kernel_outcome(source: str) -> str | None:
+    """The kernel-language check of a DSL source's lowered kernel: the
+    code of its first error, or None when it passes."""
+    text = lowered_source(parse_kernel_source(source))
+    try:
+        check_kernel(parse_kernel(text))
+    except TypeCheckError as exc:
+        return exc.code
+    return None
+
+
+_SIBLING_LOOPS = MINIMAL.replace("}\n}", (
+    "}\n    for (int i = 0; i < count; i = i + 1) {\n"
+    "        y[i] = y[i] + 1.0;\n    }\n}"))
+
+#: (id, DSL source, codes check_source reports, kernel-language code).
+POLICY_TABLE = [
+    ("flat-scope", _SIBLING_LOOPS, ["RPR518"], None),
+    ("mixed-arith", _body("y[i] = a[i] + i;"), ["RPR511"], None),
+    ("int-to-float", _body("y[i] = i;"), ["RPR511"], None),
+    ("sqrt-int", _body("y[i] = a[i] * sqrt(i);"), ["RPR511"], None),
+    ("modulo", _body("int h = i % 2;\n        y[i] = a[h];"),
+     ["RPR514"], None),
+    ("int-divide", _body("int h = i / 2;\n        y[i] = a[h];"),
+     ["RPR514"], None),
+    ("int-cast", _body("int z = int(a[i]);\n        y[i] = a[z];"),
+     ["RPR516"], None),
+    ("write-input", _body("a[i] = 1.0;\n        y[i] = a[i];"),
+     ["RPR513"], None),
+    ("write-scalar", _body("count = 1;\n        y[i] = a[i];"),
+     ["RPR513"], None),
+    ("never-written", _body("float v = a[i];"), ["RPR515"], None),
+    ("while", _body("int k = 0;\n        while (k < 3) { k = k + 1; }\n"
+                    "        y[i] = a[i];"), ["RPR540"], None),
+    # Rules both languages share.
+    ("undefined", _body("y[i] = qz;"), ["RPR510"], "RPR510"),
+    ("size-in-body", _body("y[i] = a[n - 1];"), ["RPR510"], "RPR510"),
+    ("not-an-array", _body("y[i] = count[i];"), ["RPR512"], "RPR512"),
+    ("float-index", _body("y[i] = a[a[i]];"), ["RPR511"], "RPR511"),
+    ("float-to-int", _body("int z = a[i];\n        y[i] = a[z];"),
+     ["RPR511"], "RPR511"),
+    ("redeclared", _body("float v = a[i];\n        float v = 1.0;\n"
+                         "        y[i] = v;"), ["RPR518"], "RPR518"),
+    ("break-outside", MINIMAL.replace("}\n}", "}\n    break;\n}"),
+     ["RPR526"], "RPR526"),
+]
+
+
+class TestOneTypeChecker:
+    @pytest.mark.parametrize("source,dsl,kernel",
+                             [row[1:] for row in POLICY_TABLE],
+                             ids=[row[0] for row in POLICY_TABLE])
+    def test_policy_table(self, source, dsl, kernel):
+        _, report = check_source(source)
+        assert sorted(d.code for d in report) == dsl, report.render()
+        assert _kernel_outcome(source) == kernel
+
+    def test_accepted_dsl_kernels_pass_the_kernel_check(self):
+        # The DSL is a subset of the kernel language: whatever the DSL
+        # policy accepts, its lowering passes the kernel policy.
+        sources = [DSL_SOURCES[name] for name in sorted(DSL_SOURCES)]
+        gen = CaseGenerator(seed=0)
+        sources += [gen.generate_dsl(i).source
+                    for i in range(GENERATED_DSL_CASES)]
+        accepted = [s for s in sources if check_source(s)[0] is not None]
+        assert len(accepted) > len(DSL_SOURCES) + 100
+        for source in accepted:
+            assert _kernel_outcome(source) is None, source
 
 
 # ---------------------------------------------------------------------
