@@ -9,8 +9,9 @@ Two entry points:
   ``BENCH_sim_speed.json`` (the committed history of the speedup
   acceptance criterion); ``--batched`` measures the batched lockstep
   backend on a timing-knob sweep instead (reference vs solo vs
-  batched, recorded under ``batched_entries`` and gated at
-  :data:`BATCHED_MIN_SPEEDUP` by :func:`validate_batched_gate`);
+  batched, recorded under ``batched_entries``; the lane must beat solo
+  runs of the same points, and the committed history is gated at
+  :data:`BATCHED_MIN_SPEEDUP_VS_SOLO` by :func:`validate_batched_gate`);
   ``--check`` runs the differential parity harnesses instead — solo
   and batched — with no timing (CI's bench-smoke gate).  It prints how
   many blocks ran as fused functions (:func:`repro.cpu.
@@ -65,8 +66,13 @@ BATCH_DEPTHS = (2, 4, 8)
 BATCH_INTERVALS = (1, 2)
 BATCH_RATES = (1, 2, 4)
 
-#: Acceptance floor for the committed batched entry (vs reference).
-BATCHED_MIN_SPEEDUP = 10.0
+#: Acceptance floor for the committed batched entry: batched lanes
+#: against solo runs of the same points in the same process
+#: (``speedup_vs_fast``), the comparison the lockstep backend exists
+#: for.  A ratio of two backends timed together tracks the code, where
+#: a ratio against the reference core also moves whenever the
+#: reference core gets faster.
+BATCHED_MIN_SPEEDUP_VS_SOLO = 3.0
 
 #: Timed passes per backend; an entry records the median.
 PASSES = 3
@@ -210,10 +216,12 @@ def measure_batched(workloads=None, scale: str = "small") -> dict:
 
 
 def validate(document: dict) -> None:
-    """Schema check for a BENCH_sim_speed.json document."""
+    """Schema check for a BENCH_sim_speed.json document: solo entries,
+    batched-sweep entries, or both."""
     assert document.get("format") == BENCH_FORMAT, document.get("format")
-    entries = document["entries"]
-    assert entries, "no benchmark entries"
+    entries = document.get("entries", [])
+    assert entries or document.get("batched_entries"), \
+        "no benchmark entries"
     for entry in entries:
         for key in ("date", "scale", "workloads", "runs",
                     "parity_checked", "reference_s", "fast_s", "speedup"):
@@ -241,18 +249,22 @@ def validate(document: dict) -> None:
         assert entry["parity_checked"] == entry["runs"]
         assert entry["speedup_vs_reference"] > 1.0, (
             f"batched backend slower than reference: {entry}")
+        assert entry["speedup_vs_fast"] > 1.0, (
+            f"batched sweep slower than solo runs: {entry}")
 
 
 def validate_batched_gate(document: dict,
-                          minimum: float = BATCHED_MIN_SPEEDUP) -> None:
+                          minimum: float = BATCHED_MIN_SPEEDUP_VS_SOLO
+                          ) -> None:
     """The committed-history acceptance gate: a batched-sweep entry
-    must exist and hold the >=10x speedup over the reference core."""
+    must exist, and its lanes must beat solo runs of the same points by
+    at least ``minimum``."""
     validate(document)
     entries = document.get("batched_entries")
     assert entries, "no batched-sweep entry in the committed history"
     latest = entries[-1]
-    assert latest["speedup_vs_reference"] >= minimum, (
-        f"batched sweep speedup {latest['speedup_vs_reference']}x "
+    assert latest["speedup_vs_fast"] >= minimum, (
+        f"batched sweep speedup over solo {latest['speedup_vs_fast']}x "
         f"is below the {minimum}x acceptance floor: {latest}")
 
 
@@ -287,7 +299,8 @@ def _render_batched(entry: dict) -> str:
     return format_table(
         ["backend", "wall s", "speedup"], rows,
         title=(f"batched sweep @ {entry['scale']} "
-               f"({entry['runs']} points, parity-checked)"))
+               f"({entry['runs']} points, parity-checked)")) + (
+        f"\nbatched vs solo: {entry['speedup_vs_fast']:.2f}x")
 
 
 def test_sim_speed(benchmark):
@@ -345,7 +358,7 @@ def main(argv=None) -> int:
         document = json.loads(path.read_text())
         validate(document)
     else:
-        document = {"format": BENCH_FORMAT, "entries": []}
+        document = {"format": BENCH_FORMAT}
     key = "batched_entries" if args.batched else "entries"
     document.setdefault(key, []).append(entry)
     validate(document)

@@ -35,11 +35,11 @@ Three results come out of one walk:
   cycles.  ``perf_report`` renders the attribution as the ``RPR4xx``
   diagnostics behind ``repro lint --perf``.
 
-The fabric is modelled by driving the *real* :class:`DyserDevice` /
-:class:`InvocationEngine` flow-control machinery with the walk's value
-stream — timing there is value-independent, and a wrapped evaluator
-propagates "unknown" through the DFG so a partially resolved region
-still fires at exact times.
+The fabric is modelled by the core's own two halves: the *real*
+:class:`DyserDevice` flow control, whose timing is value-independent,
+and a :class:`~repro.dyser.functional.DyserValues` whose plans propagate
+"unknown" through the DFG, so a partially resolved region still fires
+at exact times.
 
 ``estimate_job_cost`` is the engine/service pre-flight cost: the
 cycles a finished run of the job's shape (the spec without its seed)
@@ -64,7 +64,7 @@ from repro.cpu.rules import (
 from repro.cpu.statistics import StallCause
 from repro.dyser.config_cache import ConfigCacheParams
 from repro.dyser.fabric import Fabric
-from repro.dyser.functional import FunctionalEvaluator
+from repro.dyser.functional import DyserValues, FunctionalEvaluator
 from repro.dyser.interface import DyserDevice
 from repro.dyser.timing import DyserTimingParams
 from repro.errors import ReproError, SimulationError
@@ -222,7 +222,7 @@ def _structural_bound(program: Program, branch_taken_penalty: int) -> int:
 class _AbstractEvaluator(FunctionalEvaluator):
     """FunctionalEvaluator that propagates unknown (None) inputs.
 
-    Timing in the invocation engine is value-independent, so firing
+    Timing on the device is value-independent, so firing
     with unknown inputs just produces unknown outputs at exact times.
     A genuine evaluation fault (which would crash the simulator) also
     degrades to unknown, after flagging the walk inexact.
@@ -340,7 +340,8 @@ class _Walker(Core):
         self._loaded_once: set[int] = set()
         if device is not None:
             # Fire every configuration over unknown values.
-            device.evaluator_for = self._abstract_evaluator
+            self.dyser_values = DyserValues(device.configs,
+                                            self._abstract_evaluator)
         #: The live configuration (None before any dinit), the cycle it
         #: was loaded and the port waits charged by then.
         self._live: int | None = None
@@ -443,14 +444,13 @@ class _Walker(Core):
     def _init_config(self, config_id: int, t: int) -> int:
         dev = self.dyser
         assert dev is not None      # the core faults first without one
-        engine = dev.engine
-        rearm = engine is not None and engine.config.config_id == config_id
-        if engine is not None and not rearm:
-            self._close_segment(engine, t)
+        live = dev.config
+        rearm = live is not None and live.config_id == config_id
+        if live is not None and not rearm:
+            self._close_segment(t)
         hits_before = dev.stats.config_hits
         ready = super()._init_config(config_id, t)
-        engine = dev.engine
-        if engine is not None and not rearm:
+        if not rearm:
             seg = self.acct.setdefault(config_id,
                                        dict.fromkeys(_ACCT_KEYS, 0))
             if (config_id in self._loaded_once
@@ -469,19 +469,20 @@ class _Walker(Core):
         stall = self.stats.stall_cycles
         return stall[StallCause.DYSER_SEND], stall[StallCause.DYSER_RECV]
 
-    def _close_segment(self, engine, t_now: int) -> None:
+    def _close_segment(self, t_now: int) -> None:
         """Charge the live configuration with its invocations, the
         cycles since it was loaded and the port waits since then."""
-        seg = self.acct[engine.config.config_id]
-        seg["fires"] += engine.invocations
+        dev = self.dyser
+        seg = self.acct[dev.config.config_id]
+        seg["fires"] += len(dev.fire_times)
         seg["seg_cycles"] += max(0, t_now - self._seg_open_t)
         (send, recv), (send0, recv0) = self._port_waits(), self._seg_waits
         seg["send_wait"] += send - send0
         seg["recv_wait"] += recv - recv0
 
     def _finalize_stats(self) -> None:
-        if self.dyser is not None and self.dyser.engine is not None:
-            self._close_segment(self.dyser.engine, self.stats.cycles)
+        if self.dyser is not None and self.dyser.config is not None:
+            self._close_segment(self.stats.cycles)
         super()._finalize_stats()
 
     # -- reports ---------------------------------------------------------

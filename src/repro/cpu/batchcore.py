@@ -51,6 +51,7 @@ from repro.cpu.decode import decode_program
 from repro.cpu.memory import Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile
 from repro.cpu.statistics import ExecStats, StallCause
+from repro.dyser.functional import DyserValues
 from repro.dyser.interface import DyserDevice
 from repro.isa.opcodes import InsnClass
 from repro.isa.program import Program
@@ -89,7 +90,8 @@ class _BatchCtx:
     accumulators ``sts``, structural scoreboards ``scs`` =
     ``[fpu_free, lsu_free, fabric_ready, store_queue_busy, cycle]``
     (``cycle`` is the point's cursor), DySER devices ``devs`` and port
-    rates ``rates``.
+    rates ``rates``.  The values crossing the fabric are shared: ``dyv``
+    is the lane's :class:`~repro.dyser.functional.DyserValues`.
 
     ``ap`` is the *active point list*; handlers iterate one of its
     views instead, which bind each active point's scoreboards as one
@@ -106,6 +108,7 @@ class _BatchCtx:
     __slots__ = (
         "ir", "fr", "irdys", "frdys", "iczs", "fczs", "sts", "scs",
         "ap", "pi", "pf", "pa", "pdi", "pdf", "fl", "misc", "mem", "devs",
+        "dyv",
         "da", "fa", "vca", "lats", "pipelined", "penalty", "ihit", "dhit",
         "rates", "solo",
     )
@@ -125,6 +128,7 @@ class _BatchCtx:
         self.misc = [0]
         self.mem = core.memory
         self.devs = list(core.dysers)
+        self.dyv = core.dyser_values
         plain = core.l2 is None
         self.da = (core.dcache.access if plain and type(core)._data_access
                    is CacheHierarchy._data_access else core._data_access)
@@ -232,6 +236,9 @@ class BatchCore(CacheHierarchy):
         for dev in self.dysers:
             if dev is not None:
                 dev.register_program(program)
+        #: The lane's one value side; each point's device has its cycles.
+        self.dyser_values = (DyserValues(dysers[0].configs)
+                             if attached[0] else None)
         self.iregs = IntRegFile()
         self.fregs = FpRegFile()
         self.icache = Cache(base.icache)

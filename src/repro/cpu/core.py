@@ -41,6 +41,7 @@ from repro.cpu.rules import (
     K_BAD_IMM, K_BRANCH, K_DYSER, K_FLD, K_FLI, K_FMOV, K_FPU, K_FST, K_HALT,
     K_JUMP, K_LD, K_LI, K_MOV, K_NOP, K_SEL, K_ST, decode_table)
 from repro.cpu.statistics import ExecStats, StallCause
+from repro.dyser.functional import DyserValues
 from repro.dyser.interface import DyserDevice
 from repro.isa.instruction import ARG_FP_REGS, ARG_INT_REGS
 from repro.isa.opcodes import InsnClass, Opcode
@@ -178,12 +179,15 @@ class Core(CacheHierarchy):
         self.memory = memory
         self.config = config or CoreConfig()
         self.dyser = dyser
+        #: The values crossing the fabric; ``dyser`` has the cycles.
+        self.dyser_values: DyserValues | None = None
         if dyser is not None:
             if not self.config.has_dyser:
                 raise SimulationError(
                     "DySER device attached to a core configured without one"
                 )
             dyser.register_program(program)
+            self.dyser_values = DyserValues(dyser.configs)
         self.iregs = IntRegFile()
         self.fregs = FpRegFile()
         self.icache = Cache(self.config.icache)
@@ -238,6 +242,7 @@ class Core(CacheHierarchy):
     def _init_config(self, config_id: int, t: int) -> int:
         """Hook: activate a DySER configuration at cycle ``t``; returns
         the cycle the fabric is ready."""
+        self.dyser_values.init_config(config_id)
         return self.dyser.init_config(config_id, t)
 
     # -- the simulator loop ----------------------------------------------------
@@ -528,6 +533,7 @@ class Core(CacheHierarchy):
         O = Opcode
         cfg = self.config
         dev = self.dyser
+        dyv = self.dyser_values
         stats = self.stats
         op = insn.op
         ev = self.events
@@ -556,14 +562,16 @@ class Core(CacheHierarchy):
             if fabric_ready > issue:
                 charge(StallCause.DYSER_CONFIG, fabric_ready - issue)
                 issue = fabric_ready
-            done = dev.send(insn.port, value, issue)
+            dyv.send(insn.port, value)
+            done = dev.send(insn.port, issue)
             charge(StallCause.DYSER_SEND, done - issue)
             return max(issue, done) + 1, fabric_ready
 
         if op in (O.DRECV, O.DFRECV):
             issue = max(t, fabric_ready)
             charge(StallCause.DYSER_CONFIG, issue - t)
-            value, done = dev.recv(insn.port, issue)
+            value = dyv.recv(insn.port)
+            done = dev.recv(insn.port, issue)
             charge(StallCause.DYSER_RECV, done - issue)
             if op is O.DRECV:
                 # Converted (and faulting) even when rd is r0.
@@ -618,7 +626,8 @@ class Core(CacheHierarchy):
                     value = cast(value)
                 arrive = issue + lat + i // rate
                 port = insn.port + i if wide else insn.port
-                done = dev.send(port, value, arrive)
+                dyv.send(port, value)
+                done = dev.send(port, arrive)
                 if done > arrive:
                     charge(StallCause.DYSER_SEND, done - arrive)
             return issue + 1, fabric_ready
@@ -631,8 +640,8 @@ class Core(CacheHierarchy):
         values = []
         for i in range(count):
             port = insn.port + i if wide else insn.port
-            value, done = dev.recv(port, done)
-            values.append(value)
+            values.append(dyv.recv(port))
+            done = dev.recv(port, done)
         if base is None:
             self._unresolved("dyser store")
         else:

@@ -8,19 +8,19 @@ branch targets).  Each instruction kind's lockstep semantics is written
 once, as a template with two parts:
 
 - the **lane-wide functional statements** — register values, memory
-  traffic, cache latencies, branch outcomes and DySER operand values.
-  They are identical across points whose configs differ only in timing
-  knobs (FIFO depths, initiation interval, config-cache capacity,
-  vector port rate, instruction limits) — timing cannot change a value
-  in this machine, so the evaluator, the memory image and the cache
-  hierarchy are shared and touched exactly once per dynamic
-  instruction;
+  traffic, cache latencies, branch outcomes and the values crossing
+  the DySER fabric.  They are identical across points whose configs
+  differ only in timing knobs (FIFO depths, initiation interval,
+  config-cache capacity, vector port rate, instruction limits) —
+  timing cannot change a value in this machine, so the lane's DySER
+  value side (``dyv``), the memory image and the cache hierarchy are
+  shared and touched exactly once per dynamic instruction;
 - the **per-point timing statements** — scoreboards (register ready
   cycles + stall-cause attribution), structural units (FPU/LSU/fabric/
-  store-queue) and the point's DySER device, over the point's cycle
-  cursor ``t``.  An ``@points`` line in the functional part places
-  them; they replay exactly the reference core's issue rules for each
-  point.
+  store-queue) and the point's DySER device, which takes and returns
+  cycles only, over the point's cycle cursor ``t``.  An ``@points``
+  line in the functional part places them; they replay exactly the
+  reference core's issue rules for each point.
 
 Every runnable form is rendered from these templates:
 
@@ -126,7 +126,7 @@ _CTX = {
     "sw": "ctx.mem.store_word", "lb": "ctx.mem.load_block",
     "sb": "ctx.mem.store_block", "fl": "ctx.fl", "misc": "ctx.misc",
     "penalty": "ctx.penalty", "ihit": "ctx.ihit", "dhit": "ctx.dhit",
-    "pipelined": "ctx.pipelined",
+    "pipelined": "ctx.pipelined", "dyv": "ctx.dyv",
     **{view: f"ctx.{view}" for view in _VIEWS},
 }
 
@@ -322,7 +322,7 @@ def _store_tpl(fp: bool) -> _Tpl:
 
 _NOP = _Tpl("pi", [_POINTS], ["t += 1"])
 
-_DINIT = _Tpl("pdi", [_POINTS], [
+_DINIT = _Tpl("pdi", ["dyv.init_config({imm})", _POINTS], [
     "ready = dev.init_config({imm}, t)",
     "if ready > t:",
     "    st[{DYSER_CONFIG}] += ready - t",
@@ -335,9 +335,9 @@ _DINIT = _Tpl("pdi", [_POINTS], [
 def _dsend_tpl(fp: bool) -> _Tpl:
     regs, rdy, cz, view = (("fr", "frdy", "fcz", "pdf") if fp
                            else ("ir", "irdy", "icz", "pdi"))
-    return _Tpl(view, [f"value = {regs}[{{s1}}]", _POINTS], [
+    return _Tpl(view, [f"dyv.send({{port}}, {regs}[{{s1}}])", _POINTS], [
         *_WAIT, *_waits(("s1",), rdy, cz), *_CHARGE, *_FABRIC,
-        "done = dev.send({port}, value, issue)",
+        "done = dev.send({port}, issue)",
         "if done > issue:",
         "    st[{DYSER_SEND}] += done - issue",
         "    t = done + 1",
@@ -348,12 +348,10 @@ def _dsend_tpl(fp: bool) -> _Tpl:
 
 @cache
 def _drecv_tpl(fp: bool, rd: bool) -> _Tpl:
-    body = ["value = None", _POINTS]
+    body = ["value = dyv.recv({port})", _POINTS]
     if fp:
         body.append("fr[{rd}] = float(value)")
     else:
-        # The received value is config-independent (same functional
-        # stream per point); retire it into the shared registers.
         body.append("v = int(value)")
         if rd:
             body += [*_WRAP, "ir[{rd}] = v"]
@@ -362,7 +360,7 @@ def _drecv_tpl(fp: bool, rd: bool) -> _Tpl:
         "issue = t if t >= fab else fab",
         "if issue > t:",
         "    st[{DYSER_CONFIG}] += issue - t",
-        "value, done = dev.recv({port}, issue)",
+        "done = dev.recv({port}, issue)",
         "if done > issue:",
         "    st[{DYSER_RECV}] += done - issue",
     ]
@@ -389,11 +387,11 @@ def _dld_tpl(fp: bool, vector: bool) -> _Tpl:
     if not vector:
         return _Tpl("pdi", [
             "ea = ir[{s1}] + {imm}", "mlat = da(ea)",
-            f"value = {cast}(lw(ea))", _POINTS,
+            f"dyv.send({{port}}, {cast}(lw(ea)))", _POINTS,
         ], [
             *_DYSER_MEM_WAIT,
             "arrive = issue + mlat",
-            "done = dev.send({port}, value, arrive)",
+            "done = dev.send({port}, arrive)",
             "if done > arrive:",
             "    st[{DYSER_SEND}] += done - arrive",
             "t = issue + 1",
@@ -401,11 +399,12 @@ def _dld_tpl(fp: bool, vector: bool) -> _Tpl:
         ])
     return _Tpl("pdi", [
         "base = ir[{s1}]", "mlat = vca(base, {count}, False)",
-        f"vals = [{cast}(v) for v in lb(base, {{count}})]", _POINTS,
+        f"dyv.send_many({{ports}}, [{cast}(v) for v in lb(base, {{count}})])",
+        _POINTS,
     ], [
         *_DYSER_MEM_WAIT,
         "t0 = issue + mlat",
-        "stall = dev.send_many({ports}, vals, [t0 + o for o in {offs}[p]])",
+        "stall = dev.send_many({ports}, [t0 + o for o in {offs}[p]])",
         "if stall:",
         "    st[{DYSER_SEND}] += stall",
         "sc[1] = issue + {holds}[p]",
@@ -414,32 +413,29 @@ def _dld_tpl(fp: bool, vector: bool) -> _Tpl:
 
 
 @cache
-def _dst_tpl(fp: bool, vector: bool, wide: bool) -> _Tpl:
+def _dst_tpl(fp: bool, vector: bool) -> _Tpl:
     cast = "float" if fp else "int"
     if not vector:
-        # Store once: the value stream is point-independent.
         return _Tpl("pdi", [
-            "value = None", _POINTS, "ea = ir[{s1}] + {imm}",
+            "value = dyv.recv({port})", _POINTS, "ea = ir[{s1}] + {imm}",
             "da(ea, True)", f"sw(ea, {cast}(value))",
         ], [
             *_DYSER_MEM_WAIT,
-            "value, done = dev.recv({port}, issue)",
+            "done = dev.recv({port}, issue)",
             "if done > sc[3]:",
             "    sc[3] = done",
             "t = issue + 1",
             "sc[1] = t",
         ])
     return _Tpl("pdi", [
-        "values = None", "base = ir[{s1}]", _POINTS,
-        "vca(base, {count}, True)", f"sb(base, [{cast}(v) for v in values])",
+        "values = [dyv.recv(port) for port in {ports}]", "base = ir[{s1}]",
+        _POINTS, "vca(base, {count}, True)",
+        f"sb(base, [{cast}(v) for v in values])",
     ], [
         *_DYSER_MEM_WAIT,
         "done = issue",
-        "values = []",
-        "for i in range({count}):",
-        f"    value, done = dev.recv({'{port} + i' if wide else '{port}'}, "
-        "done)",
-        "    values.append(value)",
+        "for port in {ports}:",
+        "    done = dev.recv(port, done)",
         "if done > sc[3]:",
         "    sc[3] = done",
         "sc[1] = issue + {holds}[p]",
@@ -581,20 +577,19 @@ def _dyser_op(insn, iclass) -> _Op:
         return _Op(_drecv_tpl(op is Opcode.DFRECV, bool(insn.rd)), name,
                    rd=insn.rd, port=insn.port)
     imm = int(insn.imm)
-    wide = op in WIDE_OPS
+    # Value i moves through port ``port + i`` (wide) or ``port``.
+    ports = (range(insn.port, insn.port + imm) if op in WIDE_OPS
+             else (insn.port,) * imm)
     operands = dict(s1=insn.rs1, imm=imm, port=insn.port, count=imm,
-                    holds=_holds(imm))
+                    holds=_holds(imm), ports=ports)
     if iclass is InsnClass.DYSER_LOAD:
         vector = op not in (Opcode.DLD, Opcode.DFLD)
         fp = op in (Opcode.DFLD, Opcode.DFLDV, Opcode.DFLDW)
-        # Value i goes to port ``port + i`` (wide) or to ``port``.
-        ports = (range(insn.port, insn.port + imm) if wide
-                 else (insn.port,) * imm)
-        return _Op(_dld_tpl(fp, vector), name, ports=ports,
-                   offs=_offsets(imm), **operands)
+        return _Op(_dld_tpl(fp, vector), name, offs=_offsets(imm),
+                   **operands)
     vector = op not in (Opcode.DST, Opcode.DFST)
     fp = op in (Opcode.DFST, Opcode.DFSTV, Opcode.DFSTW)
-    return _Op(_dst_tpl(fp, vector, wide), name, **operands)
+    return _Op(_dst_tpl(fp, vector), name, **operands)
 
 
 def _exec_op(insn) -> _Op:

@@ -1,4 +1,10 @@
-"""The DySER accelerator model: fabric, configurations, timing, interface."""
+"""The DySER accelerator model: fabric, configurations, timing, interface.
+
+A core drives DySER through two halves: one :class:`DyserValues` (the
+values crossing the fabric, one plan run per invocation) and, per timing
+point, one :class:`DyserDevice` (cycles only: FIFO flow control, config
+cache, statistics).
+"""
 
 from repro.dyser.config import DyserConfig
 from repro.dyser.config_cache import ConfigCache, ConfigCacheParams
@@ -9,10 +15,10 @@ from repro.dyser.fabric import (
     default_capabilities,
     uniform_capabilities,
 )
-from repro.dyser.functional import FunctionalEvaluator
+from repro.dyser.functional import DyserValues, FunctionalEvaluator
 from repro.dyser.interface import DyserDevice, DyserStats
 from repro.dyser.ops import FU_OP_INFO, FuCapability, FuOp
-from repro.dyser.timing import DyserTimingParams, InvocationEngine
+from repro.dyser.timing import DyserTimingParams
 
 __all__ = [
     "ConfigCache",
@@ -24,13 +30,13 @@ __all__ = [
     "DyserDevice",
     "DyserStats",
     "DyserTimingParams",
+    "DyserValues",
     "FU_OP_INFO",
     "Fabric",
     "FabricGeometry",
     "FuCapability",
     "FuOp",
     "FunctionalEvaluator",
-    "InvocationEngine",
     "NodeRef",
     "PortRef",
     "default_capabilities",

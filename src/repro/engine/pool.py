@@ -68,12 +68,13 @@ def _worker(spec: JobSpec, cache: ArtifactCache | None = None) -> dict:
 _LANE_FAILED = "__batch_failed__"
 
 
-def _lane_worker(specs, cache: ArtifactCache | None = None,
+def _lane_worker(specs, configs, cache: ArtifactCache | None = None,
                  worker=_worker) -> list:
     """Run one dispatch unit; returns one payload per spec.
 
     A lane of one is ``worker(spec, cache)``.  A wider lane of
-    ``batched``-backend specs runs in lockstep; each entry is then
+    ``batched``-backend specs runs in lockstep from ``configs``, the run
+    configs the planner built for them; each entry is then
     either the serialized run summary — byte-identical to what
     :func:`_worker` produces for the same spec, by the batched parity
     contract — or ``{_LANE_FAILED: "..."}`` carrying the error string
@@ -86,8 +87,7 @@ def _lane_worker(specs, cache: ArtifactCache | None = None,
     from repro.harness.batch import execute_batch_group
 
     compiled = cache.load_compile(specs[0]) if cache is not None else None
-    outcomes = execute_batch_group(
-        [spec.to_run_config() for spec in specs], compiled=compiled)
+    outcomes = execute_batch_group(configs, compiled=compiled)
     payloads = []
     for spec, outcome in zip(specs, outcomes, strict=True):
         if outcome.error is not None:
@@ -103,12 +103,15 @@ def _lane_worker(specs, cache: ArtifactCache | None = None,
 
 
 def _plan_lanes(specs, pending, costs=None, batching=True):
-    """Split pending indices into dispatch units (lists of indices).
+    """Split pending indices into dispatch units (lists of indices);
+    returns ``(lanes, configs)``.
 
     With ``batching``, ``backend="batched"`` specs are grouped by the
     harness's :func:`~repro.harness.batch.plan_batches` over their run
     configs, so engine batching can never group what the harness would
-    refuse.  Every other index is a lane of one.
+    refuse.  Every other index is a lane of one.  ``configs`` maps each
+    index of a wider lane to the run config it was planned with, which
+    the lane then runs.
 
     Wider lanes go first.  ``costs`` (index → cycles a finished run of
     the job's shape took) orders each kind longest-first for better
@@ -120,8 +123,10 @@ def _plan_lanes(specs, pending, costs=None, batching=True):
 
     batched = [i for i in pending
                if batching and specs[i].backend == "batched"]
-    groups, _ = plan_batches([specs[i].to_run_config() for i in batched])
+    planned = [specs[i].to_run_config() for i in batched]
+    groups, _ = plan_batches(planned)
     lanes = [[batched[k] for k in group] for group in groups]
+    configs = {batched[k]: planned[k] for group in groups for k in group}
     grouped = {i for lane in lanes for i in lane}
     lanes += [[i] for i in pending if i not in grouped]
     if costs and all(costs.get(i) is not None for i in pending):
@@ -129,7 +134,7 @@ def _plan_lanes(specs, pending, costs=None, batching=True):
                                      -max(costs[i] for i in lane), lane[0]))
     else:
         lanes.sort(key=lambda lane: (len(lane) == 1, lane[0]))
-    return lanes
+    return lanes, configs
 
 
 def _notify(progress, record) -> None:
@@ -247,9 +252,9 @@ def run_jobs(
         for i in pending:
             records[i].cost = costs[i] = estimate_job_cost(specs[i])
 
-    _dispatch(specs, _plan_lanes(specs, pending, costs, worker is None),
-              records, results, cache, jobs, timeout, retries,
-              worker or _worker, events, progress)
+    lanes, configs = _plan_lanes(specs, pending, costs, worker is None)
+    _dispatch(specs, lanes, configs, records, results, cache, jobs,
+              timeout, retries, worker or _worker, events, progress)
 
     # Every result returned, executed or hit, prices its shape from now
     # on (here in the calling process, so pooled runs count too).
@@ -287,9 +292,10 @@ def _finish(index: int, payload: dict, specs, records, results,
         cache.store_run(specs[index], payload)
 
 
-def _dispatch(specs, lanes, records, results, cache, jobs, timeout,
-              retries, worker, events=None, progress=None) -> None:
-    """The one dispatch loop: run ``lanes`` in rounds until none is left.
+def _dispatch(specs, lanes, configs, records, results, cache, jobs,
+              timeout, retries, worker, events=None, progress=None) -> None:
+    """The one dispatch loop: run ``lanes`` in rounds until none is left
+    (a wider lane from its members' ``configs``).
 
     ``jobs<=1`` runs each round in-process (:func:`_run_serial`), else
     over a process pool (:func:`_run_pooled`).  What fails in a round
@@ -302,7 +308,7 @@ def _dispatch(specs, lanes, records, results, cache, jobs, timeout,
             if len(lane) == 1:
                 records[lane[0]].attempts += 1
         for lane, payloads, error, t0, wall_s in run(
-                specs, round_lanes, cache, jobs, timeout, worker):
+                specs, round_lanes, configs, cache, jobs, timeout, worker):
             if events is not None:
                 name = specs[lane[0]].describe()
                 events.complete(
@@ -348,26 +354,29 @@ def _retry_or_fail(lane, error, records, wall_s, retries,
     return []
 
 
-def _run_serial(specs, lanes, cache, jobs, timeout, worker):
+def _run_serial(specs, lanes, configs, cache, jobs, timeout, worker):
     """Run each lane in-process, yielding ``(lane, payloads, error,
     start, wall_s)`` as it finishes (``payloads`` None on failure)."""
     for lane in lanes:
         t0 = time.perf_counter()
         try:
-            payloads = _lane_worker([specs[i] for i in lane], cache, worker)
+            payloads = _lane_worker([specs[i] for i in lane],
+                                    [configs.get(i) for i in lane],
+                                    cache, worker)
             error = None
         except Exception as exc:  # noqa: BLE001 — must survive
             payloads, error = None, f"{type(exc).__name__}: {exc}"
         yield lane, payloads, error, t0, time.perf_counter() - t0
 
 
-def _run_pooled(specs, lanes, cache, jobs, timeout, worker):
+def _run_pooled(specs, lanes, configs, cache, jobs, timeout, worker):
     """Run the lanes over a process pool with a per-lane ``timeout``;
     yields like :func:`_run_serial`, in submission order."""
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(lanes)))
     futures = {}
     for lane in lanes:
-        futures[pool.submit(_lane_worker, [specs[i] for i in lane], cache,
+        futures[pool.submit(_lane_worker, [specs[i] for i in lane],
+                            [configs.get(i) for i in lane], cache,
                             worker)] = (lane, time.perf_counter())
     timed_out = False
     try:

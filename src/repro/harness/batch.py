@@ -20,10 +20,11 @@ questions:
 2. **How does a lane run?**  :func:`execute_batch_group` shares
    :func:`repro.harness.runner.run_workload`'s run set-up and result
    assembly (``_RunSetup``) — one compile (shared memo), one
-   :class:`Memory` + ``prepare``, per-point
-   :class:`BatchedDyserDevice` over one shared evaluation tape — then
-   drives a :class:`BatchCore` and assembles a result per point (energy
-   model, correctness checked once against the shared memory image).
+   :class:`Memory` + ``prepare``, a :class:`~repro.dyser.DyserDevice`
+   per point for the cycles (the core holds the lane's one set of DySER
+   values) — then drives a :class:`BatchCore` and assembles a result
+   per point (energy model, correctness checked once against the shared
+   memory image).
    Points the core evicts (per-point instruction limits, shared
    faults) are replayed solo via :func:`run_workload` as lanes of one,
    which never evict and reproduce byte-identical results *including*
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 
 from repro.compiler import CompileResult
 from repro.cpu.batchcore import _SHARED_FIELDS, BatchCore
-from repro.dyser.batch import BatchedDyserDevice
 from repro.errors import ReproError, stable_error_string
 from repro.harness.config import RunConfig
 from repro.harness.parity import (
@@ -143,9 +143,7 @@ def execute_batch_group(
     """
     run = _RunSetup(configs[0], compiled)
     try:
-        tape: dict = {}
-        devices = [run.device(cfg, BatchedDyserDevice, tape=tape)
-                   for cfg in configs]
+        devices = [run.device(cfg) for cfg in configs]
         core = BatchCore(run.compiled.program, run.memory, devices,
                          [_core_config(cfg) for cfg in configs])
         core.set_args(run.instance.int_args, run.instance.fp_args)

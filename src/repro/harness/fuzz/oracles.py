@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from repro.analysis import lint_config
 from repro.cpu import BatchCore, Core, CoreConfig, Memory
 from repro.dyser import ConfigCacheParams, DyserDevice, DyserTimingParams
-from repro.dyser.batch import BatchedDyserDevice
 from repro.dyser.serialize import config_from_dict, config_to_dict
 from repro.errors import ReproError, stable_error_string
 from repro.harness.fuzz.generator import (
@@ -227,11 +226,8 @@ def batched_oracle(case: FuzzCase,
     try:
         program = build_program(case)
         memory = Memory(1 << 16)
-        tape: dict = {}
-        devices = [BatchedDyserDevice(fabric=default_fabric(),
-                                      timing=timing,
-                                      cache_params=cache_params,
-                                      tape=tape)
+        devices = [DyserDevice(fabric=default_fabric(), timing=timing,
+                               cache_params=cache_params)
                    for _, timing, cache_params in points]
         core = batch_cls(program, memory, devices,
                          [config for config, _, _ in points])

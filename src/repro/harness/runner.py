@@ -272,15 +272,14 @@ class _RunSetup:
         self.instance: Instance = workload.prepare(
             self.memory, config.scale, config.seed)
 
-    def device(self, config: RunConfig, cls: type = DyserDevice,
-               **extra) -> DyserDevice | None:
+    def device(self, config: RunConfig) -> DyserDevice | None:
         """``config``'s DySER device (None for a scalar run)."""
         if config.mode != "dyser":
             return None
-        return cls(fabric=self.options.fabric,
-                   timing=config.timing or DyserTimingParams(),
-                   cache_params=config.cache_params or ConfigCacheParams(),
-                   **extra)
+        return DyserDevice(
+            fabric=self.options.fabric,
+            timing=config.timing or DyserTimingParams(),
+            cache_params=config.cache_params or ConfigCacheParams())
 
     def result(self, config: RunConfig, stats: ExecStats, correct: bool,
                events: EventStream | None = None) -> RunResult:

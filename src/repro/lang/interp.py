@@ -8,7 +8,10 @@ simulated values follow the same operation order.
 
 Semantics of the validated subset are unambiguous: int arithmetic is
 exact (the validator rejects integer division/modulo), float arithmetic
-is IEEE double, comparisons and logical ops produce 0/1 ints.  A step
+is IEEE double, comparisons and logical ops produce 0/1 ints.  ``&&``
+and ``||`` evaluate both operands, as the compiled code does (it lowers
+them without branches), so an operand that faults in the simulator
+faults here too.  A step
 budget (:data:`~repro.lang.validate.INTERP_STEP_BUDGET`) bounds
 data-dependent ``while`` loops: exceeding it raises a structured
 :class:`~repro.errors.WorkloadError` instead of hanging a worker.
@@ -159,14 +162,12 @@ class Interpreter:
             return -value if expr.op == "-" else int(not value)
         assert type(expr) is ast.Binary
         op = expr.op
-        if op == "&&":
-            return int(bool(self.expr(expr.left))
-                       and bool(self.expr(expr.right)))
-        if op == "||":
-            return int(bool(self.expr(expr.left))
-                       or bool(self.expr(expr.right)))
         lhs = self.expr(expr.left)
         rhs = self.expr(expr.right)
+        if op == "&&":
+            return int(bool(lhs) and bool(rhs))
+        if op == "||":
+            return int(bool(lhs) or bool(rhs))
         if op == "+":
             return lhs + rhs
         if op == "-":

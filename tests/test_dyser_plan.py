@@ -21,13 +21,14 @@ from repro.dyser import (
     Dfg,
     DyserConfig,
     DyserDevice,
+    DyserTimingParams,
+    DyserValues,
     Fabric,
     FabricGeometry,
     FuOp,
     FunctionalEvaluator,
     PortRef,
 )
-from repro.dyser.batch import BatchedDyserDevice, TapedEvaluator
 from repro.dyser.ops import FU_OP_INFO, evaluate
 from repro.errors import DyserError
 from repro.harness.fuzz.generator import _gen_dfg
@@ -213,6 +214,12 @@ def _add_dfg() -> Dfg:
     return dfg
 
 
+def _mul_dfg() -> Dfg:
+    dfg = Dfg("mul")
+    dfg.set_output(0, dfg.add_node(FuOp.MUL, [PortRef(0), PortRef(1)]))
+    return dfg
+
+
 class TestAbstractEvaluator:
     def test_unknown_inputs_give_unknown_outputs(self):
         faults = []
@@ -229,73 +236,63 @@ class TestAbstractEvaluator:
         assert faults == ["DFG evaluation faulted"]
 
 
-class TestTapedEvaluator:
-    def test_replay_cursor(self):
-        calls = []
-        inner = FunctionalEvaluator(_two_out_dfg())
-        plan = inner.run
-        inner.run = lambda *v: calls.append(v) or plan(*v)
-        tape = []
-        first = TapedEvaluator(inner, tape)
-        assert first.run(1.5, 2) == (3, 2)
-        assert first.run(2.5, 2) == (4, 2)
-        assert first.index == 2 and len(calls) == 2
-        # A sibling replays the tape whatever it is handed, then
-        # extends it past the end.
-        second = TapedEvaluator(inner, tape)
-        assert second.run(None, None) == (3, 2)
-        assert second({0: None, 1: None}) == {0: 4, 1: 2}
-        assert second.run(0.5, 1) == (1, 1)
-        assert len(calls) == 3 and len(tape) == 3
-        assert second.index == 3
-        assert (first.input_ports, first.output_ports) == ((0, 1), (0, 1))
-
-
-class TestBatchedDyserDevice:
-    def test_cursor_resumes_across_reactivation(self, monkeypatch):
-        """Two devices of one lane alternate configs A, B, A: the second
-        activation of A resumes A's tape where the first stopped, so
-        every fire's outputs match a plain device's, and each config's
-        plan runs once per fire index."""
-        mul = Dfg("mul")
-        mul.set_output(0, mul.add_node(FuOp.MUL, [PortRef(0), PortRef(1)]))
+class TestLaneValues:
+    def test_each_plan_runs_once_per_fire(self):
+        """A three-point lane whose FIFO depths and initiation intervals
+        differ alternates configs A, B, A: one value side runs each
+        config's plan once per fire, and every point's outputs and fire
+        times match a solo run at its timing."""
         fabric = Fabric(FabricGeometry(4, 4))
         configs = [DyserConfig(0, _add_dfg(), fabric),
-                   DyserConfig(1, mul, fabric)]
+                   DyserConfig(1, _mul_dfg(), fabric)]
         phases = [(0, range(0, 3)), (1, range(3, 5)), (0, range(5, 8))]
+        timings = [DyserTimingParams(1, 1, 1), DyserTimingParams(2, 4, 3),
+                   DyserTimingParams(8, 2, 2)]
 
-        def drive(devices):
-            outputs = [[] for _ in devices]
+        def drive(timing_list,
+                  plan=lambda config: FunctionalEvaluator(config.dfg)):
+            """Outputs and per-phase fire times of points sharing one
+            value side."""
+            devices = [DyserDevice(fabric=fabric, timing=timing)
+                       for timing in timing_list]
+            for dev in devices:
+                for config in configs:
+                    dev.register_config(config)
+            values = DyserValues(devices[0].configs, plan)
+            outputs, fires = [], [[] for _ in devices]
             ts = [0] * len(devices)
-            for cid, fires in phases:
+            for cid, ks in phases:
+                values.init_config(cid)
                 for d, dev in enumerate(devices):
                     ts[d] = dev.init_config(cid, ts[d])
-                for k in fires:
+                for k in ks:
+                    values.send(0, k)
+                    values.send(1, 10 + k)
                     for d, dev in enumerate(devices):
-                        dev.send(0, k, ts[d])
-                        dev.send(1, 10 + k, ts[d])
-                        value, ts[d] = dev.recv(0, ts[d])
-                        outputs[d].append(value)
-            return outputs
+                        dev.send(0, ts[d])
+                        ts[d] = dev.send(1, ts[d] + k % 3)
+                for _ in ks:
+                    outputs.append(values.recv(0))
+                    for d, dev in enumerate(devices):
+                        ts[d] = dev.recv(0, ts[d])
+                for d, dev in enumerate(devices):
+                    fires[d].append(list(dev.fire_times))
+            return outputs, fires
 
-        def device(cls, **extra):
-            dev = cls(fabric=fabric, **extra)
-            for config in configs:
-                dev.register_config(config)
-            return dev
-
-        [expected] = drive([device(DyserDevice)])
         calls = []
 
-        def counted(self, config):
+        def counted(config):
             evaluator = FunctionalEvaluator(config.dfg)
             plan = evaluator.run
             evaluator.run = lambda *v: calls.append(config.config_id) \
                 or plan(*v)
             return evaluator
 
-        monkeypatch.setattr(DyserDevice, "evaluator_for", counted)
-        tape: dict = {}
-        lane = [device(BatchedDyserDevice, tape=tape) for _ in range(2)]
-        assert drive(lane) == [expected, expected]
+        outputs, fires = drive(timings, counted)
         assert calls == [0, 0, 0, 1, 1, 0, 0, 0]
+        assert outputs == [2 * k + 10 for k in range(3)] \
+            + [k * (10 + k) for k in (3, 4)] \
+            + [2 * k + 10 for k in range(5, 8)]
+        for d, timing in enumerate(timings):
+            assert drive([timing]) == (outputs, [fires[d]])
+        assert len({str(f) for f in fires}) == len(timings)

@@ -1,4 +1,9 @@
-"""Tests for invocation timing, flow control, config cache and the device."""
+"""Tests for invocation timing, flow control, config cache and the device.
+
+A core drives DySER through two halves with the same port sequence:
+the values (:class:`DyserValues`) and each point's cycles
+(:class:`DyserDevice`).  :class:`Pipe` drives them as a core does.
+"""
 
 import pytest
 
@@ -8,10 +13,10 @@ from repro.dyser import (
     DyserConfig,
     DyserDevice,
     DyserTimingParams,
+    DyserValues,
     Fabric,
     FabricGeometry,
     FuOp,
-    InvocationEngine,
     PortRef,
 )
 from repro.dyser.config_cache import ConfigCache, ConfigCacheParams
@@ -27,26 +32,76 @@ def add_dfg() -> Dfg:
     return dfg
 
 
+def mul_dfg() -> Dfg:
+    dfg = Dfg("mul")
+    n = dfg.add_node(FuOp.MUL, [PortRef(0), PortRef(1)])
+    dfg.set_output(0, n)
+    return dfg
+
+
 def make_config(config_id=0, dfg=None, geometry=(4, 4)) -> DyserConfig:
     return DyserConfig(config_id, dfg or add_dfg(),
                        Fabric(FabricGeometry(*geometry)))
 
 
-def make_engine(depth=4, ii=1, dfg=None) -> InvocationEngine:
-    params = DyserTimingParams(
-        input_fifo_depth=depth, output_fifo_depth=depth,
-        initiation_interval=ii)
-    return InvocationEngine(make_config(dfg=dfg), params)
+class Pipe:
+    """One device and one value side, each call made on both, values
+    first (the value side owns the port and quiesce checks)."""
+
+    def __init__(self, configs, depth=4, ii=1, geometry=(4, 4),
+                 plan=None) -> None:
+        self.device = DyserDevice(
+            fabric=Fabric(FabricGeometry(*geometry)),
+            timing=DyserTimingParams(
+                input_fifo_depth=depth, output_fifo_depth=depth,
+                initiation_interval=ii))
+        for config in configs:
+            self.device.register_config(config)
+        self.values = (DyserValues(self.device.configs) if plan is None
+                       else DyserValues(self.device.configs, plan))
+
+    def init_config(self, config_id, t):
+        self.values.init_config(config_id)
+        return self.device.init_config(config_id, t)
+
+    def send(self, port, value, t_ready):
+        self.values.send(port, value)
+        return self.device.send(port, t_ready)
+
+    def send_many(self, ports, values, arrivals):
+        self.values.send_many(ports, values)
+        return self.device.send_many(ports, arrivals)
+
+    def recv(self, port, t_try):
+        value = self.values.recv(port)
+        return value, self.device.recv(port, t_try)
+
+    @property
+    def fire_times(self):
+        return self.device.fire_times
+
+    @property
+    def invocations(self):
+        return len(self.device.fire_times)
+
+
+def make_engine(depth=4, ii=1, dfg=None) -> Pipe:
+    """A pipe with config 0 active (and config 1, a multiply, loadable)."""
+    pipe = Pipe([make_config(0, dfg), make_config(1, mul_dfg())], depth, ii)
+    pipe.init_config(0, 0)
+    return pipe
 
 
 class TestInvocationEngine:
+    """The invocation pipeline's rules, driven through both halves."""
+
     def test_single_invocation_value_and_delay(self):
         eng = make_engine()
         eng.send(0, 3, t_ready=10)
         eng.send(1, 4, t_ready=12)
         value, done = eng.recv(0, t_try=12)
         assert value == 7
-        delay = eng.delays[0]
+        delay = make_config().path_delays()[0]
         assert done == 12 + delay
 
     def test_fire_waits_for_all_inputs(self):
@@ -111,7 +166,7 @@ class TestInvocationEngine:
         for i in range(3):
             eng.send(0, i, t_ready=0)
             eng.send(1, i, t_ready=0)
-        assert eng.unresolved_stalls > 0
+        assert eng.device.unresolved_stalls > 0
 
     def test_recv_without_invocation_raises(self):
         eng = make_engine()
@@ -134,7 +189,7 @@ class TestInvocationEngine:
         eng.send(0, 1, t_ready=0)
         with pytest.raises(DyserError, match="input port 0: .* 1 values "
                                              "still pending"):
-            eng.quiesce()
+            eng.init_config(1, 0)
 
     def test_quiesce_rejects_unread_outputs(self):
         # Outputs declared port 1 first: the check still names the
@@ -150,22 +205,22 @@ class TestInvocationEngine:
         eng.recv(1, t_try=0)
         with pytest.raises(DyserError,
                            match="output port 0: .* 2 values unread"):
-            eng.quiesce()
+            eng.init_config(1, 0)
 
     def test_quiesce_after_drain(self):
         eng = make_engine()
         eng.send(0, 1, t_ready=0)
         eng.send(1, 1, t_ready=0)
         eng.recv(0, t_try=0)
-        eng.quiesce()
+        eng.init_config(1, 0)
 
     def test_saturated_engine_fires_every_ii(self):
         """With inputs always available and outputs never full, the
-        engine fires every ``ii`` cycles, and the last of 16 outputs
+        device fires every ``ii`` cycles, and the last of 16 outputs
         lands at 15 * ii plus the path delay (3 cycles)."""
+        assert make_config().path_delays() == {0: 3}
         for ii, last_ready in ((1, 18), (2, 33), (5, 78)):
             eng = make_engine(depth=64, ii=ii)
-            assert eng.delays == {0: 3}
             for i in range(16):
                 eng.send(0, i, t_ready=0)
                 eng.send(1, 1, t_ready=0)
@@ -202,14 +257,8 @@ class TestConfigCache:
 
 
 class TestDyserDevice:
-    def make_device(self) -> DyserDevice:
-        dev = DyserDevice(fabric=Fabric(FabricGeometry(4, 4)))
-        dev.register_config(make_config(0))
-        dfg2 = Dfg("mul")
-        n = dfg2.add_node(FuOp.MUL, [PortRef(0), PortRef(1)])
-        dfg2.set_output(0, n)
-        dev.register_config(make_config(1, dfg2))
-        return dev
+    def make_device(self) -> Pipe:
+        return Pipe([make_config(0), make_config(1, mul_dfg())])
 
     def test_init_and_execute(self):
         dev = self.make_device()
@@ -251,6 +300,8 @@ class TestDyserDevice:
         dev = self.make_device()
         with pytest.raises(DyserError, match="no configuration"):
             dev.send(0, 1, 0)
+        with pytest.raises(DyserError, match="no configuration"):
+            dev.recv(0, 0)
 
     def test_stats_accumulate(self):
         dev = self.make_device()
@@ -258,7 +309,7 @@ class TestDyserDevice:
         dev.send(0, 1, ready)
         dev.send(1, 1, ready)
         dev.recv(0, ready)
-        stats = dev.finalize()
+        stats = dev.device.finalize()
         assert stats.invocations == 1
         assert stats.values_sent == 2
         assert stats.values_received == 1
@@ -267,34 +318,38 @@ class TestDyserDevice:
     def test_duplicate_config_id_rejected(self):
         dev = self.make_device()
         with pytest.raises(DyserError, match="duplicate"):
-            dev.register_config(make_config(0))
+            dev.device.register_config(make_config(0))
 
     def test_each_config_validated_and_planned_once(self, monkeypatch):
         """Registration validates a config; switching back and forth
-        re-validates nothing and reuses one evaluator plan per config."""
-        dev = self.make_device()
+        re-validates nothing and builds one evaluator plan per config."""
+        built = []
+
+        def plan(config):
+            built.append(config.config_id)
+            return FunctionalEvaluator(config.dfg)
+
+        dev = Pipe([make_config(0), make_config(1, mul_dfg())], plan=plan)
         calls = []
         monkeypatch.setattr(DyserConfig, "validate",
                             lambda self: calls.append(self.config_id))
         t = 0
-        engines = []
+        plans = []
         for cid in (0, 1, 0, 1, 0):
             t = dev.init_config(cid, t)
-            engines.append(dev.engine)
+            plans.append(dev.values.plans[cid])
             dev.send(0, 2, t)
             dev.send(1, 3, t)
             _value, t = dev.recv(0, t)
         assert calls == []
-        assert len({id(e) for e in engines}) == 5
-        assert engines[0].evaluator is engines[2].evaluator \
-            is engines[4].evaluator
-        assert engines[1].evaluator is engines[3].evaluator
-        assert engines[0].evaluator is not engines[1].evaluator
+        assert built == [0, 1]
+        assert plans[0] is plans[2] is plans[4]
+        assert plans[1] is plans[3]
+        assert plans[0] is not plans[1]
 
 
 class TestDirectConstruction:
-    """An engine or evaluator built without a device still checks what
-    it is given."""
+    """What is built from a configuration checks it."""
 
     def bad_port_config(self) -> DyserConfig:
         dfg = Dfg("far")
@@ -304,7 +359,7 @@ class TestDirectConstruction:
 
     def test_engine_rejects_invalid_config(self):
         with pytest.raises(ConfigurationError, match="input port 99"):
-            InvocationEngine(self.bad_port_config(), DyserTimingParams())
+            Pipe([self.bad_port_config()])
 
     def test_evaluator_rejects_invalid_dfg(self):
         dfg = Dfg("dangling")
@@ -322,15 +377,10 @@ def single_input_dfg() -> Dfg:
     return dfg
 
 
-def make_device(depth=4, ii=1, dfg=None) -> tuple[DyserDevice, int]:
-    """A device with config 0 loaded, and the cycle it is ready."""
-    dev = DyserDevice(
-        fabric=Fabric(FabricGeometry(4, 4)),
-        timing=DyserTimingParams(
-            input_fifo_depth=depth, output_fifo_depth=depth,
-            initiation_interval=ii))
-    dev.register_config(make_config(dfg=dfg))
-    return dev, dev.init_config(0, 0)
+def make_device(depth=4, ii=1, dfg=None) -> tuple[Pipe, int]:
+    """A pipe with config 0 loaded, and the cycle it is ready."""
+    pipe = Pipe([make_config(dfg=dfg)], depth, ii)
+    return pipe, pipe.init_config(0, 0)
 
 
 class TestSendStream:
@@ -355,11 +405,11 @@ class TestSendStream:
             ports = (0,) * 40
             slow_total = self._per_send(a, ports, values, arrivals)
             fast_total = b.send_many(ports, values, arrivals)
-            assert a.engine.fire_times == b.engine.fire_times
+            assert a.fire_times == b.fire_times
             assert slow_total == fast_total
-            assert a.send_stall_cycles == b.send_stall_cycles
+            assert a.device.send_stall_cycles == b.device.send_stall_cycles
             assert self._drain(a, 40) == self._drain(b, 40)
-            assert a.finalize() == b.finalize()
+            assert a.device.finalize() == b.device.finalize()
 
     def test_stream_with_backpressure(self):
         """All values arrive at once: the one-call path must reproduce
@@ -371,14 +421,14 @@ class TestSendStream:
         slow_total = self._per_send(a, (0,) * 20, values, arrivals)
         fast_total = b.send_many((0,) * 20, values, arrivals)
         assert slow_total == fast_total > 0
-        assert a.engine.fire_times == b.engine.fire_times
+        assert a.fire_times == b.fire_times
         assert self._drain(a, 20) == self._drain(b, 20)
 
     def test_stream_falls_back_on_multi_port_configs(self):
         dev, _ = make_device()   # two input ports
         dev.send(1, 5, t_ready=0)
         total = dev.send_many((0, 0), [1, 2], [0, 1])
-        assert dev.engine.invocations == 1   # second value waits on port 1
+        assert dev.invocations == 1   # second value waits on port 1
         assert total == 0
 
 
@@ -391,14 +441,14 @@ def add4_dfg() -> Dfg:
 
 
 def _accounting(dev, dones, recvs) -> dict:
-    fire_times = list(dev.engine.fire_times)
-    stats = dev.finalize()
+    fire_times = list(dev.fire_times)
+    stats = dev.device.finalize()
     return {"dones": dones, "recvs": recvs, "fire_times": fire_times,
             "values_sent": stats.values_sent,
             "invocations": stats.invocations,
             "unresolved_flow_stalls": stats.unresolved_flow_stalls,
-            "send_stall_cycles": dict(dev.send_stall_cycles),
-            "recv_stall_cycles": dict(dev.recv_stall_cycles)}
+            "send_stall_cycles": dict(dev.device.send_stall_cycles),
+            "recv_stall_cycles": dict(dev.device.recv_stall_cycles)}
 
 
 class TestSendAccounting:

@@ -347,6 +347,21 @@ class TestLowering:
                   else verify_batch_parity(configs))
         assert report.ok, report.summary()
 
+    def test_logical_ops_evaluate_both_operands(self):
+        """``&&`` does not short-circuit: the compiled code evaluates
+        both operands, so the reference interpreter must too, and an
+        out-of-range index behind a false left operand fails prepare
+        instead of faulting in the simulator."""
+        from repro.cpu import Memory
+
+        spec = _checked(_body(
+            "if (i < 0 && a[i * 100000000] > 0.0) { y[i] = 1.0; }\n"
+            "        else { y[i] = a[i]; }"))
+        prepare = lower_spec(spec).prepare
+        with pytest.raises(WorkloadError, match="out of bounds") as err:
+            prepare(Memory(1 << 16), "tiny", 0)
+        assert err.value.code == "RPR512"
+
     def test_lowered_source_is_compilable_kernel_language(self):
         spec = _checked(DSL_SOURCES["spmv_csr_dsl"])
         text = lowered_source(spec)

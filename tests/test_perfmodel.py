@@ -456,15 +456,16 @@ class TestEngineCostPreflight:
 
         specs = [JobSpec(workload=w) for w in ("a", "b", "c")]
         pending = [0, 1, 2]
-        lanes = _plan_lanes(specs, pending, costs={0: 10, 1: 300, 2: 50})
+        lanes, _ = _plan_lanes(specs, pending,
+                               costs={0: 10, 1: 300, 2: 50})
         assert lanes == [[1], [2], [0]]
 
     def test_plan_keeps_index_order_without_full_costs(self):
         from repro.engine.pool import _plan_lanes
 
         specs = [JobSpec(workload=w) for w in ("a", "b", "c")]
-        lanes = _plan_lanes(specs, [0, 1, 2],
-                            costs={0: 10, 1: None, 2: 50})
+        lanes, _ = _plan_lanes(specs, [0, 1, 2],
+                               costs={0: 10, 1: None, 2: 50})
         assert lanes == [[0], [1], [2]]
 
     def test_run_jobs_records_cost(self, memo):

@@ -223,15 +223,14 @@ class TestInvocationOrdering:
     @given(st.lists(st.tuples(small_ints, small_ints),
                     min_size=1, max_size=20))
     def test_results_arrive_in_send_order(self, pairs):
-        from repro.dyser import DyserTimingParams, InvocationEngine
+        from tests.test_dyser_timing import Pipe
 
         dfg = Dfg()
         n = dfg.add_node(FuOp.ADD, [PortRef(0), PortRef(1)])
         dfg.set_output(0, n)
         config = DyserConfig(0, dfg, Fabric(FabricGeometry(2, 2)))
-        engine = InvocationEngine(
-            config, DyserTimingParams(input_fifo_depth=64,
-                                      output_fifo_depth=64))
+        engine = Pipe([config], depth=64, geometry=(2, 2))
+        engine.init_config(0, 0)
         for t, (a, b) in enumerate(pairs):
             engine.send(0, a, t)
             engine.send(1, b, t)
@@ -241,15 +240,14 @@ class TestInvocationOrdering:
     @given(st.lists(st.integers(min_value=0, max_value=50),
                     min_size=2, max_size=20))
     def test_fire_times_monotonic(self, arrival_times):
-        from repro.dyser import DyserTimingParams, InvocationEngine
+        from tests.test_dyser_timing import Pipe
 
         dfg = Dfg()
         n = dfg.add_node(FuOp.ADD, [PortRef(0), ConstRef(1)])
         dfg.set_output(0, n)
         config = DyserConfig(0, dfg, Fabric(FabricGeometry(2, 2)))
-        engine = InvocationEngine(
-            config, DyserTimingParams(input_fifo_depth=64,
-                                      output_fifo_depth=64))
+        engine = Pipe([config], depth=64, geometry=(2, 2))
+        engine.init_config(0, 0)
         for t in arrival_times:
             engine.send(0, 1, t)
         fires = engine.fire_times
