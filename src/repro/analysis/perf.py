@@ -36,7 +36,7 @@ Three results come out of one walk:
   diagnostics behind ``repro lint --perf``.
 
 The fabric is modelled by the core's own two halves: the *real*
-:class:`DyserDevice` flow control, whose timing is value-independent,
+:class:`DyserCycles` flow control, whose timing is value-independent,
 and a :class:`~repro.dyser.functional.DyserValues` whose plans propagate
 "unknown" through the DFG, so a partially resolved region still fires
 at exact times.
@@ -444,7 +444,7 @@ class _Walker(Core):
     def _init_config(self, config_id: int, t: int) -> int:
         dev = self.dyser
         assert dev is not None      # the core faults first without one
-        live = dev.config
+        live = self.dyser_cycles.active
         rearm = live is not None and live.config_id == config_id
         if live is not None and not rearm:
             self._close_segment(t)
@@ -472,16 +472,16 @@ class _Walker(Core):
     def _close_segment(self, t_now: int) -> None:
         """Charge the live configuration with its invocations, the
         cycles since it was loaded and the port waits since then."""
-        dev = self.dyser
-        seg = self.acct[dev.config.config_id]
-        seg["fires"] += len(dev.fire_times)
+        cyc = self.dyser_cycles
+        seg = self.acct[cyc.active.config_id]
+        seg["fires"] += cyc.fired
         seg["seg_cycles"] += max(0, t_now - self._seg_open_t)
         (send, recv), (send0, recv0) = self._port_waits(), self._seg_waits
         seg["send_wait"] += send - send0
         seg["recv_wait"] += recv - recv0
 
     def _finalize_stats(self) -> None:
-        if self.dyser is not None and self.dyser.config is not None:
+        if self.dyser is not None and self.dyser_cycles.active is not None:
             self._close_segment(self.stats.cycles)
         super()._finalize_stats()
 

@@ -52,7 +52,7 @@ from repro.cpu.memory import Memory
 from repro.cpu.regfile import FpRegFile, IntRegFile
 from repro.cpu.statistics import ExecStats, StallCause
 from repro.dyser.functional import DyserValues
-from repro.dyser.interface import DyserDevice
+from repro.dyser.interface import DyserCycles, DyserDevice
 from repro.isa.opcodes import InsnClass
 from repro.isa.program import Program
 
@@ -89,17 +89,18 @@ class _BatchCtx:
     ``irdys``/``frdys`` with cause maps ``iczs``/``fczs``, stall
     accumulators ``sts``, structural scoreboards ``scs`` =
     ``[fpu_free, lsu_free, fabric_ready, store_queue_busy, cycle]``
-    (``cycle`` is the point's cursor), DySER devices ``devs`` and port
-    rates ``rates``.  The values crossing the fabric are shared: ``dyv``
-    is the lane's :class:`~repro.dyser.functional.DyserValues`.
+    (``cycle`` is the point's cursor) and port rates ``rates``.  The
+    lane's DySER is one value side ``dyv`` and one cycle model ``dyc``
+    (:class:`~repro.dyser.interface.DyserCycles`) for every point.
 
     ``ap`` is the *active point list*; handlers iterate one of its
     views instead, which bind each active point's scoreboards as one
     tuple: ``pi`` = ``(irdy, icz, st, sc)``, ``pf`` = ``(frdy, fcz, st,
-    sc)``, ``pa`` = ``(irdy, icz, frdy, fcz, st, sc)``, ``pdi`` = ``(p,
-    dev) + pi`` and ``pdf`` = ``(p, dev) + pf``.  :meth:`keep` shrinks
-    them all on eviction.  ``solo`` is point 0's ``pdi`` plus ``(frdy,
-    fcz)``, which a lane of one's fused blocks bind as locals.
+    sc)``, ``pa`` = ``(irdy, icz, frdy, fcz, st, sc)``, ``pdi`` =
+    ``(p,) + pi`` and ``pdf`` = ``(p,) + pf``.  :meth:`keep` shrinks
+    them all, and ``dyc``'s points, on eviction.  ``solo`` is point 0's
+    ``pdi`` plus ``(frdy, fcz)``, which a lane of one's fused blocks
+    bind as locals.
 
     Where no L2 sits behind the L1s and the core keeps the stock
     accessors, ``fa`` and ``da`` are the caches' own ``access``.
@@ -107,10 +108,9 @@ class _BatchCtx:
 
     __slots__ = (
         "ir", "fr", "irdys", "frdys", "iczs", "fczs", "sts", "scs",
-        "ap", "pi", "pf", "pa", "pdi", "pdf", "fl", "misc", "mem", "devs",
-        "dyv",
-        "da", "fa", "vca", "lats", "pipelined", "penalty", "ihit", "dhit",
-        "rates", "solo",
+        "ap", "pi", "pf", "pa", "pdi", "pdf", "fl", "misc", "mem", "dyv",
+        "dyc", "da", "fa", "vca", "lats", "pipelined", "penalty", "ihit",
+        "dhit", "rates", "solo",
     )
 
     def __init__(self, core: "BatchCore") -> None:
@@ -127,8 +127,8 @@ class _BatchCtx:
         self.fl = [-1]
         self.misc = [0]
         self.mem = core.memory
-        self.devs = list(core.dysers)
         self.dyv = core.dyser_values
+        self.dyc = core.dyser_cycles
         plain = core.l2 is None
         self.da = (core.dcache.access if plain and type(core)._data_access
                    is CacheHierarchy._data_access else core._data_access)
@@ -161,8 +161,10 @@ class _BatchCtx:
         self.pi[:] = [i + t for i, t in zip(ints, tails)]
         self.pf[:] = [f + t for f, t in zip(fps, tails)]
         self.pa[:] = [i + f + t for i, f, t in zip(ints, fps, tails)]
-        self.pdi[:] = [(p, self.devs[p]) + v for p, v in zip(ap, self.pi)]
-        self.pdf[:] = [(p, self.devs[p]) + v for p, v in zip(ap, self.pf)]
+        self.pdi[:] = [(p,) + v for p, v in zip(ap, self.pi)]
+        self.pdf[:] = [(p,) + v for p, v in zip(ap, self.pf)]
+        if self.dyc is not None:
+            self.dyc.keep(ap)
 
 
 class _PointView:
@@ -171,11 +173,12 @@ class _PointView:
 
     _finalize_stats = Core._finalize_stats
 
-    def __init__(self, stats, dcache, icache, dyser):
+    def __init__(self, stats, dcache, icache, dyser, dyser_cycles):
         self.stats = stats
         self.dcache = dcache
         self.icache = icache
         self.dyser = dyser
+        self.dyser_cycles = dyser_cycles
 
 
 class BatchCore(CacheHierarchy):
@@ -236,9 +239,10 @@ class BatchCore(CacheHierarchy):
         for dev in self.dysers:
             if dev is not None:
                 dev.register_program(program)
-        #: The lane's one value side; each point's device has its cycles.
+        #: The lane's one value side, and the cycles of every point.
         self.dyser_values = (DyserValues(dysers[0].configs)
                              if attached[0] else None)
+        self.dyser_cycles = DyserCycles(dysers) if attached[0] else None
         self.iregs = IntRegFile()
         self.fregs = FpRegFile()
         self.icache = Cache(base.icache)
@@ -303,7 +307,7 @@ class BatchCore(CacheHierarchy):
                     # instructions before it (a fault there comes
                     # first), then stop where the reference core does.
                     block = blocks[bi]
-                    handlers, _ = bound[bi] or block.bind(ctx)
+                    handlers, _ = bound[bi] or block.bind(ctx, solo)
                     for h in handlers[:block.starts[min_limit - executed]]:
                         h()
                     raise _runaway_error(min_limit, self.program)
@@ -324,7 +328,7 @@ class BatchCore(CacheHierarchy):
                     if runs <= hot:
                         cold = bound[bi]
                         if cold is None:
-                            cold = bound[bi] = blocks[bi].bind(ctx)
+                            cold = bound[bi] = blocks[bi].bind(ctx, solo)
                         handlers, term = cold
                         for h in handlers:
                             h()
@@ -373,8 +377,8 @@ class BatchCore(CacheHierarchy):
                 if cycles:
                     stall[_CAUSES[cid]] += cycles
             stats.cycles = ctx.scs[p][4]
-            _PointView(stats, self.dcache, self.icache,
-                       self.dysers[p])._finalize_stats()
+            _PointView(stats, self.dcache, self.icache, self.dysers[p],
+                       self.dyser_cycles)._finalize_stats()
             results[p] = stats
         return results
 

@@ -42,7 +42,7 @@ from repro.cpu.rules import (
     K_JUMP, K_LD, K_LI, K_MOV, K_NOP, K_SEL, K_ST, decode_table)
 from repro.cpu.statistics import ExecStats, StallCause
 from repro.dyser.functional import DyserValues
-from repro.dyser.interface import DyserDevice
+from repro.dyser.interface import DyserCycles, DyserDevice
 from repro.isa.instruction import ARG_FP_REGS, ARG_INT_REGS
 from repro.isa.opcodes import InsnClass, Opcode
 from repro.isa.program import Program
@@ -179,8 +179,9 @@ class Core(CacheHierarchy):
         self.memory = memory
         self.config = config or CoreConfig()
         self.dyser = dyser
-        #: The values crossing the fabric; ``dyser`` has the cycles.
+        #: The values crossing the fabric and ``dyser``'s cycles.
         self.dyser_values: DyserValues | None = None
+        self.dyser_cycles: DyserCycles | None = None
         if dyser is not None:
             if not self.config.has_dyser:
                 raise SimulationError(
@@ -188,6 +189,7 @@ class Core(CacheHierarchy):
                 )
             dyser.register_program(program)
             self.dyser_values = DyserValues(dyser.configs)
+            self.dyser_cycles = DyserCycles([dyser])
         self.iregs = IntRegFile()
         self.fregs = FpRegFile()
         self.icache = Cache(self.config.icache)
@@ -243,7 +245,9 @@ class Core(CacheHierarchy):
         """Hook: activate a DySER configuration at cycle ``t``; returns
         the cycle the fabric is ready."""
         self.dyser_values.init_config(config_id)
-        return self.dyser.init_config(config_id, t)
+        self.dyser_cycles.t[0] = t
+        self.dyser_cycles.init_config(config_id)
+        return self.dyser_cycles.t[0]
 
     # -- the simulator loop ----------------------------------------------------
 
@@ -532,8 +536,8 @@ class Core(CacheHierarchy):
             )
         O = Opcode
         cfg = self.config
-        dev = self.dyser
-        dyv = self.dyser_values
+        dyv, cyc = self.dyser_values, self.dyser_cycles
+        ct = cyc.t
         stats = self.stats
         op = insn.op
         ev = self.events
@@ -562,16 +566,18 @@ class Core(CacheHierarchy):
             if fabric_ready > issue:
                 charge(StallCause.DYSER_CONFIG, fabric_ready - issue)
                 issue = fabric_ready
-            dyv.send(insn.port, value)
-            done = dev.send(insn.port, issue)
-            charge(StallCause.DYSER_SEND, done - issue)
-            return max(issue, done) + 1, fabric_ready
+            ct[0] = issue
+            cyc.send(insn.port, dyv.send(insn.port, value), dyv.fired)
+            charge(StallCause.DYSER_SEND, ct[0] - issue)
+            return ct[0] + 1, fabric_ready
 
         if op in (O.DRECV, O.DFRECV):
             issue = max(t, fabric_ready)
             charge(StallCause.DYSER_CONFIG, issue - t)
             value = dyv.recv(insn.port)
-            done = dev.recv(insn.port, issue)
+            ct[0] = issue
+            cyc.recv(insn.port)
+            done = ct[0]
             charge(StallCause.DYSER_RECV, done - issue)
             if op is O.DRECV:
                 # Converted (and faulting) even when rd is r0.
@@ -624,24 +630,23 @@ class Core(CacheHierarchy):
             for i, value in enumerate(values):
                 if value is not None:
                     value = cast(value)
-                arrive = issue + lat + i // rate
                 port = insn.port + i if wide else insn.port
-                dyv.send(port, value)
-                done = dev.send(port, arrive)
-                if done > arrive:
-                    charge(StallCause.DYSER_SEND, done - arrive)
+                ct[0] = arrive = issue + lat + i // rate
+                cyc.send(port, dyv.send(port, value), dyv.fired)
+                charge(StallCause.DYSER_SEND, ct[0] - arrive)
             return issue + 1, fabric_ready
 
         # Port-to-memory stores are *decoupled*: the instruction retires
         # once it enters the store queue; the LSU drains the output port
         # when the data arrives (the prototype's microarchitecture — the
         # pipeline never waits on them).
-        done = issue
+        ct[0] = issue
         values = []
         for i in range(count):
             port = insn.port + i if wide else insn.port
             values.append(dyv.recv(port))
-            done = dev.recv(port, done)
+            cyc.recv(port)
+        done = ct[0]
         if base is None:
             self._unresolved("dyser store")
         else:
@@ -661,7 +666,8 @@ class Core(CacheHierarchy):
         )
         stats.icache_misses = self.icache.stats.misses
         if self.dyser is not None:
-            dstats = self.dyser.finalize()
+            self.dyser_cycles.finalize()
+            dstats = self.dyser.stats
             stats.dyser_invocations = dstats.invocations
             stats.dyser_values_sent = dstats.values_sent
             stats.dyser_values_received = dstats.values_received

@@ -16,18 +16,21 @@ once, as a template with two parts:
   value side (``dyv``), the memory image and the cache hierarchy are
   shared and touched exactly once per dynamic instruction;
 - the **per-point timing statements** — scoreboards (register ready
-  cycles + stall-cause attribution), structural units (FPU/LSU/fabric/
-  store-queue) and the point's DySER device, which takes and returns
-  cycles only, over the point's cycle cursor ``t``.  An ``@points``
-  line in the functional part places them; they replay exactly the
-  reference core's issue rules for each point.
+  cycles + stall-cause attribution) and structural units (FPU/LSU/
+  fabric/store-queue), over the point's cycle cursor ``t``.  An
+  ``@points`` line in the functional part places them; they replay
+  exactly the reference core's issue rules for each point.  A DySER
+  template has two, around its one call on the lane's cycle model
+  ``dyc`` (:class:`~repro.dyser.interface.DyserCycles`), which loops
+  over the points itself; each point's cycle crosses it in ``io[p]``.
 
 Every runnable form is rendered from these templates:
 
 - **Per-instruction handlers** (``h()``; a terminator returns the next
   block index).  Their source is rendered and compiled once per
   template, with operands as bound arguments, and the timing statements
-  inside a loop over the lane's points.  They run cold blocks, and the
+  inside a loop over the lane's points (a lane of one's over its point's
+  bound locals, as in its fused blocks).  They run cold blocks, and the
   prefix a lane of one runs when its instruction limit lands inside a
   block.
 - **Fused block functions** (:meth:`DecodedBlock.fuse`).  Once a block
@@ -115,8 +118,8 @@ _VIEWS = {
     "pi": "irdy, icz, st, sc",
     "pf": "frdy, fcz, st, sc",
     "pa": "irdy, icz, frdy, fcz, st, sc",
-    "pdi": "p, dev, irdy, icz, st, sc",
-    "pdf": "p, dev, frdy, fcz, st, sc",
+    "pdi": "p, irdy, icz, st, sc",
+    "pdf": "p, frdy, fcz, st, sc",
 }
 
 #: Context names templates read; a binder binds those its source uses.
@@ -126,7 +129,8 @@ _CTX = {
     "sw": "ctx.mem.store_word", "lb": "ctx.mem.load_block",
     "sb": "ctx.mem.store_block", "fl": "ctx.fl", "misc": "ctx.misc",
     "penalty": "ctx.penalty", "ihit": "ctx.ihit", "dhit": "ctx.dhit",
-    "pipelined": "ctx.pipelined", "dyv": "ctx.dyv",
+    "pipelined": "ctx.pipelined", "dyv": "ctx.dyv", "dyc": "ctx.dyc",
+    "io": "ctx.dyc.t",
     **{view: f"ctx.{view}" for view in _VIEWS},
 }
 
@@ -142,46 +146,48 @@ class _Tpl:
     """One instruction kind's lockstep semantics.
 
     ``body`` holds the lane-wide functional statements; its ``@points``
-    line places ``timing``, the per-point statements, which read and
-    advance the point's cycle cursor ``t`` and the names ``view`` binds.
-    ``params`` are the operand fields (``{name}``) an op supplies.
+    lines place the ``timing`` sections in order, the per-point
+    statements, which read and advance the point's cycle cursor ``t``
+    and the names ``view`` binds.  ``params`` are the operand fields
+    (``{name}``) an op supplies.
     """
 
     __slots__ = ("view", "body", "timing", "params")
 
     def __init__(self, view: str, body: list[str],
-                 timing: list[str] = ()) -> None:
+                 *timing: list[str]) -> None:
         self.view = view
         self.body = "\n".join(body)
-        self.timing = "\n".join(timing)
-        fields = {name for text in (self.body, self.timing)
+        self.timing = tuple("\n".join(section) for section in timing)
+        fields = {name for text in (self.body, *self.timing)
                   for _, name, _, _ in _FORMATTER.parse(text) if name}
         self.params = tuple(sorted(
             fields - set(_CTX_FIELDS) - set(_CAUSE_FIELDS)))
 
     def expand(self, fields: dict, solo: bool, last: bool) -> list[str]:
-        """Source lines with ``fields`` substituted.  ``@points`` becomes
-        a loop over the view, or, for a lane of one (``solo``), the
-        timing statements themselves; the ``last`` op of a solo block
-        also stores the cycle cursor back."""
-        timing = self.timing.format_map(fields).splitlines()
-        if solo:
-            points = timing + (["sc[4] = t"] if last else [])
-        elif timing:
-            points = [f"for {_VIEWS[self.view]} in {self.view}:",
-                      "    t = sc[4]",
-                      *("    " + line for line in timing),
-                      "    sc[4] = t"]
-        else:
-            points = []
+        """Source lines with ``fields`` substituted.  Each ``@points``
+        becomes a loop over the view running its timing section, or, for
+        a lane of one (``solo``), the section itself; the ``last`` op of
+        a solo block also stores the cycle cursor back."""
+        sections = iter(self.timing)
         lines = []
         for line in self.body.format_map(fields).splitlines():
             text = line.lstrip()
-            if text == _POINTS:
-                pad = line[:len(line) - len(text)]
-                lines += [pad + point for point in points]
-            else:
+            if text != _POINTS:
                 lines.append(line)
+                continue
+            timing = next(sections, "").format_map(fields).splitlines()
+            if solo:
+                points = timing + (["sc[4] = t"] if last else [])
+            elif timing:
+                points = [f"for {_VIEWS[self.view]} in {self.view}:",
+                          "    t = sc[4]",
+                          *("    " + line for line in timing),
+                          "    sc[4] = t"]
+            else:
+                points = []
+            pad = line[:len(line) - len(text)]
+            lines += [pad + point for point in points]
         return lines
 
 
@@ -322,53 +328,55 @@ def _store_tpl(fp: bool) -> _Tpl:
 
 _NOP = _Tpl("pi", [_POINTS], ["t += 1"])
 
-_DINIT = _Tpl("pdi", ["dyv.init_config({imm})", _POINTS], [
-    "ready = dev.init_config({imm}, t)",
-    "if ready > t:",
-    "    st[{DYSER_CONFIG}] += ready - t",
-    "sc[2] = ready",
-    "t = ready + 1",
-])
+
+def _done(cause: str) -> list[str]:
+    """A DySER op's wait for its cycle model's result in ``io[p]``."""
+    return ["done = io[p]", "if done > t:",
+            f"    st[{{{cause}}}] += done - t"]
+
+
+# A DySER op's first timing section writes each point's cycle to
+# ``io[p]``; the ``dyc`` call after it leaves the result there.
+_DINIT = _Tpl("pdi", [
+    "dyv.init_config({imm})", _POINTS, "dyc.init_config({imm})", _POINTS,
+], ["io[p] = t"], [*_done("DYSER_CONFIG"), "sc[2] = done", "t = done + 1"])
 
 
 @cache
 def _dsend_tpl(fp: bool) -> _Tpl:
     regs, rdy, cz, view = (("fr", "frdy", "fcz", "pdf") if fp
                            else ("ir", "irdy", "icz", "pdi"))
-    return _Tpl(view, [f"dyv.send({{port}}, {regs}[{{s1}}])", _POINTS], [
+    return _Tpl(view, [
+        f"k = dyv.send({{port}}, {regs}[{{s1}}])", _POINTS,
+        "dyc.send({port}, k, dyv.fired)", _POINTS,
+    ], [
         *_WAIT, *_waits(("s1",), rdy, cz), *_CHARGE, *_FABRIC,
-        "done = dev.send({port}, issue)",
-        "if done > issue:",
-        "    st[{DYSER_SEND}] += done - issue",
-        "    t = done + 1",
-        "else:",
-        "    t = issue + 1",
-    ])
+        "io[p] = t = issue",
+    ], [*_done("DYSER_SEND"), "t = done + 1"])
 
 
 @cache
 def _drecv_tpl(fp: bool, rd: bool) -> _Tpl:
-    body = ["value = dyv.recv({port})", _POINTS]
+    body = ["value = dyv.recv({port})", _POINTS, "dyc.recv({port})",
+            _POINTS]
     if fp:
         body.append("fr[{rd}] = float(value)")
     else:
         body.append("v = int(value)")
         if rd:
             body += [*_WRAP, "ir[{rd}] = v"]
-    timing = [
-        "fab = sc[2]",
-        "issue = t if t >= fab else fab",
-        "if issue > t:",
-        "    st[{DYSER_CONFIG}] += issue - t",
-        "done = dev.recv({port}, issue)",
-        "if done > issue:",
-        "    st[{DYSER_RECV}] += done - issue",
-    ]
+    timing = _done("DYSER_RECV")
     if fp or rd:
         # Ready before the next issue slot: no cause tag.
         timing.append(f"{'frdy' if fp else 'irdy'}[{{rd}}] = done")
     timing.append("t = done + 1")
-    return _Tpl("pdf" if fp else "pdi", body, timing)
+    return _Tpl("pdf" if fp else "pdi", body, [
+        "fab = sc[2]",
+        "issue = t if t >= fab else fab",
+        "if issue > t:",
+        "    st[{DYSER_CONFIG}] += issue - t",
+        "io[p] = t = issue",
+    ], timing)
 
 
 #: A DySER memory op's issue: the LSU, then the base register (an LSU
@@ -380,66 +388,51 @@ _DYSER_MEM_WAIT = [
     *_CHARGE, *_FABRIC,
 ]
 
+#: The LSU slots a DySER memory op holds (a vector one's per point).
+_HOLD = ("sc[1] = t + 1", "sc[1] = t + {holds}[p]")
+
 
 @cache
 def _dld_tpl(fp: bool, vector: bool) -> _Tpl:
     cast = "float" if fp else "int"
-    if not vector:
-        return _Tpl("pdi", [
-            "ea = ir[{s1}] + {imm}", "mlat = da(ea)",
-            f"dyv.send({{port}}, {cast}(lw(ea)))", _POINTS,
-        ], [
-            *_DYSER_MEM_WAIT,
-            "arrive = issue + mlat",
-            "done = dev.send({port}, arrive)",
-            "if done > arrive:",
-            "    st[{DYSER_SEND}] += done - arrive",
-            "t = issue + 1",
-            "sc[1] = t",
-        ])
-    return _Tpl("pdi", [
+    body = ([
         "base = ir[{s1}]", "mlat = vca(base, {count}, False)",
-        f"dyv.send_many({{ports}}, [{cast}(v) for v in lb(base, {{count}})])",
-        _POINTS,
+        "runs = dyv.send_many({ports}, "
+        f"[{cast}(v) for v in lb(base, {{count}})])",
+        _POINTS, "dyc.send_many({ports}, runs, {offs})", _POINTS,
+    ] if vector else [
+        "ea = ir[{s1}] + {imm}", "mlat = da(ea)",
+        f"k = dyv.send({{port}}, {cast}(lw(ea)))", _POINTS,
+        "dyc.send({port}, k, dyv.fired)", _POINTS,
+    ])
+    return _Tpl("pdi", body, [
+        *_DYSER_MEM_WAIT, "io[p] = issue + mlat", "t = issue",
     ], [
-        *_DYSER_MEM_WAIT,
-        "t0 = issue + mlat",
-        "stall = dev.send_many({ports}, [t0 + o for o in {offs}[p]])",
+        "stall = io[p] - mlat - t",
         "if stall:",
         "    st[{DYSER_SEND}] += stall",
-        "sc[1] = issue + {holds}[p]",
-        "t = issue + 1",
+        _HOLD[vector],
+        "t += 1",
     ])
 
 
 @cache
 def _dst_tpl(fp: bool, vector: bool) -> _Tpl:
     cast = "float" if fp else "int"
-    if not vector:
-        return _Tpl("pdi", [
-            "value = dyv.recv({port})", _POINTS, "ea = ir[{s1}] + {imm}",
-            "da(ea, True)", f"sw(ea, {cast}(value))",
-        ], [
-            *_DYSER_MEM_WAIT,
-            "done = dev.recv({port}, issue)",
-            "if done > sc[3]:",
-            "    sc[3] = done",
-            "t = issue + 1",
-            "sc[1] = t",
-        ])
-    return _Tpl("pdi", [
+    body = ([
         "values = [dyv.recv(port) for port in {ports}]", "base = ir[{s1}]",
-        _POINTS, "vca(base, {count}, True)",
-        f"sb(base, [{cast}(v) for v in values])",
-    ], [
-        *_DYSER_MEM_WAIT,
-        "done = issue",
-        "for port in {ports}:",
-        "    done = dev.recv(port, done)",
+        _POINTS, "for port in {ports}:", "    dyc.recv(port)", _POINTS,
+        "vca(base, {count}, True)", f"sb(base, [{cast}(v) for v in values])",
+    ] if vector else [
+        "value = dyv.recv({port})", _POINTS, "dyc.recv({port})", _POINTS,
+        "ea = ir[{s1}] + {imm}", "da(ea, True)", f"sw(ea, {cast}(value))",
+    ])
+    return _Tpl("pdi", body, [*_DYSER_MEM_WAIT, "io[p] = t = issue"], [
+        "done = io[p]",
         "if done > sc[3]:",
         "    sc[3] = done",
-        "sc[1] = issue + {holds}[p]",
-        "t = issue + 1",
+        _HOLD[vector],
+        "t += 1",
     ])
 
 
@@ -507,7 +500,7 @@ class _Op:
 
     def resolve(self, ctx) -> tuple[_Tpl, tuple]:
         """The template and operand values this op runs in ``ctx``."""
-        if self.tpl.view in ("pdi", "pdf") and ctx.devs[0] is None:
+        if self.tpl.view in ("pdi", "pdf") and ctx.dyc is None:
             return _NO_DYSER, (
                 f"{self.name} executed on a core without DySER",)
         if not self.late:
@@ -515,10 +508,10 @@ class _Op:
         return self.tpl, tuple(v.fn(ctx) if type(v) is _Late else v
                                for v in self.vals)
 
-    def bind(self, ctx):
+    def bind(self, ctx, solo: bool):
         """This op's per-instruction handler, bound to ``ctx``."""
         tpl, vals = self.resolve(ctx)
-        return _handler_binder(tpl)(ctx, *vals)
+        return _handler_binder(tpl, solo)(ctx, *vals)
 
 
 def _alu_op(insn, iclass) -> _Op:
@@ -648,13 +641,16 @@ def _binder_source(params, lines: list[str], fn: str, head=()) -> str:
 
 
 @lru_cache(maxsize=None)
-def _handler_binder(tpl: _Tpl):
+def _handler_binder(tpl: _Tpl, solo: bool):
     """The per-instruction handler binder of ``tpl``: operands are its
-    arguments, the timing a loop over the lane's points."""
+    arguments, the timing a loop over the lane's points or, for a lane
+    of one (``solo``), point 0's statements over its bound locals."""
     fields = {**_CAUSE_FIELDS, **{name: name for name in _CTX_FIELDS},
               **{name: name for name in tpl.params}}
+    lines = tpl.expand(fields, solo, last=True)
     return _compiled(_binder_source(
-        tpl.params, tpl.expand(fields, solo=False, last=False), "h"))
+        tpl.params, ["t = sc[4]", *lines] if solo else lines, "h",
+        [f"{_VIEWS['pdi']}, frdy, fcz = ctx.solo"] if solo else ()))
 
 
 def _literal(value, consts: list) -> str:
@@ -695,10 +691,12 @@ class DecodedBlock:
     starts: tuple[int, ...]
     mix: tuple
 
-    def bind(self, ctx) -> tuple[tuple, object]:
+    def bind(self, ctx, solo: bool) -> tuple[tuple, object]:
         """``(handlers, term)``: per-instruction handlers bound to
-        ``ctx``; ``term()`` returns the next block index."""
-        return tuple(op.bind(ctx) for op in self.ops), self.term.bind(ctx)
+        ``ctx``; ``term()`` returns the next block index.  ``solo``
+        renders them for a lane of one."""
+        return (tuple(op.bind(ctx, solo) for op in self.ops),
+                self.term.bind(ctx, solo))
 
     def fuse(self, ctx, solo: bool):
         """The whole block as one function bound to ``ctx``: it returns

@@ -1,9 +1,9 @@
 """The DySER accelerator model: fabric, configurations, timing, interface.
 
 A core drives DySER through two halves: one :class:`DyserValues` (the
-values crossing the fabric, one plan run per invocation) and, per timing
-point, one :class:`DyserDevice` (cycles only: FIFO flow control, config
-cache, statistics).
+values crossing the fabric and their port counts) and one
+:class:`DyserCycles` (cycles only, for every timing point of a lane:
+FIFO flow control over each point's :class:`DyserDevice`).
 """
 
 from repro.dyser.config import DyserConfig
@@ -16,7 +16,7 @@ from repro.dyser.fabric import (
     uniform_capabilities,
 )
 from repro.dyser.functional import DyserValues, FunctionalEvaluator
-from repro.dyser.interface import DyserDevice, DyserStats
+from repro.dyser.interface import DyserCycles, DyserDevice, DyserStats
 from repro.dyser.ops import FU_OP_INFO, FuCapability, FuOp
 from repro.dyser.timing import DyserTimingParams
 
@@ -27,6 +27,7 @@ __all__ = [
     "Dfg",
     "DfgNode",
     "DyserConfig",
+    "DyserCycles",
     "DyserDevice",
     "DyserStats",
     "DyserTimingParams",

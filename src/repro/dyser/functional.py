@@ -17,9 +17,9 @@ is the one the op functions of :mod:`repro.dyser.ops` give.
 
 :class:`DyserValues` is the value side of one core's DySER: the values
 waiting on each port and the plan runs that consume them.  The cycle
-each value moves is :class:`~repro.dyser.interface.DyserDevice`'s; no
+each value moves is :class:`~repro.dyser.interface.DyserCycles`'s; no
 timing knob can change a value, so a lockstep lane shares one value
-side across all its points.
+side, and the port counts its sends return, across all its points.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class DyserValues:
     fills the last empty input deque fires: it pops one value per input
     port and runs the plan once; the outputs join the output deques for
     :meth:`recv`.  Every caller sends and receives the same port
-    sequence here as on each point's device, so both sides fire
+    sequence here as on its :class:`~repro.dyser.interface.DyserCycles`,
+    passing on the port counts each send returns, so both sides fire
     together.
     """
 
@@ -133,8 +134,9 @@ class DyserValues:
         self._pending: list[deque] = []
         self._ready: list[deque] = []
         # Input deques holding at least one value: the plan can fire
-        # exactly when this reaches len(_pending).
-        self._filled = 0
+        # exactly when this reaches len(_pending).  ``fired`` counts
+        # the active config's fires.
+        self._filled = self.fired = 0
         self._run = None
 
     def init_config(self, config_id: int) -> None:
@@ -164,45 +166,61 @@ class DyserValues:
         self._ready = [deque() for _ in plan.output_ports]
         self._inputs = dict(zip(plan.input_ports, self._pending))
         self._outputs = dict(zip(plan.output_ports, self._ready))
-        self._filled = 0
+        self._filled = self.fired = 0
 
-    def send(self, port: int, value) -> None:
+    def send(self, port: int, value) -> int:
         """Deposit ``value`` on input ``port``, firing if it was the
-        last one missing."""
+        last one missing; return which value of its port it is."""
         try:
             q = self._inputs[port]
         except KeyError:
             raise self._no_port("send", port) from None
+        n = len(q)
+        k = self.fired + n
+        q.append(value)
         # After every fire loop at least one input deque is empty, so
         # only a deposit into an empty deque can enable a fire.
-        if q:
-            q.append(value)
-        else:
-            q.append(value)
+        if not n:
             self._filled += 1
             if self._filled == len(self._pending):
                 self._fire()
+        return k
 
-    def send_many(self, ports, values) -> None:
+    def send_many(self, ports, values) -> list[tuple[int, int, int]]:
         """:meth:`send` each of ``values`` to the port at the same index
-        of ``ports``, in order (one ``dldv``/``dldw`` transfer)."""
+        of ``ports``, in order (one ``dldv``/``dldw`` transfer); return
+        the port counts as runs ``(end, k, fired)``: per stretch of
+        values, up to index ``end``, that are each value ``k`` of their
+        port, the fires after its last value (the only one that fires).
+        """
         inputs = self._inputs
         filled, needed = self._filled, len(self._pending)
-        for port, value in zip(ports, values, strict=True):
+        fired = self.fired
+        runs: list[tuple[int, int, int]] = []
+        k = -1
+        for i, (port, value) in enumerate(zip(ports, values, strict=True)):
             try:
                 q = inputs[port]
             except KeyError:
                 self._filled = filled
                 raise self._no_port("send", port) from None
-            if q:
-                q.append(value)
-            else:
-                q.append(value)
+            n = len(q)
+            if fired + n != k:
+                if k >= 0:
+                    runs.append((i, k, fired))
+                k = fired + n
+            q.append(value)
+            if not n:
                 filled += 1
                 if filled == needed:
                     self._fire()
-                    filled = self._filled
+                    filled, fired = self._filled, self.fired
+                    runs.append((i + 1, k, fired))
+                    k = -1
+        if k >= 0:
+            runs.append((len(ports), k, fired))
         self._filled = filled
+        return runs
 
     def recv(self, port: int):
         """Pop output ``port``'s oldest value."""
@@ -225,6 +243,7 @@ class DyserValues:
             args = list(map(popleft, pending))
             for q, value in zip(ready, run(*args)):
                 q.append(value)
+            self.fired += 1
             if not all(pending):
                 self._filled = sum(map(bool, pending))
                 return

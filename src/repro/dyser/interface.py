@@ -1,27 +1,24 @@
-"""The CPU-facing DySER device: the cycles of one timing point.
+"""The CPU-facing DySER cycles: every timing point of a lane at once.
 
-Owns the registered configurations, the configuration cache, the
-statistics and, for the active configuration, the port flow control
-of :mod:`repro.dyser.timing` over cycle numbers only.  The values
-crossing the fabric live in the core's
-:class:`~repro.dyser.functional.DyserValues`, which the core calls
-first, with the same ports, so its checks raise before the device is
-reached.  The host core calls:
-
-- :meth:`init_config` on ``dinit``,
-- :meth:`send` on ``dsend``/``dfsend``/``dld`` (data path), and
-  :meth:`send_many` once per ``dldv``/``dfldv``/``dldw``/``dfldw``
-  transfer (the reference core sends each of its values through
-  :meth:`send` instead, so its trace holds one stall event per value),
-- :meth:`recv` on ``drecv``/``dfrecv``/``dst``/``dstv``.
-
-All methods take and return *cycle timestamps* so the in-order scoreboard
-core can account stalls precisely.
+A :class:`DyserDevice` is one timing point: its knobs, registered
+configurations, config cache, :class:`DyserStats`, per-port stall
+counters and event stream.  :class:`DyserCycles` runs the flow control
+of :mod:`repro.dyser.timing` for a lane of devices over cycle numbers
+only, each point's cycle crossing every call in :attr:`DyserCycles.t`.
+The core calls the values (:class:`~repro.dyser.functional.DyserValues`)
+first with the same ports, so their checks raise before any cycle
+moves, and passes on the port counts they return; then it calls
+:class:`DyserCycles` once per instruction for all points:
+:meth:`~DyserCycles.init_config` on ``dinit``,
+:meth:`~DyserCycles.send` per ``dsend``/``dld`` value,
+:meth:`~DyserCycles.send_many` per ``dldv``/``dldw`` transfer (the
+reference core sends those value by value, so its trace holds one stall
+event per value) and :meth:`~DyserCycles.recv` per value received.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import DyserError
@@ -64,29 +61,6 @@ class DyserDevice:
         #: registry by :meth:`repro.cpu.Core._finalize_stats`.
         self.send_stall_cycles: Counter = Counter()
         self.recv_stall_cycles: Counter = Counter()
-        #: The active configuration (None before the first dinit and
-        #: after :meth:`finalize`).
-        self.config: DyserConfig | None = None
-        #: The active configuration's fire cycles, one per invocation.
-        self.fire_times: list[int] = []
-        #: Flow-control waits whose freeing event had not happened yet
-        #: (see :mod:`repro.dyser.timing`): one per such sent value,
-        #: and one per output port per such fire.
-        self.unresolved_stalls = 0
-        # Port state of the active config.  Each input port holds its
-        # pending values' entry cycles, and every fire pops one from
-        # each, so a port has been sent len(fire_times) + len(entries)
-        # values.  Each output port holds its receive cycles and its
-        # path delay: every fire makes one value on each, so its k-th
-        # receive takes fire k's value, ready at fire_times[k] + delay.
-        self._inputs: dict[int, deque] = {}
-        self._entries: list[deque] = []
-        self._outputs: dict[int, tuple[list[int], int]] = {}
-        # Input FIFOs holding at least one entry: a fire is possible
-        # exactly when this reaches len(_entries).
-        self._filled = 0
-
-    # -- setup ---------------------------------------------------------------
 
     def register_config(self, config: DyserConfig) -> None:
         if config.config_id in self.configs:
@@ -100,204 +74,228 @@ class DyserDevice:
             if config.config_id not in self.configs:
                 self.register_config(config)
 
-    # -- host operations -------------------------------------------------------
 
-    def init_config(self, config_id: int, t: int) -> int:
-        """Activate ``config_id``; return the cycle the fabric is ready."""
-        config = self.configs[config_id]
-        start = t
-        if self.config is not None:
-            if self.config.config_id == config_id:
-                return t  # already active: dinit is a no-op re-arm
-            start = max(t, self.drained_time())
-            self.finalize()
+class DyserCycles:
+    """The cycles of a lane of :class:`DyserDevice`\\ s, point ``p`` at
+    ``devices[p]``; every method acts on the active points (:meth:`keep`).
+
+    The lane shares the port counts: the active configuration, its
+    fires :attr:`fired` and the values sent to it.  Per point, as lists
+    indexed by point: :attr:`fire_times`, each pending fire's latest
+    input entry cycle and each output port's receive cycles (output
+    ``r`` is ready at ``fire_times[r]`` plus its path delay).
+    """
+
+    def __init__(self, devices: list[DyserDevice]) -> None:
+        self.devices = list(devices)
+        n = len(self.devices)
+        #: Each active point's cycle, in and out of every call.
+        self.t = [0] * n
+        #: The active configuration (None before the first dinit and
+        #: after :meth:`finalize`).
+        self.active: DyserConfig | None = None
+        self.fired = self._sent = 0
+        self.fire_times: list[list[int]] = [[] for _ in range(n)]
+        self._pending: list[list[int]] = [[] for _ in range(n)]
+        self._recvs: list[list[list[int]]] = [[] for _ in range(n)]
+        # Output port -> index into each point's receive lists.
+        self._outs: dict[int, int] = {}
+        self._delays: tuple[int, ...] = ()
+        self.keep(range(n))
+
+    def keep(self, points) -> None:
+        """Make ``points`` (ascending ids) the active points."""
+        self._pts = [
+            (p, self.fire_times[p], self._pending[p], self._recvs[p],
+             tm.input_fifo_depth, tm.output_fifo_depth,
+             tm.initiation_interval, dev)
+            for p in points for dev in (self.devices[p],)
+            for tm in (dev.timing,)]
+
+    def init_config(self, config_id: int) -> None:
+        """Activate ``config_id`` at ``t[p]``, once the outputs of the
+        previous configuration's fires are consumed or ready; ``t[p]``
+        becomes the cycle the point's fabric is ready."""
+        live = self.active
+        if live is not None and live.config_id == config_id:
+            return  # already active: dinit is a no-op re-arm
+        self.finalize()
+        config = self.devices[0].configs[config_id]
         words = config.config_words()
-        cycles, hit = self.config_cache.load_cycles(config_id, words)
-        self.stats.config_loads += 1
-        if hit:
-            self.stats.config_hits += 1
-        else:
-            self.stats.config_words_loaded += words
-        ready = start + cycles
-        self.stats.config_stall_cycles += ready - t
-        if self.events is not None:
-            self.events.complete(
-                "config_load", "dyser.config", t, ready - t,
-                config=config_id, hit=hit, words=words)
-        self.config = config
-        self.fire_times = []
-        self.unresolved_stalls = 0
-        self._inputs = {port: deque() for port in config.dfg.input_ports}
-        self._entries = list(self._inputs.values())
-        self._outputs = {port: ([], delay)
-                         for port, delay in config.path_delays().items()}
-        self._filled = 0
-        return ready
-
-    def send(self, port: int, t: int) -> int:
-        """One value enters input ``port`` at cycle ``t``: fire any
-        enabled invocations and return the cycle the send completes.
-
-        A value sent to a full FIFO waits for the invocation that frees
-        its slot.  When that invocation has not fired yet (hand-written
-        code sending out of invocation order) the value is accepted at
-        ``t`` and the wait is counted as unresolved.
-        """
-        entries = self._inputs[port]
-        done = t
-        ft = self.fire_times
-        fired = len(ft)
-        pending = len(entries)
-        # The invocation that frees this value's slot: the port's
-        # (sent - depth)-th, which has fired iff the FIFO is not full.
-        freeing = fired + pending - self.timing.input_fifo_depth
-        if freeing >= 0:
-            if freeing < fired:
-                if ft[freeing] > done:
-                    done = ft[freeing]
+        delays = config.path_delays()
+        t = self.t
+        for p, ft, pending, recvs, *_, dev in self._pts:
+            ready = t[p]
+            for times, delay in zip(recvs, self._delays):
+                if len(times) < len(ft):
+                    ready = max(ready, max(ft[len(times):]) + delay)
+                elif times:
+                    ready = max(ready, times[-1])
+            cycles, hit = dev.config_cache.load_cycles(config_id, words)
+            stats = dev.stats
+            stats.config_loads += 1
+            if hit:
+                stats.config_hits += 1
             else:
-                self.unresolved_stalls += 1
-        entries.append(done)
-        # After every fire loop at least one input FIFO is empty, so a
-        # send that lands on a non-empty FIFO cannot enable a firing;
-        # one that fills the last empty FIFO always does.
-        if not pending:
-            self._filled += 1
-            if self._filled == len(self._entries):
-                self._fire_ready()
-        if done > t:
-            self.send_stall_cycles[port] += done - t
-            if self.events is not None:
-                self.events.complete("send_stall", "dyser.port",
-                                     t, done - t, port=port)
-        return done
+                stats.config_words_loaded += words
+            ready += cycles
+            stats.config_stall_cycles += ready - t[p]
+            if dev.events is not None:
+                dev.events.complete(
+                    "config_load", "dyser.config", t[p], ready - t[p],
+                    config=config_id, hit=hit, words=words)
+            t[p] = ready
+            ft.clear()
+            pending.clear()
+            recvs[:] = [[] for _ in delays]
+        self.active = config
+        self.fired = self._sent = 0
+        self._outs = {port: i for i, port in enumerate(delays)}
+        self._delays = tuple(delays.values())
 
-    def send_many(self, ports, arrivals) -> int:
-        """One multi-value transfer: value ``i`` enters ``ports[i]`` at
-        cycle ``arrivals[i]``, in order (a ``dldv``/``dfldv`` stream
-        repeats one port, a ``dldw``/``dfldw`` spreads over consecutive
-        ports).
-
-        The rules of :meth:`send`, applied value by value in one loop (a
-        deposit that fills the last empty FIFO fires mid-transfer, and
-        later deposits wait on that fire); returns the total send-stall
-        cycles so the core can charge them in one go.
-        """
-        inputs = self._inputs
-        ft = self.fire_times
-        fired = len(ft)
-        depth = self.timing.input_fifo_depth
-        filled, needed = self._filled, len(self._entries)
-        stalls = self.send_stall_cycles
-        events = self.events
-        total = 0
-        for port, t in zip(ports, arrivals, strict=True):
-            entries = inputs[port]
-            done = t
-            pending = len(entries)
-            freeing = fired + pending - depth
+    def send(self, port: int, k: int, fired: int) -> None:
+        """Value ``k`` of input ``port``, which leaves ``fired`` fires
+        (the value side's counts), enters at ``t[p]``: it joins pending
+        fire ``k`` and waits for fire ``k - depth`` to free its slot or,
+        if that has not happened (sends out of invocation order), is
+        accepted and counted unresolved.  ``t[p]`` becomes the cycle
+        the send completes."""
+        t = self.t
+        before = self.fired
+        j = k - before
+        for pt in self._pts:
+            p, ft, pending, _, depth, _, _, dev = pt
+            ti = done = t[p]
+            freeing = k - depth
             if freeing >= 0:
-                if freeing < fired:
+                if freeing < before:
                     if ft[freeing] > done:
                         done = ft[freeing]
                 else:
-                    self.unresolved_stalls += 1
-            entries.append(done)
-            if not pending:
-                filled += 1
-                if filled == needed:
-                    self._fire_ready()
-                    filled, fired = self._filled, len(ft)
-            if done > t:
-                total += done - t
-                stalls[port] += done - t
-                if events is not None:
-                    events.complete("send_stall", "dyser.port", t,
-                                    done - t, port=port)
-        self._filled = filled
-        return total
+                    dev.stats.unresolved_flow_stalls += 1
+            if j < len(pending):
+                if pending[j] < done:
+                    pending[j] = done
+            else:
+                pending.append(done)
+            if fired != before:
+                self._fire(pt, fired - before)
+            if done > ti:
+                t[p] = done
+                dev.send_stall_cycles[port] += done - ti
+                if dev.events is not None:
+                    dev.events.complete("send_stall", "dyser.port",
+                                        ti, done - ti, port=port)
+        self.fired = fired
+        self._sent += 1
 
-    def recv(self, port: int, t: int) -> int:
-        """Receive output ``port``'s oldest value, tried at cycle ``t``;
-        return the cycle the receive completes."""
-        recv_times, delay = self._outputs[port]
-        ready_time = self.fire_times[len(recv_times)] + delay
-        done = ready_time if ready_time > t else t
-        recv_times.append(done)
-        if done > t:
-            self.recv_stall_cycles[port] += done - t
-            if self.events is not None:
-                self.events.complete("recv_stall", "dyser.port",
-                                     t, done - t, port=port)
-        return done
+    def send_many(self, ports, runs, offsets) -> None:
+        """One ``dldv``/``dldw`` transfer of the lockstep core (which
+        never traces): value ``i`` enters ``ports[i]`` at ``t[p] +
+        offsets[p][i]``, in order, by the rules of :meth:`send` applied
+        to each of the value side's ``runs``, ``(end, k, fired)`` per
+        stretch of values up to index ``end`` that are each value ``k``
+        of their port; ``t[p]`` grows by the point's stalls."""
+        t = self.t
+        before = self.fired
+        for pt in self._pts:
+            p, ft, pending, _, depth, _, _, dev = pt
+            t0 = t[p]
+            off = offsets[p]
+            fired = before
+            start = 0
+            for end, k, nf in runs:
+                floor = 0
+                freeing = k - depth
+                if freeing >= 0:
+                    if freeing < fired:
+                        floor = ft[freeing] - t0
+                    else:
+                        dev.stats.unresolved_flow_stalls += end - start
+                # The stretch's last value enters last.
+                done = off[end - 1]
+                done = t0 + (floor if floor > done else done)
+                j = k - fired
+                if j < len(pending):
+                    if pending[j] < done:
+                        pending[j] = done
+                else:
+                    pending.append(done)
+                if nf != fired:
+                    self._fire(pt, nf - fired)
+                    fired = nf
+                if floor > off[start]:
+                    for i in range(start, end):
+                        wait = floor - off[i]
+                        if wait <= 0:
+                            break
+                        t[p] += wait
+                        dev.send_stall_cycles[ports[i]] += wait
+                start = end
+        self.fired = fired
+        self._sent += len(ports)
 
-    # -- firing --------------------------------------------------------------
+    def recv(self, port: int) -> None:
+        """Receive output ``port``'s oldest value, tried at ``t[p]``;
+        ``t[p]`` becomes the cycle the receive completes."""
+        out = self._outs[port]
+        delay = self._delays[out]
+        t = self.t
+        for p, ft, _, recvs, _, _, _, dev in self._pts:
+            times = recvs[out]
+            ti = t[p]
+            ready = ft[len(times)] + delay
+            if ready > ti:
+                times.append(ready)
+                t[p] = ready
+                dev.recv_stall_cycles[port] += ready - ti
+                if dev.events is not None:
+                    dev.events.complete("recv_stall", "dyser.port",
+                                        ti, ready - ti, port=port)
+            else:
+                times.append(ti)
 
-    def _fire_ready(self) -> None:
-        """Fire invocations while every input FIFO holds an entry (true
-        on entry: a send calls this when it fills the last empty one)."""
-        entries = self._entries
-        outputs = self._outputs.values()
-        ft = self.fire_times
-        ii = self.timing.initiation_interval
-        out_depth = self.timing.output_fifo_depth
-        popleft = deque.popleft
-        while True:
-            # The last input to arrive (cycles are never negative).
-            fire_at = max(map(popleft, entries))
+    def _fire(self, pt: tuple, count: int) -> None:
+        """Fire the oldest ``count`` pending invocations of one point."""
+        _, ft, pending, recvs, _, depth, ii, dev = pt
+        for _ in range(count):
+            fire_at = pending.pop(0)
             if ft:
                 floor = ft[-1] + ii
                 if floor > fire_at:
                     fire_at = floor
             # On each output port this fire's value takes the slot
-            # freed by the receive of invocation (produced - depth)'s.
-            freeing = len(ft) - out_depth
+            # freed by the receive of fire (fired - depth)'s.
+            freeing = len(ft) - depth
             if freeing >= 0:
-                for times, _ in outputs:
+                for times in recvs:
                     if freeing < len(times):
                         if times[freeing] > fire_at:
                             fire_at = times[freeing]
                     else:
-                        self.unresolved_stalls += 1
+                        dev.stats.unresolved_flow_stalls += 1
             ft.append(fire_at)
-            if self.events is not None:
-                self.events.complete(
+            if dev.events is not None:
+                dev.events.complete(
                     "invocation", "dyser.invoke", fire_at,
-                    self.config.critical_delay(),
-                    config=self.config.config_id, index=len(ft) - 1)
-            if not all(entries):
-                self._filled = sum(map(bool, entries))
-                return
+                    self.active.critical_delay(),
+                    config=self.active.config_id, index=len(ft) - 1)
 
-    # -- bookkeeping -------------------------------------------------------------
-
-    def drained_time(self) -> int:
-        """Cycle by which all fired invocations' outputs are consumed or
-        ready; used when switching configurations."""
-        ft = self.fire_times
-        drained = 0
-        for recv_times, delay in self._outputs.values():
-            if len(recv_times) < len(ft):
-                drained = max(drained, max(ft[len(recv_times):]) + delay)
-            elif recv_times:
-                drained = max(drained, recv_times[-1])
-        return drained
-
-    def finalize(self) -> DyserStats:
-        """Fold the active configuration's counters in and deactivate
-        it; called on every reconfiguration and at the end of a run."""
-        config = self.config
-        if config is not None:
-            self.config = None
-            stats = self.stats
-            fires = len(self.fire_times)
+    def finalize(self) -> None:
+        """Fold the active configuration's counters into each active
+        point's stats and deactivate it; called on every
+        reconfiguration and at the end of a run."""
+        config = self.active
+        if config is None:
+            return
+        self.active = None
+        fires = self.fired
+        nodes = len(config.dfg.nodes)
+        hops = config.used_switch_links()
+        for p, _, _, recvs, *_, dev in self._pts:
+            stats = dev.stats
             stats.invocations += fires
-            # Every fire consumed one value per input port.
-            stats.values_sent += (fires * len(self._entries)
-                                  + sum(map(len, self._entries)))
-            stats.values_received += sum(
-                len(times) for times, _ in self._outputs.values())
-            stats.unresolved_flow_stalls += self.unresolved_stalls
-            stats.fu_ops += fires * len(config.dfg.nodes)
-            stats.switch_hops += fires * config.used_switch_links()
-        return self.stats
+            stats.values_sent += self._sent
+            stats.values_received += sum(map(len, recvs))
+            stats.fu_ops += fires * nodes
+            stats.switch_hops += fires * hops

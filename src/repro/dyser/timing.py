@@ -6,11 +6,11 @@ configured input port holds a value; its outputs become visible after the
 configuration's per-output path delay.  Output FIFO backpressure delays
 firing when results pile up unread.
 
-Timing is value-independent, so it is kept apart from the values: each
-point's :class:`~repro.dyser.interface.DyserDevice` tracks only cycles
-(entry cycles per input port, ready and receive cycles per output port,
-fire times), and the core's :class:`~repro.dyser.functional.DyserValues`
-holds the values.
+Timing is value-independent: the core's
+:class:`~repro.dyser.functional.DyserValues` holds the values and the
+port counts a lane's timing points share, and one
+:class:`~repro.dyser.interface.DyserCycles` holds each point's cycles.
+Value ``k`` of a port with FIFO depth ``d`` waits for fire ``k - d``.
 
 Flow-control contract (exact for compiler-emitted code, which sends and
 receives in invocation order):
@@ -24,7 +24,7 @@ receives in invocation order):
 
 When the freeing event is genuinely unknown (hand-written code violating
 the ordering), the FIFO optimistically accepts without a stall rather than
-guessing and the device counts the case (``unresolved_stalls``), so tests
+guessing and counts the case (``unresolved_flow_stalls``), so tests
 can assert it never happens for generated code.
 """
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import RunConfig, SweepSpec
 from repro.cpu import BatchCore, CoreConfig, LaneOfOne, Memory
-from repro.dyser import DyserTimingParams
+from repro.dyser import DyserCycles, DyserTimingParams
 from repro.engine import ArtifactCache, run_jobs
 from repro.engine.jobs import JobSpec
 from repro.errors import ReproError, SimulationError, stable_error_string
@@ -207,6 +207,44 @@ class TestDivergence:
 
         for cfg, outcome in zip(healthy, (outcomes[0], outcomes[2])):
             assert outcome.batched
+            solo = run_workload(cfg.with_(backend="reference"))
+            assert outcome.result.to_dict() == solo.to_dict()
+
+    def test_eviction_with_live_dyser_state(self, monkeypatch):
+        # The middle point's instruction limit lands half way through
+        # mm, after the lane's DySER has fired: its cycle state leaves
+        # the lane's DyserCycles mid-config, and the survivors, whose
+        # FIFO depths and initiation intervals differ, must still match
+        # their reference runs.
+        full = run_workload(_cfg("mm", backend="reference"))
+        limit = full.stats.instructions // 2
+        configs = [
+            _cfg("mm", timing=DyserTimingParams(input_fifo_depth=2)),
+            _cfg("mm", timing=DyserTimingParams(initiation_interval=2),
+                 core_config=CoreConfig(max_instructions=limit)),
+            _cfg("mm", timing=DyserTimingParams(input_fifo_depth=8,
+                                                initiation_interval=3)),
+        ]
+        dropped = []
+        keep = DyserCycles.keep
+
+        def spy(self, points):
+            points = list(points)
+            live = [pt[0] for pt in getattr(self, "_pts", ())]
+            dropped.extend((p, len(self.fire_times[p]))
+                           for p in live if p not in points)
+            keep(self, points)
+
+        monkeypatch.setattr(DyserCycles, "keep", spy)
+        outcomes = execute_batch_group(configs)
+        assert [p for p, _ in dropped] == [1]
+        assert dropped[0][1] > 0            # fires had begun
+        assert outcomes[1].result is None
+        with pytest.raises(ReproError) as solo_exc:
+            run_workload(configs[1].with_(backend="reference"))
+        assert (stable_error_string(outcomes[1].error)
+                == stable_error_string(solo_exc.value))
+        for cfg, outcome in zip(configs[::2], outcomes[::2]):
             solo = run_workload(cfg.with_(backend="reference"))
             assert outcome.result.to_dict() == solo.to_dict()
 

@@ -20,6 +20,7 @@ from repro.dyser import (
     ConstRef,
     Dfg,
     DyserConfig,
+    DyserCycles,
     DyserDevice,
     DyserTimingParams,
     DyserValues,
@@ -259,24 +260,25 @@ class TestLaneValues:
                 for config in configs:
                     dev.register_config(config)
             values = DyserValues(devices[0].configs, plan)
+            cycles = DyserCycles(devices)
             outputs, fires = [], [[] for _ in devices]
-            ts = [0] * len(devices)
+            ts = cycles.t
             for cid, ks in phases:
                 values.init_config(cid)
-                for d, dev in enumerate(devices):
-                    ts[d] = dev.init_config(cid, ts[d])
+                cycles.init_config(cid)
                 for k in ks:
-                    values.send(0, k)
-                    values.send(1, 10 + k)
-                    for d, dev in enumerate(devices):
-                        dev.send(0, ts[d])
-                        ts[d] = dev.send(1, ts[d] + k % 3)
+                    # The second value arrives k % 3 cycles after the
+                    # first; the point moves on once both are in.
+                    cycles.send_many((0, 1),
+                                     values.send_many((0, 1), (k, 10 + k)),
+                                     [(0, k % 3)] * len(devices))
+                    for d in range(len(devices)):
+                        ts[d] += k % 3
                 for _ in ks:
                     outputs.append(values.recv(0))
-                    for d, dev in enumerate(devices):
-                        ts[d] = dev.recv(0, ts[d])
-                for d, dev in enumerate(devices):
-                    fires[d].append(list(dev.fire_times))
+                    cycles.recv(0)
+                for d in range(len(devices)):
+                    fires[d].append(list(cycles.fire_times[d]))
             return outputs, fires
 
         calls = []

@@ -1,8 +1,9 @@
 """Tests for invocation timing, flow control, config cache and the device.
 
 A core drives DySER through two halves with the same port sequence:
-the values (:class:`DyserValues`) and each point's cycles
-(:class:`DyserDevice`).  :class:`Pipe` drives them as a core does.
+the values (:class:`DyserValues`) and the cycles of every point
+(:class:`DyserCycles` over one :class:`DyserDevice` per point).
+:class:`Pipe` drives them as a core does, for a lane of one.
 """
 
 import pytest
@@ -11,6 +12,7 @@ from repro.dyser import (
     ConstRef,
     Dfg,
     DyserConfig,
+    DyserCycles,
     DyserDevice,
     DyserTimingParams,
     DyserValues,
@@ -45,8 +47,9 @@ def make_config(config_id=0, dfg=None, geometry=(4, 4)) -> DyserConfig:
 
 
 class Pipe:
-    """One device and one value side, each call made on both, values
-    first (the value side owns the port and quiesce checks)."""
+    """One device's cycles and one value side, each call made on both,
+    values first (the value side owns the port and quiesce checks and
+    returns the port counts the cycles read)."""
 
     def __init__(self, configs, depth=4, ii=1, geometry=(4, 4),
                  plan=None) -> None:
@@ -59,30 +62,45 @@ class Pipe:
             self.device.register_config(config)
         self.values = (DyserValues(self.device.configs) if plan is None
                        else DyserValues(self.device.configs, plan))
+        self.cycles = DyserCycles([self.device])
 
     def init_config(self, config_id, t):
         self.values.init_config(config_id)
-        return self.device.init_config(config_id, t)
+        self.cycles.t[0] = t
+        self.cycles.init_config(config_id)
+        return self.cycles.t[0]
 
     def send(self, port, value, t_ready):
-        self.values.send(port, value)
-        return self.device.send(port, t_ready)
+        self.cycles.t[0] = t_ready
+        self.cycles.send(port, self.values.send(port, value),
+                         self.values.fired)
+        return self.cycles.t[0]
 
     def send_many(self, ports, values, arrivals):
-        self.values.send_many(ports, values)
-        return self.device.send_many(ports, arrivals)
+        """One transfer, its arrivals in order; returns its stalls."""
+        runs = self.values.send_many(ports, values)
+        t0 = arrivals[0] if arrivals else 0
+        self.cycles.t[0] = t0
+        self.cycles.send_many(ports, runs, [[a - t0 for a in arrivals]])
+        return self.cycles.t[0] - t0
 
     def recv(self, port, t_try):
         value = self.values.recv(port)
-        return value, self.device.recv(port, t_try)
+        self.cycles.t[0] = t_try
+        self.cycles.recv(port)
+        return value, self.cycles.t[0]
+
+    def finalize(self):
+        self.cycles.finalize()
+        return self.device.stats
 
     @property
     def fire_times(self):
-        return self.device.fire_times
+        return self.cycles.fire_times[0]
 
     @property
     def invocations(self):
-        return len(self.device.fire_times)
+        return self.cycles.fired
 
 
 def make_engine(depth=4, ii=1, dfg=None) -> Pipe:
@@ -166,7 +184,7 @@ class TestInvocationEngine:
         for i in range(3):
             eng.send(0, i, t_ready=0)
             eng.send(1, i, t_ready=0)
-        assert eng.device.unresolved_stalls > 0
+        assert eng.device.stats.unresolved_flow_stalls > 0
 
     def test_recv_without_invocation_raises(self):
         eng = make_engine()
@@ -309,7 +327,7 @@ class TestDyserDevice:
         dev.send(0, 1, ready)
         dev.send(1, 1, ready)
         dev.recv(0, ready)
-        stats = dev.device.finalize()
+        stats = dev.finalize()
         assert stats.invocations == 1
         assert stats.values_sent == 2
         assert stats.values_received == 1
@@ -409,7 +427,7 @@ class TestSendStream:
             assert slow_total == fast_total
             assert a.device.send_stall_cycles == b.device.send_stall_cycles
             assert self._drain(a, 40) == self._drain(b, 40)
-            assert a.device.finalize() == b.device.finalize()
+            assert a.finalize() == b.finalize()
 
     def test_stream_with_backpressure(self):
         """All values arrive at once: the one-call path must reproduce
@@ -442,7 +460,7 @@ def add4_dfg() -> Dfg:
 
 def _accounting(dev, dones, recvs) -> dict:
     fire_times = list(dev.fire_times)
-    stats = dev.device.finalize()
+    stats = dev.finalize()
     return {"dones": dones, "recvs": recvs, "fire_times": fire_times,
             "values_sent": stats.values_sent,
             "invocations": stats.invocations,
