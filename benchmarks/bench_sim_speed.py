@@ -27,9 +27,11 @@ Methodology: every (workload, mode) config is executed once per pass
 and backend after a compile warm-up pass, so the numbers compare
 *simulation* time, not compilation; each backend's time is the median of
 :data:`PASSES` passes (entries recorded before that are single passes,
-which spread by about 8% on one host).  Parity is asserted on the exact
-configs measured — a timing table for a backend that disagrees with the
-oracle would be meaningless.  Entries also record ``dyser_fires``, the
+which spread by about 8% on one host), each after a full garbage
+collection (entries before 2026-10-22 collected only when CPython
+chose).  Parity is asserted on the exact configs measured — a timing
+table for a backend that disagrees with the oracle would be
+meaningless.  Entries also record ``dyser_fires``, the
 DySER invocations of the solo dyser-mode runs, and ``solo_ns_per_fire``,
 the wall time of those runs divided by their fires (whole runs, not the
 fabric alone), and ``solo_ns_per_insn``, the solo wall time divided by
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import gc
 import json
 import pathlib
 import platform
@@ -124,9 +127,11 @@ def _solo_pass(configs, backend: str) -> tuple[float, int, int]:
 
 def _median_pass(run) -> tuple[float, object]:
     """Call ``run()`` :data:`PASSES` times; the wall seconds and the
-    outcome of the median pass by wall time."""
+    outcome of the median pass by wall time.  A full collection before
+    each pass keeps one pass from paying for the last one's garbage."""
     passes = []
     for _ in range(PASSES):
+        gc.collect()
         started = time.perf_counter()
         outcome = run()
         passes.append((time.perf_counter() - started, outcome))

@@ -105,7 +105,7 @@ CODES: dict[str, CodeInfo] = {
             "RPR251": "unknown workload",
             "RPR253": "hardware knob out of range",
             "RPR254": "unknown energy-model override field",
-            "RPR255": "memory too small for the workload harness",
+            "RPR255": "memory size below the floor, above the ceiling or unaligned",
             "RPR256": "compiler knob out of range",
         }),
         *_bank(Severity.WARNING, {

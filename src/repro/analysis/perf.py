@@ -275,20 +275,18 @@ def _retire(icost: list, iorigin: list, forigin: list, srcs: tuple,
 
 class _WalkMemory(Memory):
     """The walk's view of a prepared memory image: it adopts the image's
-    words, a word holding None is unknown, and after :meth:`forget`
-    (a store to an unknown address) every load is."""
+    state (its word list by reference), a word holding None is unknown,
+    and after :meth:`forget` (a store to an unknown address) every load is."""
 
     def __init__(self, image: Memory) -> None:
-        self.size_bytes = image.size_bytes
-        self._words = image._words
-        self._brk = image._brk
+        vars(self).update(vars(image))
         self._forgotten = False
 
     def forget(self) -> None:
         self._forgotten = True
 
     def load_word(self, address: int):
-        value = self._words[self._index(address)]
+        value = super().load_word(address)
         return None if self._forgotten else value
 
     def load_block(self, address: int, count: int) -> list:

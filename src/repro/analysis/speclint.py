@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import fields as dataclass_fields
 
 from repro.analysis.diagnostics import DiagnosticReport
+from repro.cpu.memory import WORD_BYTES
 from repro.engine.jobs import _KNOBS, JobSpec
 
 _SOURCE = "speclint"
@@ -38,6 +39,9 @@ _POSITIVE_COMPILER_KNOBS = tuple(
 #: suite workload places arrays above the 64 KiB line even at the tiny
 #: scale, so anything smaller faults during preparation, not execution.
 MIN_MEMORY_BYTES = 1 << 16
+#: Largest memory image, 16x the default: an image grows to the highest
+#: word stored, so one store near the top could otherwise take gigabytes.
+MAX_MEMORY_BYTES = 1 << 26
 
 
 def lint_spec(spec, report: DiagnosticReport | None = None
@@ -116,4 +120,15 @@ def lint_spec(spec, report: DiagnosticReport | None = None
             f"to stage inputs",
             location="memory_bytes", source=_SOURCE,
             value=spec.memory_bytes, floor=MIN_MEMORY_BYTES)
+    elif spec.memory_bytes > MAX_MEMORY_BYTES:
+        report.emit(
+            "RPR255",
+            f"memory_bytes={spec.memory_bytes} is above the "
+            f"{MAX_MEMORY_BYTES}-byte ceiling",
+            location="memory_bytes", source=_SOURCE,
+            value=spec.memory_bytes, ceiling=MAX_MEMORY_BYTES)
+    if spec.memory_bytes % WORD_BYTES:
+        report.emit(
+            "RPR255", f"memory_bytes={spec.memory_bytes} is not a multiple of {WORD_BYTES}",
+            location="memory_bytes", source=_SOURCE, value=spec.memory_bytes)
     return report

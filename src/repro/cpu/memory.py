@@ -4,7 +4,9 @@ The simulator operates on 8-byte words (64-bit integers and doubles), which
 matches what the evaluation needs — dynamic instruction counts, addresses
 and cache behaviour — without modelling byte-level packing.  Addresses are
 byte addresses and must be 8-byte aligned; each word slot holds a Python
-``int`` or ``float``.
+``int`` or ``float``.  The slot list ends at the highest word stored so
+far (a store past it grows it) and any word past its end reads as ``fill``;
+bounds are checked against the capacity ``size_bytes``, never the list.
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ class Memory:
 
     Args:
         size_bytes: total capacity; must be a multiple of 8.
-        fill: initial value of every word.
+        fill: the value of every word never stored.
     """
 
     def __init__(self, size_bytes: int = 1 << 22, fill: int = 0) -> None:
         if size_bytes % WORD_BYTES:
             raise ValueError("memory size must be a multiple of 8 bytes")
         self.size_bytes = size_bytes
-        self._words: list[int | float] = [fill] * (size_bytes // WORD_BYTES)
+        self._fill = fill
+        self._words: list[int | float] = []
         # Bump allocator: reserve word 0 so address 0 acts as a null guard.
         self._brk = WORD_BYTES
 
@@ -46,26 +49,41 @@ class Memory:
     # -- scalar access ----------------------------------------------------
 
     def load_word(self, address: int) -> int | float:
-        return self._words[self._index(address)]
+        index = self._index(address)
+        try:
+            return self._words[index]
+        except IndexError:
+            return self._fill
 
     def store_word(self, address: int, value: int | float) -> None:
-        self._words[self._index(address)] = value
+        index = self._index(address)
+        words = self._words
+        try:
+            words[index] = value
+        except IndexError:
+            words.extend([self._fill] * (index - len(words)))
+            words.append(value)
 
     # -- block access -----------------------------------------------------
 
     def load_block(self, address: int, count: int) -> list[int | float]:
         start = self._index(address)
         end = start + count
-        if end > len(self._words):
+        if end > self.size_bytes // WORD_BYTES:
             raise MemoryFault(address + count * WORD_BYTES)
-        return self._words[start:end]
+        values = self._words[start:end]
+        values.extend([self._fill] * (count - len(values)))
+        return values
 
     def store_block(self, address: int, values: Sequence[int | float]) -> None:
         start = self._index(address)
         end = start + len(values)
-        if end > len(self._words):
+        if end > self.size_bytes // WORD_BYTES:
             raise MemoryFault(address + len(values) * WORD_BYTES)
-        self._words[start:end] = list(values)
+        words = self._words
+        if len(words) < start < end:
+            words.extend([self._fill] * (start - len(words)))
+        words[start:end] = values
 
     # -- allocation -------------------------------------------------------
 
@@ -88,17 +106,10 @@ class Memory:
 
     # -- numpy bridges (workload setup / verification) ---------------------
 
-    def write_numpy(self, address: int, array: np.ndarray) -> None:
-        flat = array.ravel()
-        if np.issubdtype(flat.dtype, np.floating):
-            self.store_block(address, [float(x) for x in flat])
-        else:
-            self.store_block(address, [int(x) for x in flat])
-
     def read_numpy(self, address: int, count: int, dtype=np.float64) -> np.ndarray:
         return np.array(self.load_block(address, count), dtype=dtype)
 
     def alloc_numpy(self, array: np.ndarray) -> int:
-        address = self.alloc(array.size)
-        self.write_numpy(address, array)
-        return address
+        flat = array.ravel()
+        cast = float if np.issubdtype(flat.dtype, np.floating) else int
+        return self.alloc_array([cast(x) for x in flat])

@@ -443,6 +443,24 @@ class TestSpecLint:
         report = lint_spec(spec)
         assert "RPR256" in report.codes()
 
+    @pytest.mark.parametrize("memory_bytes, message", [
+        (128, "memory_bytes=128 is below the 65536-byte floor the "
+              "workload harness needs to stage inputs"),
+        (65537, "memory_bytes=65537 is not a multiple of 8"),
+        (1 << 40, "memory_bytes=1099511627776 is above the "
+                  "67108864-byte ceiling"),
+    ])
+    def test_memory_size_out_of_range(self, memory_bytes, message):
+        spec = JobSpec(workload="mm", memory_bytes=memory_bytes)
+        assert [(d.code, d.message) for d in lint_spec(spec)] == [
+            ("RPR255", message)]
+
+    def test_memory_size_limits_are_accepted(self):
+        from repro.analysis.speclint import MAX_MEMORY_BYTES, MIN_MEMORY_BYTES
+        for memory_bytes in (MIN_MEMORY_BYTES, MAX_MEMORY_BYTES):
+            assert lint_spec(JobSpec(workload="mm",
+                                     memory_bytes=memory_bytes)).ok
+
 
 class TestEnginePreflight:
     def test_illegal_spec_rejected_without_worker(self):
@@ -469,6 +487,19 @@ class TestEnginePreflight:
             report.raise_on_failure()
         # Sanity: the knob, not the workload, was the problem.
         assert lint_spec(good).ok
+
+    @pytest.mark.parametrize("memory_bytes", [65537, 1 << 40])
+    def test_memory_size_rejected_without_worker(self, memory_bytes):
+        from repro.engine.pool import run_jobs
+        from repro.engine.report import REJECTED
+
+        def worker(spec, cache):  # pragma: no cover - must not run
+            raise AssertionError("a rejected spec reached the worker")
+
+        spec = JobSpec(workload="mm", scale="tiny", memory_bytes=memory_bytes)
+        record = run_jobs([spec], worker=worker).records[0]
+        assert record.status == REJECTED
+        assert [d.code for d in record.diagnostics] == ["RPR255"]
 
     def test_mixed_batch_runs_good_jobs(self):
         from repro.engine.pool import run_jobs

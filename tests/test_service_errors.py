@@ -154,6 +154,18 @@ class TestOneEnvelope:
         if case == "tenant-throttled":
             assert error["retry_after_s"] > 0
 
+    @pytest.mark.parametrize("memory_bytes", [65537, 1 << 40])
+    @pytest.mark.parametrize("kind", ["service", "gateway"])
+    def test_memory_size_is_lint_rejected(self, daemons, kind, memory_bytes):
+        harness, _ = daemons[kind]
+        with Client(port=harness.port, retries=0) as client:
+            status, body = client.request(
+                "POST", "/v2/run",
+                {"spec": dict(SPEC, memory_bytes=memory_bytes)})
+        assert status == 422
+        assert body["error"]["code"] == P.ERR_LINT_REJECTED
+        assert {d["code"] for d in body["error"]["diagnostics"]} == {"RPR255"}
+
     def test_worker_error_crosses_the_gateway_unchanged(self, daemons):
         gateway, _ = daemons["gateway"]
         worker = gateway.workers[0]
